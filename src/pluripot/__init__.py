@@ -24,8 +24,7 @@ from .kernels import (GREEN_POLE, KernelValue, poisson_kernel, green_function,
                       horofunction, green_normal_derivative, horosphere_contains,
                       k_region_contains, boundary_distance_asymptotic)
 from .pluripotential_verify import (HessianSample, VerificationReport, complex_hessian,
-                                    monge_ampere_residual, monge_ampere_determinant,
-                                    psh_check, harmonic_along_geodesic,
+                                    monge_ampere_residual, psh_check, harmonic_along_geodesic,
                                     phragmen_lindelof_compare, laplacian_1d,
                                     laplacian_noise_floor)
 from .boundary_measure import (BoundaryQuadrature, boundary_form_density, build_quadrature,
@@ -36,7 +35,7 @@ from .dilation_jwc import (MapUnderTest, map_from_spec, dilation, normalized_dil
                            omega_preserving_residual, gamma_lambda, special_curve_limit)
 from ._suites import SUITES, run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Domain", "BoundaryPoint", "make_domain", "boundary_point", "boundary_distance",
@@ -53,7 +52,7 @@ __all__ = [
     "green_normal_derivative", "horosphere_contains", "k_region_contains",
     "boundary_distance_asymptotic",
     "HessianSample", "VerificationReport", "complex_hessian", "monge_ampere_residual",
-    "monge_ampere_determinant", "psh_check", "harmonic_along_geodesic",
+    "psh_check", "harmonic_along_geodesic",
     "phragmen_lindelof_compare", "laplacian_1d", "laplacian_noise_floor",
     "BoundaryQuadrature", "boundary_form_density", "build_quadrature",
     "reproduce_pluriharmonic", "calibrate_quadrature", "green_ratio",

@@ -1,6 +1,14 @@
-"""Sequence extrapolation helpers for boundary ladders."""
+"""The boundary-limit engine: inward normal ladders and Aitken extrapolation.
+
+Every boundary limit in pluripot (kernel, horofunction, dilation, curve
+and distance asymptotics) steps inward along a ladder and extrapolates
+the values with `extrapolate`, so all of them share one acceptance rule.
+"""
 
 from __future__ import annotations
+
+from .domain_core import Domain, boundary_point, defining_function
+from .errors import ConvergenceError, DomainError
 
 
 def aitken(values):
@@ -26,16 +34,39 @@ def aitken(values):
     return est, float(abs(x2 - est))
 
 
-def is_converging(values, factor=10.0, floor=1e-12):
-    """True when the tail of the sequence is not expanding.
+def normal_ladder(dom: Domain, xi, js):
+    """Rungs xi - 10^-j n_xi for j in js, every one inside the domain.
 
-    A last gap larger than `factor` times the previous gap (plus the
-    floor, which callers set to their roundoff scale so that a sequence
-    jittering at its precision limit is not flagged) signals divergence.
+    Raises DomainError when a rung leaves the domain, so a ladder never
+    loses rungs silently.
     """
-    v = [complex(x) for x in values]
+    bp = boundary_point(dom, xi)
+    pts = []
+    for j in js:
+        w = bp.position - (10.0 ** (-j)) * bp.normal
+        if not float(defining_function(dom, w)) < 0.0:
+            raise DomainError("normal ladder left the domain; boundary too curved here")
+        pts.append(w)
+    return pts
+
+
+def extrapolate(values, what):
+    """Aitken limit of a ladder, as (estimate, uncertainty).
+
+    Raises ConvergenceError naming `what` when the ladder has fewer than
+    three rungs, when its last gap exceeds 10 times the one before (plus
+    1e-7 of the value scale, so that rungs jittering at their roundoff
+    floor do not count as divergence), or when the Aitken uncertainty
+    exceeds 1e-4 (1 + |estimate|).  NaN values fail both tests.
+    """
+    v = list(values)
     if len(v) < 3:
-        return True
+        raise ConvergenceError(f"{what} ladder needs at least 3 rungs, got {len(v)}")
     g1 = abs(v[-2] - v[-3])
     g2 = abs(v[-1] - v[-2])
-    return g2 <= factor * g1 + floor
+    if not g2 <= 10.0 * g1 + 1e-7 * (1.0 + max(abs(x) for x in v)):
+        raise ConvergenceError(f"{what} ladder diverges")
+    est, unc = aitken(v)
+    if not unc <= 1e-4 * (1.0 + abs(est)):
+        raise ConvergenceError(f"{what} ladder did not settle: uncertainty {unc:.3e}")
+    return est, unc

@@ -1,16 +1,13 @@
 """Named verification suites behind the command-line verify command.
 
 Each suite is a function config -> list[VerificationReport].  Sampling
-is seeded, iteration order fixed, and independent checks may run on a
-thread pool capped by PLURIPOT_THREADS, so identical configs produce
+is seeded and iteration order fixed, so identical configs produce
 identical bundles.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,29 +16,11 @@ from . import boundary_measure, dilation_jwc, domain_core, geodesics_metrics, ke
 from .domain_core import Domain, boundary_distance, boundary_point, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
-from .pluripotential_verify import (VerificationReport, _verdict, harmonic_along_geodesic,
+from .pluripotential_verify import (VerificationReport, _verdict, _worst, harmonic_along_geodesic,
                                     laplacian_1d, laplacian_noise_floor,
                                     monge_ampere_residual, phragmen_lindelof_compare, psh_check)
 
 _DEFAULT_SEED = 20240519
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PLURIPOT_THREADS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _run_checks(checks):
-    """Run report-producing callables, in order, optionally on a pool."""
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(c) for c in checks]
-            return [f.result() for f in futures]
-    return [c() for c in checks]
 
 
 def _seed(config) -> int:
@@ -118,7 +97,7 @@ def suite_poisson_horofunction(config) -> list:
             z = _interior_samples(dom, 1, rng)[0]
             ladder = kernels.horofunction(dom, xi, p, z, method="ladder")
             kernel = kernels.horofunction(dom, xi, p, z, method="kernel")
-            worst = max(worst, abs(ladder.value - kernel.value))
+            worst = _worst(worst, abs(ladder.value - kernel.value))
             unc_max = max(unc_max, ladder.uncertainty)
         return VerificationReport(
             check=f"poisson_horofunction[{dom.label}]",
@@ -128,7 +107,7 @@ def suite_poisson_horofunction(config) -> list:
         )
 
     doms = _domains(config, ("ball2", "egg4"))
-    return _run_checks([lambda d=d: check(d) for d in doms])
+    return [check(d) for d in doms]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +149,7 @@ def suite_main2_estimate(config) -> list:
             z = _point_at_delta(dom, curve, delta)
             k = geodesics_metrics.kobayashi_distance(dom, z, p)
             residuals[name] = abs(k.value + math.log(boundary_distance(dom, z)) + shift)
-        worst = max(residuals.values())
+        worst = _worst(*residuals.values())
         return VerificationReport(
             check=f"main2_estimate[{dom.label}]",
             samples=len(approaches), max_residual=worst, tolerance=tol,
@@ -179,7 +158,7 @@ def suite_main2_estimate(config) -> list:
         )
 
     doms = _domains(config, ("ball2", "egg4"))
-    return _run_checks([lambda d=d: check(d) for d in doms])
+    return [check(d) for d in doms]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +171,7 @@ def suite_monge_ampere(config) -> list:
         raise UnsupportedDomainError(f"no catalogued test function named {uname!r}")
     n_samples = 200
 
-    def checks_for(dom):
+    def reports_for(dom):
         xi = _axis_boundary(dom)
         u = _kernel_callable(dom, xi)
         rng = np.random.default_rng(_seed(config))
@@ -213,7 +192,7 @@ def suite_monge_ampere(config) -> list:
             tol = _tol(config, 1e-5)
             worst = 0.0
             for z in samples:
-                worst = max(worst, monge_ampere_residual(u, z, step(z)))
+                worst = _worst(worst, monge_ampere_residual(u, z, step(z)))
             return VerificationReport(
                 check=f"monge_ampere[{dom.label}]",
                 samples=n_samples, max_residual=worst, tolerance=tol,
@@ -234,7 +213,7 @@ def suite_monge_ampere(config) -> list:
             count = 0
             for phi in curves:
                 rep = harmonic_along_geodesic(u, phi, zetas, tol=tol)
-                worst = max(worst, rep.max_residual)
+                worst = _worst(worst, rep.max_residual)
                 count += rep.samples
             return VerificationReport(
                 check=f"harmonic_on_geodesics[{dom.label}]",
@@ -242,12 +221,12 @@ def suite_monge_ampere(config) -> list:
                 verdict=_verdict(worst, tol), details={"curves": len(curves)},
             )
 
-        return [psh, ma, harmonic]
+        return [psh(), ma(), harmonic()]
 
-    checks = []
+    reports = []
     for dom in _domains(config, ("ball2", "egg4")):
-        checks.extend(checks_for(dom))
-    return _run_checks(checks)
+        reports.extend(reports_for(dom))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +261,9 @@ def suite_reproducing(config) -> list:
             for z in points:
                 true = float(F(z[None, :])[0])
                 got = boundary_measure.reproduce_pluriharmonic(dom, F, z, quad)
-                res_f = max(res_f, abs(got - true))
+                res_f = _worst(res_f, abs(got - true))
             per_f[name] = res_f
-            worst = max(worst, res_f)
+            worst = _worst(worst, res_f)
         return VerificationReport(
             check=f"reproducing[{dom.label}]",
             samples=len(points) * len(_PLURIHARMONIC_TESTS),
@@ -305,11 +284,10 @@ def suite_reproducing(config) -> list:
             details={"function": name, "final_resolution": res, "history": history},
         )
 
-    checks = []
+    reports = []
     for dom in doms:
-        checks.append(lambda d=dom: check(d))
-        checks.append(lambda d=dom: calibration(d))
-    return _run_checks(checks)
+        reports += [check(dom), calibration(dom)]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +352,7 @@ def suite_dilation(config) -> list:
             mp, e1_2, np.array([1.0 + 0j]), [z])
         # The projection must NOT transport the kernel: a visible
         # deficiency at this witness point is the expected outcome.
-        residual = max(0.0, 1e-3 - deficiency) + abs(alpha - 1.0)
+        residual = _worst(0.0, 1e-3 - deficiency) + abs(alpha - 1.0)
         return VerificationReport(
             check="dilation_projection_deficiency[ball2->disc]",
             samples=1, max_residual=residual, tolerance=1e-6,
@@ -387,18 +365,17 @@ def suite_dilation(config) -> list:
         ratio = out["kernel_limit"] / -2.0
         expected_ratio = 1.0 - abs(lam) ** 2
         inv_delta = 1.0 / out["delta_ratio"]
-        residual = max(abs(out["kernel_limit"] - out["expected"]),
-                       abs(ratio - expected_ratio),
-                       abs(inv_delta - 1.0 / expected_ratio))
+        residual = _worst(abs(out["kernel_limit"] - out["expected"]),
+                          abs(ratio - expected_ratio),
+                          abs(inv_delta - 1.0 / expected_ratio))
         return VerificationReport(
             check=f"dilation_gamma_curve[lam={lam}]",
             samples=1, max_residual=residual, tolerance=tol_curve,
             verdict=_verdict(residual, tol_curve), details=out,
         )
 
-    checks = [pullback, alpha_egg, julia_egg, alpha_identity, projection]
-    checks += [lambda lam=lam: curve(lam) for lam in (0.0, 0.3, 0.6j)]
-    return _run_checks(checks)
+    reports = [pullback(), alpha_egg(), julia_egg(), alpha_identity(), projection()]
+    return reports + [curve(lam) for lam in (0.0, 0.3, 0.6j)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +427,7 @@ def suite_annulus(config) -> list:
             details={"max_ratio": max_ratio, "step": step, "p": p},
         )
 
-    return _run_checks([annulus_check, disc_check])
+    return [annulus_check(), disc_check()]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +451,7 @@ def suite_asymptoticity(config) -> list:
         phi, psi = pairs_for(dom)
         gaps = [geodesics_metrics.asymptoticity_gap(phi, psi, t) for t in times]
         monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-        residual = gaps[-1] if monotone else max(gaps)
+        residual = gaps[-1] if monotone else _worst(*gaps)
         return VerificationReport(
             check=f"asymptoticity[{dom.label}]",
             samples=len(times), max_residual=residual, tolerance=tol,
@@ -483,7 +460,7 @@ def suite_asymptoticity(config) -> list:
         )
 
     doms = _domains(config, ("egg2", "ball2"))
-    return _run_checks([lambda d=d: check(d) for d in doms])
+    return [check(d) for d in doms]
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +487,8 @@ def suite_phragmen_lindelof(config) -> list:
             rep = replace(rep, max_residual=1.0, verdict="fail")
         return rep
 
-    checks = []
-    for dom in _domains(config, ("ball2", "egg4")):
-        for name, scale, em, ed in variants:
-            checks.append(lambda d=dom, nm=name, sc=scale, a=em, b=ed: check(d, nm, sc, a, b))
-    return _run_checks(checks)
+    return [check(dom, *variant) for dom in _domains(config, ("ball2", "egg4"))
+            for variant in variants]
 
 
 SUITES = {

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domain_core, kernels
-from ._extrap import aitken
-from .domain_core import Domain, BoundaryPoint, as_point, boundary_distance, defining_function
+from .domain_core import Domain, as_point, defining_function
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -71,8 +70,7 @@ def boundary_form_density(dom: Domain, xi, h=1e-4) -> float:
 
     In one variable the determinant is empty and the density is 1.
     """
-    bp = xi if isinstance(xi, BoundaryPoint) else domain_core.boundary_point(dom, xi)
-    L, gn = domain_core.levi_data(dom, bp, h=h)
+    L, gn = domain_core.levi_data(dom, xi, h=h)
     n = dom.n
     if n == 1:
         return 1.0
@@ -192,24 +190,13 @@ def calibrate_quadrature(dom: Domain, F, z, start_resolution=16, tol=1e-3, max_d
     raise ConvergenceError(f"quadrature refinement did not settle within {tol:g}")
 
 
-def green_ratio(dom: Domain, z, xi, js=range(3, 10)) -> float:
-    """Limit of G_z(w_j) / r(w_j) along the normal ladder at xi.
+def green_ratio(dom: Domain, z, xi) -> float:
+    """Limit of G_z(w) / r(w) as w tends to xi along the inward normal.
 
     r is the signed boundary distance (negative inside), so the ratio
-    is positive and converges to |Omega_xi(z)|.
+    is positive and equals |Omega_xi(z)|: the Green normal derivative.
     """
-    bp = xi if isinstance(xi, BoundaryPoint) else domain_core.boundary_point(dom, xi)
-    z = as_point(dom, z)
-    vals = []
-    for j in js:
-        w = bp.position - (10.0 ** (-j)) * bp.normal
-        delta = boundary_distance(dom, w)
-        g = kernels.green_function(dom, w, z)
-        vals.append(g.value / (-delta))
-    est, unc = aitken(vals)
-    if unc > 1e-3 * (1.0 + abs(est)):
-        raise ConvergenceError(f"Green ratio ladder did not settle: uncertainty {unc:.3e}")
-    return float(est)
+    return kernels.green_normal_derivative(dom, xi, z).value
 
 
 def montecarlo_surface_measure(dom: Domain, n_samples=10_000_000, eps=5e-3, seed=20240518) -> float:

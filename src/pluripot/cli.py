@@ -353,9 +353,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose values may start with a minus sign ("--w -0.2,0.4",
+# "--grid-t -0.9:0.9:60"); argparse would read such a value as an option.
+_SIGNED_VALUE_FLAGS = ("--xi", "--z", "--w", "--p", "--grid-t", "--grid-s")
+
+
+def _attach_signed_values(argv):
+    """Rewrite "--w -0.2,0.4" as "--w=-0.2,0.4" for the point and grid flags."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _load_config(args)
         if args.command == "verify" and getattr(args, "suite_flag", None):

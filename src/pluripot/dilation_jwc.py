@@ -20,10 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import domain_core, kernels
-from ._extrap import aitken
-from .domain_core import Domain, as_point, boundary_distance, defining_function, make_domain
-from .errors import ConvergenceError, DomainError, UnsupportedDomainError
+from . import kernels
+from ._extrap import extrapolate, normal_ladder
+from .domain_core import (Domain, as_point, boundary_distance, boundary_point, defining_function,
+                          make_domain)
+from .errors import DomainError, UnsupportedDomainError
+from .pluripotential_verify import _worst
 from .geodesics_metrics import kobayashi_distance
 
 
@@ -89,19 +91,6 @@ def _check_map(mp: MapUnderTest) -> None:
         raise DomainError("target base point must be interior")
 
 
-def _ladder_points(dom: Domain, xi, js):
-    bp = xi if isinstance(xi, domain_core.BoundaryPoint) else domain_core.boundary_point(dom, xi)
-    pts = []
-    for j in js:
-        w = bp.position - (10.0 ** (-j)) * bp.normal
-        if not float(defining_function(dom, w)) < 0.0:
-            continue
-        pts.append(w)
-    if len(pts) < 3:
-        raise ConvergenceError("normal ladder left the domain")
-    return bp, pts
-
-
 def dilation(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     """Boundary dilation lambda of the map at xi -> xi'.
 
@@ -110,18 +99,15 @@ def dilation(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     the liminf is realized as the extrapolated ladder limit.
     """
     _check_map(mp)
-    _, pts = _ladder_points(mp.source, xi, js)
     vals = []
-    for z in pts:
+    for z in normal_ladder(mp.source, xi, js):
         w = mp(z)
         if not float(defining_function(mp.target, w)) < 0.0:
             raise DomainError("map sent a ladder point outside the target")
         ks = kobayashi_distance(mp.source, z, mp.source_base)
         kt = kobayashi_distance(mp.target, w, mp.target_base)
         vals.append(ks.value - kt.value)
-    est, unc = aitken(vals)
-    if unc > 1e-4 * (1.0 + abs(est)):
-        raise ConvergenceError(f"dilation ladder did not settle: uncertainty {unc:.3e}")
+    est, unc = extrapolate(vals, "dilation")
     lam = float(np.exp(est))
     return lam, float(lam * unc)
 
@@ -162,14 +148,13 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack
 
     # The suprema are attained in the boundary limit, so fold the ladder
     # points into the sample set before comparing.
-    _, pts = _ladder_points(mp.source, xi, js)
     ladder_gaps = []
-    for z in pts:
+    for z in normal_ladder(mp.source, xi, js):
         w = mp(z)
         hs = kernels.horofunction(mp.source, xi, mp.source_base, z).value
         ht = kernels.horofunction(mp.target, xi_target, mp.target_base, w).value
         ladder_gaps.append(ht - hs)
-    sup_est, sup_unc = aitken(ladder_gaps)
+    sup_est, sup_unc = extrapolate(ladder_gaps, "Julia gap")
 
     mj_sup = max(max(mj_gaps), sup_est)
     pj_sup = max(max(pj_ratios), float(np.exp(sup_est)) * abs(op) / abs(oq))
@@ -199,29 +184,27 @@ def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     and extrapolates.  Returns (complex value, uncertainty).
     """
     _check_map(mp)
-    bs, pts = _ladder_points(mp.source, xi, js)
-    bt = xi_target if isinstance(xi_target, domain_core.BoundaryPoint) \
-        else domain_core.boundary_point(mp.target, xi_target)
+    bs = boundary_point(mp.source, xi)
+    bt = boundary_point(mp.target, xi_target)
     quotients = []
-    for z in pts:
+    for z in normal_ladder(mp.source, bs, js):
         w = mp(z)
         num = complex(np.sum((w - bt.position) * np.conj(bt.normal)))
         den = complex(np.sum((z - bs.position) * np.conj(bs.normal)))
         quotients.append(num / den)
-    re, ru = aitken([q.real for q in quotients])
-    im, iu = aitken([q.imag for q in quotients])
+    re, ru = extrapolate([q.real for q in quotients], "JWC quotient (real part)")
+    im, iu = extrapolate([q.imag for q in quotients], "JWC quotient (imaginary part)")
     return complex(re, im), float(ru + iu)
 
 
 def delta_ratio_limit(mp: MapUnderTest, xi, js=range(1, 9)):
     """Limit of boundary-distance ratios delta'(f(z_j)) / delta(z_j)."""
     _check_map(mp)
-    _, pts = _ladder_points(mp.source, xi, js)
     vals = []
-    for z in pts:
+    for z in normal_ladder(mp.source, xi, js):
         w = mp(z)
         vals.append(boundary_distance(mp.target, w) / boundary_distance(mp.source, z))
-    est, unc = aitken(vals)
+    est, unc = extrapolate(vals, "delta ratio")
     return float(est), float(unc)
 
 
@@ -236,7 +219,7 @@ def omega_preserving_residual(mp: MapUnderTest, xi, xi_target, samples) -> float
         z = as_point(mp.source, z)
         oz = kernels.poisson_kernel(mp.source, xi, z).value
         ow = kernels.poisson_kernel(mp.target, xi_target, mp(z)).value
-        worst = max(worst, abs(ow - oz))
+        worst = _worst(worst, abs(ow - oz))
     return float(worst)
 
 
@@ -273,8 +256,8 @@ def special_curve_limit(lam: complex, js=range(1, 9)) -> dict:
         z = curve(t)
         kvals.append(kernels.poisson_kernel(dom, xi, z).value * (1.0 - t))
         dvals.append(boundary_distance(dom, z) / (1.0 - t))
-    kest, kunc = aitken(kvals)
-    dest, dunc = aitken(dvals)
+    kest, kunc = extrapolate(kvals, "curve kernel")
+    dest, dunc = extrapolate(dvals, "curve delta ratio")
     expected = -2.0 * (1.0 - abs(lam) ** 2)
     return {
         "kernel_limit": float(kest),

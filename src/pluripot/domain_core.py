@@ -322,7 +322,14 @@ def _tangent_frame(normal: np.ndarray) -> np.ndarray:
 
 
 def boundary_point(domain: Domain, position, compute_line_type=False, tol=1e-9) -> BoundaryPoint:
-    """Package a boundary position with its normal and tangent frame."""
+    """Package a boundary position with its normal and tangent frame.
+
+    A BoundaryPoint is returned unchanged unless its line type is asked for.
+    """
+    if isinstance(position, BoundaryPoint):
+        if not compute_line_type:
+            return position
+        position = position.position
     pos = as_point(domain, position)
     resid = float(abs(defining_function(domain, pos)))
     if resid > tol:
@@ -439,7 +446,7 @@ def levi_data(domain: Domain, xi, h=1e-4):
     extrapolation; a relative discrepancy above 1e-4 between the two raw
     estimates raises ConvergenceError.
     """
-    bp = xi if isinstance(xi, BoundaryPoint) else boundary_point(domain, xi)
+    bp = boundary_point(domain, xi)
     gn = float(np.linalg.norm(gradient(domain, bp.position)))
     if domain.n == 1:
         return np.zeros((0, 0), dtype=complex), gn
@@ -468,7 +475,7 @@ def line_type(domain: Domain, xi, max_degree=8) -> int:
         raise UnsupportedDomainError("line type needs a domain in C^n with n >= 2")
     if domain.kind == "annulus":
         raise UnsupportedDomainError("line type undefined for the annulus")
-    bp = xi if isinstance(xi, BoundaryPoint) else boundary_point(domain, xi)
+    bp = boundary_point(domain, xi)
 
     n_dirs = 128
     n_theta = 64

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domain_core, geodesics_metrics, hyperbolic_models
-from ._extrap import aitken, is_converging
-from .domain_core import Domain, BoundaryPoint, as_point, boundary_distance, defining_function
+from . import geodesics_metrics, hyperbolic_models
+from ._extrap import extrapolate, normal_ladder
+from .domain_core import (Domain, BoundaryPoint, as_point, boundary_distance, boundary_point,
+                          defining_function)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
@@ -37,12 +38,6 @@ class KernelValue:
             raise ConvergenceError(f"unknown kernel method {self.method!r}")
         if self.method == "closed_form" and self.uncertainty != 0.0:
             raise ConvergenceError("closed-form values carry zero uncertainty")
-
-
-def _as_boundary(dom: Domain, xi) -> BoundaryPoint:
-    if isinstance(xi, BoundaryPoint):
-        return xi
-    return domain_core.boundary_point(dom, xi)
 
 
 def _require_interior(dom: Domain, z, name="z"):
@@ -120,7 +115,7 @@ def poisson_kernel(dom: Domain, xi, z, method="auto") -> KernelValue:
     error (the geodesic route loses a digit near the boundary, where
     the kernel grows like 1/delta).
     """
-    xi = _as_boundary(dom, xi)
+    xi = boundary_point(dom, xi)
     z = _require_interior(dom, z)
     if method not in _METHODS + ("auto",):
         raise DomainError(f"unknown kernel method {method!r}")
@@ -176,23 +171,13 @@ def green_function(dom: Domain, w, z, tol=None) -> KernelValue:
     return KernelValue(0.5 * (glo + ghi), "limit_ladder", 0.5 * width)
 
 
-def _normal_ladder(dom: Domain, xi: BoundaryPoint, js):
-    pts = []
-    for j in js:
-        w = xi.position - (10.0 ** (-j)) * xi.normal
-        if not float(defining_function(dom, w)) < 0.0:
-            raise DomainError("normal ladder left the domain; boundary too curved here")
-        pts.append(w)
-    return pts
-
-
 def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     """Horofunction h_{xi, p}(z), the kernel-form or ladder limit.
 
     Kernel form: log|Omega_xi(p)| - log|Omega_xi(z)|.  Ladder:
     extrapolate k(z, w_j) - k(w_j, p) along w_j = xi - 10^-j n_xi.
     """
-    xi = _as_boundary(dom, xi)
+    xi = boundary_point(dom, xi)
     p = _require_interior(dom, p, "p")
     z = _require_interior(dom, z)
     if method not in ("auto", "kernel", "ladder"):
@@ -211,16 +196,12 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
     vals = []
     widths = 0.0
-    for w in _normal_ladder(dom, xi, js):
+    for w in normal_ladder(dom, xi, js):
         bz = geodesics_metrics.kobayashi_distance(dom, z, w)
         bp = geodesics_metrics.kobayashi_distance(dom, w, p)
         vals.append(bz.value - bp.value)
         widths = max(widths, bz.width + bp.width)
-    # Distances to the deepest rungs carry ~1e-8 cancellation noise, so
-    # gaps jittering at that scale do not count as divergence.
-    if not is_converging(vals, floor=1e-7 * (1.0 + max(abs(v) for v in vals))):
-        raise ConvergenceError("horofunction ladder diverges")
-    est, unc = aitken(vals)
+    est, unc = extrapolate(vals, "horofunction")
     return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
 
 
@@ -230,18 +211,16 @@ def green_normal_derivative(dom: Domain, xi, z) -> KernelValue:
     Extrapolates G_z(w_j) / (-delta(w_j)) along the normal ladder; the
     limit is positive and equals |Omega_xi(z)|.
     """
-    xi = _as_boundary(dom, xi)
+    xi = boundary_point(dom, xi)
     z = _require_interior(dom, z)
     vals = []
     unc_extra = 0.0
-    for w in _normal_ladder(dom, xi, range(2, 9)):
+    for w in normal_ladder(dom, xi, range(2, 9)):
         delta = boundary_distance(dom, w)
         g = green_function(dom, w, z)
         vals.append(g.value / (-delta))
         unc_extra = max(unc_extra, g.uncertainty / delta)
-    if not is_converging(vals, floor=1e-7 * (1.0 + max(abs(v) for v in vals))):
-        raise ConvergenceError("Green normal-derivative ladder diverges")
-    est, unc = aitken(vals)
+    est, unc = extrapolate(vals, "Green normal-derivative")
     if not est > 0.0:
         raise ConvergenceError(f"Green normal derivative not positive: {est!r}")
     return KernelValue(float(est), "limit_ladder", float(unc + unc_extra))
@@ -281,7 +260,7 @@ def boundary_distance_asymptotic(dom: Domain, xi, p, approach) -> KernelValue:
     The limit equals -log(|Omega_xi(p)| / 2) whenever the approach is
     eventually inside an approach region at xi.
     """
-    xi = _as_boundary(dom, xi)
+    xi = boundary_point(dom, xi)
     p = _require_interior(dom, p, "p")
     vals = []
     widths = 0.0
@@ -292,7 +271,5 @@ def boundary_distance_asymptotic(dom: Domain, xi, p, approach) -> KernelValue:
         widths = max(widths, 0.5 * b.width)
     if len(vals) < 3:
         raise DomainError("approach sequence needs at least 3 points")
-    if not is_converging(vals, floor=1e-7 * (1.0 + max(abs(v) for v in vals))):
-        raise ConvergenceError("boundary-distance ladder diverges; approach may be too tangential")
-    est, unc = aitken(vals)
+    est, unc = extrapolate(vals, "boundary-distance")
     return KernelValue(float(est), "limit_ladder", float(unc + widths))

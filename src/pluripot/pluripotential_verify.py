@@ -8,13 +8,12 @@ exceeds the failure margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _stencils, domain_core, geodesics_metrics, kernels
-from ._extrap import aitken
+from ._extrap import extrapolate
 from .domain_core import Domain, BoundaryPoint
 from .errors import DomainError, UnsupportedDomainError
 
@@ -52,6 +51,20 @@ class VerificationReport:
         }
 
 
+def _worst(*values):
+    """Largest of the values, or NaN when any of them is NaN.
+
+    Built-in max keeps its running maximum when a later value is NaN
+    (every comparison with NaN is false), so a NaN residual would be
+    dropped and could read as a pass.
+    """
+    worst = values[0]
+    for v in values[1:]:
+        if v != v or v > worst:
+            worst = v
+    return worst
+
+
 def _verdict(residual: float, tol: float, uncertainty: float = 0.0) -> str:
     if residual <= tol:
         return "pass"
@@ -87,14 +100,6 @@ def monge_ampere_residual(u, z, h) -> float:
     return float(np.abs(np.prod(eigs)) / lam ** len(eigs))
 
 
-def monge_ampere_determinant(u, z, h) -> float:
-    """Raw Monge-Ampere density 4^n n! det H at z."""
-    sample = complex_hessian(u, z, h)
-    n = sample.matrix.shape[0]
-    det = float(np.linalg.det(sample.matrix).real)
-    return 4.0 ** n * math.factorial(n) * det
-
-
 def _resolve_step(h, z, dom=None):
     if callable(h):
         return float(h(z))
@@ -120,7 +125,8 @@ def psh_check(u, samples, h, tol=1e-6) -> VerificationReport:
         eigs = np.linalg.eigvalsh(sample.matrix)
         lo = float(eigs.min())
         gap_max = max(gap_max, sample.richardson_gap)
-        if -lo > worst:
+        # A NaN eigenvalue becomes the residual and stays, failing the check.
+        if worst == worst and not -lo <= worst:
             worst = -lo
             worst_pt = z
     details = {"richardson_gap_max": gap_max}
@@ -147,10 +153,8 @@ def harmonic_along_geodesic(u, phi, samples, h=1e-3, tol=1e-5) -> VerificationRe
     for zeta in samples:
         if abs(zeta) + 1.5 * h >= 1.0:
             raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
-        v = lambda w: float(u(phi(w)))
-        l1 = _stencils.laplacian_5pt(v, zeta, h)
-        l2 = _stencils.laplacian_5pt(v, zeta, h / 2.0)
-        worst = max(worst, abs((4.0 * l2 - l1) / 3.0))
+        lap, _ = laplacian_1d(lambda w: float(u(phi(w))), zeta, h, richardson=True)
+        worst = _worst(worst, abs(lap))
     return VerificationReport(
         check="harmonic_along_geodesic",
         samples=len(samples),
@@ -205,7 +209,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     membership must imply domination; the verdict reports that
     implication, with both signals in the details.
     """
-    xi = kernels._as_boundary(dom, xi)
+    xi = domain_core.boundary_point(dom, xi)
     if curves is None:
         curves = _default_curves(dom, xi)
 
@@ -214,10 +218,10 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     for curve, gamma_n in curves:
         ts = 1.0 - 10.0 ** (-np.arange(1, 7, dtype=float))
         vals = [float(u(np.asarray(curve(t)))) * (1.0 - t) for t in ts]
-        est, _ = aitken(vals)
+        est, _ = extrapolate(vals, "membership curve")
         bound = -2.0 / gamma_n
         curve_limits.append({"limit": float(est), "bound": float(bound)})
-        member_viol = max(member_viol, float(est) - bound)
+        member_viol = _worst(member_viol, float(est) - bound)
     member = member_viol <= tol
 
     dom_viol = 0.0
@@ -225,11 +229,13 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     for z in samples:
         z = np.asarray(z, dtype=complex)
         om = kernels.poisson_kernel(dom, xi, z).value
-        dom_viol = max(dom_viol, float(u(z)) - om)
+        dom_viol = _worst(dom_viol, float(u(z)) - om)
         count += 1
     dominated = dom_viol <= tol
 
-    residual = dom_viol if member else 0.0
+    # A non-member passes vacuously; a NaN membership violation is no
+    # evidence of non-membership and stays the residual.
+    residual = dom_viol if member else (0.0 if member_viol > tol else member_viol)
     return VerificationReport(
         check="phragmen_lindelof",
         samples=count,

@@ -198,3 +198,30 @@ def test_annulus_eval_uses_r(capsys):
     rows, _ = _rows(capsys)
     assert rc == 0
     assert abs(rows[0]["value"] - 0.06430693332643882) < 1e-9
+
+
+def test_leading_minus_values_match_equals_form(capsys):
+    eval_args = ["eval", "green", "--domain", "ball2", "--z", "0.1,0"]
+    assert main(eval_args + ["--w", "-0.2,0.4"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(eval_args + ["--w=-0.2,0.4"]) == 0
+    assert capsys.readouterr().out == spaced
+
+    sweep_args = ["sweep", "green", "--domain", "ball2", "--w", "0.2,0.1j", "--z", "0.9*t,0.4*s"]
+    assert main(sweep_args + ["--grid-t", "-0.9:0.9:5", "--grid-s", "-1:1:3"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(sweep_args + ["--grid-t=-0.9:0.9:5", "--grid-s=-1:1:3"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert len(spaced.strip().splitlines()) == 1 + 5 * 3
+
+
+def test_version_matches_pyproject():
+    import pathlib
+    import re
+
+    import pluripot
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert pluripot.__version__ == match.group(1)

@@ -170,3 +170,16 @@ def test_gamma_lambda_domain():
         gamma_lambda(1.0)
     with pytest.raises(PluripotError):
         gamma_lambda(2.0j)
+
+
+def test_omega_preserving_residual_keeps_nan(monkeypatch):
+    from types import SimpleNamespace
+
+    from pluripot import kernels
+
+    mp = map_from_spec("identity", n=2)
+    # Kernel values: NaN at the first sample, 0 elsewhere.
+    fake = lambda dom, xi, z: SimpleNamespace(value=math.nan if z[0].real < 0.2 else 0.0)
+    monkeypatch.setattr(kernels, "poisson_kernel", fake)
+    worst = omega_preserving_residual(mp, E1, E1, [np.array([0.1, 0.0]), np.array([0.5, 0.0])])
+    assert math.isnan(worst)

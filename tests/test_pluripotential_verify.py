@@ -209,3 +209,50 @@ def test_laplacian_detects_annulus_kink():
 
 def test_laplacian_noise_floor_positive():
     assert laplacian_noise_floor(0.3 + 0.1j, 1e-4, amplitude=2.0) > 0.0
+
+
+def test_nan_residuals_fail_closed():
+    nan_u = lambda z: math.nan
+    rep = psh_check(nan_u, [np.array([0.1, 0.2j]), np.array([0.3, 0.0])], 1e-3)
+    assert math.isnan(rep.max_residual)
+    assert rep.verdict == "fail"
+
+    # NaN only around the first sample: a later finite residual must not
+    # replace it.
+    phi = ball_geodesic(np.zeros(2), np.array([1.0, 0.0]))
+    u = lambda z: math.nan if abs(z[0]) < 0.1 else float(z[0].real)
+    rep = harmonic_along_geodesic(u, phi, [0.0, 0.5])
+    assert math.isnan(rep.max_residual)
+    assert rep.verdict == "fail"
+
+
+def test_phragmen_nan_domination_fails_closed():
+    ball2 = make_domain("ball2")
+    xi = boundary_point(ball2, [1.0, 0.0])
+    kernel = _kernel(ball2, xi)
+    # The kernel itself near the boundary, where the membership curves
+    # live, and NaN at the interior samples.
+    u = lambda z: kernel(z) if np.linalg.norm(z) > 0.85 else math.nan
+    samples = [np.array([0.2, 0.1j]), np.array([-0.3, 0.2])]
+    rep = phragmen_lindelof_compare(u, ball2, xi, samples)
+    assert rep.details["member"]
+    assert math.isnan(rep.details["domination_violation"])
+    assert rep.verdict == "fail"
+
+    # A curve whose normal derivative is NaN leaves membership undecided.
+    curves = [(lambda t: np.array([complex(t), 0.0]), math.nan)]
+    rep = phragmen_lindelof_compare(kernel, ball2, xi, samples, curves=curves)
+    assert math.isnan(rep.details["membership_violation"])
+    assert rep.verdict == "fail"
+
+
+def test_suite_nan_gap_fails_closed(monkeypatch):
+    from pluripot import geodesics_metrics, run_suite
+
+    gaps = {5.0: 1e-4, 10.0: math.nan, 15.0: 1e-5, 20.0: 1e-6}
+    monkeypatch.setattr(geodesics_metrics, "asymptoticity_gap", lambda phi, psi, t: gaps[t])
+    reports = run_suite("asymptoticity")
+    assert reports
+    for rep in reports:
+        assert math.isnan(rep.max_residual)
+        assert rep.verdict == "fail"
