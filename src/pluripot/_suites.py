@@ -98,7 +98,7 @@ def suite_poisson_horofunction(config) -> list:
             ladder = kernels.horofunction(dom, xi, p, z, method="ladder")
             kernel = kernels.horofunction(dom, xi, p, z, method="kernel")
             worst = _worst(worst, abs(ladder.value - kernel.value))
-            unc_max = max(unc_max, ladder.uncertainty)
+            unc_max = _worst(unc_max, ladder.uncertainty)
         return VerificationReport(
             check=f"poisson_horofunction[{dom.label}]",
             samples=20, max_residual=worst, tolerance=tol,

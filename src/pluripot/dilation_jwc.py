@@ -156,8 +156,8 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack
         ladder_gaps.append(ht - hs)
     sup_est, sup_unc = extrapolate(ladder_gaps, "Julia gap")
 
-    mj_sup = max(max(mj_gaps), sup_est)
-    pj_sup = max(max(pj_ratios), float(np.exp(sup_est)) * abs(op) / abs(oq))
+    mj_sup = _worst(*mj_gaps, sup_est)
+    pj_sup = _worst(*pj_ratios, float(np.exp(sup_est)) * abs(op) / abs(oq))
     tol = slack * (1.0 + abs(log_lam)) + lam_unc / max(lam, 1e-300) + sup_unc
 
     mj_holds = mj_sup <= log_lam + tol

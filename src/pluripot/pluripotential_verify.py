@@ -124,7 +124,7 @@ def psh_check(u, samples, h, tol=1e-6) -> VerificationReport:
         sample = complex_hessian(u, z, _resolve_step(h, z))
         eigs = np.linalg.eigvalsh(sample.matrix)
         lo = float(eigs.min())
-        gap_max = max(gap_max, sample.richardson_gap)
+        gap_max = _worst(gap_max, sample.richardson_gap)
         # A NaN eigenvalue becomes the residual and stays, failing the check.
         if worst == worst and not -lo <= worst:
             worst = -lo

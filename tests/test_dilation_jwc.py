@@ -183,3 +183,22 @@ def test_omega_preserving_residual_keeps_nan(monkeypatch):
     monkeypatch.setattr(kernels, "poisson_kernel", fake)
     worst = omega_preserving_residual(mp, E1, E1, [np.array([0.1, 0.0]), np.array([0.5, 0.0])])
     assert math.isnan(worst)
+
+
+def test_julia_checks_nan_sample_fails(monkeypatch):
+    from types import SimpleNamespace
+
+    from pluripot import kernels
+
+    real = kernels.horofunction
+    marker = np.array([0.3, 0.1j])
+
+    def fake(dom, xi, p, z, method="auto"):
+        if np.array_equal(z, marker):
+            return SimpleNamespace(value=math.nan)
+        return real(dom, xi, p, z, method)
+
+    monkeypatch.setattr(kernels, "horofunction", fake)
+    out = julia_checks(map_from_spec("identity"), E1, E1, [np.array([0.2, 0.0]), marker])
+    assert math.isnan(out["mj_sup"])
+    assert not out["mj_holds"]

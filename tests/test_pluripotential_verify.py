@@ -215,6 +215,7 @@ def test_nan_residuals_fail_closed():
     nan_u = lambda z: math.nan
     rep = psh_check(nan_u, [np.array([0.1, 0.2j]), np.array([0.3, 0.0])], 1e-3)
     assert math.isnan(rep.max_residual)
+    assert math.isnan(rep.details["richardson_gap_max"])
     assert rep.verdict == "fail"
 
     # NaN only around the first sample: a later finite residual must not
@@ -256,3 +257,20 @@ def test_suite_nan_gap_fails_closed(monkeypatch):
     for rep in reports:
         assert math.isnan(rep.max_residual)
         assert rep.verdict == "fail"
+
+
+def test_suite_reports_nan_ladder_uncertainty(monkeypatch):
+    from types import SimpleNamespace
+
+    from pluripot import kernels, run_suite
+
+    calls = []
+
+    def fake(dom, xi, p, z, method):
+        calls.append(method)
+        unc = math.nan if calls == ["ladder"] else 0.0
+        return SimpleNamespace(value=0.0, uncertainty=unc)
+
+    monkeypatch.setattr(kernels, "horofunction", fake)
+    first = run_suite("poisson_horofunction")[0]
+    assert math.isnan(first.details["ladder_uncertainty_max"])
