@@ -16,9 +16,9 @@ from . import boundary_measure, dilation_jwc, domain_core, geodesics_metrics, ke
 from .domain_core import Domain, boundary_distance, boundary_point, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
-from .pluripotential_verify import (VerificationReport, _verdict, _worst, harmonic_along_geodesic,
-                                    laplacian_1d, laplacian_noise_floor,
-                                    monge_ampere_residual, phragmen_lindelof_compare, psh_check)
+from .pluripotential_verify import (VerificationReport, _monge_ampere_residual, _psh_report, _verdict,
+                                    _worst, complex_hessian, harmonic_along_geodesic, laplacian_1d,
+                                    laplacian_noise_floor, phragmen_lindelof_compare)
 
 _DEFAULT_SEED = 20240519
 
@@ -182,17 +182,18 @@ def suite_monge_ampere(config) -> list:
         samples = _interior_samples(dom, n_samples, rng,
                                     gauge_lo=0.15, gauge_hi=0.6,
                                     min_axis_gap=0.3, min_tangential=0.05)
-        step = lambda z: 1e-3 * boundary_distance(dom, z)
+        # One projection and one Hessian per sample serve both reports.
+        hessians = [complex_hessian(u, z, 1e-3 * boundary_distance(dom, z)) for z in samples]
 
         def psh():
-            rep = psh_check(u, samples, step, tol=_tol(config, 1e-6))
+            rep = _psh_report(hessians, _tol(config, 1e-6))
             return replace(rep, check=f"psh[{dom.label}]")
 
         def ma():
             tol = _tol(config, 1e-5)
             worst = 0.0
-            for z in samples:
-                worst = _worst(worst, monge_ampere_residual(u, z, step(z)))
+            for sample in hessians:
+                worst = _worst(worst, _monge_ampere_residual(sample))
             return VerificationReport(
                 check=f"monge_ampere[{dom.label}]",
                 samples=n_samples, max_residual=worst, tolerance=tol,

@@ -92,7 +92,10 @@ def monge_ampere_residual(u, z, h) -> float:
     Vanishes (up to stencil noise) exactly when the complex Hessian is
     degenerate, as it is for maximal plurisubharmonic functions.
     """
-    sample = complex_hessian(u, z, h)
+    return _monge_ampere_residual(complex_hessian(u, z, h))
+
+
+def _monge_ampere_residual(sample: HessianSample) -> float:
     eigs = np.linalg.eigvalsh(sample.matrix)
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
@@ -100,13 +103,11 @@ def monge_ampere_residual(u, z, h) -> float:
     return float(np.abs(np.prod(eigs)) / lam ** len(eigs))
 
 
-def _resolve_step(h, z, dom=None):
+def _resolve_step(h, z):
     if callable(h):
         return float(h(z))
     if h is not None:
         return float(h)
-    if dom is not None:
-        return 1e-3 * domain_core.boundary_distance(dom, z)
     raise DomainError("a stencil step is required")
 
 
@@ -117,24 +118,27 @@ def psh_check(u, samples, h, tol=1e-6) -> VerificationReport:
     residual is the worst negative eigenvalue excursion, clipped at 0.
     """
     samples = [np.asarray(z, dtype=complex) for z in samples]
+    return _psh_report([complex_hessian(u, z, _resolve_step(h, z)) for z in samples], tol)
+
+
+def _psh_report(hessians, tol) -> VerificationReport:
     worst = 0.0
     worst_pt = None
     gap_max = 0.0
-    for z in samples:
-        sample = complex_hessian(u, z, _resolve_step(h, z))
+    for sample in hessians:
         eigs = np.linalg.eigvalsh(sample.matrix)
         lo = float(eigs.min())
         gap_max = _worst(gap_max, sample.richardson_gap)
         # A NaN eigenvalue becomes the residual and stays, failing the check.
         if worst == worst and not -lo <= worst:
             worst = -lo
-            worst_pt = z
+            worst_pt = sample.point
     details = {"richardson_gap_max": gap_max}
     if worst_pt is not None:
         details["worst_point"] = [complex(c) for c in worst_pt]
     return VerificationReport(
         check="plurisubharmonic",
-        samples=len(samples),
+        samples=len(hessians),
         max_residual=worst,
         tolerance=tol,
         verdict=_verdict(worst, tol, uncertainty=gap_max),
