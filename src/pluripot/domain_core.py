@@ -14,6 +14,7 @@ and general_convex (user-supplied defining function).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -361,9 +362,12 @@ def boundary_distance(domain: Domain, z) -> float:
 def boundary_project(domain: Domain, z):
     """Nearest boundary point of an interior z.
 
-    Returns (BoundaryPoint, delta) with z = xi - delta * n_xi.  For the
-    smooth convex kinds the projection is the fixed point of shooting
-    along the current normal; non-convergence raises ConvergenceError.
+    Returns (BoundaryPoint, delta) with z = xi - delta * n_xi.  Disc,
+    ball, half-plane and annulus have closed forms.  An ellipsoid is
+    solved globally in the moduli |z_j| (see _ellipsoid_nearest).  A
+    general_convex domain shoots along the current normal until the
+    foot is a fixed point, which finds a nearest point only locally.
+    Non-convergence raises ConvergenceError.
     """
     pt = as_point(domain, z)
     if not float(defining_function(domain, pt)) < 0.0:
@@ -392,15 +396,17 @@ def boundary_project(domain: Domain, z):
         return boundary_point(domain, np.array([domain.r * phase])), dinner
 
     if k == "ellipsoid":
-        g = minkowski_gauge(domain, pt)
-        if g < 1e-12:
+        mags = np.abs(pt)
+        if float(mags.max()) < 1e-12:
+            # The centre: e1 is one of the nearest points.
             xi = np.zeros(domain.n, dtype=complex)
             xi[0] = 1.0
             return boundary_point(domain, xi), 1.0
-        xi = pt / g
-    else:
-        xi = _any_outward_seed(domain, pt)
+        phase = np.divide(pt, mags, out=np.ones_like(pt), where=mags > 0.0)
+        xi = phase * np.array(_ellipsoid_nearest(domain.m, mags))
+        return boundary_point(domain, xi), float(np.linalg.norm(pt - xi))
 
+    xi = _any_outward_seed(domain, pt)
     for _ in range(100):
         nrm = unit_normal(domain, xi)
         xi_new = _shoot_to_boundary(domain, pt, nrm)
@@ -413,6 +419,132 @@ def boundary_project(domain: Domain, z):
             raise ConvergenceError("boundary projection did not converge")
     delta = float(np.linalg.norm(pt - xi))
     return boundary_point(domain, xi), delta
+
+
+# Seed tables of the ellipsoid moduli boundaries, keyed by the exponents m.
+_MODULI_TABLES: dict = {}
+
+
+def _moduli_table(m):
+    """Points of the moduli boundary sum_j s_j^{e_j} = 1, e = (2,) + m, s >= 0.
+
+    The points lie along the directions v_j = sin(pi k_j / 2N) for the
+    compositions k of N into n parts: for n = 2 these are N + 1 equally
+    spaced angles with N = 256, for larger n N is the largest (at most
+    256) that keeps the table at 4096 points or fewer.  Returns (points,
+    neighbours): row i of neighbours holds the indices of the grid
+    neighbours k + e_i - e_j of point i, padded with i itself.
+    """
+    table = _MODULI_TABLES.get(m)
+    if table is not None:
+        return table
+    n = len(m) + 1
+    N = 256
+    while math.comb(N + n - 1, n - 1) > 4096:
+        N -= 1
+    # Stars and bars: the bar positions of a composition of N into n parts.
+    comps = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (N + n - 1,)))
+             for bars in itertools.combinations(range(N + n - 1), n - 1)]
+    index = {k: i for i, k in enumerate(comps)}
+    width = n * (n - 1)
+    nbrs = np.empty((len(comps), width), dtype=np.intp)
+    for i, k in enumerate(comps):
+        row = []
+        for a in range(n):
+            for b in range(n):
+                if a != b and k[b] > 0:
+                    moved = list(k)
+                    moved[a] += 1
+                    moved[b] -= 1
+                    row.append(index[tuple(moved)])
+        nbrs[i] = row + [i] * (width - len(row))
+    v = np.sin(0.5 * np.pi * np.array(comps, dtype=float) / N)
+    ex = np.array((2.0,) + tuple(float(mj) for mj in m))
+    # Scale each direction onto the boundary: Newton on the convex,
+    # increasing sum_j (v_j t)^e_j - 1, from t = 1 / max v (above the root).
+    t = 1.0 / v.max(axis=1)
+    for _ in range(100):
+        vt = v * t[:, None]
+        f = np.sum(vt ** ex, axis=1) - 1.0
+        t_new = t - f / (np.sum(ex * vt ** ex, axis=1) / t)
+        if np.array_equal(t_new, t):
+            break
+        t = t_new
+    points = v * t[:, None]
+    points.flags.writeable = False
+    nbrs.flags.writeable = False
+    table = (points, nbrs)
+    _MODULI_TABLES[m] = table
+    return table
+
+
+def _ellipsoid_nearest(m, a):
+    """Moduli s of the nearest boundary point to moduli a (not all zero).
+
+    Newton on the KKT system s - lam grad rho(s) = a, rho(s) = 0 runs
+    from every local minimum of |s - a| over the seed table; the nearest
+    converged point wins.  A Newton run that does not converge, or a
+    winner farther than the nearest table point, raises
+    ConvergenceError.
+    """
+    table, nbrs = _moduli_table(m)
+    d2 = np.sum((table - a) ** 2, axis=1)
+    ex = (2,) + tuple(m)
+    a = [float(x) for x in a]
+    best, best_d2 = None, math.inf
+    for i in np.flatnonzero(np.all(d2[:, None] <= d2[nbrs], axis=1)):
+        s = _kkt_newton(ex, a, [float(x) for x in table[i]])
+        dist2 = sum((sj - aj) ** 2 for sj, aj in zip(s, a))
+        if dist2 < best_d2:
+            best, best_d2 = s, dist2
+    if not math.sqrt(best_d2) <= math.sqrt(float(d2.min())) + 1e-12:
+        raise ConvergenceError("ellipsoid projection lost the nearest boundary point")
+    return best
+
+
+def _kkt_newton(ex, a, s):
+    """Newton on s_j - lam e_j s_j^(e_j - 1) = a_j, sum_j s_j^e_j = 1."""
+    g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
+    lam = sum(gj * (sj - aj) for gj, sj, aj in zip(g, s, a)) / sum(gj * gj for gj in g)
+    for _ in range(50):
+        g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
+        d = [1.0 - lam * e * (e - 1) * sj ** (e - 2) for e, sj in zip(ex, s)]
+        b = [aj - sj + lam * gj for aj, sj, gj in zip(a, s, g)]
+        c = 1.0 - sum(sj ** e for e, sj in zip(ex, s))
+        try:
+            x, y = _bordered_solve(d, g, b, c)
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            break
+        s = [sj + xj for sj, xj in zip(s, x)]
+        lam += y
+        step = max(abs(xj) for xj in x)
+        if step <= 1e-13:
+            return s
+        if not math.isfinite(step):
+            break
+    raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
+
+
+def _bordered_solve(d, g, b, c):
+    """Solve d_j x_j - g_j y = b_j for every j and sum_j g_j x_j = c.
+
+    This is the Newton system of the nearest-point KKT equations.  For
+    n = 2 it is eliminated in closed form (Cramer's rule, which never
+    divides by d_j: d_j may vanish on the way).
+    """
+    if len(d) == 2:
+        (d0, d1), (g0, g1), (b0, b1) = d, g, b
+        det = g0 * g0 * d1 + g1 * g1 * d0
+        return ([(b0 * g1 * g1 + g0 * (c * d1 - g1 * b1)) / det,
+                 (b1 * g0 * g0 + g1 * (c * d0 - g0 * b0)) / det],
+                (c * d0 * d1 - g0 * b0 * d1 - g1 * b1 * d0) / det)
+    n = len(d)
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = np.diag(d)
+    jac[:n, n] = [-gj for gj in g]
+    jac[n, :n] = g
+    sol = np.linalg.solve(jac, b + [c])
+    return sol[:n].tolist(), float(sol[n])
 
 
 def _any_outward_seed(domain: Domain, pt):
