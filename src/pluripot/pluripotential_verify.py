@@ -2,12 +2,13 @@
 
 All checks are finite-difference based and report a VerificationReport
 whose verdict is "pass" exactly when the worst residual meets the
-tolerance; "inconclusive" appears only when the stencil uncertainty
-exceeds the failure margin.
+tolerance and it and the stencil uncertainty are finite; "inconclusive"
+appears only when the stencil uncertainty exceeds the failure margin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,9 @@ def _worst(*values):
 
 
 def _verdict(residual: float, tol: float, uncertainty: float = 0.0) -> str:
+    # A NaN or infinite residual or uncertainty is no evidence either way.
+    if not (math.isfinite(residual) and math.isfinite(uncertainty)):
+        return "fail"
     if residual <= tol:
         return "pass"
     if uncertainty > residual - tol:

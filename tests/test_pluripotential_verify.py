@@ -274,3 +274,42 @@ def test_suite_reports_nan_ladder_uncertainty(monkeypatch):
     monkeypatch.setattr(kernels, "horofunction", fake)
     first = run_suite("poisson_horofunction")[0]
     assert math.isnan(first.details["ladder_uncertainty_max"])
+
+
+def test_verdict_fails_closed_on_non_finite():
+    from pluripot.pluripotential_verify import _verdict
+
+    for residual, uncertainty in ((1e-9, math.inf), (-math.inf, 0.0), (1.0, math.inf),
+                                  (math.inf, 0.0), (math.nan, 0.0), (1e-9, math.nan),
+                                  (1e-9, -math.inf)):
+        assert _verdict(residual, 1e-6, uncertainty) == "fail"
+    assert _verdict(1e-9, 1e-6, 1e-3) == "pass"
+    assert _verdict(2e-6, 1e-6, 1e-3) == "inconclusive"
+    assert _verdict(1.0, 1e-6, 1e-3) == "fail"
+
+
+def test_monge_ampere_suite_work_count(monkeypatch):
+    # One boundary projection and one Hessian per sample serve both the
+    # psh and the Monge-Ampere report of a domain.
+    from pluripot import _suites, domain_core, pluripotential_verify
+
+    projected = []
+    hessians = []
+    project = domain_core.boundary_project
+    hessian = pluripotential_verify.complex_hessian
+
+    def counting_project(dom, z):
+        projected.append(dom.label)
+        return project(dom, z)
+
+    def counting_hessian(u, z, h):
+        hessians.append(h)
+        return hessian(u, z, h)
+
+    monkeypatch.setattr(domain_core, "boundary_project", counting_project)
+    monkeypatch.setattr(pluripotential_verify, "complex_hessian", counting_hessian)
+    monkeypatch.setattr(_suites, "complex_hessian", counting_hessian, raising=False)
+    reports = _suites.suite_monge_ampere({})
+    assert [rep.samples for rep in reports[:2]] == [200, 200]
+    assert projected.count("egg4") == 200
+    assert len(hessians) == 400
