@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import boundary_measure, dilation_jwc, domain_core, geodesics_metrics, kernels
+from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
 from .domain_core import Domain, boundary_distance, boundary_point, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc

@@ -1,0 +1,36 @@
+"""Every name a module of the package imports is used or re-exported."""
+
+import ast
+import pathlib
+
+import pluripot
+
+SRC = pathlib.Path(pluripot.__file__).parent
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
+    assert _unused_imports(tree) == [(1, "math"), (2, "path")]
