@@ -14,6 +14,7 @@ and general_convex (user-supplied defining function).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -421,10 +422,7 @@ def boundary_project(domain: Domain, z):
     return boundary_point(domain, xi), delta
 
 
-# Seed tables of the ellipsoid moduli boundaries, keyed by the exponents m.
-_MODULI_TABLES: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _moduli_table(m):
     """Points of the moduli boundary sum_j s_j^{e_j} = 1, e = (2,) + m, s >= 0.
 
@@ -433,11 +431,9 @@ def _moduli_table(m):
     spaced angles with N = 256, for larger n N is the largest (at most
     256) that keeps the table at 4096 points or fewer.  Returns (points,
     neighbours): row i of neighbours holds the indices of the grid
-    neighbours k + e_i - e_j of point i, padded with i itself.
+    neighbours k + e_i - e_j of point i, padded with i itself.  Built
+    once per exponent tuple; both arrays are read-only.
     """
-    table = _MODULI_TABLES.get(m)
-    if table is not None:
-        return table
     n = len(m) + 1
     N = 256
     while math.comb(N + n - 1, n - 1) > 4096:
@@ -473,9 +469,7 @@ def _moduli_table(m):
     points = v * t[:, None]
     points.flags.writeable = False
     nbrs.flags.writeable = False
-    table = (points, nbrs)
-    _MODULI_TABLES[m] = table
-    return table
+    return points, nbrs
 
 
 def _ellipsoid_nearest(m, a):
