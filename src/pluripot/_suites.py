@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
-from .domain_core import Domain, boundary_distance, boundary_point, make_domain, minkowski_gauge
+from .domain_core import Domain, boundary_distance, boundary_point, brentq, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
 from .pluripotential_verify import (VerificationReport, _monge_ampere_residual, _psh_report, _verdict,
@@ -116,7 +116,6 @@ def suite_poisson_horofunction(config) -> list:
 
 def _point_at_delta(dom: Domain, curve, delta: float):
     """Point on the curve where the boundary distance equals delta."""
-    from scipy.optimize import brentq
 
     def f(t):
         return boundary_distance(dom, np.asarray(curve(t))) - delta
@@ -136,10 +135,10 @@ def suite_main2_estimate(config) -> list:
         omega_p = kernels.poisson_kernel(dom, xi, p).value
         shift = math.log(abs(omega_p) / 2.0)
 
-        approaches = {
-            "normal": lambda t: xi.position - (1.0 - t) * xi.normal,
-            "slanted": lambda t: xi.position - (1.0 - t) * (xi.normal + 0.3 * xi.tangent_frame[0]),
-        }
+        approaches = {"normal": lambda t: xi.position - (1.0 - t) * xi.normal}
+        if dom.n >= 2:
+            slant = xi.normal + 0.3 * xi.tangent_frame[0]
+            approaches["slanted"] = lambda t: xi.position - (1.0 - t) * slant
         if dom.kind == "ellipsoid":
             phi = geodesics_metrics.egg_geodesic(dom.m[0], 0.5)
             approaches["curved"] = lambda t: phi(complex(t))
@@ -172,6 +171,8 @@ def suite_monge_ampere(config) -> list:
     n_samples = 200
 
     def reports_for(dom):
+        if dom.n < 2:
+            raise UnsupportedDomainError(f"monge_ampere needs n >= 2; {dom.label} has n = {dom.n}")
         xi = _axis_boundary(dom)
         u = _kernel_callable(dom, xi)
         rng = np.random.default_rng(_seed(config))

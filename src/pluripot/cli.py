@@ -12,6 +12,9 @@ order, so identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
+import io
 import json
 import math
 import sys
@@ -83,12 +86,7 @@ def _write_csv(rows, columns, out):
         cells = []
         for col in columns:
             v = row.get(col, "")
-            if isinstance(v, (float, np.floating)):
-                cells.append(_fmt_float(float(v)))
-            elif isinstance(v, (int, np.integer, bool, np.bool_)):
-                cells.append(str(v))
-            else:
-                cells.append(str(v))
+            cells.append(_fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v))
         lines.append(",".join(cells))
     out.write("\n".join(lines) + "\n")
 
@@ -105,16 +103,51 @@ def _emit(text: str, path) -> None:
 # Parsing.
 # ---------------------------------------------------------------------------
 
-_SAFE_ENV = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
-             "exp": math.exp, "sqrt": math.sqrt, "log": math.log,
-             "pi": math.pi, "abs": abs, "j": 1j}
+_TEMPLATE_FUNCS = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
+                   "exp": math.exp, "sqrt": math.sqrt, "log": math.log, "abs": abs}
+_TEMPLATE_ENV = dict(_TEMPLATE_FUNCS, pi=math.pi, j=1j)
+_TEMPLATE_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.USub,
+                   ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+class _TemplateError(DomainError):
+    """A sweep template that is not plain arithmetic in the allowed names."""
+
+
+def _allowed(node, params) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float, complex)
+    if isinstance(node, ast.Name):
+        return node.id in _TEMPLATE_ENV or node.id in params
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in _TEMPLATE_FUNCS and not node.keywords
+    return isinstance(node, _TEMPLATE_NODES)
+
+
+@functools.lru_cache(maxsize=64)
+def _template_code(text, params):
+    """Compiled sweep-template component such as '0.9*t' or 'cos(t)+j*s'.
+
+    Only numeric constants, the grid parameters (params), j and pi, the
+    operators + - * / ** and unary minus, and calls to _TEMPLATE_FUNCS
+    are allowed; anything else raises _TemplateError.  The code therefore
+    reaches no object but numbers and these functions.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+        bad = next((node for node in ast.walk(tree) if not _allowed(node, params)), None)
+        if bad is None:
+            return compile(tree, "<template>", "eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise _TemplateError(f"cannot parse component {text!r}: {exc}")
+    raise _TemplateError(f"component {text!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
 
 
 def _parse_point(text, n=None, env=None):
     """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'.
 
     With env, components may be expressions in the grid parameters
-    (sweep templates), evaluated in a restricted namespace.
+    (sweep templates, see _template_code).
     """
     text = text.strip()
     if text.startswith("e") and text[1:].isdigit():
@@ -129,9 +162,10 @@ def _parse_point(text, n=None, env=None):
     for tok in text.split(","):
         tok = tok.strip()
         if env is not None:
+            code = _template_code(tok, tuple(env))
             try:
-                comps.append(complex(eval(tok, {"__builtins__": {}}, dict(_SAFE_ENV, **env))))
-            except Exception as exc:
+                comps.append(complex(eval(code, {"__builtins__": {}}, dict(_TEMPLATE_ENV, **env))))
+            except (ArithmeticError, ValueError, TypeError) as exc:
                 raise DomainError(f"cannot evaluate component {tok!r}: {exc}")
         else:
             try:
@@ -247,7 +281,6 @@ def cmd_eval(config) -> int:
 
 
 def _write_csv_to(config, rows, columns):
-    import io
     buf = io.StringIO()
     _write_csv(rows, columns, buf)
     _emit(buf.getvalue(), config.get("out"))
@@ -289,6 +322,8 @@ def cmd_sweep(config) -> int:
                 value, method, unc = _evaluate(quantity, dom, config, env=env)
                 row.update({"value": value, "method": method,
                             "uncertainty": unc, "status": "ok"})
+            except _TemplateError:
+                raise
             except (DomainError, UnsupportedDomainError):
                 row.update({"value": float("nan"), "method": "",
                             "uncertainty": float("nan"), "status": "outside"})

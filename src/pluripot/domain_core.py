@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _stencils
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
@@ -280,6 +279,69 @@ def contains(domain: Domain, z, margin=0.0) -> bool:
     return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < -margin))
 
 
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100) -> float:
+    """Root of the scalar function f in [a, b] by Brent's method.
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 4, ported step for step from the widely used C routine brentq.c
+    with its defaults, so that roots agree with it bit for bit (the tests
+    compare the two).  Converged when the bracket half-width drops below
+    (xtol + rtol |x|) / 2, or on an exact zero of f.  Raises
+    ConvergenceError when f(a) and f(b) have the same sign, when f
+    returns NaN, or after maxiter steps.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(f"root finder: f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE division gives inf or NaN: bisect below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"root finder: no convergence in {maxiter} steps")
+
+
 def minkowski_gauge(domain: Domain, z) -> float:
     """Gauge of the balanced kinds: the t > 0 with z / t on the boundary."""
     if domain.kind in ("disc", "ball"):
@@ -302,7 +364,7 @@ def minkowski_gauge(domain: Domain, z) -> float:
     hi = 2.0 * lo
     while excess(hi) > 0.0:
         hi *= 2.0
-    return float(brentq(excess, lo, hi, xtol=1e-300, rtol=4 * _EPS))
+    return brentq(excess, lo, hi, xtol=1e-300, rtol=4 * _EPS)
 
 
 def unit_normal(domain: Domain, position) -> np.ndarray:

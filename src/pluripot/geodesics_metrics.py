@@ -8,12 +8,13 @@ k(0, t) = log((1+t)/(1-t)) throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import domain_core, hyperbolic_models
 from .domain_core import Domain, BoundaryPoint, as_point, defining_function, minkowski_gauge
@@ -277,20 +278,22 @@ def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _lattice_directions(n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit vectors in C^n."""
+    """Deterministic low-discrepancy unit vectors in C^n (read-only, cached)."""
     d = 2 * n
     # Root of x^(d+1) = x + 1 generalizes the plastic ratio.
-    from scipy.optimize import brentq
-    g = brentq(lambda x: x ** (d + 1) - x - 1.0, 1.0, 2.0, xtol=1e-15)
+    g = domain_core.brentq(lambda x: x ** (d + 1) - x - 1.0, 1.0, 2.0, xtol=1e-15)
     alphas = np.array([(1.0 / g) ** (j + 1) for j in range(d)])
     idx = np.arange(1, count + 1)[:, None]
     u = np.mod(0.5 + idx * alphas[None, :], 1.0)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    gauss = ndtri(u)
+    gauss = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u)
     vecs = gauss[:, :n] + 1j * gauss[:, n:]
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs / norms
+    dirs = vecs / norms
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _supporting_points(dom: Domain, z, w):

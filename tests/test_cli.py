@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from pluripot.cli import main
 
@@ -79,6 +80,23 @@ def test_verify_phragmen_lindelof_passes(capsys):
     assert (True, True) in flags and (False, False) in flags
 
 
+def test_verify_main2_estimate_disc_passes(capsys):
+    # The disc has no tangent direction, so only the normal approach runs.
+    rc = main(["verify", "main2_estimate", "--domain", "disc"])
+    bundle = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    [report] = bundle["reports"]
+    assert report["verdict"] == "pass"
+    assert list(report["details"]["residuals"]) == ["normal"]
+
+
+def test_verify_monge_ampere_disc_is_config_error(capsys):
+    rc = main(["verify", "monge_ampere", "--domain", "disc"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "n >= 2" in captured.err
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     rc = main(["verify", "asymptoticity", "--tol", "1e-30"])
     captured = capsys.readouterr()
@@ -141,6 +159,49 @@ def test_sweep_two_parameter_grid(capsys):
     assert rc == 0
     assert header[:2] == ["t", "s"]
     assert len(rows) == 12
+
+
+@pytest.mark.parametrize("template", [
+    "().__class__.__base__.__subclasses__().__len__()*0,0",
+    "t.real,0",
+    "t,s",  # no --grid-s, so s is not a grid parameter
+    "t,0 if t else 1",
+    "t,",
+])
+def test_sweep_template_outside_whitelist_is_config_error(template, capsys):
+    rc = main(["sweep", "poisson", "--domain", "ball2", "--xi", "e1",
+               "--z", template, "--grid-t", "0:0.5:3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("quantity, domain, fixed, template, point", [
+    ("poisson", "egg4", ["--xi", "e1"], "t,0.6*s*(cos(t)+j*sin(t))",
+     lambda t, s: (complex(t), 0.6 * s * (math.cos(t) + 1j * math.sin(t)))),
+    ("green", "ball2", ["--w=0.1,-0.15j"], "0.9*t,0.4*s",
+     lambda t, s: (complex(0.9 * t), complex(0.4 * s))),
+])
+def test_sweep_template_rows_match_eval_bytes(quantity, domain, fixed, template, point, capsys):
+    # Each sweep row equals, byte for byte, eval at the point that
+    # Python's own arithmetic makes of the template.
+    rc = main(["sweep", quantity, "--domain", domain, *fixed, "--z", template,
+               "--grid-t=-0.95:0.95:3", "--grid-s=-1:1:3"])
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert rc == 0
+    assert len(rows) == 9 and any(r["status"] == "ok" for r in rows)
+    for row in rows:
+        z = point(float(row["t"]), float(row["s"]))
+        rc = main(["eval", quantity, "--domain", domain, *fixed, f"--z={z[0]!r},{z[1]!r}",
+                   "--format", "csv"])
+        out = capsys.readouterr().out
+        if row["status"] == "outside":
+            assert rc == 2
+        else:
+            assert rc == 0
+            [erow], _ = _csv_rows(out)
+            assert (erow["value"], erow["uncertainty"]) == (row["value"], row["uncertainty"])
 
 
 def test_sweep_deterministic_output(tmp_path, capsys):

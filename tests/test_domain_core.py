@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pluripot import (
+    ConvergenceError,
     DomainError,
     UnsupportedDomainError,
     boundary_distance,
@@ -13,6 +14,7 @@ from pluripot import (
     boundary_project,
     contains,
     defining_function,
+    domain_core,
     levi_data,
     line_type,
     make_domain,
@@ -259,6 +261,44 @@ def test_minkowski_gauge_boundary_normalization():
     g = minkowski_gauge(dom, z)
     assert abs(defining_function(dom, z / g)) < 1e-10
     assert abs(minkowski_gauge(dom, 2.0 * z) - 2.0 * g) < 1e-10
+
+
+def _root_problems():
+    """Gauge and ray root solves as the package makes them (through the
+    module attribute domain_core.brentq, which the test swaps), plus the
+    x^(d+1) = x + 1 constants behind the lattice directions."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for dom in (make_domain("egg4"), make_domain("egg6"), make_domain("ball2"),
+                make_domain({"kind": "ellipsoid", "m": [4, 6]})):
+        for _ in range(25):
+            raw = rng.standard_normal(2 * dom.n)
+            v = raw[:dom.n] + 1j * raw[dom.n:]
+            pt = v / np.linalg.norm(v) * rng.uniform(0.0, 0.5)
+            problems.append(lambda solve, dom=dom, v=v: minkowski_gauge(dom, v))
+            problems.append(lambda solve, dom=dom, pt=pt, v=v: domain_core._shoot_to_boundary(dom, pt, v))
+    for d in range(2, 13):
+        problems.append(lambda solve, d=d: solve(lambda x: x ** (d + 1) - x - 1.0, 1.0, 2.0, xtol=1e-15))
+    return problems
+
+
+def test_brentq_matches_reference_bitwise(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    problems = _root_problems()
+    ours = [np.asarray(p(domain_core.brentq)) for p in problems]
+    monkeypatch.setattr(domain_core, "brentq", optimize.brentq)
+    reference = [np.asarray(p(optimize.brentq)) for p in problems]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
+
+
+def test_brentq_raises_convergence_error():
+    with pytest.raises(ConvergenceError, match="same sign"):
+        domain_core.brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="3 steps"):
+        domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        domain_core.brentq(lambda x: math.sqrt(x) - 0.5 if x >= 0 else math.nan, -1.0, 1.0)
+    assert domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0) == pytest.approx(2.0 ** (1 / 3), abs=1e-11)
 
 
 def test_levi_data_ball():

@@ -188,6 +188,16 @@ def test_sandwich_soundness_random_pairs():
             assert bound.value <= hi + 1e-9
 
 
+def test_lattice_directions_cached_and_read_only():
+    from pluripot.geodesics_metrics import _lattice_directions
+
+    dirs = _lattice_directions(2, 128)
+    assert _lattice_directions(2, 128) is dirs
+    assert not dirs.flags.writeable
+    assert dirs.shape == (128, 2)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+
+
 def test_caratheodory_bound_cases():
     ball = make_domain("ball2")
     assert caratheodory_lower_bound(ball, np.zeros(2), np.zeros(2)) == 0.0

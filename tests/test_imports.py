@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used or re-exported."""
+"""What the package imports: every imported name is used, and no scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pluripot
 
@@ -34,3 +37,11 @@ def test_no_unused_imports():
 def test_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, pluripot, pluripot.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
