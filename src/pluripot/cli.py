@@ -105,23 +105,33 @@ def _emit(text: str, path) -> None:
 
 _TEMPLATE_FUNCS = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
                    "exp": math.exp, "sqrt": math.sqrt, "log": math.log, "abs": abs}
-_TEMPLATE_ENV = dict(_TEMPLATE_FUNCS, pi=math.pi, j=1j)
-_TEMPLATE_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.USub,
-                   ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_TEMPLATE_CONSTS = {"pi": math.pi, "j": 1j}
+_TEMPLATE_ENV = dict(_TEMPLATE_FUNCS, **_TEMPLATE_CONSTS)
+_TEMPLATE_OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 class _TemplateError(DomainError):
     """A sweep template that is not plain arithmetic in the allowed names."""
 
 
-def _allowed(node, params) -> bool:
+def _disallowed(node, params):
+    """First node of a template's tree outside the grammar, or None."""
+    if isinstance(node, ast.Expression):
+        return _disallowed(node.body, params)
     if isinstance(node, ast.Constant):
-        return type(node.value) in (int, float, complex)
+        return None if type(node.value) in (int, float, complex) else node
     if isinstance(node, ast.Name):
-        return node.id in _TEMPLATE_ENV or node.id in params
+        return None if node.id in _TEMPLATE_CONSTS or node.id in params else node
     if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Name) and node.func.id in _TEMPLATE_FUNCS and not node.keywords
-    return isinstance(node, _TEMPLATE_NODES)
+        if (isinstance(node.func, ast.Name) and node.func.id in _TEMPLATE_FUNCS
+                and len(node.args) == 1 and not node.keywords):
+            return _disallowed(node.args[0], params)
+        return node
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _TEMPLATE_OPS):
+        return _disallowed(node.operand, params)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _TEMPLATE_OPS):
+        return _disallowed(node.left, params) or _disallowed(node.right, params)
+    return node
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,13 +139,13 @@ def _template_code(text, params):
     """Compiled sweep-template component such as '0.9*t' or 'cos(t)+j*s'.
 
     Only numeric constants, the grid parameters (params), j and pi, the
-    operators + - * / ** and unary minus, and calls to _TEMPLATE_FUNCS
-    are allowed; anything else raises _TemplateError.  The code therefore
-    reaches no object but numbers and these functions.
+    operators + - * / ** and unary minus and plus, and one-argument calls
+    of _TEMPLATE_FUNCS are allowed; anything else raises _TemplateError.
+    The code therefore reaches no object but numbers and these functions.
     """
     try:
         tree = ast.parse(text, mode="eval")
-        bad = next((node for node in ast.walk(tree) if not _allowed(node, params)), None)
+        bad = _disallowed(tree, params)
         if bad is None:
             return compile(tree, "<template>", "eval")
     except (SyntaxError, ValueError, RecursionError) as exc:

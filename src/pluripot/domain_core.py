@@ -279,16 +279,20 @@ def contains(domain: Domain, z, margin=0.0) -> bool:
     return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < -margin))
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100) -> float:
+_BRENT_RTOL = 4 * _EPS
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol) -> float:
     """Root of the scalar function f in [a, b] by Brent's method.
 
     R. P. Brent, Algorithms for Minimization without Derivatives (1973),
     ch. 4, ported step for step from the widely used C routine brentq.c
-    with its defaults, so that roots agree with it bit for bit (the tests
-    compare the two).  Converged when the bracket half-width drops below
-    (xtol + rtol |x|) / 2, or on an exact zero of f.  Raises
-    ConvergenceError when f(a) and f(b) have the same sign, when f
-    returns NaN, or after maxiter steps.
+    with its default rtol and maxiter, so that roots agree with it bit for
+    bit (the tests compare the two).  Converged when the bracket
+    half-width drops below (xtol + _BRENT_RTOL |x|) / 2, or on an exact
+    zero of f.  Raises ConvergenceError when f(a) and f(b) have the same
+    sign, when f returns NaN, or after _BRENT_MAXITER steps.
     """
 
     def value(x):
@@ -306,14 +310,14 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100) -> float:
     if (fpre < 0.0) == (fcur < 0.0):
         raise ConvergenceError(f"root finder: f({a!r}) and f({b!r}) have the same sign")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -339,7 +343,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise ConvergenceError(f"root finder: no convergence in {maxiter} steps")
+    raise ConvergenceError(f"root finder: no convergence in {_BRENT_MAXITER} steps")
 
 
 def minkowski_gauge(domain: Domain, z) -> float:
@@ -364,7 +368,7 @@ def minkowski_gauge(domain: Domain, z) -> float:
     hi = 2.0 * lo
     while excess(hi) > 0.0:
         hi *= 2.0
-    return brentq(excess, lo, hi, xtol=1e-300, rtol=4 * _EPS)
+    return brentq(excess, lo, hi, xtol=1e-300)
 
 
 def unit_normal(domain: Domain, position) -> np.ndarray:
@@ -622,7 +626,7 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
         hi *= 2.0
     else:
         raise ConvergenceError("could not bracket the boundary along the ray")
-    t = brentq(f, 0.0, hi, xtol=1e-15, rtol=4 * _EPS)
+    t = brentq(f, 0.0, hi, xtol=1e-15)
     return pt + t * direction
 
 

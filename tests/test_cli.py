@@ -167,6 +167,11 @@ def test_sweep_two_parameter_grid(capsys):
     "t,s",  # no --grid-s, so s is not a grid parameter
     "t,0 if t else 1",
     "t,",
+    "cos,0",  # a function only as the callee of a one-argument call
+    "abs(cos),0",
+    "cos(t,t),0",
+    "cos(),0",
+    "cos(*t),0",
 ])
 def test_sweep_template_outside_whitelist_is_config_error(template, capsys):
     rc = main(["sweep", "poisson", "--domain", "ball2", "--xi", "e1",
@@ -182,6 +187,8 @@ def test_sweep_template_outside_whitelist_is_config_error(template, capsys):
      lambda t, s: (complex(t), 0.6 * s * (math.cos(t) + 1j * math.sin(t)))),
     ("green", "ball2", ["--w=0.1,-0.15j"], "0.9*t,0.4*s",
      lambda t, s: (complex(0.9 * t), complex(0.4 * s))),
+    ("green", "ball2", ["--w=0.1,-0.15j"], "+0.9*t,-(0.4*s)",
+     lambda t, s: (complex(+0.9 * t), complex(-(0.4 * s)))),
 ])
 def test_sweep_template_rows_match_eval_bytes(quantity, domain, fixed, template, point, capsys):
     # Each sweep row equals, byte for byte, eval at the point that

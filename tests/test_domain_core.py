@@ -291,14 +291,15 @@ def test_brentq_matches_reference_bitwise(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
 
 
-def test_brentq_raises_convergence_error():
+def test_brentq_raises_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError, match="same sign"):
-        domain_core.brentq(lambda x: x * x + 1.0, 0.0, 1.0)
-    with pytest.raises(ConvergenceError, match="3 steps"):
-        domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
+        domain_core.brentq(lambda x: x * x + 1.0, 0.0, 1.0, xtol=1e-15)
     with pytest.raises(ConvergenceError, match="NaN"):
-        domain_core.brentq(lambda x: math.sqrt(x) - 0.5 if x >= 0 else math.nan, -1.0, 1.0)
-    assert domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0) == pytest.approx(2.0 ** (1 / 3), abs=1e-11)
+        domain_core.brentq(lambda x: math.sqrt(x) - 0.5 if x >= 0 else math.nan, -1.0, 1.0, xtol=1e-15)
+    assert domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15) == pytest.approx(2.0 ** (1 / 3), abs=1e-14)
+    monkeypatch.setattr(domain_core, "_BRENT_MAXITER", 3)
+    with pytest.raises(ConvergenceError, match="3 steps"):
+        domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15)
 
 
 def test_levi_data_ball():
