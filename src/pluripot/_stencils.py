@@ -11,15 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def directional_laplacian(u, z, v, h, u0=None):
+def directional_laplacian(u, z, v, h, u0):
     """Quarter of the 4-point Laplacian of u along the complex line z + C v.
 
-    Returns sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2) truncation.
+    u0 is u(z).  Returns sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2)
+    truncation.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u0 is None:
-        u0 = u(z)
     s = u(z + h * v) + u(z - h * v) + u(z + 1j * h * v) + u(z - 1j * h * v)
     return (s - 4.0 * u0) / (4.0 * h * h)
 
@@ -39,7 +38,7 @@ def hessian_matrix(u, z, h):
     eye = np.eye(n)
 
     def lap(v):
-        return directional_laplacian(u, z, v, h, u0=u0)
+        return directional_laplacian(u, z, v, h, u0)
 
     H = np.zeros((n, n), dtype=complex)
     for j in range(n):
@@ -68,10 +67,9 @@ def hessian_richardson(u, z, h):
     return (4.0 * H2 - H1) / 3.0, gap
 
 
-def laplacian_5pt(u, zeta, h, u0=None):
+def laplacian_5pt(u, zeta, h):
     """5-point Laplacian of u at a point of C (full Delta, not 1/4)."""
     zeta = complex(zeta)
-    if u0 is None:
-        u0 = u(zeta)
+    u0 = u(zeta)
     s = u(zeta + h) + u(zeta - h) + u(zeta + 1j * h) + u(zeta - 1j * h)
     return (s - 4.0 * u0) / (h * h)

@@ -20,6 +20,8 @@ from . import domain_core, kernels
 from .domain_core import Domain, as_point, defining_function
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
+_MAX_DOUBLINGS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryQuadrature:
@@ -65,12 +67,12 @@ class BoundaryQuadrature:
                 fh.write(buf.getvalue())
 
 
-def boundary_form_density(dom: Domain, xi, h=1e-4) -> float:
+def boundary_form_density(dom: Domain, xi) -> float:
     """Boundary form density at xi from the finite-difference Levi form.
 
     In one variable the determinant is empty and the density is 1.
     """
-    L, gn = domain_core.levi_data(dom, xi, h=h)
+    L, gn = domain_core.levi_data(dom, xi)
     n = dom.n
     if n == 1:
         return 1.0
@@ -170,16 +172,17 @@ def reproduce_pluriharmonic(dom: Domain, F, z, quad: BoundaryQuadrature) -> floa
     return float(total / (2.0 * np.pi) ** n)
 
 
-def calibrate_quadrature(dom: Domain, F, z, start_resolution=16, tol=1e-3, max_doublings=4):
+def calibrate_quadrature(dom: Domain, F, z, start_resolution=16, tol=1e-3):
     """Refine the quadrature until the reproduced value settles.
 
-    Doubles the resolution until successive values differ by less than
-    tol; returns (value, resolution, history).
+    Doubles the resolution, at most _MAX_DOUBLINGS times, until
+    successive values differ by less than tol; returns (value,
+    resolution, history).
     """
     res = int(start_resolution)
     history = []
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         quad = build_quadrature(dom, res)
         val = reproduce_pluriharmonic(dom, F, z, quad)
         history.append(val)

@@ -142,18 +142,24 @@ def _template_code(text, params):
     operators + - * / ** and unary minus and plus, and one-argument calls
     of _TEMPLATE_FUNCS are allowed; anything else raises _TemplateError.
     The code therefore reaches no object but numbers and these functions.
+    Integer constants are compiled as floats, so a power such as 9**9**9
+    raises OverflowError at once instead of building a huge integer; an
+    integer constant too large for a float raises _TemplateError.
     """
     try:
         tree = ast.parse(text, mode="eval")
         bad = _disallowed(tree, params)
         if bad is None:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and type(node.value) is int:
+                    node.value = float(node.value)
             return compile(tree, "<template>", "eval")
-    except (SyntaxError, ValueError, RecursionError) as exc:
+    except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
         raise _TemplateError(f"cannot parse component {text!r}: {exc}")
     raise _TemplateError(f"component {text!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
 
 
-def _parse_point(text, n=None, env=None):
+def _parse_point(text, n, env=None):
     """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'.
 
     With env, components may be expressions in the grid parameters
@@ -162,10 +168,9 @@ def _parse_point(text, n=None, env=None):
     text = text.strip()
     if text.startswith("e") and text[1:].isdigit():
         k = int(text[1:])
-        size = n if n is not None else k
-        if k < 1 or k > size:
-            raise DomainError(f"unit vector {text!r} out of range for dimension {size}")
-        v = np.zeros(size, dtype=complex)
+        if k < 1 or k > n:
+            raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
+        v = np.zeros(n, dtype=complex)
         v[k - 1] = 1.0
         return v
     comps = []
@@ -385,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", nargs="?", help=f"one of {sorted(SUITES)}")
-    pv.add_argument("--suite", dest="suite_flag", help=argparse.SUPPRESS)
     pv.add_argument("--u", help="test function name (monge_ampere suite)")
     common(pv, with_points=False)
 
@@ -419,8 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _load_config(args)
-        if args.command == "verify" and getattr(args, "suite_flag", None):
-            config["suite"] = args.suite_flag
         if args.command == "eval":
             return cmd_eval(config)
         if args.command == "verify":

@@ -28,6 +28,12 @@ from .errors import DomainError, UnsupportedDomainError
 from .pluripotential_verify import _worst
 from .geodesics_metrics import kobayashi_distance
 
+# Ladder exponents: every boundary limit here steps in to 10^-j, j = 1..8.
+_JS = range(1, 9)
+# Relative slack of the Julia inequalities, on top of the ladder
+# uncertainties.
+_JULIA_SLACK = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class MapUnderTest:
@@ -91,7 +97,7 @@ def _check_map(mp: MapUnderTest) -> None:
         raise DomainError("target base point must be interior")
 
 
-def dilation(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
+def dilation(mp: MapUnderTest, xi, xi_target, js=_JS):
     """Boundary dilation lambda of the map at xi -> xi'.
 
     Returns (lam, uncertainty).  The log-dilation is the limit of
@@ -112,24 +118,24 @@ def dilation(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     return lam, float(lam * unc)
 
 
-def normalized_dilation(mp: MapUnderTest, xi, xi_target, js=range(1, 9)) -> float:
+def normalized_dilation(mp: MapUnderTest, xi, xi_target) -> float:
     """alpha = lambda * Omega_xi(p) / Omega'_{xi'}(f-image base)."""
-    lam, _ = dilation(mp, xi, xi_target, js=js)
+    lam, _ = dilation(mp, xi, xi_target)
     op = kernels.poisson_kernel(mp.source, xi, mp.source_base).value
     oq = kernels.poisson_kernel(mp.target, xi_target, mp.target_base).value
     return float(lam * op / oq)
 
 
-def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack=1e-8) -> dict:
+def julia_checks(mp: MapUnderTest, xi, xi_target, samples) -> dict:
     """Verify both Julia inequalities and their consistency identity.
 
     samples: interior points of the source domain.  Returns a dict with
     the per-formulation suprema, the dilation, and boolean verdicts.
     """
     _check_map(mp)
-    lam, lam_unc = dilation(mp, xi, xi_target, js=js)
+    lam, lam_unc = dilation(mp, xi, xi_target)
     log_lam = float(np.log(lam))
-    alpha = normalized_dilation(mp, xi, xi_target, js=js)
+    alpha = normalized_dilation(mp, xi, xi_target)
 
     op = kernels.poisson_kernel(mp.source, xi, mp.source_base).value
     oq = kernels.poisson_kernel(mp.target, xi_target, mp.target_base).value
@@ -149,7 +155,7 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack
     # The suprema are attained in the boundary limit, so fold the ladder
     # points into the sample set before comparing.
     ladder_gaps = []
-    for z in normal_ladder(mp.source, xi, js):
+    for z in normal_ladder(mp.source, xi, _JS):
         w = mp(z)
         hs = kernels.horofunction(mp.source, xi, mp.source_base, z).value
         ht = kernels.horofunction(mp.target, xi_target, mp.target_base, w).value
@@ -158,10 +164,10 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack
 
     mj_sup = _worst(*mj_gaps, sup_est)
     pj_sup = _worst(*pj_ratios, float(np.exp(sup_est)) * abs(op) / abs(oq))
-    tol = slack * (1.0 + abs(log_lam)) + lam_unc / max(lam, 1e-300) + sup_unc
+    tol = _JULIA_SLACK * (1.0 + abs(log_lam)) + lam_unc / max(lam, 1e-300) + sup_unc
 
     mj_holds = mj_sup <= log_lam + tol
-    pj_holds = pj_sup <= alpha * (1.0 + slack) + abs(alpha) * tol
+    pj_holds = pj_sup <= alpha * (1.0 + _JULIA_SLACK) + abs(alpha) * tol
     consistency = abs(np.exp(mj_sup) * abs(op) / abs(oq) - pj_sup) / max(abs(pj_sup), 1e-300)
 
     return {
@@ -177,7 +183,7 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples, js=range(1, 9), slack
     }
 
 
-def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
+def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target):
     """Limit of the normal-component difference quotient at xi.
 
     Computes <f(z_j) - xi', n'> / <z_j - xi, n> along the inward ladder
@@ -187,7 +193,7 @@ def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     bs = boundary_point(mp.source, xi)
     bt = boundary_point(mp.target, xi_target)
     quotients = []
-    for z in normal_ladder(mp.source, bs, js):
+    for z in normal_ladder(mp.source, bs, _JS):
         w = mp(z)
         num = complex(np.sum((w - bt.position) * np.conj(bt.normal)))
         den = complex(np.sum((z - bs.position) * np.conj(bs.normal)))
@@ -197,11 +203,11 @@ def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target, js=range(1, 9)):
     return complex(re, im), float(ru + iu)
 
 
-def delta_ratio_limit(mp: MapUnderTest, xi, js=range(1, 9)):
+def delta_ratio_limit(mp: MapUnderTest, xi):
     """Limit of boundary-distance ratios delta'(f(z_j)) / delta(z_j)."""
     _check_map(mp)
     vals = []
-    for z in normal_ladder(mp.source, xi, js):
+    for z in normal_ladder(mp.source, xi, _JS):
         w = mp(z)
         vals.append(boundary_distance(mp.target, w) / boundary_distance(mp.source, z))
     est, unc = extrapolate(vals, "delta ratio")
@@ -240,7 +246,7 @@ def gamma_lambda(lam: complex):
     return curve
 
 
-def special_curve_limit(lam: complex, js=range(1, 9)) -> dict:
+def special_curve_limit(lam: complex) -> dict:
     """Kernel and distance asymptotics along gamma_lambda in the 2-ball.
 
     Returns the extrapolated limit of Omega_{e1}(gamma(t)) (1-t), the
@@ -251,7 +257,7 @@ def special_curve_limit(lam: complex, js=range(1, 9)) -> dict:
     xi = np.array([1.0 + 0j, 0.0 + 0j])
     kvals = []
     dvals = []
-    for j in js:
+    for j in _JS:
         t = 1.0 - 10.0 ** (-j)
         z = curve(t)
         kvals.append(kernels.poisson_kernel(dom, xi, z).value * (1.0 - t))

@@ -30,17 +30,18 @@ _EPS = float(np.finfo(float).eps)
 
 KINDS = ("disc", "half_plane", "ball", "ellipsoid", "annulus", "general_convex")
 
+# |rho| allowed at a point accepted as a boundary point.
+_BOUNDARY_TOL = 1e-9
+# Largest contact order the line type probe reports.
+_MAX_LINE_TYPE = 8
+
 
 @dataclass(frozen=True, eq=False)
 class Domain:
     """A model domain in C^n.
 
-    The capability flags say which quantities admit closed forms:
-
-    exact_distance_pairs   some pairs have exact hyperbolic distance
-    closed_form_poisson    the boundary kernel has a closed form
-    closed_form_green      the Green function has a closed form for
-                           every interior pair
+    closed_form_poisson says whether the boundary kernel has a closed
+    form.
     """
 
     kind: str
@@ -48,33 +49,10 @@ class Domain:
     m: tuple = ()
     r: float = 0.0
     rho_fn: Optional[Callable] = None
-    grad_fn: Optional[Callable] = None
-
-    @property
-    def exact_distance_pairs(self) -> bool:
-        return self.kind != "general_convex"
-
-    @property
-    def exact_distance_all(self) -> bool:
-        if self.kind in ("disc", "half_plane", "ball", "annulus"):
-            return True
-        if self.kind == "ellipsoid":
-            return all(mj == 2 for mj in self.m)
-        return False
 
     @property
     def closed_form_poisson(self) -> bool:
         return self.kind in ("disc", "half_plane", "ball", "ellipsoid")
-
-    @property
-    def closed_form_green(self) -> bool:
-        # The Green-from-distance formula needs convexity; the annulus
-        # is excluded even though its distances are exact.
-        if self.kind in ("disc", "half_plane", "ball"):
-            return True
-        if self.kind == "ellipsoid":
-            return all(mj == 2 for mj in self.m)
-        return False
 
     @property
     def label(self) -> str:
@@ -125,13 +103,13 @@ def _shorthand(text: str) -> dict:
     raise DomainError(f"unrecognized domain shorthand: {text!r}")
 
 
-def make_domain(spec, *, n=None, m=None, r=None, rho=None, gradient=None) -> Domain:
+def make_domain(spec, *, n=None, m=None, r=None, rho=None) -> Domain:
     """Build a Domain from a dict or shorthand string.
 
     Dict keys are restricted to kind, n, m, r; unknown keys are
     rejected.  Keyword arguments fill in missing entries (the CLI path).
     general_convex additionally needs a vectorized defining function via
-    rho=, and optionally an analytic gradient via gradient=.
+    rho=; its gradient is taken by central differences.
     """
     if isinstance(spec, str):
         spec = _shorthand(spec)
@@ -197,7 +175,7 @@ def make_domain(spec, *, n=None, m=None, r=None, rho=None, gradient=None) -> Dom
         raise DomainError("general_convex requires a defining function via rho=")
     if n_val is None:
         raise DomainError("general_convex requires n")
-    return Domain(kind="general_convex", n=int(n_val), rho_fn=rho, grad_fn=gradient)
+    return Domain(kind="general_convex", n=int(n_val), rho_fn=rho)
 
 
 def as_point(domain: Domain, z) -> np.ndarray:
@@ -256,12 +234,11 @@ def gradient(domain: Domain, z):
             w = pts[..., j + 1]
             out[..., j + 1] = mj * np.abs(w) ** (mj - 2) * w
         return out
-    if domain.grad_fn is not None:
-        return domain.grad_fn(pts)
     return _fd_gradient(domain, pts)
 
 
-def _fd_gradient(domain: Domain, pts, h=1e-7):
+def _fd_gradient(domain: Domain, pts):
+    h = 1e-7
     flat = pts.reshape(-1, domain.n)
     out = np.empty_like(flat)
     for i, z in enumerate(flat):
@@ -274,9 +251,9 @@ def _fd_gradient(domain: Domain, pts, h=1e-7):
     return out.reshape(pts.shape)
 
 
-def contains(domain: Domain, z, margin=0.0) -> bool:
-    """True when z lies inside the domain with the given clearance."""
-    return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < -margin))
+def contains(domain: Domain, z) -> bool:
+    """True when z lies inside the domain."""
+    return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < 0.0))
 
 
 _BRENT_RTOL = 4 * _EPS
@@ -389,10 +366,11 @@ def _tangent_frame(normal: np.ndarray) -> np.ndarray:
     return q[:, 1:n].T.copy()
 
 
-def boundary_point(domain: Domain, position, compute_line_type=False, tol=1e-9) -> BoundaryPoint:
+def boundary_point(domain: Domain, position, compute_line_type=False) -> BoundaryPoint:
     """Package a boundary position with its normal and tangent frame.
 
-    A BoundaryPoint is returned unchanged unless its line type is asked for.
+    The position must satisfy |rho| <= _BOUNDARY_TOL.  A BoundaryPoint is
+    returned unchanged unless its line type is asked for.
     """
     if isinstance(position, BoundaryPoint):
         if not compute_line_type:
@@ -400,8 +378,8 @@ def boundary_point(domain: Domain, position, compute_line_type=False, tol=1e-9) 
         position = position.position
     pos = as_point(domain, position)
     resid = float(abs(defining_function(domain, pos)))
-    if resid > tol:
-        raise DomainError(f"not a boundary point: |rho| = {resid:.3e} exceeds {tol:g}")
+    if resid > _BOUNDARY_TOL:
+        raise DomainError(f"not a boundary point: |rho| = {resid:.3e} exceeds {_BOUNDARY_TOL:g}")
     nrm = unit_normal(domain, pos)
     frame = _tangent_frame(nrm)
     bp = BoundaryPoint(position=pos, normal=nrm, tangent_frame=frame)
@@ -630,13 +608,13 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
     return pt + t * direction
 
 
-def levi_data(domain: Domain, xi, h=1e-4):
+def levi_data(domain: Domain, xi):
     """Levi form of rho at a boundary point, restricted to the tangent frame.
 
     Returns (L, grad_norm) with L of shape (n-1, n-1).  The full complex
-    Hessian is estimated with step-halved stencils and Richardson
-    extrapolation; a relative discrepancy above 1e-4 between the two raw
-    estimates raises ConvergenceError.
+    Hessian is estimated with stencils of step 1e-4 and 5e-5 and
+    Richardson extrapolation; a relative discrepancy above 1e-4 between
+    the two raw estimates raises ConvergenceError.
     """
     bp = boundary_point(domain, xi)
     gn = float(np.linalg.norm(gradient(domain, bp.position)))
@@ -646,7 +624,7 @@ def levi_data(domain: Domain, xi, h=1e-4):
     def u(w):
         return float(defining_function(domain, w))
 
-    H, gap = _stencils.hessian_richardson(u, bp.position, h)
+    H, gap = _stencils.hessian_richardson(u, bp.position, 1e-4)
     if gap > 1e-4:
         raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")
     frame = bp.tangent_frame
@@ -654,14 +632,14 @@ def levi_data(domain: Domain, xi, h=1e-4):
     return (L + L.conj().T) / 2.0, gn
 
 
-def line_type(domain: Domain, xi, max_degree=8) -> int:
+def line_type(domain: Domain, xi) -> int:
     """Order of boundary flatness along complex tangent lines at xi.
 
     Probes |rho| on circles of radii eps around xi inside sampled
     complex tangent lines, fits the growth exponent on a log-log ladder,
     and snaps it to an even integer (ties upward).  Returns the largest
     snapped order over the sampled directions, at least 2 and capped at
-    max_degree (with a warning when the cap binds).
+    _MAX_LINE_TYPE (with a warning when the cap binds).
     """
     if domain.n < 2:
         raise UnsupportedDomainError("line type needs a domain in C^n with n >= 2")
@@ -703,7 +681,7 @@ def line_type(domain: Domain, xi, max_degree=8) -> int:
         order = int(2 * math.floor(slope / 2.0 + 0.5))
         order = max(order, 2)
         best = max(best, order)
-    if best > max_degree or saturated:
-        warnings.warn(f"line type saturates the probe: at least {max_degree}")
-        return max_degree
+    if best > _MAX_LINE_TYPE or saturated:
+        warnings.warn(f"line type saturates the probe: at least {_MAX_LINE_TYPE}")
+        return _MAX_LINE_TYPE
     return best

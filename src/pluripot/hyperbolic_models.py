@@ -138,18 +138,16 @@ class AngularApproach:
         return self.parameters() * complex(self.xi)
 
 
-def angular_derivative(f, xi, approach=None) -> complex:
+def angular_derivative(f, xi) -> complex:
     """Angular derivative of a holomorphic self-map of the disc at xi.
 
     Extrapolates the difference quotients (sigma - f(z_k)) / (xi - z_k)
-    along the approach ladder, where sigma is the extrapolated boundary
-    value of f.  A mismatch above 1e-4 between |result| and the Julia
+    along the radial ladder AngularApproach(xi), where sigma is the
+    extrapolated boundary value of f.  A mismatch above 1e-4 between |result| and the Julia
     modulus ladder (1-|f(z)|)/(1-|z|) triggers a warning.
     """
     xi = complex(xi)
-    if approach is None:
-        approach = AngularApproach(xi=xi)
-    pts = approach.points()
+    pts = AngularApproach(xi=xi).points()
     fv = np.array([complex(f(z)) for z in pts])
     # Ladder values converge geometrically until they hit the roundoff
     # plateau; the boundary value must be extrapolated from clean rungs.

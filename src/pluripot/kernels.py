@@ -145,12 +145,12 @@ def poisson_kernel(dom: Domain, xi, z, method="auto") -> KernelValue:
     return KernelValue(float(geo), "geodesic_formula", 0.0)
 
 
-def green_function(dom: Domain, w, z, tol=None) -> KernelValue:
+def green_function(dom: Domain, w, z) -> KernelValue:
     """Green function G_w(z) = log tanh(k(z, w)/2).
 
     Needs a convex domain; the annulus is rejected.  With only two-sided
     distance bounds the value is the midpoint and the uncertainty half
-    the induced width; tol, when given, caps the acceptable width.
+    the induced width.
     """
     if dom.kind == "annulus":
         raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
@@ -165,10 +165,7 @@ def green_function(dom: Domain, w, z, tol=None) -> KernelValue:
     ghi = _log_tanh_half(bound.upper)
     if glo == GREEN_POLE:
         raise ConvergenceError("distance lower bound degenerate at the pole")
-    width = ghi - glo
-    if tol is not None and width > tol:
-        raise ConvergenceError(f"Green value ambiguous: bound width {width:.3e} exceeds {tol:g}")
-    return KernelValue(0.5 * (glo + ghi), "limit_ladder", 0.5 * width)
+    return KernelValue(0.5 * (glo + ghi), "limit_ladder", 0.5 * (ghi - glo))
 
 
 def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:

@@ -33,14 +33,23 @@ class HessianSample:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification check over a sample set."""
+    """Outcome of one verification check over a sample set.
+
+    The verdict is not stored: it is computed from max_residual,
+    tolerance and uncertainty (the stencil or ladder uncertainty of the
+    residual, which is not serialized), so it cannot disagree with them.
+    """
 
     check: str
     samples: int
     max_residual: float
     tolerance: float
-    verdict: str
     details: dict = field(default_factory=dict, compare=False)
+    uncertainty: float = 0.0
+
+    @property
+    def verdict(self) -> str:
+        return _verdict(self.max_residual, self.tolerance, self.uncertainty)
 
     def to_json(self) -> dict:
         return {
@@ -66,7 +75,7 @@ def _worst(*values):
     return worst
 
 
-def _verdict(residual: float, tol: float, uncertainty: float = 0.0) -> str:
+def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     # A NaN or infinite residual or uncertainty is no evidence either way.
     if not (math.isfinite(residual) and math.isfinite(uncertainty)):
         return "fail"
@@ -145,17 +154,19 @@ def _psh_report(hessians, tol) -> VerificationReport:
         samples=len(hessians),
         max_residual=worst,
         tolerance=tol,
-        verdict=_verdict(worst, tol, uncertainty=gap_max),
         details=details,
+        uncertainty=gap_max,
     )
 
 
-def harmonic_along_geodesic(u, phi, samples, h=1e-3, tol=1e-5) -> VerificationReport:
+def harmonic_along_geodesic(u, phi, samples, tol=1e-5) -> VerificationReport:
     """Harmonicity of u composed with a geodesic disc.
 
     Uses the Richardson-combined 5-point Laplacian (4 L_{h/2} - L_h)/3
-    at each disc sample; the stencil must stay inside the unit disc.
+    with h = 1e-3 at each disc sample; the stencil must stay inside the
+    unit disc.
     """
+    h = 1e-3
     samples = [complex(zeta) for zeta in samples]
     worst = 0.0
     for zeta in samples:
@@ -168,7 +179,6 @@ def harmonic_along_geodesic(u, phi, samples, h=1e-3, tol=1e-5) -> VerificationRe
         samples=len(samples),
         max_residual=worst,
         tolerance=tol,
-        verdict=_verdict(worst, tol),
         details={},
     )
 
@@ -249,7 +259,6 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
         samples=count,
         max_residual=residual,
         tolerance=tol,
-        verdict=_verdict(residual, tol),
         details={
             "member": member,
             "dominated": dominated,

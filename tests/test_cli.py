@@ -293,3 +293,51 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert pluripot.__version__ == match.group(1)
+
+
+def test_verify_suite_flag_is_usage_error(capsys):
+    # The suite is named only by the positional argument.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "annulus"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite, domain", [
+    ("poisson_horofunction", "half_plane"),
+    ("main2_estimate", "half_plane"),
+    ("phragmen_lindelof", "half_plane"),
+    ("asymptoticity", "half_plane"),
+    ("asymptoticity", "disc"),
+    ("reproducing", "disc"),
+])
+def test_verify_unsupported_domain_names_suite_and_domain(suite, domain, capsys):
+    from pluripot import UnsupportedDomainError, run_suite
+
+    with pytest.raises(UnsupportedDomainError, match=f"^{suite} needs .*; got {domain}$"):
+        run_suite(suite, {"domain": domain})
+    rc = main(["verify", suite, "--domain", domain])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {suite} needs ")
+    assert captured.err.endswith(f"; got {domain}\n")
+
+
+def test_sweep_huge_integer_power_finishes():
+    # Integer constants are floats, so 9**9**9 overflows at once and marks
+    # the row outside; as integer arithmetic it would run for hours.  The
+    # timeout makes a regression fail instead of hanging the test run.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "pluripot", "sweep", "poisson", "--domain", "ball2",
+                           "--xi", "e1", "--z", "9**9**9*0,0", "--grid-t", "0:0.5:2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    rows, _ = _csv_rows(proc.stdout)
+    assert [r["status"] for r in rows] == ["outside", "outside"]

@@ -1,4 +1,5 @@
-"""What the package imports: every imported name is used, and no scipy."""
+"""What the package imports and offers: every imported name is used, no
+scipy, and no keyword default that no caller changes."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import sys
 import pluripot
 
 SRC = pathlib.Path(pluripot.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def _unused_imports(tree):
@@ -37,6 +39,62 @@ def test_no_unused_imports():
 def test_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
+
+
+def _unset_defaults(defs_tree, call_trees):
+    """(line, function, parameter) of each keyword default in defs_tree
+    that no call in call_trees overrides, by keyword or by position.
+
+    Calls are matched by the called name alone, so a call of another
+    function of the same name counts too; a call with *args or **kwargs
+    counts as overriding everything.
+    """
+    calls = {}
+    for tree in call_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for node in ast.walk(defs_tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, param in params:
+            if not any(any(k.arg in (param, None) for k in call.keywords)
+                       or (index is not None and len(call.args) > index)
+                       or any(isinstance(a, ast.Starred) for a in call.args)
+                       for call in calls.get(node.name, [])):
+                found.append((node.lineno, node.name, param))
+    return found
+
+
+# A test oracle: its sample count, shell width and seed are what make it
+# an independent reference, and a test would only set them to make it
+# cheaper or weaker.
+_DEFAULTS_EXEMPT = {"montecarlo_surface_measure"}
+
+
+def test_every_keyword_default_is_overridden_somewhere():
+    # A keyword default that no caller changes is a setting with one value
+    # in use: it belongs in the function body or a module constant.
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    call_trees = [ast.parse(path.read_text()) for path in paths]
+    unset = {path.name: [f for f in _unset_defaults(tree, call_trees) if f[1] not in _DEFAULTS_EXEMPT]
+             for path, tree in zip(paths, call_trees) if path.parent == SRC}
+    assert {name: found for name, found in unset.items() if found} == {}
+
+
+def test_unset_default_is_found():
+    defs = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                     "def g(a=0):\n    pass\n")
+    calls = ast.parse("f(0, 5)\nf(0, d=4)\nm.g(*xs)\n")
+    assert _unset_defaults(defs, [defs, calls]) == [(1, "f", "c")]
 
 
 def test_import_loads_no_scipy():

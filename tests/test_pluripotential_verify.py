@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from pluripot import (
     annulus_horofunction,
@@ -313,3 +314,36 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     assert [rep.samples for rep in reports[:2]] == [200, 200]
     assert projected.count("egg4") == 200
     assert len(hessians) == 400
+
+
+def test_report_verdict_is_derived_from_its_numbers():
+    import dataclasses
+
+    from pluripot import VerificationReport
+
+    def report(residual, tol=1e-6, uncertainty=0.0):
+        return VerificationReport(check="c", samples=1, max_residual=residual, tolerance=tol,
+                                  uncertainty=uncertainty)
+
+    for residual in (math.nan, math.inf, -math.inf):
+        assert report(residual, tol=10.0).verdict == "fail"
+    assert report(1e-9).verdict == "pass"
+    assert report(2e-6, uncertainty=1e-3).verdict == "inconclusive"
+    assert report(1e-9, uncertainty=math.nan).verdict == "fail"
+    # The uncertainty decides no verdict on its own and is not serialized.
+    assert "uncertainty" not in report(1e-9).to_json()
+    assert report(1e-9).to_json()["verdict"] == "pass"
+    with pytest.raises(TypeError):
+        dataclasses.replace(report(1.0), verdict="pass")
+
+
+def test_phragmen_expectation_mismatch_fails_at_any_tolerance():
+    # With tol = 10 the halved kernel reads as a member, against its
+    # expected flags: a forced failure, which no tolerance may turn into
+    # a pass.
+    from pluripot import run_suite
+
+    halves = [r for r in run_suite("phragmen_lindelof", {"tol": 10.0})
+              if r.check.endswith(",kernel_half]")]
+    assert len(halves) == 2
+    assert all(r.verdict == "fail" and r.max_residual == math.inf for r in halves)
