@@ -20,9 +20,9 @@ from .hyperbolic_models import (disc_distance, halfplane_distance, strip_distanc
                                 cayley, cayley_inverse, poisson_disc, poisson_halfplane,
                                 horofunction_disc, annulus_horofunction,
                                 AngularApproach, angular_derivative)
-from .kernels import (GREEN_POLE, KernelValue, poisson_kernel, green_function,
-                      horofunction, green_normal_derivative, horosphere_contains,
-                      k_region_contains, boundary_distance_asymptotic)
+from .kernels import (GREEN_POLE, KernelValue, ClosedFormKernel, poisson_kernel,
+                      green_function, horofunction, green_normal_derivative,
+                      horosphere_contains, k_region_contains, boundary_distance_asymptotic)
 from .pluripotential_verify import (HessianSample, VerificationReport, complex_hessian,
                                     monge_ampere_residual, psh_check, harmonic_along_geodesic,
                                     phragmen_lindelof_compare, laplacian_1d,
@@ -48,8 +48,8 @@ __all__ = [
     "disc_distance", "halfplane_distance", "strip_distance", "annulus_distance", "cayley",
     "cayley_inverse", "poisson_disc", "poisson_halfplane", "horofunction_disc",
     "annulus_horofunction", "AngularApproach", "angular_derivative",
-    "GREEN_POLE", "KernelValue", "poisson_kernel", "green_function", "horofunction",
-    "green_normal_derivative", "horosphere_contains", "k_region_contains",
+    "GREEN_POLE", "KernelValue", "ClosedFormKernel", "poisson_kernel", "green_function",
+    "horofunction", "green_normal_derivative", "horosphere_contains", "k_region_contains",
     "boundary_distance_asymptotic",
     "HessianSample", "VerificationReport", "complex_hessian", "monge_ampere_residual",
     "psh_check", "harmonic_along_geodesic",

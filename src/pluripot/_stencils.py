@@ -8,60 +8,84 @@ equal to the identity matrix.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def directional_laplacian(u, z, v, h, u0):
-    """Quarter of the 4-point Laplacian of u along the complex line z + C v.
+def pointwise(u):
+    """The function of a stack of points (k, n) that applies u to each row."""
+    return lambda pts: np.array([u(p) for p in pts])
 
-    u0 is u(z).  Returns sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2)
-    truncation.
+
+@functools.lru_cache(maxsize=8)
+def _directions(n):
+    """Complex directions of the Hessian stencil in C^n, shape (m, n).
+
+    The coordinate axes e_j come first, then e_j + e_k, e_j - e_k,
+    e_j + i e_k and e_j - i e_k for each j < k: the order in which
+    _assemble reads their Laplacians.  Read-only, built once per n.
     """
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    s = u(z + h * v) + u(z - h * v) + u(z + 1j * h * v) + u(z - 1j * h * v)
-    return (s - 4.0 * u0) / (4.0 * h * h)
+    eye = np.eye(n)
+    rows = list(eye)
+    for j in range(n):
+        for k in range(j + 1, n):
+            rows += [eye[j] + eye[k], eye[j] - eye[k], eye[j] + 1j * eye[k], eye[j] - 1j * eye[k]]
+    table = np.array(rows, dtype=complex)
+    table.flags.writeable = False
+    return table
 
 
-def hessian_matrix(u, z, h):
-    """Complex Hessian of u at z by 4-point stencils and polarization.
+def _assemble(lap, n):
+    """Hermitian complex Hessian from the directional Laplacians lap.
 
-    Diagonal entries come from directional Laplacians along coordinate
-    axes.  Off-diagonal entries are recovered by polarization:
+    Diagonal entries are the Laplacians along the coordinate axes.
+    Off-diagonal entries are recovered by polarization:
         Re u_{j kbar} = (L(e_j + e_k) - L(e_j - e_k)) / 4
         Im u_{j kbar} = (L(e_j + i e_k) - L(e_j - i e_k)) / 4
     The result is Hermitian-symmetrized.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    u0 = u(z)
-    eye = np.eye(n)
-
-    def lap(v):
-        return directional_laplacian(u, z, v, h, u0)
-
     H = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        H[j, j] = lap(eye[j])
+        H[j, j] = lap[j]
+    i = n
     for j in range(n):
         for k in range(j + 1, n):
-            re = (lap(eye[j] + eye[k]) - lap(eye[j] - eye[k])) / 4.0
-            im = (lap(eye[j] + 1j * eye[k]) - lap(eye[j] - 1j * eye[k])) / 4.0
+            re = (lap[i] - lap[i + 1]) / 4.0
+            im = (lap[i + 2] - lap[i + 3]) / 4.0
             H[j, k] = re + 1j * im
             H[k, j] = np.conj(H[j, k])
+            i += 4
     return (H + H.conj().T) / 2.0
 
 
-def hessian_richardson(u, z, h):
+def hessian_richardson(values, z, h):
     """Step-halved complex Hessian with Richardson extrapolation.
+
+    values maps a stack of points (k, n) to their k real values; it is
+    called once, on z and the 4-point stencils of steps h and h/2 along
+    every direction of _directions(n).  The quarter Laplacian along v is
+    (sum of the 4 values - 4 u(z)) / (4 h^2), which approximates
+    sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2).
 
     Returns (matrix, gap).  The matrix is the h^2-error-cancelling
     combination (4 H(h/2) - H(h)) / 3; the gap is the relative
     discrepancy between the two raw estimates and serves as the
     truncation diagnostic.
     """
-    H1 = hessian_matrix(u, z, h)
-    H2 = hessian_matrix(u, z, h / 2.0)
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    table = _directions(n)
+    hs = np.array([h, h / 2.0])
+    hv = hs[:, None, None] * table
+    ihv = (1j * hs)[:, None, None] * table
+    # Axis 1 runs over z + h v, z - h v, z + i h v, z - i h v.
+    pts = np.stack([z + hv, z - hv, z + ihv, z - ihv], axis=1)
+    vals = values(np.concatenate([z[None, :], pts.reshape(-1, n)]))
+    u0 = vals[0]
+    s = vals[1:].reshape(2, 4, len(table))
+    lap = (s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3] - 4.0 * u0) / (4.0 * hs * hs)[:, None]
+    H1, H2 = _assemble(lap[0], n), _assemble(lap[1], n)
     scale = max(1.0, float(np.max(np.abs(H2))))
     gap = float(np.max(np.abs(H1 - H2))) / scale
     return (4.0 * H2 - H1) / 3.0, gap

@@ -36,10 +36,26 @@ def _tol(config, default: float) -> float:
     return default
 
 
+def _parse_m(text):
+    if text is None:
+        return None
+    return tuple(int(tok) for tok in str(text).split(","))
+
+
+def domain_from_config(config) -> Domain:
+    """The domain config["domain"] names, with config's "m" and "r" filled in."""
+    spec = config["domain"]
+    if isinstance(spec, Domain):
+        return spec
+    if isinstance(spec, str):
+        return make_domain(spec, m=_parse_m(config.get("m")),
+                           r=float(config["r"]) if config.get("r") is not None else None)
+    return make_domain(spec)
+
+
 def _domains(config, default_specs) -> list:
-    spec = config.get("domain")
-    if spec:
-        return [spec if isinstance(spec, Domain) else make_domain(spec)]
+    if config.get("domain"):
+        return [domain_from_config(config)]
     return [make_domain(s) for s in default_specs]
 
 
@@ -82,11 +98,6 @@ def _interior_samples(dom: Domain, count, rng, gauge_lo=0.15, gauge_hi=0.7,
             continue
         out.append(z)
     return out
-
-
-def _kernel_callable(dom: Domain, xi, scale=1.0):
-    return lambda z: scale * kernels.poisson_kernel(dom, xi, np.asarray(z, dtype=complex),
-                                                    method="closed_form").value
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +151,8 @@ def suite_main2_estimate(config) -> list:
 
     def check(dom):
         _require(dom.kind in _BALANCED, "main2_estimate", dom, "a disc, ball or ellipsoid")
+        _require(dom.kind != "ellipsoid" or dom.n == 2, "main2_estimate", dom,
+                 "an ellipsoid in C^2")
         xi = _axis_boundary(dom)
         p = np.zeros(dom.n, dtype=complex)
         p[0] = 0.3
@@ -183,8 +196,9 @@ def suite_monge_ampere(config) -> list:
     def reports_for(dom):
         if dom.n < 2:
             raise UnsupportedDomainError(f"monge_ampere needs n >= 2; {dom.label} has n = {dom.n}")
+        _require(dom.kind != "ellipsoid" or dom.n == 2, "monge_ampere", dom, "an ellipsoid in C^2")
         xi = _axis_boundary(dom)
-        u = _kernel_callable(dom, xi)
+        u = kernels.ClosedFormKernel(dom, xi, 1.0)
         rng = np.random.default_rng(_seed(config))
         # min_tangential: on the z1-axis disc of the ellipsoid the kernel
         # restricts to a harmonic function of z0 alone, so the full Hessian
@@ -486,8 +500,10 @@ def suite_phragmen_lindelof(config) -> list:
 
     def check(dom, name, scale, exp_member, exp_dominated):
         _require(dom.kind in _BALANCED, "phragmen_lindelof", dom, "a disc, ball or ellipsoid")
+        _require(dom.kind != "ellipsoid" or dom.n == 2, "phragmen_lindelof", dom,
+                 "an ellipsoid in C^2")
         xi = _axis_boundary(dom)
-        u = _kernel_callable(dom, xi, scale=scale)
+        u = kernels.ClosedFormKernel(dom, xi, scale)
         rng = np.random.default_rng(_seed(config))
         samples = _interior_samples(dom, 30, rng)
         rep = phragmen_lindelof_compare(u, dom, xi, samples, tol=tol)

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import boundary_measure, geodesics_metrics, kernels
-from ._suites import SUITES, run_suite
-from .domain_core import make_domain
+from ._suites import SUITES, domain_from_config, run_suite
+from .domain_core import BoundaryPoint, boundary_point
 from .errors import ConvergenceError, DomainError, PluripotError, UnsupportedDomainError
 
 _QUANTITIES = ("green", "poisson", "horofunction", "distance", "density")
@@ -204,20 +204,10 @@ def _parse_grid(text):
     return np.linspace(lo, hi, count)
 
 
-def _parse_m(text):
-    if text is None:
-        return None
-    return tuple(int(tok) for tok in str(text).split(","))
-
-
 def _build_domain(config):
-    spec = config.get("domain")
-    if not spec:
+    if not config.get("domain"):
         raise DomainError("a --domain is required")
-    if isinstance(spec, str):
-        return make_domain(spec, m=_parse_m(config.get("m")),
-                           r=float(config["r"]) if config.get("r") is not None else None)
-    return make_domain(spec)
+    return domain_from_config(config)
 
 
 def _load_config(args) -> dict:
@@ -254,6 +244,8 @@ def _evaluate(quantity, dom, config, env=None):
             raise DomainError(f"quantity {quantity!r} requires --{key}")
         if isinstance(raw, str):
             return _parse_point(raw, n=n, env=env)
+        if isinstance(raw, BoundaryPoint):
+            return raw
         return np.asarray(raw, dtype=complex)
 
     if quantity == "poisson":
@@ -314,11 +306,30 @@ def cmd_verify(config) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 3
 
 
+def _fixed_boundary_point(dom, config):
+    """The BoundaryPoint of a --xi that uses no grid parameter, or None.
+
+    None also when xi does not parse or is no boundary point: every row
+    then parses and checks it itself and reports what it finds.
+    """
+    raw = config.get("xi")
+    uses_xi = config.get("quantity") in ("poisson", "horofunction", "density")
+    if not (uses_xi and isinstance(raw, str)):
+        return None
+    try:
+        return boundary_point(dom, _parse_point(raw, n=dom.n, env={}))
+    except DomainError:
+        return None
+
+
 def cmd_sweep(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
     if quantity not in _QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    xi = _fixed_boundary_point(dom, config)
+    if xi is not None:
+        config = dict(config, xi=xi)
     if not config.get("grid_t"):
         raise DomainError("sweep requires --grid-t start:stop:count")
     ts = _parse_grid(config["grid_t"])

@@ -624,7 +624,8 @@ def levi_data(domain: Domain, xi):
     def u(w):
         return float(defining_function(domain, w))
 
-    H, gap = _stencils.hessian_richardson(u, bp.position, 1e-4)
+    # One point at a time: rho on a stack rounds differently on eggs.
+    H, gap = _stencils.hessian_richardson(_stencils.pointwise(u), bp.position, 1e-4)
     if gap > 1e-4:
         raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")
     frame = bp.tangent_frame

@@ -70,6 +70,14 @@ class DistanceBound:
         return self.upper - self.lower
 
 
+@functools.lru_cache(maxsize=16)
+def _catalogue_domain(kind: str, size: int) -> Domain:
+    """The egg of exponent size or the ball of dimension size, built once."""
+    if kind == "ellipsoid":
+        return domain_core.make_domain({"kind": "ellipsoid", "m": [size]})
+    return domain_core.make_domain({"kind": "ball", "n": size})
+
+
 def egg_geodesic(m: int, a) -> GeodesicDisc:
     """Catalogued geodesic of the egg |z0|^2 + |z1|^m < 1 ending at (1, 0).
 
@@ -83,7 +91,7 @@ def egg_geodesic(m: int, a) -> GeodesicDisc:
         raise DomainError("egg exponent must be an even integer >= 2")
     a = complex(a)
     s = abs(a) ** m
-    dom = domain_core.make_domain({"kind": "ellipsoid", "m": [m]})
+    dom = _catalogue_domain("ellipsoid", m)
 
     def phi(zeta):
         zeta = np.asarray(zeta, dtype=complex)
@@ -111,7 +119,7 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
         if xi_pos.ndim == 0:
             xi_pos = xi_pos.reshape(1)
     n = xi_pos.shape[0]
-    dom = domain_core.make_domain({"kind": "ball", "n": n})
+    dom = _catalogue_domain("ball", n)
     if abs(np.linalg.norm(xi_pos) - 1.0) > 1e-9:
         raise DomainError("xi must lie on the unit sphere")
     z = as_point(dom, z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics_metrics, hyperbolic_models
+from . import geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
 from .domain_core import (Domain, BoundaryPoint, as_point, boundary_distance, boundary_point,
                           defining_function)
@@ -62,27 +62,98 @@ def _egg_axis_phase(dom: Domain, xi: BoundaryPoint):
     return pos[0] / abs(pos[0])
 
 
-def _poisson_closed(dom: Domain, xi: BoundaryPoint, z):
+def _abs(w):
+    """|w| elementwise, rounded as Python's abs(complex) rounds it."""
+    return np.hypot(w.real, w.imag)
+
+
+def _closed_form(dom: Domain, xi: BoundaryPoint):
+    """Omega_xi as a function of a stack of points (..., n), or None.
+
+    The xi work (the axis phase of an egg) is done here, once.  Every
+    array operation rounds as the Python scalar formula for one point
+    does, so a stack and its points one at a time agree bit for bit:
+    |w| is hypot (np.abs rounds differently), a float power is
+    float_power (not the array **), the squared norm is a row-wise
+    matmul (not norm(axis=-1)), and the product with the conjugate egg
+    phase is written out in reals (numpy's complex multiply may fuse
+    its products).
+    """
     k = dom.kind
     if k == "disc":
-        return hyperbolic_models.poisson_disc(z[0], xi.position[0])
+        x = complex(xi.position[0])
+
+        def form(z):
+            z0 = z[..., 0]
+            r = _abs(z0)
+            if np.any(r >= 1.0):
+                raise DomainError("point must lie in the open unit disc")
+            return -(1.0 - np.float_power(r, 2)) / np.float_power(_abs(x - z0), 2)
+        return form
     if k == "half_plane":
-        shifted = complex(z[0] - xi.position[0])
-        return 2.0 * (1.0 / shifted).real
+        x = xi.position[0]
+        # Python's complex division, which numpy's does not round alike.
+        reciprocal = np.vectorize(lambda w: 2.0 * (1.0 / complex(w)).real, otypes=[float])
+        return lambda z: reciprocal(z[..., 0] - x)
     if k == "ball":
-        num = 1.0 - float(np.linalg.norm(z)) ** 2
-        den = abs(1.0 - complex(np.sum(z * np.conj(xi.position)))) ** 2
-        return -num / den
+        conj_xi = np.conj(xi.position)
+
+        def form(z):
+            re, im = z.real, z.imag
+            sq = (np.matmul(re[..., None, :], re[..., :, None])
+                  + np.matmul(im[..., None, :], im[..., :, None]))[..., 0, 0]
+            num = 1.0 - np.float_power(np.sqrt(sq), 2)
+            return -num / np.float_power(_abs(1.0 - np.sum(z * conj_xi, axis=-1)), 2)
+        return form
     if k == "ellipsoid":
         phase = _egg_axis_phase(dom, xi)
         if phase is None:
             return None
-        z0 = complex(z[0]) * np.conj(phase)
-        acc = 1.0 - abs(z0) ** 2
-        for j, mj in enumerate(dom.m):
-            acc -= abs(complex(z[j + 1])) ** mj
-        return -acc / abs(1.0 - z0) ** 2
+        cr, ci = phase.real, -phase.imag
+
+        def form(z):
+            zr, zi = z[..., 0].real, z[..., 0].imag
+            # z0 = z[0] conj(phase), in reals.
+            z0r, z0i = zr * cr - zi * ci, zr * ci + zi * cr
+            acc = 1.0 - np.float_power(np.hypot(z0r, z0i), 2)
+            for j, mj in enumerate(dom.m):
+                acc = acc - np.float_power(_abs(z[..., j + 1]), mj)
+            return -acc / np.float_power(np.hypot(1.0 - z0r, z0i), 2)
+        return form
     return None
+
+
+def _poisson_closed(dom: Domain, xi: BoundaryPoint, z):
+    """Closed-form Omega_xi at one point or a stack (..., n), or None."""
+    form = _closed_form(dom, xi)
+    return None if form is None else form(np.asarray(z, dtype=complex))
+
+
+class ClosedFormKernel:
+    """The function z -> scale * Omega_xi(z) by its closed form.
+
+    xi is parsed and its closed form set up once.  Called on one point
+    it returns a float; many() takes a stack of points (..., n) and
+    returns their values in one array evaluation, bit for bit the same
+    as point by point.  Both raise DomainError unless every point lies
+    inside the domain.
+    """
+
+    def __init__(self, dom: Domain, xi, scale: float):
+        self.dom = dom
+        self.scale = scale
+        self._form = _closed_form(dom, boundary_point(dom, xi))
+        if self._form is None:
+            raise UnsupportedDomainError(f"no closed-form kernel for {dom.label} at this point")
+
+    def __call__(self, z) -> float:
+        return float(self.many(as_point(self.dom, z)))
+
+    def many(self, pts):
+        pts = np.asarray(pts, dtype=complex)
+        if not np.all(defining_function(self.dom, pts) < 0.0):
+            raise DomainError("z must lie inside the domain")
+        return self.scale * self._form(pts)
 
 
 def _poisson_geodesic(dom: Domain, xi: BoundaryPoint, z):
@@ -139,7 +210,8 @@ def poisson_kernel(dom: Domain, xi, z, method="auto") -> KernelValue:
 
     if closed is not None and geo is not None:
         if abs(closed - geo) > 1e-7 * (1.0 + abs(closed)):
-            raise ConvergenceError(f"kernel methods disagree: closed {closed!r} vs geodesic {geo!r}")
+            raise ConvergenceError(f"kernel methods disagree: closed {float(closed)!r} "
+                                   f"vs geodesic {geo!r}")
     if closed is not None:
         return KernelValue(float(closed), "closed_form", 0.0)
     return KernelValue(float(geo), "geodesic_formula", 0.0)

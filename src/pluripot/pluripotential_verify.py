@@ -89,13 +89,16 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
 def complex_hessian(u, z, h) -> HessianSample:
     """Complex Hessian of u at z with step-halving Richardson control.
 
-    The returned matrix is the extrapolated combination of the h and
-    h/2 stencils; richardson_gap records their relative discrepancy.
+    u is a function of one point.  A kernels.ClosedFormKernel is
+    evaluated on the whole stencil as one stack.  The returned matrix is
+    the extrapolated combination of the h and h/2 stencils;
+    richardson_gap records their relative discrepancy.
     """
     z = np.asarray(z, dtype=complex)
     if not h > 0:
         raise DomainError("stencil step must be positive")
-    H, gap = _stencils.hessian_richardson(u, z, h)
+    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
+    H, gap = _stencils.hessian_richardson(values, z, h)
     return HessianSample(point=z, step=float(h), matrix=H, richardson_gap=gap)
 
 

@@ -341,3 +341,72 @@ def test_sweep_huge_integer_power_finishes():
     assert proc.returncode == 0
     rows, _ = _csv_rows(proc.stdout)
     assert [r["status"] for r in rows] == ["outside", "outside"]
+
+
+@pytest.mark.parametrize("suite, flags, rc_expected, message", [
+    ("monge_ampere", ["--domain", "ellipsoid", "--m", "4"], 0, None),
+    ("monge_ampere", ["--domain", "ellipsoid", "--m", "4,4"], 2,
+     "monge_ampere needs an ellipsoid in C^2; got ellipsoid[4,4]"),
+    ("main2_estimate", ["--domain", "ellipsoid", "--m", "4,4"], 2,
+     "main2_estimate needs an ellipsoid in C^2; got ellipsoid[4,4]"),
+    ("poisson_horofunction", ["--domain", "annulus", "--r", "0.5"], 2,
+     "poisson_horofunction needs a disc, ball or ellipsoid; got annulus[r=0.5]"),
+])
+def test_verify_domain_takes_m_and_r(suite, flags, rc_expected, message, capsys):
+    # The suite sees the domain that --m and --r complete, as eval does.
+    rc = main(["verify", suite, *flags])
+    captured = capsys.readouterr()
+    assert rc == rc_expected
+    if message is None:
+        checks = [r["check"] for r in json.loads(captured.out)["reports"]]
+        assert checks == ["psh[egg4]", "monge_ampere[egg4]", "harmonic_on_geodesics[egg4]"]
+    else:
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
+
+def test_sweep_builds_a_fixed_xi_once(monkeypatch, capsys):
+    from pluripot import domain_core
+
+    frames = []
+    tangent_frame = domain_core._tangent_frame
+
+    def counting_frame(normal):
+        frames.append(normal)
+        return tangent_frame(normal)
+
+    monkeypatch.setattr(domain_core, "_tangent_frame", counting_frame)
+    grid = ["--z", "t,0.3*s", "--grid-t=-0.95:0.95:4", "--grid-s=-1:1:3"]
+    assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "e1", *grid]) == 0
+    fixed = capsys.readouterr().out
+    assert len(frames) == 1
+    # A xi template in t is parsed and framed per row, to the same bytes.
+    assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "1+0*t,0", *grid]) == 0
+    assert capsys.readouterr().out == fixed
+    assert len(frames) == 1 + 12
+    # A fixed xi off the boundary leaves every row outside, as before.
+    assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "0.5,0", *grid]) == 0
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert [r["status"] for r in rows] == ["outside"] * 12
+    assert len(frames) == 1 + 12
+
+
+def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
+    import hashlib
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_snapshot", root / "tools" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
+    assert len(verify) == 16 and {c[1] for c in verify} == set(snapshot.SUITES)
+
+    argv = ["eval", "poisson", "--domain", "disc", "--xi", "e1", "--z", "0.5"]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    written = hashlib.sha256(out.read_bytes()).hexdigest()
+    empty = hashlib.sha256(b"").hexdigest()
+    assert snapshot.fingerprint(argv, root / "src") == f"0 {written} {empty} {empty}  " + " ".join(argv)

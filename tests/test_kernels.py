@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import (
     GREEN_POLE,
+    ClosedFormKernel,
     ConvergenceError,
+    DomainError,
+    UnsupportedDomainError,
     boundary_distance_asymptotic,
     boundary_point,
+    defining_function,
     disc_distance,
     egg_geodesic,
     green_function,
@@ -23,6 +29,7 @@ from pluripot import (
     poisson_halfplane,
     poisson_kernel,
 )
+from pluripot.kernels import _poisson_closed
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -299,3 +306,91 @@ def test_kernel_value_contract():
         from pluripot import KernelValue
 
         KernelValue(1.0, "closed_form", 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The stacked closed form against the scalar formulas, bit for bit.
+# ---------------------------------------------------------------------------
+
+_CLOSED_FORM_DOMAINS = ("disc", "half_plane", "ball2", "ball3", "egg4", "egg6",
+                        {"kind": "ellipsoid", "m": [4, 4]})
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _closed_form_oracle(dom, xi, z):
+    """Omega_xi(z) from the scalar formulas, one Python operation at a time."""
+    pos = xi.position
+    if dom.kind == "disc":
+        zeta, x = complex(z[0]), complex(pos[0])
+        return -(1.0 - abs(zeta) ** 2) / abs(x - zeta) ** 2
+    if dom.kind == "half_plane":
+        return 2.0 * (1.0 / complex(z[0] - pos[0])).real
+    if dom.kind == "ball":
+        num = 1.0 - float(np.linalg.norm(z)) ** 2
+        return -num / abs(1.0 - complex(np.sum(z * np.conj(pos)))) ** 2
+    z0 = complex(z[0]) * np.conj(pos[0] / abs(pos[0]))
+    acc = 1.0 - abs(z0) ** 2
+    for j, mj in enumerate(dom.m):
+        acc -= abs(complex(z[j + 1])) ** mj
+    return -acc / abs(1.0 - z0) ** 2
+
+
+def _draw_boundary(dom, data):
+    if dom.kind == "half_plane":
+        return np.array([1j * data.draw(st.floats(-5.0, 5.0))])
+    if dom.kind == "ball":
+        v = np.array([complex(data.draw(_UNIT), data.draw(_UNIT)) for _ in range(dom.n)])
+        norm = float(np.linalg.norm(v))
+        return v / norm if norm > 1e-3 else np.eye(dom.n)[0].astype(complex)
+    # Disc and eggs: a point of the unit circle in the z0 axis.
+    pos = np.zeros(dom.n, dtype=complex)
+    pos[0] = np.exp(1j * data.draw(st.floats(0.0, 2.0 * math.pi)))
+    return pos
+
+
+def _draw_interior(dom, data):
+    if dom.kind == "half_plane":
+        return np.array([complex(data.draw(st.floats(-5.0, -1e-3)), data.draw(st.floats(-5.0, 5.0)))])
+    v = np.array([complex(data.draw(_UNIT), data.draw(_UNIT)) for _ in range(dom.n)])
+    if float(np.max(np.abs(v))) < 1e-3:
+        v[0] = 0.5
+    z = v / minkowski_gauge(dom, v) * data.draw(st.floats(0.01, 0.99))
+    assert float(defining_function(dom, z)) < 0.0
+    return z
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_CLOSED_FORM_DOMAINS), count=st.integers(1, 9), data=st.data())
+def test_poisson_closed_on_stacks_matches_scalar_formulas(spec, count, data):
+    dom = make_domain(spec)
+    xi = boundary_point(dom, _draw_boundary(dom, data))
+    pts = np.array([_draw_interior(dom, data) for _ in range(count)])
+    stacked = _poisson_closed(dom, xi, pts)
+    by_kernel = ClosedFormKernel(dom, xi, 1.0).many(pts)
+    assert stacked.shape == (count,)
+    for z, got, again in zip(pts, stacked, by_kernel):
+        want = _closed_form_oracle(dom, xi, z)
+        assert want < 0.0
+        assert _bits(got) == _bits(want) == _bits(again)
+        assert _bits(_poisson_closed(dom, xi, z)) == _bits(want)
+        assert _bits(poisson_kernel(dom, xi, z, method="closed_form").value) == _bits(want)
+    # Any stack shape (..., n) gives the same values.
+    assert np.array_equal(_poisson_closed(dom, xi, pts[:, None, :])[:, 0], stacked)
+
+
+def test_closed_form_kernel_refuses_points_outside():
+    egg = make_domain("egg4")
+    u = ClosedFormKernel(egg, [1.0, 0.0], 2.0)
+    inside = np.array([0.2, 0.3])
+    assert u(inside) == 2.0 * poisson_kernel(egg, [1.0, 0.0], inside).value
+    for bad in (np.array([0.0, 1.1]), np.array([[0.2, 0.3], [0.0, 1.1]])):
+        with pytest.raises(DomainError, match="inside the domain"):
+            u.many(bad)
+    with pytest.raises(DomainError, match="inside the domain"):
+        u(np.array([0.0, 1.1]))
+    with pytest.raises(UnsupportedDomainError):
+        ClosedFormKernel(egg, [0.6, 0.64 ** 0.25], 1.0)

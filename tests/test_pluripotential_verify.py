@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pluripot import (
+    ClosedFormKernel,
+    DomainError,
     annulus_horofunction,
     ball_geodesic,
     boundary_distance,
@@ -347,3 +349,78 @@ def test_phragmen_expectation_mismatch_fails_at_any_tolerance():
               if r.check.endswith(",kernel_half]")]
     assert len(halves) == 2
     assert all(r.verdict == "fail" and r.max_residual == math.inf for r in halves)
+
+
+def _hessian_oracle(u, z, h):
+    """(matrix, gap) of the step-halved stencil, one point per call of u.
+
+    Each directional Laplacian evaluates u at its 4 points and at z, the
+    off-diagonal entries come from polarization, in the operation order
+    of the matrix the package returns.
+    """
+    n = len(z)
+    eye = np.eye(n)
+
+    def hessian(h):
+        def lap(v):
+            v = np.asarray(v, dtype=complex)
+            s = u(z + h * v) + u(z - h * v) + u(z + 1j * h * v) + u(z - 1j * h * v)
+            return (s - 4.0 * u(z)) / (4.0 * h * h)
+
+        H = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            H[j, j] = lap(eye[j])
+        for j in range(n):
+            for k in range(j + 1, n):
+                re = (lap(eye[j] + eye[k]) - lap(eye[j] - eye[k])) / 4.0
+                im = (lap(eye[j] + 1j * eye[k]) - lap(eye[j] - 1j * eye[k])) / 4.0
+                H[j, k] = re + 1j * im
+                H[k, j] = np.conj(H[j, k])
+        return (H + H.conj().T) / 2.0
+
+    H1, H2 = hessian(h), hessian(h / 2.0)
+    gap = float(np.max(np.abs(H1 - H2))) / max(1.0, float(np.max(np.abs(H2))))
+    return (4.0 * H2 - H1) / 3.0, gap
+
+
+@pytest.mark.parametrize("label", ["ball2", "egg4", "ball3"])
+def test_kernel_hessian_stack_matches_pointwise_bit_for_bit(label):
+    # The suite's samples: one stacked kernel call per Hessian gives the
+    # bits of 49 scalar poisson_kernel calls in the per-direction stencil.
+    from pluripot import _suites
+
+    dom = make_domain(label)
+    xi = _suites._axis_boundary(dom)
+    kernel = ClosedFormKernel(dom, xi, 1.0)
+    scalar = lambda z: poisson_kernel(dom, xi, z, method="closed_form").value
+    rng = np.random.default_rng(20240519)
+    samples = _suites._interior_samples(dom, 50, rng, gauge_lo=0.15, gauge_hi=0.6,
+                                        min_axis_gap=0.3, min_tangential=0.05)
+    for z in samples:
+        h = 1e-3 * boundary_distance(dom, z)
+        stacked = complex_hessian(kernel, z, h)
+        pointwise = complex_hessian(scalar, z, h)
+        matrix, gap = _hessian_oracle(scalar, z, h)
+        assert stacked.matrix.tobytes() == pointwise.matrix.tobytes() == matrix.tobytes()
+        assert stacked.richardson_gap == pointwise.richardson_gap == gap
+
+
+def test_plain_function_hessian_matches_oracle_bit_for_bit():
+    u = lambda z: float(np.sum(np.abs(z) ** 4)) + float((z[0] * np.conj(z[-1])).real) ** 3
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            z = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            sample = complex_hessian(u, z, 1e-3)
+            matrix, gap = _hessian_oracle(u, z, 1e-3)
+            assert sample.matrix.tobytes() == matrix.tobytes()
+            assert sample.richardson_gap == gap
+
+
+def test_hessian_stencil_leaving_the_domain_raises_on_both_paths():
+    egg = make_domain("egg4")
+    xi = boundary_point(egg, [1.0, 0.0])
+    z = np.array([0.0, 0.9])  # inside, but z + 0.2 e_2 is not
+    for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
+        with pytest.raises(DomainError, match="inside the domain"):
+            complex_hessian(u, z, 0.2)

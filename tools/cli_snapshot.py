@@ -1,0 +1,92 @@
+"""Fingerprint the output bytes of a fixed set of pluripot CLI commands.
+
+    python tools/cli_snapshot.py [CHECKOUT] > snapshot.txt
+
+Runs every command of COMMANDS with the sources under CHECKOUT/src
+(default: the checkout this script lives in), each in a fresh
+interpreter with an --out file, and prints one line per command:
+
+    <exit code> <sha256 of the --out file> <sha256 of stdout> <sha256 of stderr>  <command>
+
+A missing --out file prints as "-".  Two checkouts produce the same
+bytes on these commands exactly when their outputs diff clean:
+
+    python tools/cli_snapshot.py /path/to/other/checkout > before.txt
+    python tools/cli_snapshot.py > after.txt
+    diff before.txt after.txt
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+SUITES = ("poisson_horofunction", "main2_estimate", "monge_ampere", "reproducing",
+          "dilation", "annulus", "asymptoticity", "phragmen_lindelof")
+
+_GRIDS = ["--grid-t=-0.95:0.95:60", "--grid-s=-1:1:60"]
+
+COMMANDS = (
+    # Every suite at its default seed and at seed 1.
+    [["verify", suite] for suite in SUITES]
+    + [["verify", suite, "--seed", "1"] for suite in SUITES]
+    # The two sweeps of perfbench/run.py --workload sweep --seed 1.
+    + [["sweep", "poisson", "--domain", "egg4", "--xi", "e1",
+        "--z", "t,0.6023643249400513*s*(cos(t)+j*sin(t))"] + _GRIDS,
+       ["sweep", "green", "--domain", "ball2", "--w=0.2702782177955612,-0.19229741707058662j",
+        "--z", "0.9*t,0.4*s"] + _GRIDS]
+    # Catalogued evaluations: every route of every quantity.
+    + [line.split() for line in """\
+eval poisson --domain disc --xi e1 --z 0.5
+eval poisson --domain half_plane --xi 0 --z -0.5
+eval poisson --domain ball2 --xi e1 --z 0.5,0
+eval poisson --domain egg4 --xi e1 --z 0.2,0.3 --format csv
+eval green --domain ball3 --w 0,0,0 --z 0.1,0.2,0.3
+eval green --domain egg4 --w 0,0 --z 0.3,0.2
+eval green --domain egg4 --w 0.2,0.3 --z 0.3,0.2
+eval horofunction --domain egg4 --xi e1 --p 0.1,0 --z 0.3,0.2
+eval distance --domain annulus --r 0.5 --z 0.7 --w 0.71
+eval distance --domain egg4 --w 0.1,0.5 --z 0.4,0.1j
+eval density --domain disc --xi e1
+eval density --domain ball2 --xi 0.6,0.8
+eval density --domain egg4 --xi e1
+eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
+)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(argv, src) -> str:
+    """The snapshot line of `pluripot argv` run with the package under src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "pluripot", *argv, "--out", str(out)],
+                              env=env, cwd=tmp, capture_output=True)
+        written = _digest(out.read_bytes()) if out.exists() else "-"
+    return (f"{proc.returncode} {written} {_digest(proc.stdout)} {_digest(proc.stderr)}  "
+            + " ".join(argv))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        sys.stderr.write(__doc__)
+        return 2
+    src = (pathlib.Path(args[0]).resolve() if args else ROOT) / "src"
+    if not (src / "pluripot").is_dir():
+        sys.stderr.write(f"no pluripot sources under {src}\n")
+        return 2
+    for command in COMMANDS:
+        print(fingerprint(command, src), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
