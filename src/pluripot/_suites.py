@@ -16,9 +16,9 @@ from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
 from .domain_core import Domain, boundary_distance, boundary_point, brentq, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
-from .pluripotential_verify import (VerificationReport, _monge_ampere_residual, _psh_report,
-                                    _worst, complex_hessian, harmonic_along_geodesic, laplacian_1d,
-                                    laplacian_noise_floor, phragmen_lindelof_compare)
+from .pluripotential_verify import (VerificationReport, _geodesic_family, _monge_ampere_residual,
+                                    _psh_report, _worst, complex_hessian, harmonic_along_geodesic,
+                                    laplacian_1d, laplacian_noise_floor, phragmen_lindelof_compare)
 
 _DEFAULT_SEED = 20240519
 
@@ -36,10 +36,18 @@ def _tol(config, default: float) -> float:
     return default
 
 
-def _parse_m(text):
-    if text is None:
+def _parse_m(value):
+    """Ellipsoid exponents from --m "4,4" or a config file's "m": [4, 4]."""
+    if value is None:
         return None
-    return tuple(int(tok) for tok in str(text).split(","))
+    if isinstance(value, list):
+        if not all(type(mj) is int for mj in value):
+            raise DomainError(f"m must be a list of integers, got {value!r}")
+        return tuple(value)
+    try:
+        return tuple(int(tok) for tok in str(value).split(","))
+    except ValueError:
+        raise DomainError(f"m must be comma-separated integers, got {value!r}") from None
 
 
 def domain_from_config(config) -> Domain:
@@ -227,12 +235,7 @@ def suite_monge_ampere(config) -> list:
 
         def harmonic():
             tol = _tol(config, 1e-5)
-            if dom.kind == "ellipsoid":
-                curves = [geodesics_metrics.egg_geodesic(dom.m[0], a) for a in (0.0, 0.5, 0.25j)]
-            else:
-                bases = [np.zeros(dom.n, dtype=complex), 0.4 * xi.position,
-                         0.2 * xi.position + 0.3 * xi.tangent_frame[0]]
-                curves = [geodesics_metrics.ball_geodesic(b, xi) for b in bases]
+            curves = [phi for phi, _ in _geodesic_family(dom, xi)]
             zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
                              for rad in (0.2, 0.45, 0.7) for l in range(8)]
             worst = 0.0

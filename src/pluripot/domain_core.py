@@ -369,14 +369,16 @@ def _tangent_frame(normal: np.ndarray) -> np.ndarray:
 def boundary_point(domain: Domain, position, compute_line_type=False) -> BoundaryPoint:
     """Package a boundary position with its normal and tangent frame.
 
-    The position must satisfy |rho| <= _BOUNDARY_TOL.  A BoundaryPoint is
-    returned unchanged unless its line type is asked for.
+    The position must be finite and satisfy |rho| <= _BOUNDARY_TOL.  A
+    BoundaryPoint is returned unchanged unless its line type is asked for.
     """
     if isinstance(position, BoundaryPoint):
         if not compute_line_type:
             return position
         position = position.position
     pos = as_point(domain, position)
+    if not np.all(np.isfinite(pos)):
+        raise DomainError("a boundary point must have finite coordinates")
     resid = float(abs(defining_function(domain, pos)))
     if resid > _BOUNDARY_TOL:
         raise DomainError(f"not a boundary point: |rho| = {resid:.3e} exceeds {_BOUNDARY_TOL:g}")

@@ -247,13 +247,13 @@ def _log_poisson_upper(w) -> float:
     return math.log(w.imag) - 2.0 * math.log(abs(w + 1.0))
 
 
-def annulus_horofunction(r, xi, p, z, method="auto") -> float:
+def annulus_horofunction(r, xi, p, z, method="strip") -> float:
     """Horofunction of the annulus at an outer-circle point xi, base p.
 
-    p must be real with r < p < 1.  The closed form minimizes the strip
-    horofunction over deck lifts of z; the ladder method extrapolates
-    k(z, w_j) - k(w_j, p) along w_j = (1 - 10^-j) xi and errors when the
-    final two rungs differ by more than 1e-6.
+    p must be real with r < p < 1.  method "strip", the closed form,
+    minimizes the strip horofunction over deck lifts of z; "ladder"
+    extrapolates k(z, w_j) - k(w_j, p) along w_j = (1 - 10^-j) xi and
+    errors when the final two rungs differ by more than 1e-6.
     """
     xi = complex(xi)
     if abs(abs(xi) - 1.0) > 1e-9:
@@ -267,10 +267,10 @@ def annulus_horofunction(r, xi, p, z, method="auto") -> float:
     phase = xi / abs(xi)
     zr = z * np.conj(phase)
 
-    if method not in ("auto", "strip", "ladder"):
+    if method not in ("strip", "ladder"):
         raise DomainError(f"unknown annulus horofunction method {method!r}")
 
-    if method in ("auto", "strip"):
+    if method == "strip":
         base = _log_poisson_upper(complex(_strip_exp(r, math.log(p))))
         lift0 = np.log(zr)
         best = -math.inf

@@ -186,39 +186,31 @@ def harmonic_along_geodesic(u, phi, samples, tol=1e-5) -> VerificationReport:
     )
 
 
-def _default_curves(dom: Domain, xi: BoundaryPoint):
-    """Curves t -> gamma(t) with known normal derivative at t = 1.
+def _geodesic_family(dom: Domain, xi: BoundaryPoint):
+    """Catalogued geodesic discs ending at xi, as (map, normal derivative).
 
-    Catalogued geodesics restricted to (0, 1), plus one slanted-normal
-    segment gamma(t) = xi - (1-t)(n + 0.3 tau), whose normal component
-    of the velocity is exactly 1.
+    On an egg with xi on the z0 axis: egg_geodesic(m, a) for a in
+    (0, 0.5, 0.25j), rotated to xi.  On the disc and the ball: the
+    ball_geodesic through 0, 0.4 xi and 0.2 xi + 0.3 tau_1 (-0.3 xi on
+    the disc).
     """
-    curves = []
     if dom.kind == "ellipsoid" and dom.n == 2:
         phase = kernels._egg_axis_phase(dom, xi)
         if phase is None:
             raise UnsupportedDomainError("curve family needs an axis boundary point of the egg")
-        m = dom.m[0]
         rot = np.array([phase, 1.0], dtype=complex)
-        for a in (0.0, 0.5, 0.25j):
-            phi = geodesics_metrics.egg_geodesic(m, a)
-            curves.append((lambda t, phi=phi, rot=rot: phi(complex(t)) * rot,
-                           phi.normal_derivative))
-    elif dom.kind in ("disc", "ball"):
+        discs = [geodesics_metrics.egg_geodesic(dom.m[0], a) for a in (0.0, 0.5, 0.25j)]
+        return [(lambda t, phi=phi: phi(complex(t)) * rot, phi.normal_derivative)
+                for phi in discs]
+    if dom.kind in ("disc", "ball"):
         bases = [np.zeros(dom.n, dtype=complex), 0.4 * xi.position]
         if dom.n >= 2:
             bases.append(0.2 * xi.position + 0.3 * xi.tangent_frame[0])
         else:
-            bases.append(np.asarray([-0.3 * xi.position[0]]))
-        for base in bases:
-            phi = geodesics_metrics.ball_geodesic(base, xi)
-            curves.append((phi, phi.normal_derivative))
-    else:
-        raise UnsupportedDomainError(f"no catalogued curve family for {dom.label}")
-    if dom.n >= 2:
-        vel = xi.normal + 0.3 * xi.tangent_frame[0]
-        curves.append((lambda t: xi.position - (1.0 - complex(t)) * vel, 1.0))
-    return curves
+            bases.append(-0.3 * xi.position)
+        discs = [geodesics_metrics.ball_geodesic(base, xi) for base in bases]
+        return [(phi, phi.normal_derivative) for phi in discs]
+    raise UnsupportedDomainError(f"no catalogued curve family for {dom.label}")
 
 
 def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3) -> VerificationReport:
@@ -232,7 +224,11 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     """
     xi = domain_core.boundary_point(dom, xi)
     if curves is None:
-        curves = _default_curves(dom, xi)
+        curves = _geodesic_family(dom, xi)
+        if dom.n >= 2:
+            # A slanted-normal segment; its velocity has normal component 1.
+            vel = xi.normal + 0.3 * xi.tangent_frame[0]
+            curves.append((lambda t: xi.position - (1.0 - complex(t)) * vel, 1.0))
 
     member_viol = 0.0
     curve_limits = []

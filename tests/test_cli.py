@@ -410,3 +410,33 @@ def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     written = hashlib.sha256(out.read_bytes()).hexdigest()
     empty = hashlib.sha256(b"").hexdigest()
     assert snapshot.fingerprint(argv, root / "src") == f"0 {written} {empty} {empty}  " + " ".join(argv)
+
+
+def test_eval_refuses_a_nan_boundary_point(capsys):
+    rc = main(["eval", "poisson", "--domain", "ball2", "--xi", "nan,0", "--z", "0.1,0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "finite" in err
+
+
+def test_sweep_writes_no_ok_row_for_a_nan_boundary_point(capsys):
+    rc = main(["sweep", "poisson", "--domain", "egg4", "--xi", "0*1e400,0", "--z", "t,0",
+               "--grid-t", "0:0.5:2"])
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert rc == 0
+    assert len(rows) == 2
+    assert all(r["status"] != "ok" for r in rows)
+
+
+@pytest.mark.parametrize("m, rc_expected", [([4, 4], 0), ("4,4", 0), ([4.5, 4], 2), (["4", "4"], 2),
+                                            ("4,x", 2), ({"m": 4}, 2)])
+def test_config_file_ellipsoid_exponents(m, rc_expected, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": "ellipsoid", "m": m, "xi": "e1", "z": "0.1,0.1,0.1"}))
+    rc = main(["eval", "poisson", "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert rc == rc_expected
+    if rc == 0:
+        assert json.loads(out.out)["rows"][0]["method"] == "closed_form"
+    else:
+        assert "m must be" in out.err

@@ -178,3 +178,10 @@ def test_horofunction_disc_closed_form():
     for z in (0.3, -0.4 + 0.2j):
         expected = math.log(abs(1 - z) ** 2 / (1 - abs(z) ** 2))
         assert abs(horofunction_disc(1.0, 0.0, z) - expected) < 1e-12
+
+
+def test_annulus_horofunction_methods_are_strip_and_ladder():
+    r, p, z = 0.5, 0.7, 0.6 + 0.2j
+    assert annulus_horofunction(r, 1.0, p, z) == annulus_horofunction(r, 1.0, p, z, method="strip")
+    with pytest.raises(DomainError, match="unknown annulus horofunction method"):
+        annulus_horofunction(r, 1.0, p, z, method="auto")

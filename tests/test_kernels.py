@@ -18,6 +18,7 @@ from pluripot import (
     defining_function,
     disc_distance,
     egg_geodesic,
+    gamma_lambda,
     green_function,
     green_normal_derivative,
     horofunction,
@@ -29,7 +30,8 @@ from pluripot import (
     poisson_halfplane,
     poisson_kernel,
 )
-from pluripot.kernels import _poisson_closed
+from pluripot import kernels
+from pluripot.kernels import _closed_form
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -369,17 +371,17 @@ def test_poisson_closed_on_stacks_matches_scalar_formulas(spec, count, data):
     dom = make_domain(spec)
     xi = boundary_point(dom, _draw_boundary(dom, data))
     pts = np.array([_draw_interior(dom, data) for _ in range(count)])
-    stacked = _poisson_closed(dom, xi, pts)
+    stacked = _closed_form(dom, xi)(pts)
     by_kernel = ClosedFormKernel(dom, xi, 1.0).many(pts)
     assert stacked.shape == (count,)
     for z, got, again in zip(pts, stacked, by_kernel):
         want = _closed_form_oracle(dom, xi, z)
         assert want < 0.0
         assert _bits(got) == _bits(want) == _bits(again)
-        assert _bits(_poisson_closed(dom, xi, z)) == _bits(want)
+        assert _bits(_closed_form(dom, xi)(z)) == _bits(want)
         assert _bits(poisson_kernel(dom, xi, z, method="closed_form").value) == _bits(want)
     # Any stack shape (..., n) gives the same values.
-    assert np.array_equal(_poisson_closed(dom, xi, pts[:, None, :])[:, 0], stacked)
+    assert np.array_equal(_closed_form(dom, xi)(pts[:, None, :])[:, 0], stacked)
 
 
 def test_closed_form_kernel_refuses_points_outside():
@@ -394,3 +396,69 @@ def test_closed_form_kernel_refuses_points_outside():
         u(np.array([0.0, 1.1]))
     with pytest.raises(UnsupportedDomainError):
         ClosedFormKernel(egg, [0.6, 0.64 ** 0.25], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The geodesic route is the reference for the closed form; auto never takes it.
+# ---------------------------------------------------------------------------
+
+_ROTATED = np.exp(0.7j)
+_ROUTE_PAIRS = [("disc", [1.0]), ("disc", [_ROTATED]),
+                ("ball2", [1.0, 0.0]), ("ball2", [_ROTATED, 0.0]), ("ball2", [0.6, 0.8j]),
+                ("ball3", [1.0, 0.0, 0.0]), ("ball3", [_ROTATED, 0.0, 0.0]), ("ball3", [0.6, 0.48j, 0.64])]
+_ROUTE_PAIRS += [(egg, pos) for egg in ("egg2", "egg4", "egg6") for pos in ([1.0, 0.0], [_ROTATED, 0.0])]
+
+
+def _route_points(dom, xi):
+    """Random interior points, some near the boundary, and the normal ladder at xi."""
+    rng = np.random.default_rng(59)
+    pts = [_random_interior(dom, rng) for _ in range(10)]
+    pts += [_random_interior(dom, rng, lo=1.0 - 10.0 ** (-k), hi=1.0 - 10.0 ** (-k)) for k in range(2, 7)]
+    pts += [xi.position - 10.0 ** (-j) * xi.normal for j in range(1, 9)]
+    if dom.kind == "ball" and dom.n == 2 and xi.position[0] == 1.0:
+        # The rungs of special_curve_limit, tangent to the sphere at xi.
+        for lam in (0.0, 0.3, 0.6j):
+            curve = gamma_lambda(lam)
+            pts += [curve(1.0 - 10.0 ** (-j)) for j in range(1, 9)]
+    return pts
+
+
+@pytest.mark.parametrize("spec, pos", _ROUTE_PAIRS)
+def test_closed_form_matches_geodesic_route(spec, pos):
+    dom = make_domain(spec)
+    xi = boundary_point(dom, np.array(pos, dtype=complex))
+    for z in _route_points(dom, xi):
+        closed = poisson_kernel(dom, xi, z, method="closed_form").value
+        geo = poisson_kernel(dom, xi, z, method="geodesic_formula").value
+        assert abs(closed - geo) <= 1e-7 * (1.0 + abs(closed)), (z, closed, geo)
+
+
+def test_auto_never_takes_the_geodesic_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("auto evaluated the geodesic route")
+
+    monkeypatch.setattr(kernels, "_poisson_geodesic", refuse)
+    cases = (("disc", [1.0], [0.0], [0.4j]),
+             ("half_plane", [0.0], [-1.0], [-0.5]),
+             ("ball2", [0.6, 0.8j], [0.0, 0.0], [0.1, 0.2]),
+             ("ball3", [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]),
+             ("egg4", [_ROTATED, 0.0], [0.0, 0.0], [0.2, 0.3j]),
+             ({"kind": "ellipsoid", "m": [4, 4]}, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]))
+    for spec, xi, p, z in cases:
+        dom = make_domain(spec)
+        assert poisson_kernel(dom, xi, z).method == "closed_form"
+        assert horofunction(dom, xi, p, z).method == "closed_form"
+    with pytest.raises(AssertionError, match="geodesic route"):
+        poisson_kernel(make_domain("ball2"), [1.0, 0.0], [0.1, 0.2], method="geodesic_formula")
+
+
+def test_horofunction_kernel_form_without_closed_form_raises_at_once(monkeypatch):
+    gc = make_domain({"kind": "general_convex", "n": 2},
+                     rho=lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0)
+
+    def no_ladder(*args):
+        raise AssertionError("the kernel form ran a Green ladder")
+
+    monkeypatch.setattr(kernels, "green_normal_derivative", no_ladder)
+    with pytest.raises(UnsupportedDomainError, match="no closed-form kernel"):
+        horofunction(gc, [1.0, 0.0], [0.0, 0.0], [0.3, 0.2], method="kernel")

@@ -44,11 +44,15 @@ COMMANDS = (
 eval poisson --domain disc --xi e1 --z 0.5
 eval poisson --domain half_plane --xi 0 --z -0.5
 eval poisson --domain ball2 --xi e1 --z 0.5,0
+eval poisson --domain ball3 --xi e1 --z 0.1,0.2,0.3
 eval poisson --domain egg4 --xi e1 --z 0.2,0.3 --format csv
+eval poisson --domain egg4 --xi 0.6+0.8j,0 --z 0.2,0.3j
 eval green --domain ball3 --w 0,0,0 --z 0.1,0.2,0.3
 eval green --domain egg4 --w 0,0 --z 0.3,0.2
 eval green --domain egg4 --w 0.2,0.3 --z 0.3,0.2
 eval horofunction --domain egg4 --xi e1 --p 0.1,0 --z 0.3,0.2
+eval horofunction --domain ball2 --xi e1 --p 0,0 --z 0.3,0.2
+eval horofunction --domain disc --xi e1 --p 0 --z 0.4j
 eval distance --domain annulus --r 0.5 --z 0.7 --w 0.71
 eval distance --domain egg4 --w 0.1,0.5 --z 0.4,0.1j
 eval density --domain disc --xi e1
