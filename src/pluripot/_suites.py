@@ -7,6 +7,7 @@ identical bundles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -16,9 +17,10 @@ from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
 from .domain_core import Domain, boundary_distance, boundary_point, brentq, make_domain, minkowski_gauge
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
-from .pluripotential_verify import (VerificationReport, _geodesic_family, _monge_ampere_residual,
-                                    _psh_report, _worst, complex_hessian, harmonic_along_geodesic,
-                                    laplacian_1d, laplacian_noise_floor, phragmen_lindelof_compare)
+from .pluripotential_verify import (VerificationReport, _geodesic_family, _geodesic_laplacians,
+                                    _monge_ampere_residual, _psh_report, _report, _worst,
+                                    complex_hessian, laplacian_1d, laplacian_noise_floor,
+                                    phragmen_lindelof_compare)
 
 _DEFAULT_SEED = 20240519
 
@@ -61,19 +63,22 @@ def domain_from_config(config) -> Domain:
     return make_domain(spec)
 
 
-def _domains(config, default_specs) -> list:
-    if config.get("domain"):
-        return [domain_from_config(config)]
-    return [make_domain(s) for s in default_specs]
+# A suite's domain needs, as (test, message tail formatted with dom).
+_BALANCED = (lambda dom: dom.kind in ("disc", "ball", "ellipsoid"),
+             "a disc, ball or ellipsoid; got {dom.label}")
+_ELLIPSOID_IN_C2 = (lambda dom: dom.kind != "ellipsoid" or dom.n == 2,
+                    "an ellipsoid in C^2; got {dom.label}")
 
 
-_BALANCED = ("disc", "ball", "ellipsoid")
-
-
-def _require(ok, suite, dom: Domain, needs):
-    """Raise UnsupportedDomainError naming the suite and the domain unless ok."""
-    if not ok:
-        raise UnsupportedDomainError(f"{suite} needs {needs}; got {dom.label}")
+def _domains(config, default_specs, suite, needs) -> list:
+    """The --domain, checked once against the suite's needs, else the defaults."""
+    if not config.get("domain"):
+        return [make_domain(s) for s in default_specs]
+    dom = domain_from_config(config)
+    for ok, tail in needs:
+        if not ok(dom):
+            raise UnsupportedDomainError(f"{suite} needs " + tail.format(dom=dom))
+    return [dom]
 
 
 def _axis_boundary(dom: Domain):
@@ -116,26 +121,21 @@ def suite_poisson_horofunction(config) -> list:
     tol = _tol(config, 1e-5)
 
     def check(dom):
-        _require(dom.kind in _BALANCED, "poisson_horofunction", dom, "a disc, ball or ellipsoid")
         rng = np.random.default_rng(_seed(config))
         xi = _axis_boundary(dom)
-        worst = 0.0
-        unc_max = 0.0
+        residuals, uncertainties = [], []
         for _ in range(20):
             p = _interior_samples(dom, 1, rng)[0]
             z = _interior_samples(dom, 1, rng)[0]
             ladder = kernels.horofunction(dom, xi, p, z, method="ladder")
             kernel = kernels.horofunction(dom, xi, p, z, method="kernel")
-            worst = _worst(worst, abs(ladder.value - kernel.value))
-            unc_max = _worst(unc_max, ladder.uncertainty)
-        return VerificationReport(
-            check=f"poisson_horofunction[{dom.label}]",
-            samples=20, max_residual=worst, tolerance=tol,
-            uncertainty=unc_max,
-            details={"ladder_uncertainty_max": unc_max},
-        )
+            residuals.append(abs(ladder.value - kernel.value))
+            uncertainties.append(ladder.uncertainty)
+        unc_max = _worst(0.0, *uncertainties)
+        return _report(f"poisson_horofunction[{dom.label}]", residuals, tol,
+                       uncertainty=unc_max, details={"ladder_uncertainty_max": unc_max})
 
-    doms = _domains(config, ("ball2", "egg4"))
+    doms = _domains(config, ("ball2", "egg4"), "poisson_horofunction", (_BALANCED,))
     return [check(d) for d in doms]
 
 
@@ -158,9 +158,6 @@ def suite_main2_estimate(config) -> list:
     delta = 1e-6
 
     def check(dom):
-        _require(dom.kind in _BALANCED, "main2_estimate", dom, "a disc, ball or ellipsoid")
-        _require(dom.kind != "ellipsoid" or dom.n == 2, "main2_estimate", dom,
-                 "an ellipsoid in C^2")
         xi = _axis_boundary(dom)
         p = np.zeros(dom.n, dtype=complex)
         p[0] = 0.3
@@ -180,14 +177,10 @@ def suite_main2_estimate(config) -> list:
             z = _point_at_delta(dom, curve, delta)
             k = geodesics_metrics.kobayashi_distance(dom, z, p)
             residuals[name] = abs(k.value + math.log(boundary_distance(dom, z)) + shift)
-        worst = _worst(*residuals.values())
-        return VerificationReport(
-            check=f"main2_estimate[{dom.label}]",
-            samples=len(approaches), max_residual=worst, tolerance=tol,
-            details={"delta": delta, "residuals": residuals},
-        )
+        return _report(f"main2_estimate[{dom.label}]", list(residuals.values()), tol,
+                       details={"delta": delta, "residuals": residuals})
 
-    doms = _domains(config, ("ball2", "egg4"))
+    doms = _domains(config, ("ball2", "egg4"), "main2_estimate", (_BALANCED, _ELLIPSOID_IN_C2))
     return [check(d) for d in doms]
 
 
@@ -199,12 +192,9 @@ def suite_monge_ampere(config) -> list:
     uname = config.get("u", "poisson")
     if uname != "poisson":
         raise UnsupportedDomainError(f"no catalogued test function named {uname!r}")
-    n_samples = 200
-
-    def reports_for(dom):
-        if dom.n < 2:
-            raise UnsupportedDomainError(f"monge_ampere needs n >= 2; {dom.label} has n = {dom.n}")
-        _require(dom.kind != "ellipsoid" or dom.n == 2, "monge_ampere", dom, "an ellipsoid in C^2")
+    reports = []
+    needs = ((lambda dom: dom.n >= 2, "n >= 2; {dom.label} has n = {dom.n}"), _ELLIPSOID_IN_C2)
+    for dom in _domains(config, ("ball2", "egg4"), "monge_ampere", needs):
         xi = _axis_boundary(dom)
         u = kernels.ClosedFormKernel(dom, xi, 1.0)
         rng = np.random.default_rng(_seed(config))
@@ -212,49 +202,23 @@ def suite_monge_ampere(config) -> list:
         # restricts to a harmonic function of z0 alone, so the full Hessian
         # degenerates (largest eigenvalue ~ 4|z1|^2) and the determinant
         # ratio turns into stencil noise divided by |z1|^4.
-        samples = _interior_samples(dom, n_samples, rng,
+        samples = _interior_samples(dom, 200, rng,
                                     gauge_lo=0.15, gauge_hi=0.6,
                                     min_axis_gap=0.3, min_tangential=0.05)
         # One projection and one Hessian per sample serve both reports.
         hessians = [complex_hessian(u, z, 1e-3 * boundary_distance(dom, z)) for z in samples]
-
-        def psh():
-            rep = _psh_report(hessians, _tol(config, 1e-6))
-            return replace(rep, check=f"psh[{dom.label}]")
-
-        def ma():
-            tol = _tol(config, 1e-5)
-            worst = 0.0
-            for sample in hessians:
-                worst = _worst(worst, _monge_ampere_residual(sample))
-            return VerificationReport(
-                check=f"monge_ampere[{dom.label}]",
-                samples=n_samples, max_residual=worst, tolerance=tol,
-                details={},
-            )
-
-        def harmonic():
-            tol = _tol(config, 1e-5)
-            curves = [phi for phi, _ in _geodesic_family(dom, xi)]
-            zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
-                             for rad in (0.2, 0.45, 0.7) for l in range(8)]
-            worst = 0.0
-            count = 0
-            for phi in curves:
-                rep = harmonic_along_geodesic(u, phi, zetas, tol=tol)
-                worst = _worst(worst, rep.max_residual)
-                count += rep.samples
-            return VerificationReport(
-                check=f"harmonic_on_geodesics[{dom.label}]",
-                samples=count, max_residual=worst, tolerance=tol,
-                details={"curves": len(curves)},
-            )
-
-        return [psh(), ma(), harmonic()]
-
-    reports = []
-    for dom in _domains(config, ("ball2", "egg4")):
-        reports.extend(reports_for(dom))
+        curves = [phi for phi, _ in _geodesic_family(dom, xi)]
+        zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
+                         for rad in (0.2, 0.45, 0.7) for l in range(8)]
+        reports += [
+            replace(_psh_report(hessians, _tol(config, 1e-6)), check=f"psh[{dom.label}]"),
+            _report(f"monge_ampere[{dom.label}]",
+                    [_monge_ampere_residual(sample) for sample in hessians],
+                    _tol(config, 1e-5)),
+            _report(f"harmonic_on_geodesics[{dom.label}]",
+                    [r for phi in curves for r in _geodesic_laplacians(u, phi, zetas)],
+                    _tol(config, 1e-5), details={"curves": len(curves)}),
+        ]
     return reports
 
 
@@ -272,8 +236,9 @@ _PLURIHARMONIC_TESTS = (
 
 
 def suite_reproducing(config) -> list:
-    doms = _domains(config, ("ball2",))
     tol = _tol(config, 1e-3)
+    doms = _domains(config, ("ball2",), "reproducing",
+                    ((lambda dom: dom.label == "ball2", "ball2; got {dom.label}"),))
     resolution = int(config.get("resolution") or 24)
     points = [np.array([0.0, 0.0], dtype=complex),
               np.array([0.3, 0.0], dtype=complex),
@@ -283,22 +248,12 @@ def suite_reproducing(config) -> list:
 
     def check(dom):
         quad = boundary_measure.build_quadrature(dom, resolution)
-        worst = 0.0
-        per_f = {}
-        for name, F in _PLURIHARMONIC_TESTS:
-            res_f = 0.0
-            for z in points:
-                true = float(F(z[None, :])[0])
-                got = boundary_measure.reproduce_pluriharmonic(dom, F, z, quad)
-                res_f = _worst(res_f, abs(got - true))
-            per_f[name] = res_f
-            worst = _worst(worst, res_f)
-        return VerificationReport(
-            check=f"reproducing[{dom.label}]",
-            samples=len(points) * len(_PLURIHARMONIC_TESTS),
-            max_residual=worst, tolerance=tol,
-            details={"resolution": resolution, "per_function": per_f},
-        )
+        residuals = {name: [abs(boundary_measure.reproduce_pluriharmonic(dom, F, z, quad)
+                                - float(F(z[None, :])[0])) for z in points]
+                     for name, F in _PLURIHARMONIC_TESTS}
+        per_f = {name: _worst(0.0, *res) for name, res in residuals.items()}
+        return _report(f"reproducing[{dom.label}]", [r for res in residuals.values() for r in res],
+                       tol, details={"resolution": resolution, "per_function": per_f})
 
     def calibration(dom):
         name, F = _PLURIHARMONIC_TESTS[1]
@@ -312,11 +267,7 @@ def suite_reproducing(config) -> list:
             details={"function": name, "final_resolution": res, "history": history},
         )
 
-    reports = []
-    for dom in doms:
-        _require(dom.label == "ball2", "reproducing", dom, "ball2")
-        reports += [check(dom), calibration(dom)]
-    return reports
+    return [rep for dom in doms for rep in (check(dom), calibration(dom))]
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +283,15 @@ def suite_dilation(config) -> list:
         mp = dilation_jwc.map_from_spec("egg_to_ball", m=4)
         rng = np.random.default_rng(_seed(config))
         samples = _interior_samples(mp.source, 100, rng)
-        worst = dilation_jwc.omega_preserving_residual(mp, e1_2, e1_2, samples)
-        return VerificationReport(
-            check="dilation_pullback[egg4->ball2]",
-            samples=100, max_residual=worst, tolerance=tol_pullback,
-            details={},
-        )
+        return _report("dilation_pullback[egg4->ball2]",
+                       [dilation_jwc.omega_preserving_residual(mp, e1_2, e1_2, [z]) for z in samples],
+                       tol_pullback)
 
     def alpha_egg():
         mp = dilation_jwc.map_from_spec("egg_to_ball", m=4)
         alpha = dilation_jwc.normalized_dilation(mp, e1_2, e1_2)
-        residual = abs(alpha - 1.0)
-        return VerificationReport(
-            check="dilation_alpha[egg4->ball2]",
-            samples=1, max_residual=residual, tolerance=1e-8,
-            details={"alpha": alpha},
-        )
+        return _report("dilation_alpha[egg4->ball2]", [abs(alpha - 1.0)], 1e-8,
+                       details={"alpha": alpha})
 
     def julia_egg():
         mp = dilation_jwc.map_from_spec("egg_to_ball", m=4)
@@ -367,12 +311,8 @@ def suite_dilation(config) -> list:
     def alpha_identity():
         mp = dilation_jwc.map_from_spec("identity", n=2)
         alpha = dilation_jwc.normalized_dilation(mp, e1_2, e1_2)
-        residual = abs(alpha - 1.0)
-        return VerificationReport(
-            check="dilation_alpha[identity ball2]",
-            samples=1, max_residual=residual, tolerance=1e-10,
-            details={"alpha": alpha},
-        )
+        return _report("dilation_alpha[identity ball2]", [abs(alpha - 1.0)], 1e-10,
+                       details={"alpha": alpha})
 
     def projection():
         mp = dilation_jwc.map_from_spec("coordinate_projection", n=2)
@@ -382,26 +322,20 @@ def suite_dilation(config) -> list:
             mp, e1_2, np.array([1.0 + 0j]), [z])
         # The projection must NOT transport the kernel: a visible
         # deficiency at this witness point is the expected outcome.
-        residual = _worst(0.0, 1e-3 - deficiency) + abs(alpha - 1.0)
-        return VerificationReport(
-            check="dilation_projection_deficiency[ball2->disc]",
-            samples=1, max_residual=residual, tolerance=1e-6,
-            details={"alpha": alpha, "pullback_deficiency": deficiency},
-        )
+        return _report("dilation_projection_deficiency[ball2->disc]",
+                       [_worst(0.0, 1e-3 - deficiency) + abs(alpha - 1.0)], 1e-6,
+                       details={"alpha": alpha, "pullback_deficiency": deficiency})
 
     def curve(lam):
         out = dilation_jwc.special_curve_limit(lam)
         ratio = out["kernel_limit"] / -2.0
         expected_ratio = 1.0 - abs(lam) ** 2
         inv_delta = 1.0 / out["delta_ratio"]
+        # One sample: the curve's limits, checked three ways.
         residual = _worst(abs(out["kernel_limit"] - out["expected"]),
                           abs(ratio - expected_ratio),
                           abs(inv_delta - 1.0 / expected_ratio))
-        return VerificationReport(
-            check=f"dilation_gamma_curve[lam={lam}]",
-            samples=1, max_residual=residual, tolerance=tol_curve,
-            details=out,
-        )
+        return _report(f"dilation_gamma_curve[lam={lam}]", [residual], tol_curve, details=out)
 
     reports = [pullback(), alpha_egg(), julia_egg(), alpha_identity(), projection()]
     return reports + [curve(lam) for lam in (0.0, 0.3, 0.6j)]
@@ -417,7 +351,9 @@ def suite_annulus(config) -> list:
     step = 1e-4
     thetas = np.linspace(np.pi / 5.0, 2.0 * np.pi - np.pi / 5.0, 29)
 
-    def ratios_for(u):
+    def ratios_for(horofunction):
+        """Laplacian over noise floor of -exp(-horofunction) at each grid point."""
+        u = lambda z: -math.exp(-horofunction(1.0, p, complex(z)))
         out = []
         for th in thetas:
             z = p * np.exp(1j * th)
@@ -426,35 +362,26 @@ def suite_annulus(config) -> list:
             out.append(lap / floor)
         return np.asarray(out)
 
-    def annulus_check():
-        u = lambda z: -math.exp(-annulus_horofunction(r, 1.0, p, complex(z)))
-        ratios = ratios_for(u)
-        max_ratio = float(ratios.max())
-        # Non-harmonicity must be detected: some grid point at least
-        # 100x above the stencil noise floor.
-        residual = 100.0 / max_ratio
-        return VerificationReport(
+    annulus = ratios_for(functools.partial(annulus_horofunction, r))
+    annulus_max = float(annulus.max())
+    disc_max = float(ratios_for(horofunction_disc).max())
+    # Non-harmonicity must be detected: some grid point at least 100x
+    # above the stencil noise floor.  The same pipeline on the disc
+    # kernel must stay below 10x the floor at every grid point.
+    return [
+        VerificationReport(
             check=f"annulus_nonharmonic[r={r:g}]",
-            samples=len(thetas), max_residual=residual, tolerance=1.0,
-            details={"max_ratio": max_ratio,
-                     "argmax_theta": float(thetas[int(ratios.argmax())]),
+            samples=len(thetas), max_residual=100.0 / annulus_max, tolerance=1.0,
+            details={"max_ratio": annulus_max,
+                     "argmax_theta": float(thetas[int(annulus.argmax())]),
                      "step": step, "p": p},
-        )
-
-    def disc_check():
-        u = lambda z: -math.exp(-horofunction_disc(1.0, p, complex(z)))
-        ratios = ratios_for(u)
-        max_ratio = float(ratios.max())
-        # The same pipeline on the disc kernel must stay below 10x the
-        # floor at every grid point.
-        residual = max_ratio / 10.0
-        return VerificationReport(
+        ),
+        VerificationReport(
             check="disc_control_harmonic",
-            samples=len(thetas), max_residual=residual, tolerance=1.0,
-            details={"max_ratio": max_ratio, "step": step, "p": p},
-        )
-
-    return [annulus_check(), disc_check()]
+            samples=len(thetas), max_residual=disc_max / 10.0, tolerance=1.0,
+            details={"max_ratio": disc_max, "step": step, "p": p},
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +402,6 @@ def suite_asymptoticity(config) -> list:
         return phi, psi
 
     def check(dom):
-        _require(dom.kind in ("ball", "ellipsoid") and dom.n == 2, "asymptoticity", dom,
-                 "a ball or ellipsoid in C^2")
         phi, psi = pairs_for(dom)
         gaps = [geodesics_metrics.asymptoticity_gap(phi, psi, t) for t in times]
         monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
@@ -487,7 +412,9 @@ def suite_asymptoticity(config) -> list:
             details={"times": list(times), "gaps": gaps, "monotone": monotone},
         )
 
-    doms = _domains(config, ("egg2", "ball2"))
+    doms = _domains(config, ("egg2", "ball2"), "asymptoticity",
+                    ((lambda dom: dom.kind in ("ball", "ellipsoid") and dom.n == 2,
+                      "a ball or ellipsoid in C^2; got {dom.label}"),))
     return [check(d) for d in doms]
 
 
@@ -502,9 +429,6 @@ def suite_phragmen_lindelof(config) -> list:
                 ("kernel_half", 0.5, False, False))
 
     def check(dom, name, scale, exp_member, exp_dominated):
-        _require(dom.kind in _BALANCED, "phragmen_lindelof", dom, "a disc, ball or ellipsoid")
-        _require(dom.kind != "ellipsoid" or dom.n == 2, "phragmen_lindelof", dom,
-                 "an ellipsoid in C^2")
         xi = _axis_boundary(dom)
         u = kernels.ClosedFormKernel(dom, xi, scale)
         rng = np.random.default_rng(_seed(config))
@@ -519,8 +443,8 @@ def suite_phragmen_lindelof(config) -> list:
             rep = replace(rep, max_residual=math.inf)
         return rep
 
-    return [check(dom, *variant) for dom in _domains(config, ("ball2", "egg4"))
-            for variant in variants]
+    doms = _domains(config, ("ball2", "egg4"), "phragmen_lindelof", (_BALANCED, _ELLIPSOID_IN_C2))
+    return [check(dom, *variant) for dom in doms for variant in variants]
 
 
 SUITES = {

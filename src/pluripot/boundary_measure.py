@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domain_core, kernels
-from .domain_core import Domain, as_point, defining_function
+from .domain_core import Domain, defining_function, require_interior
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 _MAX_DOUBLINGS = 4
@@ -161,9 +161,7 @@ def reproduce_pluriharmonic(dom: Domain, F, z, quad: BoundaryQuadrature) -> floa
         raise DomainError("quadrature was built for a different domain")
     if dom.kind not in ("disc", "ball"):
         raise UnsupportedDomainError("kernel reproduction needs the disc or the ball")
-    z = as_point(dom, z)
-    if not float(defining_function(dom, z)) < 0.0:
-        raise DomainError("z must lie inside the domain")
+    z = require_interior(dom, z, "z")
     n = dom.n
     inner = quad.points @ np.conj(z)
     omega_abs = (1.0 - float(np.linalg.norm(z)) ** 2) / np.abs(1.0 - inner) ** 2

@@ -295,8 +295,6 @@ def _write_csv_to(config, rows, columns):
 
 def cmd_verify(config) -> int:
     name = config.get("suite")
-    if not name or name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
     reports = run_suite(name, config)
     bundle = {"schema": 1, "suite": name,
               "reports": [dict(r.to_json(), details=r.details) for r in reports]}

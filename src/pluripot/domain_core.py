@@ -256,6 +256,14 @@ def contains(domain: Domain, z) -> bool:
     return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < 0.0))
 
 
+def require_interior(domain: Domain, z, name) -> np.ndarray:
+    """z as a point of the domain; DomainError naming it unless rho(z) < 0 (NaN fails)."""
+    pt = as_point(domain, z)
+    if not float(defining_function(domain, pt)) < 0.0:
+        raise DomainError(f"{name} must lie inside the domain")
+    return pt
+
+
 _BRENT_RTOL = 4 * _EPS
 _BRENT_MAXITER = 100
 

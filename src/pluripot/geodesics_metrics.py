@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import domain_core, hyperbolic_models
-from .domain_core import Domain, BoundaryPoint, as_point, defining_function, minkowski_gauge
+from .domain_core import (Domain, BoundaryPoint, as_point, defining_function, minkowski_gauge,
+                          require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -28,13 +29,11 @@ class GeodesicDisc:
     endpoint is the radial limit at 1 (a boundary position) and
     normal_derivative the positive number lim <phi'(t), n> along
     t -> 1-, which controls the boundary kernel on the geodesic.
-    provenance is "closed_form" for catalogued families.
     """
 
     domain: Domain
     endpoint: np.ndarray
     normal_derivative: float
-    provenance: str
     map_fn: Callable
 
     def __call__(self, zeta):
@@ -100,9 +99,8 @@ def egg_geodesic(m: int, a) -> GeodesicDisc:
         return np.stack([first, second], axis=-1)
 
     endpoint = np.array([1.0, 0.0], dtype=complex)
-    return GeodesicDisc(domain=dom, endpoint=endpoint,
-                        normal_derivative=1.0 / (1.0 + s),
-                        provenance="closed_form", map_fn=phi)
+    return GeodesicDisc(domain=dom, endpoint=endpoint, normal_derivative=1.0 / (1.0 + s),
+                        map_fn=phi)
 
 
 def ball_geodesic(z, xi) -> GeodesicDisc:
@@ -149,8 +147,7 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
     if abs(pN.imag) > 1e-9 * max(1.0, abs(pN.real)) or pN.real <= 0:
         raise ConvergenceError(f"ball geodesic normal derivative not positive real: {pN}")
     return GeodesicDisc(domain=dom, endpoint=xi_pos.astype(complex),
-                        normal_derivative=float(pN.real),
-                        provenance="closed_form", map_fn=phi)
+                        normal_derivative=float(pN.real), map_fn=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +245,8 @@ def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
     Everything else gets a supporting-function lower bound and an
     inscribed-slice upper bound.
     """
-    z = as_point(dom, z)
-    w = as_point(dom, w)
-    for name, pt in (("z", z), ("w", w)):
-        if not float(defining_function(dom, pt)) < 0.0:
-            raise DomainError(f"{name} must lie inside the domain")
+    z = require_interior(dom, z, "z")
+    w = require_interior(dom, w, "w")
     if np.linalg.norm(z - w) < 1e-15:
         return DistanceBound(0.0, 0.0, True)
 

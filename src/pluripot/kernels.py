@@ -17,7 +17,7 @@ import numpy as np
 from . import geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
 from .domain_core import (Domain, BoundaryPoint, as_point, boundary_distance, boundary_point,
-                          defining_function)
+                          defining_function, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
@@ -38,13 +38,6 @@ class KernelValue:
             raise ConvergenceError(f"unknown kernel method {self.method!r}")
         if self.method == "closed_form" and self.uncertainty != 0.0:
             raise ConvergenceError("closed-form values carry zero uncertainty")
-
-
-def _require_interior(dom: Domain, z, name="z"):
-    pt = as_point(dom, z)
-    if not float(defining_function(dom, pt)) < 0.0:
-        raise DomainError(f"{name} must lie inside the domain")
-    return pt
 
 
 def _log_tanh_half(k: float) -> float:
@@ -185,7 +178,7 @@ def poisson_kernel(dom: Domain, xi, z, method="auto") -> KernelValue:
     tests compare it against; "auto" never takes it.
     """
     xi = boundary_point(dom, xi)
-    z = _require_interior(dom, z)
+    z = require_interior(dom, z, "z")
     if method not in _METHODS + ("auto",):
         raise DomainError(f"unknown kernel method {method!r}")
 
@@ -212,8 +205,8 @@ def green_function(dom: Domain, w, z) -> KernelValue:
     """
     if dom.kind == "annulus":
         raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
-    w = _require_interior(dom, w, "w")
-    z = _require_interior(dom, z, "z")
+    w = require_interior(dom, w, "w")
+    z = require_interior(dom, z, "z")
     if float(np.linalg.norm(z - w)) < 1e-15:
         return KernelValue(GREEN_POLE, "closed_form", 0.0)
     bound = geodesics_metrics.kobayashi_distance(dom, z, w)
@@ -236,8 +229,8 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     form exists, else the ladder.
     """
     xi = boundary_point(dom, xi)
-    p = _require_interior(dom, p, "p")
-    z = _require_interior(dom, z)
+    p = require_interior(dom, p, "p")
+    z = require_interior(dom, z, "z")
     if method not in ("auto", "kernel", "ladder"):
         raise DomainError(f"unknown horofunction method {method!r}")
 
@@ -267,7 +260,7 @@ def green_normal_derivative(dom: Domain, xi, z) -> KernelValue:
     limit is positive and equals |Omega_xi(z)|.
     """
     xi = boundary_point(dom, xi)
-    z = _require_interior(dom, z)
+    z = require_interior(dom, z, "z")
     vals = []
     unc_extra = 0.0
     for w in normal_ladder(dom, xi, range(2, 9)):
@@ -316,11 +309,11 @@ def boundary_distance_asymptotic(dom: Domain, xi, p, approach) -> KernelValue:
     eventually inside an approach region at xi.
     """
     xi = boundary_point(dom, xi)
-    p = _require_interior(dom, p, "p")
+    p = require_interior(dom, p, "p")
     vals = []
     widths = 0.0
     for zj in approach:
-        zj = _require_interior(dom, zj, "approach point")
+        zj = require_interior(dom, zj, "approach point")
         b = geodesics_metrics.kobayashi_distance(dom, zj, p)
         vals.append(b.value + math.log(boundary_distance(dom, zj)))
         widths = max(widths, 0.5 * b.width)

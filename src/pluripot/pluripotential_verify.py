@@ -75,6 +75,18 @@ def _worst(*values):
     return worst
 
 
+def _report(check, residuals, tol, **fields) -> VerificationReport:
+    """The report of a check whose residual is the worst over its samples.
+
+    residuals holds one residual per sample; a NaN among them is the
+    report's residual, and an empty list fails (residual inf).  fields
+    are the remaining VerificationReport fields (details, uncertainty).
+    """
+    worst = _worst(0.0, *residuals) if residuals else math.inf
+    return VerificationReport(check=check, samples=len(residuals), max_residual=worst,
+                              tolerance=tol, **fields)
+
+
 def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     # A NaN or infinite residual or uncertainty is no evidence either way.
     if not (math.isfinite(residual) and math.isfinite(uncertainty)):
@@ -169,21 +181,20 @@ def harmonic_along_geodesic(u, phi, samples, tol=1e-5) -> VerificationReport:
     with h = 1e-3 at each disc sample; the stencil must stay inside the
     unit disc.
     """
+    return _report("harmonic_along_geodesic", _geodesic_laplacians(u, phi, samples), tol)
+
+
+def _geodesic_laplacians(u, phi, samples) -> list:
+    """|Laplacian of u composed with phi| at each disc sample (see harmonic_along_geodesic)."""
     h = 1e-3
-    samples = [complex(zeta) for zeta in samples]
-    worst = 0.0
+    out = []
     for zeta in samples:
+        zeta = complex(zeta)
         if abs(zeta) + 1.5 * h >= 1.0:
             raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
         lap, _ = laplacian_1d(lambda w: float(u(phi(w))), zeta, h, richardson=True)
-        worst = _worst(worst, abs(lap))
-    return VerificationReport(
-        check="harmonic_along_geodesic",
-        samples=len(samples),
-        max_residual=worst,
-        tolerance=tol,
-        details={},
-    )
+        out.append(abs(lap))
+    return out
 
 
 def _geodesic_family(dom: Domain, xi: BoundaryPoint):

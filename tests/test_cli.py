@@ -57,6 +57,18 @@ def test_verify_unknown_suite(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, name", [(["verify"], "None"),
+                                        (["verify", "no_such_suite"], "'no_such_suite'")])
+def test_verify_unknown_suite_message(capsys, argv, name):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"configuration error: unknown suite {name}; expected one of "
+                            "['annulus', 'asymptoticity', 'dilation', 'main2_estimate', "
+                            "'monge_ampere', 'phragmen_lindelof', 'poisson_horofunction', "
+                            "'reproducing']\n")
+
+
 def test_verify_annulus_passes(capsys):
     rc = main(["verify", "annulus"])
     captured = capsys.readouterr()

@@ -358,3 +358,16 @@ def test_unit_normal_outward():
     # stepping outward must increase rho
     assert defining_function(dom, bp.position + 1e-4 * nrm) > 0
     assert defining_function(dom, bp.position - 1e-4 * nrm) < 0
+
+
+def test_require_interior_names_the_point():
+    from pluripot.domain_core import require_interior
+
+    ball = make_domain("ball2")
+    pt = require_interior(ball, [0.1, 0.2j], "z")
+    assert pt.dtype == complex and pt.shape == (2,)
+    for bad in ([1.0, 0.0], [2.0, 0.0], [math.nan, 0.0]):
+        with pytest.raises(DomainError, match=r"^w must lie inside the domain$"):
+            require_interior(ball, bad, "w")
+    with pytest.raises(DomainError, match="expected a point of C\\^2"):
+        require_interior(ball, [0.1], "z")

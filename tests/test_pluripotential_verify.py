@@ -424,3 +424,37 @@ def test_hessian_stencil_leaving_the_domain_raises_on_both_paths():
     for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
         with pytest.raises(DomainError, match="inside the domain"):
             complex_hessian(u, z, 0.2)
+
+
+def test_report_reduces_residuals_to_the_worst():
+    from pluripot.pluripotential_verify import _report
+
+    rep = _report("c", [1e-9, 3e-7, 2e-8], 1e-6, details={"k": 1}, uncertainty=1e-12)
+    assert (rep.samples, rep.max_residual, rep.verdict) == (3, 3e-7, "pass")
+    assert rep.details == {"k": 1} and rep.uncertainty == 1e-12
+    for residuals in ([math.nan, 1e-9], [1e-9, math.nan, 1e-9], [1e-9, math.nan]):
+        rep = _report("c", residuals, 1e-6)
+        assert rep.samples == len(residuals)
+        assert math.isnan(rep.max_residual) and rep.verdict == "fail"
+    # No samples is no evidence, whatever the tolerance.
+    empty = _report("c", [], 10.0)
+    assert (empty.samples, empty.max_residual, empty.verdict) == (0, math.inf, "fail")
+
+
+def test_suite_domain_needs_are_checked_on_the_given_domain_only():
+    from pluripot import UnsupportedDomainError
+    from pluripot._suites import _domains
+
+    checked = []
+
+    def ok(dom):
+        checked.append(dom.label)
+        return dom.n == 2
+
+    needs = ((ok, "C^2; got {dom.label} with n = {dom.n}"),)
+    assert [d.label for d in _domains({}, ("disc", "ball3"), "s", needs)] == ["disc", "ball3"]
+    assert checked == []
+    assert [d.label for d in _domains({"domain": "egg4"}, ("disc",), "s", needs)] == ["egg4"]
+    with pytest.raises(UnsupportedDomainError, match=r"^s needs C\^2; got ball3 with n = 3$"):
+        _domains({"domain": "ball3"}, ("disc",), "s", needs)
+    assert checked == ["egg4", "ball3"]

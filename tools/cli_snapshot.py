@@ -59,6 +59,11 @@ eval density --domain disc --xi e1
 eval density --domain ball2 --xi 0.6,0.8
 eval density --domain egg4 --xi e1
 eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
+    # Points outside the domain: each exits 2 naming the point.
+    + [line.split() for line in """\
+eval poisson --domain ball2 --xi e1 --z 2,0
+eval distance --domain egg4 --z 0.1,0 --w 2,0
+eval green --domain ball2 --w 0,0 --z 1,0""".splitlines()]
 )
 
 
