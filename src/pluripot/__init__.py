@@ -10,26 +10,21 @@ quadrature, and boundary dilation of holomorphic maps.
 
 from .domain_core import (Domain, BoundaryPoint, make_domain, boundary_point,
                           boundary_distance, boundary_project, defining_function,
-                          contains, minkowski_gauge, unit_normal, levi_data, line_type)
+                          minkowski_gauge, unit_normal, levi_data, line_type)
 from .errors import (PluripotError, DomainError, UnsupportedDomainError, ConvergenceError)
 from .geodesics_metrics import (GeodesicDisc, DistanceBound, egg_geodesic, ball_geodesic,
                                 egg_invert, kobayashi_distance, caratheodory_lower_bound,
                                 slice_upper_bound, asymptoticity_gap)
-from .hyperbolic_models import (disc_distance, halfplane_distance, strip_distance,
-                                annulus_distance,
-                                cayley, cayley_inverse, poisson_disc, poisson_halfplane,
-                                horofunction_disc, annulus_horofunction,
-                                AngularApproach, angular_derivative)
+from .hyperbolic_models import (disc_distance, halfplane_distance, annulus_distance,
+                                horofunction_disc, annulus_horofunction)
 from .kernels import (GREEN_POLE, KernelValue, ClosedFormKernel, poisson_kernel,
                       green_function, horofunction, green_normal_derivative,
                       horosphere_contains, k_region_contains, boundary_distance_asymptotic)
 from .pluripotential_verify import (HessianSample, VerificationReport, complex_hessian,
-                                    monge_ampere_residual, psh_check, harmonic_along_geodesic,
                                     phragmen_lindelof_compare, laplacian_1d,
                                     laplacian_noise_floor)
 from .boundary_measure import (BoundaryQuadrature, boundary_form_density, build_quadrature,
-                               reproduce_pluriharmonic, calibrate_quadrature, green_ratio,
-                               montecarlo_surface_measure)
+                               reproduce_pluriharmonic, calibrate_quadrature)
 from .dilation_jwc import (MapUnderTest, map_from_spec, dilation, normalized_dilation,
                            julia_checks, jwc_derivative_limit, delta_ratio_limit,
                            omega_preserving_residual, gamma_lambda, special_curve_limit)
@@ -39,24 +34,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "BoundaryPoint", "make_domain", "boundary_point", "boundary_distance",
-    "boundary_project", "defining_function", "contains", "minkowski_gauge",
-    "unit_normal", "levi_data", "line_type",
+    "boundary_project", "defining_function", "minkowski_gauge", "unit_normal", "levi_data",
+    "line_type",
     "PluripotError", "DomainError", "UnsupportedDomainError", "ConvergenceError",
     "GeodesicDisc", "DistanceBound", "egg_geodesic", "ball_geodesic", "egg_invert",
     "kobayashi_distance", "caratheodory_lower_bound", "slice_upper_bound",
     "asymptoticity_gap",
-    "disc_distance", "halfplane_distance", "strip_distance", "annulus_distance", "cayley",
-    "cayley_inverse", "poisson_disc", "poisson_halfplane", "horofunction_disc",
-    "annulus_horofunction", "AngularApproach", "angular_derivative",
+    "disc_distance", "halfplane_distance", "annulus_distance", "horofunction_disc",
+    "annulus_horofunction",
     "GREEN_POLE", "KernelValue", "ClosedFormKernel", "poisson_kernel", "green_function",
     "horofunction", "green_normal_derivative", "horosphere_contains", "k_region_contains",
     "boundary_distance_asymptotic",
-    "HessianSample", "VerificationReport", "complex_hessian", "monge_ampere_residual",
-    "psh_check", "harmonic_along_geodesic",
-    "phragmen_lindelof_compare", "laplacian_1d", "laplacian_noise_floor",
+    "HessianSample", "VerificationReport", "complex_hessian", "phragmen_lindelof_compare",
+    "laplacian_1d", "laplacian_noise_floor",
     "BoundaryQuadrature", "boundary_form_density", "build_quadrature",
-    "reproduce_pluriharmonic", "calibrate_quadrature", "green_ratio",
-    "montecarlo_surface_measure",
+    "reproduce_pluriharmonic", "calibrate_quadrature",
     "MapUnderTest", "map_from_spec", "dilation", "normalized_dilation", "julia_checks",
     "jwc_derivative_limit", "delta_ratio_limit", "omega_preserving_residual",
     "gamma_lambda", "special_curve_limit",

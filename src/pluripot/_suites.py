@@ -239,7 +239,7 @@ def suite_reproducing(config) -> list:
     tol = _tol(config, 1e-3)
     doms = _domains(config, ("ball2",), "reproducing",
                     ((lambda dom: dom.label == "ball2", "ball2; got {dom.label}"),))
-    resolution = int(config.get("resolution") or 24)
+    resolution = int(config["resolution"]) if config.get("resolution") is not None else 24
     points = [np.array([0.0, 0.0], dtype=complex),
               np.array([0.3, 0.0], dtype=complex),
               np.array([0.0, 0.4], dtype=complex),
@@ -346,7 +346,7 @@ def suite_dilation(config) -> list:
 # ---------------------------------------------------------------------------
 
 def suite_annulus(config) -> list:
-    r = float(config.get("r") or 0.5)
+    r = float(config["r"]) if config.get("r") is not None else 0.5
     p = 0.7
     step = 1e-4
     thetas = np.linspace(np.pi / 5.0, 2.0 * np.pi - np.pi / 5.0, 29)

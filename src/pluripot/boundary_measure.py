@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domain_core, kernels
-from .domain_core import Domain, defining_function, require_interior
+from . import domain_core
+from .domain_core import Domain, require_interior
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 _MAX_DOUBLINGS = 4
@@ -190,39 +190,3 @@ def calibrate_quadrature(dom: Domain, F, z, start_resolution=16, tol=1e-3):
         res *= 2
     raise ConvergenceError(f"quadrature refinement did not settle within {tol:g}")
 
-
-def green_ratio(dom: Domain, z, xi) -> float:
-    """Limit of G_z(w) / r(w) as w tends to xi along the inward normal.
-
-    r is the signed boundary distance (negative inside), so the ratio
-    is positive and equals |Omega_xi(z)|: the Green normal derivative.
-    """
-    return kernels.green_normal_derivative(dom, xi, z).value
-
-
-def montecarlo_surface_measure(dom: Domain, n_samples=10_000_000, eps=5e-3, seed=20240518) -> float:
-    """Monte-Carlo estimate of the total boundary measure.
-
-    Counts uniform box samples in the two-sided shell
-    {|rho| / ||grad rho|| < eps}; the shell volume divided by 2 eps
-    estimates the surface area, with O(eps^2) curvature bias.
-    """
-    if dom.kind not in ("ball", "ellipsoid"):
-        raise UnsupportedDomainError("surface oracle implemented for balanced bounded kinds")
-    n = dom.n
-    rng = np.random.default_rng(seed)
-    box_vol = 2.0 ** (2 * n)
-    hits = 0
-    chunk = 1_000_000
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        raw = rng.uniform(-1.0, 1.0, size=(take, 2 * n))
-        pts = raw[:, :n] + 1j * raw[:, n:]
-        rho = defining_function(dom, pts)
-        grad = domain_core.gradient(dom, pts)
-        gn = np.linalg.norm(grad, axis=1)
-        ok = gn > 1e-12
-        hits += int(np.count_nonzero(np.abs(rho[ok]) / gn[ok] < eps))
-        done += take
-    return hits / n_samples * box_vol / (2.0 * eps)

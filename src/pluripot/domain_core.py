@@ -251,11 +251,6 @@ def _fd_gradient(domain: Domain, pts):
     return out.reshape(pts.shape)
 
 
-def contains(domain: Domain, z) -> bool:
-    """True when z lies inside the domain."""
-    return bool(np.all(defining_function(domain, np.asarray(z, dtype=complex)) < 0.0))
-
-
 def require_interior(domain: Domain, z, name) -> np.ndarray:
     """z as a point of the domain; DomainError naming it unless rho(z) < 0 (NaN fails)."""
     pt = as_point(domain, z)

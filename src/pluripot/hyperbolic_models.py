@@ -8,8 +8,6 @@ H = {Re w < 0}; its boundary kernel is normalized by value -2 at w = -1.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,38 +61,6 @@ def halfplane_distance(w1, w2) -> float:
     return _upper_distance(-1j * w1, -1j * w2)
 
 
-def cayley(zeta) -> complex:
-    """Cayley transform of the disc onto {Re w < 0}; 0 maps to -1."""
-    zeta = complex(zeta)
-    if zeta == -1.0:
-        raise DomainError("the Cayley transform has a pole at -1")
-    return (zeta - 1.0) / (zeta + 1.0)
-
-
-def cayley_inverse(w) -> complex:
-    w = complex(w)
-    if w == 1.0:
-        raise DomainError("the inverse Cayley transform has a pole at 1")
-    return (1.0 + w) / (1.0 - w)
-
-
-def poisson_disc(zeta, xi=1.0) -> float:
-    """Boundary kernel of the disc at boundary point xi: -(1-|z|^2)/|xi-z|^2."""
-    zeta = _require_disc(zeta)
-    xi = complex(xi)
-    if abs(abs(xi) - 1.0) > 1e-9:
-        raise DomainError("xi must lie on the unit circle")
-    return -(1.0 - abs(zeta) ** 2) / abs(xi - zeta) ** 2
-
-
-def poisson_halfplane(zeta) -> float:
-    """Boundary kernel of {Re w < 0} at the boundary point 0: 2 Re(1/w)."""
-    zeta = complex(zeta)
-    if zeta.real >= 0:
-        raise DomainError("point must satisfy Re w < 0")
-    return 2.0 * (1.0 / zeta).real
-
-
 def horofunction_disc(xi, p, zeta) -> float:
     """Horofunction of the disc at xi, based at p, evaluated at zeta."""
     xi = complex(xi)
@@ -105,78 +71,6 @@ def horofunction_disc(xi, p, zeta) -> float:
     num = (1.0 - abs(p) ** 2) * abs(xi - zeta) ** 2
     den = abs(xi - p) ** 2 * (1.0 - abs(zeta) ** 2)
     return math.log(num) - math.log(den)
-
-
-@dataclass(frozen=True)
-class AngularApproach:
-    """A non-tangential approach ladder t_k = 1 - 2^{-k} toward xi.
-
-    M is the Stolz-region aperture the ladder is certified for; the
-    radial ladder used here lies in every aperture M > 1.
-    """
-
-    xi: complex
-    aperture: float = 2.0
-    count: int = 40
-
-    def __post_init__(self):
-        if abs(abs(complex(self.xi)) - 1.0) > 1e-9:
-            raise DomainError("approach target must lie on the unit circle")
-        if self.aperture <= 1.0:
-            raise DomainError("Stolz aperture must exceed 1")
-        if self.count < 4:
-            raise DomainError("approach ladder needs at least 4 rungs")
-
-    @property
-    def M(self) -> float:
-        return self.aperture
-
-    def parameters(self):
-        return 1.0 - 0.5 ** np.arange(1, self.count + 1)
-
-    def points(self):
-        return self.parameters() * complex(self.xi)
-
-
-def angular_derivative(f, xi) -> complex:
-    """Angular derivative of a holomorphic self-map of the disc at xi.
-
-    Extrapolates the difference quotients (sigma - f(z_k)) / (xi - z_k)
-    along the radial ladder AngularApproach(xi), where sigma is the
-    extrapolated boundary value of f.  A mismatch above 1e-4 between |result| and the Julia
-    modulus ladder (1-|f(z)|)/(1-|z|) triggers a warning.
-    """
-    xi = complex(xi)
-    pts = AngularApproach(xi=xi).points()
-    fv = np.array([complex(f(z)) for z in pts])
-    # Ladder values converge geometrically until they hit the roundoff
-    # plateau; the boundary value must be extrapolated from clean rungs.
-    fgaps = np.abs(np.diff(fv))
-    fcut = len(fv)
-    for i in range(3, len(fgaps)):
-        if fgaps[i] > 0.8 * fgaps[i - 1] and fgaps[i - 1] > 0.0:
-            fcut = i + 1
-            break
-    sigma, _ = extrapolate(fv[:fcut], "boundary value")
-    quotients = (sigma - fv) / (xi - pts)
-    # The boundary-value estimate's error is amplified by 1/(1 - t_k), so
-    # the deepest rungs are noise; keep the prefix where successive gaps
-    # still shrink and extrapolate that.
-    gaps = np.abs(np.diff(quotients))
-    cut = len(quotients)
-    for i in range(3, len(gaps)):
-        if gaps[i] > 1.25 * gaps[i - 1] and gaps[i - 1] > 0.0:
-            # Back off one more rung so the kept tail is still dominated
-            # by the decaying mode rather than the amplified one.
-            cut = max(4, i - 1)
-            break
-    value, _ = extrapolate(quotients[:cut], "angular derivative")
-    moduli = ((1.0 - np.abs(fv)) / (1.0 - np.abs(pts)))[:cut]
-    mod_est, _ = extrapolate(moduli, "Julia modulus")
-    if abs(abs(value) - mod_est) > 1e-4 * (1.0 + abs(value)):
-        warnings.warn(f"angular derivative modulus check off by "
-                      f"{abs(abs(value) - mod_est):.3e}; the boundary point may be irregular")
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +95,6 @@ def _check_annulus(r, z, name="z"):
     if not (r < abs(z) < 1.0):
         raise DomainError(f"{name} must satisfy r < |{name}| < 1, got |{name}| = {abs(z):.6g}")
     return z
-
-
-def strip_distance(r, a, b) -> float:
-    """Hyperbolic distance on the strip {log r < Re < 0}."""
-    return _upper_distance(complex(_strip_exp(r, a)), complex(_strip_exp(r, b)))
 
 
 def annulus_distance(r, z, w) -> float:

@@ -114,16 +114,12 @@ def complex_hessian(u, z, h) -> HessianSample:
     return HessianSample(point=z, step=float(h), matrix=H, richardson_gap=gap)
 
 
-def monge_ampere_residual(u, z, h) -> float:
+def _monge_ampere_residual(sample: HessianSample) -> float:
     """Scale-free Monge-Ampere residual |det H| / lambda_max^n.
 
     Vanishes (up to stencil noise) exactly when the complex Hessian is
     degenerate, as it is for maximal plurisubharmonic functions.
     """
-    return _monge_ampere_residual(complex_hessian(u, z, h))
-
-
-def _monge_ampere_residual(sample: HessianSample) -> float:
     eigs = np.linalg.eigvalsh(sample.matrix)
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
@@ -131,61 +127,29 @@ def _monge_ampere_residual(sample: HessianSample) -> float:
     return float(np.abs(np.prod(eigs)) / lam ** len(eigs))
 
 
-def _resolve_step(h, z):
-    if callable(h):
-        return float(h(z))
-    if h is not None:
-        return float(h)
-    raise DomainError("a stencil step is required")
-
-
-def psh_check(u, samples, h, tol=1e-6) -> VerificationReport:
-    """Plurisubharmonicity over a sample set via Hessian eigenvalues.
-
-    h may be a number or a callable giving the step per point.  The
-    residual is the worst negative eigenvalue excursion, clipped at 0.
-    """
-    samples = [np.asarray(z, dtype=complex) for z in samples]
-    return _psh_report([complex_hessian(u, z, _resolve_step(h, z)) for z in samples], tol)
-
-
 def _psh_report(hessians, tol) -> VerificationReport:
-    worst = 0.0
-    worst_pt = None
-    gap_max = 0.0
-    for sample in hessians:
-        eigs = np.linalg.eigvalsh(sample.matrix)
-        lo = float(eigs.min())
-        gap_max = _worst(gap_max, sample.richardson_gap)
-        # A NaN eigenvalue becomes the residual and stays, failing the check.
-        if worst == worst and not -lo <= worst:
-            worst = -lo
-            worst_pt = sample.point
+    """Plurisubharmonicity over a set of Hessians via their eigenvalues.
+
+    The residual is the worst negative eigenvalue excursion, clipped at 0.
+    """
+    excursions = [-float(np.linalg.eigvalsh(sample.matrix).min()) for sample in hessians]
+    gap_max = _worst(0.0, *[sample.richardson_gap for sample in hessians])
     details = {"richardson_gap_max": gap_max}
-    if worst_pt is not None:
-        details["worst_point"] = [complex(c) for c in worst_pt]
-    return VerificationReport(
-        check="plurisubharmonic",
-        samples=len(hessians),
-        max_residual=worst,
-        tolerance=tol,
-        details=details,
-        uncertainty=gap_max,
-    )
+    worst = _worst(0.0, *excursions)
+    if not worst <= 0.0:
+        # The first NaN excursion, else the first that attains the maximum.
+        at = next(i for i, e in enumerate(excursions) if e != e or e == worst)
+        details["worst_point"] = [complex(c) for c in hessians[at].point]
+    return _report("plurisubharmonic", excursions, tol, details=details, uncertainty=gap_max)
 
 
-def harmonic_along_geodesic(u, phi, samples, tol=1e-5) -> VerificationReport:
-    """Harmonicity of u composed with a geodesic disc.
+def _geodesic_laplacians(u, phi, samples) -> list:
+    """|Laplacian of u composed with phi| at each disc sample.
 
     Uses the Richardson-combined 5-point Laplacian (4 L_{h/2} - L_h)/3
     with h = 1e-3 at each disc sample; the stencil must stay inside the
     unit disc.
     """
-    return _report("harmonic_along_geodesic", _geodesic_laplacians(u, phi, samples), tol)
-
-
-def _geodesic_laplacians(u, phi, samples) -> list:
-    """|Laplacian of u composed with phi| at each disc sample (see harmonic_along_geodesic)."""
     h = 1e-3
     out = []
     for zeta in samples:
@@ -252,13 +216,8 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
         member_viol = _worst(member_viol, float(est) - bound)
     member = member_viol <= tol
 
-    dom_viol = 0.0
-    count = 0
-    for z in samples:
-        z = np.asarray(z, dtype=complex)
-        om = kernels.poisson_kernel(dom, xi, z).value
-        dom_viol = _worst(dom_viol, float(u(z)) - om)
-        count += 1
+    samples = [np.asarray(z, dtype=complex) for z in samples]
+    dom_viol = _worst(0.0, *[float(u(z)) - kernels.poisson_kernel(dom, xi, z).value for z in samples])
     dominated = dom_viol <= tol
 
     # A non-member passes vacuously; a NaN membership violation is no
@@ -266,7 +225,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     residual = dom_viol if member else (0.0 if member_viol > tol else member_viol)
     return VerificationReport(
         check="phragmen_lindelof",
-        samples=count,
+        samples=len(samples),
         max_residual=residual,
         tolerance=tol,
         details={

@@ -1,0 +1,157 @@
+"""Reference implementations that the tests compare the package against.
+
+Each is an independent route to a quantity the package computes
+another way: the disc and half-plane kernels and the Cayley transform in
+closed form, the strip distance on one lift, a radial angular-derivative
+ladder with its own cut rules, and a Monte-Carlo boundary measure.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from pluripot import domain_core
+from pluripot._extrap import extrapolate
+from pluripot.domain_core import Domain, defining_function
+from pluripot.errors import DomainError, UnsupportedDomainError
+from pluripot.hyperbolic_models import _require_disc, _strip_exp, _upper_distance
+
+
+def cayley(zeta) -> complex:
+    """Cayley transform of the disc onto {Re w < 0}; 0 maps to -1."""
+    zeta = complex(zeta)
+    if zeta == -1.0:
+        raise DomainError("the Cayley transform has a pole at -1")
+    return (zeta - 1.0) / (zeta + 1.0)
+
+
+def cayley_inverse(w) -> complex:
+    w = complex(w)
+    if w == 1.0:
+        raise DomainError("the inverse Cayley transform has a pole at 1")
+    return (1.0 + w) / (1.0 - w)
+
+
+def poisson_disc(zeta, xi=1.0) -> float:
+    """Boundary kernel of the disc at boundary point xi: -(1-|z|^2)/|xi-z|^2."""
+    zeta = _require_disc(zeta)
+    xi = complex(xi)
+    if abs(abs(xi) - 1.0) > 1e-9:
+        raise DomainError("xi must lie on the unit circle")
+    return -(1.0 - abs(zeta) ** 2) / abs(xi - zeta) ** 2
+
+
+def poisson_halfplane(zeta) -> float:
+    """Boundary kernel of {Re w < 0} at the boundary point 0: 2 Re(1/w)."""
+    zeta = complex(zeta)
+    if zeta.real >= 0:
+        raise DomainError("point must satisfy Re w < 0")
+    return 2.0 * (1.0 / zeta).real
+
+
+@dataclass(frozen=True)
+class AngularApproach:
+    """A non-tangential approach ladder t_k = 1 - 2^{-k} toward xi.
+
+    M is the Stolz-region aperture the ladder is certified for; the
+    radial ladder used here lies in every aperture M > 1.
+    """
+
+    xi: complex
+    aperture: float = 2.0
+    count: int = 40
+
+    def __post_init__(self):
+        if abs(abs(complex(self.xi)) - 1.0) > 1e-9:
+            raise DomainError("approach target must lie on the unit circle")
+        if self.aperture <= 1.0:
+            raise DomainError("Stolz aperture must exceed 1")
+        if self.count < 4:
+            raise DomainError("approach ladder needs at least 4 rungs")
+
+    @property
+    def M(self) -> float:
+        return self.aperture
+
+    def parameters(self):
+        return 1.0 - 0.5 ** np.arange(1, self.count + 1)
+
+    def points(self):
+        return self.parameters() * complex(self.xi)
+
+
+def angular_derivative(f, xi) -> complex:
+    """Angular derivative of a holomorphic self-map of the disc at xi.
+
+    Extrapolates the difference quotients (sigma - f(z_k)) / (xi - z_k)
+    along the radial ladder AngularApproach(xi), where sigma is the
+    extrapolated boundary value of f.  A mismatch above 1e-4 between |result| and the Julia
+    modulus ladder (1-|f(z)|)/(1-|z|) triggers a warning.
+    """
+    xi = complex(xi)
+    pts = AngularApproach(xi=xi).points()
+    fv = np.array([complex(f(z)) for z in pts])
+    # Ladder values converge geometrically until they hit the roundoff
+    # plateau; the boundary value must be extrapolated from clean rungs.
+    fgaps = np.abs(np.diff(fv))
+    fcut = len(fv)
+    for i in range(3, len(fgaps)):
+        if fgaps[i] > 0.8 * fgaps[i - 1] and fgaps[i - 1] > 0.0:
+            fcut = i + 1
+            break
+    sigma, _ = extrapolate(fv[:fcut], "boundary value")
+    quotients = (sigma - fv) / (xi - pts)
+    # The boundary-value estimate's error is amplified by 1/(1 - t_k), so
+    # the deepest rungs are noise; keep the prefix where successive gaps
+    # still shrink and extrapolate that.
+    gaps = np.abs(np.diff(quotients))
+    cut = len(quotients)
+    for i in range(3, len(gaps)):
+        if gaps[i] > 1.25 * gaps[i - 1] and gaps[i - 1] > 0.0:
+            # Back off one more rung so the kept tail is still dominated
+            # by the decaying mode rather than the amplified one.
+            cut = max(4, i - 1)
+            break
+    value, _ = extrapolate(quotients[:cut], "angular derivative")
+    moduli = ((1.0 - np.abs(fv)) / (1.0 - np.abs(pts)))[:cut]
+    mod_est, _ = extrapolate(moduli, "Julia modulus")
+    if abs(abs(value) - mod_est) > 1e-4 * (1.0 + abs(value)):
+        warnings.warn(f"angular derivative modulus check off by "
+                      f"{abs(abs(value) - mod_est):.3e}; the boundary point may be irregular")
+    return complex(value)
+
+
+def strip_distance(r, a, b) -> float:
+    """Hyperbolic distance on the strip {log r < Re < 0}."""
+    return _upper_distance(complex(_strip_exp(r, a)), complex(_strip_exp(r, b)))
+
+
+def montecarlo_surface_measure(dom: Domain, n_samples=10_000_000, eps=5e-3, seed=20240518) -> float:
+    """Monte-Carlo estimate of the total boundary measure.
+
+    Counts uniform box samples in the two-sided shell
+    {|rho| / ||grad rho|| < eps}; the shell volume divided by 2 eps
+    estimates the surface area, with O(eps^2) curvature bias.
+    """
+    if dom.kind not in ("ball", "ellipsoid"):
+        raise UnsupportedDomainError("surface oracle implemented for balanced bounded kinds")
+    n = dom.n
+    rng = np.random.default_rng(seed)
+    box_vol = 2.0 ** (2 * n)
+    hits = 0
+    chunk = 1_000_000
+    done = 0
+    while done < n_samples:
+        take = min(chunk, n_samples - done)
+        raw = rng.uniform(-1.0, 1.0, size=(take, 2 * n))
+        pts = raw[:, :n] + 1j * raw[:, n:]
+        rho = defining_function(dom, pts)
+        grad = domain_core.gradient(dom, pts)
+        gn = np.linalg.norm(grad, axis=1)
+        ok = gn > 1e-12
+        hits += int(np.count_nonzero(np.abs(rho[ok]) / gn[ok] < eps))
+        done += take
+    return hits / n_samples * box_vol / (2.0 * eps)

@@ -11,12 +11,13 @@ from pluripot import (
     build_quadrature,
     calibrate_quadrature,
     egg_geodesic,
-    green_ratio,
+    green_normal_derivative,
     make_domain,
-    montecarlo_surface_measure,
     poisson_kernel,
     reproduce_pluriharmonic,
 )
+
+from oracles import montecarlo_surface_measure
 
 
 def test_density_reference_values():
@@ -103,19 +104,19 @@ def test_calibrate_quadrature_converges():
 def test_green_ratio_matches_kernel():
     ball2 = make_domain("ball2")
     xi = boundary_point(ball2, [1.0, 0.0])
-    assert abs(green_ratio(ball2, np.zeros(2), xi) - 1.0) < 1e-6
+    assert abs(green_normal_derivative(ball2, xi, np.zeros(2)).value - 1.0) < 1e-6
     z = np.array([0.5, 0.0])
     om = poisson_kernel(ball2, xi, z).value
-    assert abs(green_ratio(ball2, z, xi) - abs(om)) < 1e-5
+    assert abs(green_normal_derivative(ball2, xi, z).value - abs(om)) < 1e-5
 
     egg4 = make_domain("egg4")
     xi = boundary_point(egg4, [1.0, 0.0])
     z = egg_geodesic(4, 0.5)(0.0)
     om = poisson_kernel(egg4, xi, z).value
-    assert abs(green_ratio(egg4, z, xi) - abs(om)) < 1e-4
+    assert abs(green_normal_derivative(egg4, xi, z).value - abs(om)) < 1e-4
 
     ball1 = make_domain("ball1")
-    assert abs(green_ratio(ball1, [0.0], [1.0]) - 1.0) < 1e-6
+    assert abs(green_normal_derivative(ball1, [1.0], [0.0]).value - 1.0) < 1e-6
 
 
 def test_quadrature_csv_roundtrip():

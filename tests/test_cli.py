@@ -109,6 +109,17 @@ def test_verify_monge_ampere_disc_is_config_error(capsys):
     assert "n >= 2" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "annulus", "--r", "0"], "annulus radius must satisfy 0 < r < 1"),
+    (["verify", "reproducing", "--resolution", "0"], "resolution must be at least 4"),
+])
+def test_verify_zero_setting_is_not_the_default(capsys, argv, message):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     rc = main(["verify", "asymptoticity", "--tol", "1e-30"])
     captured = capsys.readouterr()

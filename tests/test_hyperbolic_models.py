@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from pluripot import (
-    AngularApproach,
     DomainError,
-    angular_derivative,
     annulus_distance,
     annulus_horofunction,
-    cayley,
-    cayley_inverse,
     disc_distance,
     halfplane_distance,
     horofunction_disc,
-    poisson_disc,
-    poisson_halfplane,
-    strip_distance,
 )
 from pluripot._extrap import aitken
+
+from oracles import (AngularApproach, angular_derivative, cayley, cayley_inverse, poisson_disc,
+                     poisson_halfplane, strip_distance)
 
 
 def _mobius(a, theta):

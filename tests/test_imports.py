@@ -1,5 +1,6 @@
 """What the package imports and offers: every imported name is used, no
-scipy, and no keyword default that no caller changes."""
+scipy, no keyword default that no caller changes, and no definition that
+the command line does not reach unless it is named library-only."""
 
 import ast
 import os
@@ -41,6 +42,87 @@ def test_unused_import_is_found():
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
 
 
+def _names_in(node):
+    """Names, attribute names and from-imported names anywhere in node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _defined_by(node):
+    """The top-level names a module statement defines (dunders aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def _unreached(modules, roots):
+    """(module, name) of each top-level definition in modules (name -> tree)
+    that the statements of the root modules other than definitions do not
+    reach, directly or through the definitions they reach.
+
+    A name or attribute reaches every top-level definition of that name in
+    any module, so two definitions sharing a name are reached together.
+    """
+    defs = {}
+    pending = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            names = _defined_by(node)
+            for name in names:
+                defs.setdefault(name, []).append((module, node))
+            if module in roots and not names:
+                pending.extend(_names_in(node))
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, []):
+                pending.extend(_names_in(node))
+    return {(module, name) for name, found in defs.items() for module, _ in found
+            if name not in reached}
+
+
+# Tested paper-claim helpers that no verify suite calls yet; README lists
+# them with the ROADMAP item that will give each a check.
+_LIBRARY_ONLY = {
+    ("kernels", "horosphere_contains"),
+    ("kernels", "k_region_contains"),
+    ("kernels", "boundary_distance_asymptotic"),
+    ("dilation_jwc", "jwc_derivative_limit"),
+    ("dilation_jwc", "delta_ratio_limit"),
+}
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _unreached(modules, {"cli", "_suites", "__main__"}) == _LIBRARY_ONLY
+
+
+def test_unreached_definition_is_found():
+    modules = {
+        "cli": ast.parse("from . import lib\nif __name__ == '__main__':\n    lib.used()\n"),
+        "lib": ast.parse("LIMIT = 3\n"
+                         "def used():\n    return LIMIT\n"
+                         "def dead():\n    return orphan()\n"
+                         "def orphan():\n    pass\n"),
+    }
+    assert _unreached(modules, {"cli"}) == {("lib", "dead"), ("lib", "orphan")}
+
+
 def _unset_defaults(defs_tree, call_trees):
     """(line, function, parameter) of each keyword default in defs_tree
     that no call in call_trees overrides, by keyword or by position.
@@ -74,18 +156,12 @@ def _unset_defaults(defs_tree, call_trees):
     return found
 
 
-# A test oracle: its sample count, shell width and seed are what make it
-# an independent reference, and a test would only set them to make it
-# cheaper or weaker.
-_DEFAULTS_EXEMPT = {"montecarlo_surface_measure"}
-
-
 def test_every_keyword_default_is_overridden_somewhere():
     # A keyword default that no caller changes is a setting with one value
     # in use: it belongs in the function body or a module constant.
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     call_trees = [ast.parse(path.read_text()) for path in paths]
-    unset = {path.name: [f for f in _unset_defaults(tree, call_trees) if f[1] not in _DEFAULTS_EXEMPT]
+    unset = {path.name: _unset_defaults(tree, call_trees)
              for path, tree in zip(paths, call_trees) if path.parent == SRC}
     assert {name: found for name, found in unset.items() if found} == {}
 

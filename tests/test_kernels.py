@@ -26,12 +26,12 @@ from pluripot import (
     k_region_contains,
     make_domain,
     minkowski_gauge,
-    poisson_disc,
-    poisson_halfplane,
     poisson_kernel,
 )
 from pluripot import kernels
 from pluripot.kernels import _closed_form
+
+from oracles import poisson_disc, poisson_halfplane
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):

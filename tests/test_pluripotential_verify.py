@@ -16,16 +16,15 @@ from pluripot import (
     egg_geodesic,
     egg_invert,
     green_function,
-    harmonic_along_geodesic,
     laplacian_1d,
     laplacian_noise_floor,
     make_domain,
     minkowski_gauge,
-    monge_ampere_residual,
     phragmen_lindelof_compare,
     poisson_kernel,
-    psh_check,
 )
+from pluripot.pluripotential_verify import (_geodesic_laplacians, _monge_ampere_residual,
+                                          _psh_report, _report)
 
 
 def _random_interior(dom, rng, lo=0.15, hi=0.6):
@@ -92,11 +91,11 @@ def test_hessian_null_direction_follows_geodesic():
 def test_monge_ampere_residual_reference_values():
     u = lambda z: float(np.sum(np.abs(z) ** 2))
     # strictly psh reference: relative residual 1
-    assert abs(monge_ampere_residual(u, np.array([0.2, 0.1]), 1e-4) - 1.0) < 1e-6
+    assert abs(_monge_ampere_residual(complex_hessian(u, np.array([0.2, 0.1]), 1e-4)) - 1.0) < 1e-6
 
     dom = make_domain("ball2")
     g0 = lambda z: green_function(dom, np.zeros(2), z).value
-    assert monge_ampere_residual(g0, np.array([0.4, 0.1]), 1e-4) < 1e-6
+    assert _monge_ampere_residual(complex_hessian(g0, np.array([0.4, 0.1]), 1e-4)) < 1e-6
 
 
 def test_monge_ampere_residual_egg_kernel():
@@ -111,7 +110,7 @@ def test_monge_ampere_residual_egg_kernel():
         # the kernel Hessian degenerates entirely on the z1-axis disc
         if abs(1.0 - z[0]) < 0.3 or abs(z[1]) < 0.05:
             continue
-        worst = max(worst, monge_ampere_residual(u, z, 1e-3 * boundary_distance(dom, z)))
+        worst = max(worst, _monge_ampere_residual(complex_hessian(u, z, 1e-3 * boundary_distance(dom, z))))
         n += 1
     assert worst < 1e-5
 
@@ -123,15 +122,16 @@ def test_psh_check_verdicts():
     samples = [_random_interior(dom, rng) for _ in range(100)]
     step = lambda z: 1e-3 * boundary_distance(dom, z)
 
-    rep = psh_check(_kernel(dom, xi), samples, step, tol=1e-6)
+    rep = _psh_report([complex_hessian(_kernel(dom, xi), z, step(z)) for z in samples], 1e-6)
     assert rep.verdict == "pass"
     assert rep.samples == 100
 
-    rep = psh_check(lambda z: -float(np.sum(np.abs(z) ** 2)), samples[:10], 1e-4, tol=1e-6)
+    rep = _psh_report([complex_hessian(lambda z: -float(np.sum(np.abs(z) ** 2)), z, 1e-4)
+                       for z in samples[:10]], 1e-6)
     assert rep.verdict == "fail"
     assert rep.max_residual > 0.9
 
-    rep = psh_check(lambda z: float(z[0].real), samples[:10], 1e-4, tol=1e-6)
+    rep = _psh_report([complex_hessian(lambda z: float(z[0].real), z, 1e-4) for z in samples[:10]], 1e-6)
     assert rep.verdict == "pass"
 
 
@@ -140,19 +140,19 @@ def test_harmonic_along_geodesic():
     xi = boundary_point(dom, [1.0, 0.0])
     phi = egg_geodesic(4, 0.5)
     zetas = [0.0, 0.3, -0.2 + 0.4j, 0.5j]
-    rep = harmonic_along_geodesic(_kernel(dom, xi), phi, zetas)
+    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(_kernel(dom, xi), phi, zetas), 1e-5)
     assert rep.verdict == "pass"
 
     # Green function pulled back along a geodesic through its pole is
     # harmonic away from the pole
     w = phi(0.3)
     gw = lambda z: green_function(dom, w, z).value
-    rep = harmonic_along_geodesic(gw, phi, [0.0, -0.4, 0.6j], tol=1e-4)
+    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(gw, phi, [0.0, -0.4, 0.6j]), 1e-4)
     assert rep.verdict == "pass"
 
     # non-harmonic reference must fail
     bad = lambda z: float(np.abs(z[1]) ** 2)
-    rep = harmonic_along_geodesic(bad, phi, [0.3, 0.5j], tol=1e-5)
+    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(bad, phi, [0.3, 0.5j]), 1e-5)
     assert rep.verdict == "fail"
 
 
@@ -216,7 +216,8 @@ def test_laplacian_noise_floor_positive():
 
 def test_nan_residuals_fail_closed():
     nan_u = lambda z: math.nan
-    rep = psh_check(nan_u, [np.array([0.1, 0.2j]), np.array([0.3, 0.0])], 1e-3)
+    rep = _psh_report([complex_hessian(nan_u, z, 1e-3) for z in [np.array([0.1, 0.2j]), np.array([0.3, 0.0])]],
+                      1e-6)
     assert math.isnan(rep.max_residual)
     assert math.isnan(rep.details["richardson_gap_max"])
     assert rep.verdict == "fail"
@@ -225,7 +226,7 @@ def test_nan_residuals_fail_closed():
     # replace it.
     phi = ball_geodesic(np.zeros(2), np.array([1.0, 0.0]))
     u = lambda z: math.nan if abs(z[0]) < 0.1 else float(z[0].real)
-    rep = harmonic_along_geodesic(u, phi, [0.0, 0.5])
+    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(u, phi, [0.0, 0.5]), 1e-5)
     assert math.isnan(rep.max_residual)
     assert rep.verdict == "fail"
 
@@ -427,8 +428,6 @@ def test_hessian_stencil_leaving_the_domain_raises_on_both_paths():
 
 
 def test_report_reduces_residuals_to_the_worst():
-    from pluripot.pluripotential_verify import _report
-
     rep = _report("c", [1e-9, 3e-7, 2e-8], 1e-6, details={"k": 1}, uncertainty=1e-12)
     assert (rep.samples, rep.max_residual, rep.verdict) == (3, 3e-7, "pass")
     assert rep.details == {"k": 1} and rep.uncertainty == 1e-12
