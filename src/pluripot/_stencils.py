@@ -91,9 +91,12 @@ def hessian_richardson(values, z, h):
     return (4.0 * H2 - H1) / 3.0, gap
 
 
+def five_points(zeta, h):
+    """zeta, zeta + h, zeta - h, zeta + ih, zeta - ih: laplacian_5pt's points, in its order."""
+    return [zeta, zeta + h, zeta - h, zeta + 1j * h, zeta - 1j * h]
+
+
 def laplacian_5pt(u, zeta, h):
     """5-point Laplacian of u at a point of C (full Delta, not 1/4)."""
-    zeta = complex(zeta)
-    u0 = u(zeta)
-    s = u(zeta + h) + u(zeta - h) + u(zeta + 1j * h) + u(zeta - 1j * h)
-    return (s - 4.0 * u0) / (h * h)
+    u0, east, west, north, south = [u(w) for w in five_points(complex(zeta), h)]
+    return (east + west + north + south - 4.0 * u0) / (h * h)

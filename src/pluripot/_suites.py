@@ -348,6 +348,9 @@ def suite_dilation(config) -> list:
 def suite_annulus(config) -> list:
     r = float(config["r"]) if config.get("r") is not None else 0.5
     p = 0.7
+    if not r < p:
+        # The checks sample the circle |z| = p, which must lie in the annulus.
+        raise DomainError(f"the annulus suite needs --r in 0 < r < {p:g}, got {r:g}")
     step = 1e-4
     thetas = np.linspace(np.pi / 5.0, 2.0 * np.pi - np.pi / 5.0, 29)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boundary_measure, geodesics_metrics, kernels
 from ._suites import SUITES, domain_from_config, run_suite
-from .domain_core import BoundaryPoint, boundary_point
+from .domain_core import BoundaryPoint, boundary_point, require_interior
 from .errors import ConvergenceError, DomainError, PluripotError, UnsupportedDomainError
 
 _QUANTITIES = ("green", "poisson", "horofunction", "distance", "density")
@@ -234,43 +234,164 @@ def _load_config(args) -> dict:
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _evaluate(quantity, dom, config, env=None):
-    """One (value, method, uncertainty) evaluation; raises on bad input."""
-    n = dom.n
+# The points each quantity reads, in the order its function takes and
+# checks them.
+_POINTS = {"poisson": ("xi", "z"), "green": ("w", "z"), "horofunction": ("xi", "p", "z"),
+           "distance": ("z", "w"), "density": ("xi",)}
 
-    def point(key):
+# The errors that rule out one row: eval reports them, a sweep marks the
+# row and goes on.
+_ROW_ERRORS = (DomainError, UnsupportedDomainError, ConvergenceError)
+
+
+def _detached(exc):
+    """exc cut loose from the frames it was raised and caught in.
+
+    A sweep keeps one error per ruled-out row; through its traceback
+    each would hold the frame that holds the list of them, a cycle that
+    only the garbage collector frees.
+    """
+    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+    return exc
+
+
+def _row_points(quantity, dom, config, env):
+    """The points of one row, parsed in the order the quantity reads them."""
+    pts = []
+    for key in _POINTS[quantity]:
         raw = config.get(key)
         if raw is None:
             raise DomainError(f"quantity {quantity!r} requires --{key}")
         if isinstance(raw, str):
-            return _parse_point(raw, n=n, env=env)
-        if isinstance(raw, BoundaryPoint):
-            return raw
-        return np.asarray(raw, dtype=complex)
+            pts.append(_parse_point(raw, n=dom.n, env=env))
+        elif isinstance(raw, BoundaryPoint):
+            pts.append(raw)
+        else:
+            pts.append(np.asarray(raw, dtype=complex))
+    return tuple(pts)
 
-    if quantity == "poisson":
-        kv = kernels.poisson_kernel(dom, point("xi"), point("z"))
-        return kv.value, kv.method, kv.uncertainty
-    if quantity == "green":
-        kv = kernels.green_function(dom, point("w"), point("z"))
-        return kv.value, kv.method, kv.uncertainty
-    if quantity == "horofunction":
-        kv = kernels.horofunction(dom, point("xi"), point("p"), point("z"))
-        return kv.value, kv.method, kv.uncertainty
+
+def _scalar(quantity, dom, pts):
+    """(value, method, uncertainty) of one row by the quantity's function."""
     if quantity == "distance":
-        bound = geodesics_metrics.kobayashi_distance(dom, point("z"), point("w"))
-        method = "closed_form" if bound.exact else "sandwich_bounds"
-        return bound.value, method, 0.5 * bound.width
+        bound = geodesics_metrics.kobayashi_distance(dom, *pts)
+        return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
     if quantity == "density":
-        val = boundary_measure.boundary_form_density(dom, point("xi"))
-        return val, "levi_form", 0.0
-    raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+        return boundary_measure.boundary_form_density(dom, *pts), "levi_form", 0.0
+    if quantity == "poisson":
+        kv = kernels.poisson_kernel(dom, *pts)
+    elif quantity == "green":
+        kv = kernels.green_function(dom, *pts)
+    else:
+        kv = kernels.horofunction(dom, *pts)
+    return kv.value, kv.method, kv.uncertainty
+
+
+def _stacked(quantity, dom, xi):
+    """The quantity's exact route as a function of stacked points, or None.
+
+    The function takes the interior points of k rows (all but xi), as
+    stacks (k, n) in the order the quantity reads them, and returns the
+    k closed_form values that the quantity's function gives them one at
+    a time, bit for bit.  The kernel routes need one BoundaryPoint xi for
+    all rows.
+    """
+    if quantity == "green":
+        return kernels._green_form(dom)
+    if quantity == "distance":
+        return geodesics_metrics._distance_form(dom)
+    if quantity not in ("poisson", "horofunction") or not isinstance(xi, BoundaryPoint):
+        return None
+    form = kernels._closed_form(dom, xi)
+    if form is None or quantity == "poisson":
+        return form
+    return functools.partial(kernels._horofunction_many, form)
+
+
+def _evaluate_stacked(quantity, dom, config, route, points, outcomes):
+    """Fill in the outcomes of the parsed rows that route evaluates.
+
+    points holds each row's parsed points, or None.  Each row's interior
+    points are checked one row at a time, in the order and by the test
+    (require_interior) of the quantity's function, and a point that
+    fails rules its row out with that function's error; a point fixed
+    for all rows is checked once.  The rows that pass are evaluated in
+    one call of route.  If that call fails, their outcomes stay None,
+    for the quantity's function to evaluate one row at a time.
+    """
+    keys = [(i, key) for i, key in enumerate(_POINTS[quantity]) if key != "xi"]
+
+    def check(key, pt):
+        try:
+            return require_interior(dom, pt, key)
+        except DomainError as exc:
+            return _detached(exc)
+
+    fixed = {key: check(key, config[key]) for _, key in keys
+             if config.get(key) is not None and not isinstance(config[key], str)}
+    rows, stacks = [], [[] for _ in keys]
+    for row, pts in enumerate(points):
+        if pts is None:
+            continue
+        inside = [fixed[key] if key in fixed else check(key, pts[i]) for i, key in keys]
+        failed = [pt for pt in inside if isinstance(pt, DomainError)]
+        if failed:
+            outcomes[row] = failed[0]
+            continue
+        rows.append(row)
+        for stack, pt in zip(stacks, inside):
+            stack.append(pt)
+    if not rows:
+        return
+    try:
+        values = route(*[np.array(stack) for stack in stacks])
+    except (PluripotError, ArithmeticError, ValueError):
+        return
+    for row, value in zip(rows, values.tolist()):
+        outcomes[row] = (value, "closed_form", 0.0)
+
+
+def _evaluate(quantity, dom, config, envs):
+    """Per env, (value, method, uncertainty) or the error that rules the row out.
+
+    eval passes [None]; a sweep one env per grid row, with the points
+    that use no grid parameter parsed once in config.  Each row's points
+    are parsed in the order the quantity reads them; a template that is
+    not plain arithmetic (_TemplateError) stops the whole evaluation.
+    Rows on an exact route (_stacked) are evaluated as one stack; the
+    others call the quantity's function one row at a time, in row order.
+    """
+    if quantity not in _POINTS:
+        raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    points, outcomes = [], []
+    for env in envs:
+        try:
+            points.append(_row_points(quantity, dom, config, env))
+            outcomes.append(None)
+        except _TemplateError:
+            raise
+        except DomainError as exc:
+            points.append(None)
+            outcomes.append(_detached(exc))
+    route = _stacked(quantity, dom, config.get("xi"))
+    if route is not None:
+        _evaluate_stacked(quantity, dom, config, route, points, outcomes)
+    for row, pts in enumerate(points):
+        if outcomes[row] is None:
+            try:
+                outcomes[row] = _scalar(quantity, dom, pts)
+            except _ROW_ERRORS as exc:
+                outcomes[row] = _detached(exc)
+    return outcomes
 
 
 def cmd_eval(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
-    value, method, unc = _evaluate(quantity, dom, config)
+    [outcome] = _evaluate(quantity, dom, config, [None])
+    if isinstance(outcome, Exception):
+        raise outcome
+    value, method, unc = outcome
     row = {"quantity": quantity, "domain": dom.label}
     for key in ("xi", "z", "w", "p"):
         if config.get(key) is not None:
@@ -304,20 +425,25 @@ def cmd_verify(config) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 3
 
 
-def _fixed_boundary_point(dom, config):
-    """The BoundaryPoint of a --xi that uses no grid parameter, or None.
+def _fixed_points(dom, config, keys):
+    """The points among keys that use no grid parameter, parsed once.
 
-    None also when xi does not parse or is no boundary point: every row
-    then parses and checks it itself and reports what it finds.
+    xi becomes its BoundaryPoint.  A point that does not parse without
+    the grid parameters, or an xi that is no boundary point, is left
+    out: every row then parses and checks it itself and reports what it
+    finds.
     """
-    raw = config.get("xi")
-    uses_xi = config.get("quantity") in ("poisson", "horofunction", "density")
-    if not (uses_xi and isinstance(raw, str)):
-        return None
-    try:
-        return boundary_point(dom, _parse_point(raw, n=dom.n, env={}))
-    except DomainError:
-        return None
+    fixed = {}
+    for key in keys:
+        raw = config.get(key)
+        if not isinstance(raw, str):
+            continue
+        try:
+            pt = _parse_point(raw, n=dom.n, env={})
+            fixed[key] = boundary_point(dom, pt) if key == "xi" else pt
+        except DomainError:
+            continue
+    return fixed
 
 
 def cmd_sweep(config) -> int:
@@ -325,36 +451,25 @@ def cmd_sweep(config) -> int:
     quantity = config.get("quantity")
     if quantity not in _QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    xi = _fixed_boundary_point(dom, config)
-    if xi is not None:
-        config = dict(config, xi=xi)
+    config = dict(config, **_fixed_points(dom, config, _POINTS[quantity]))
     if not config.get("grid_t"):
         raise DomainError("sweep requires --grid-t start:stop:count")
     ts = _parse_grid(config["grid_t"])
     ss = _parse_grid(config["grid_s"]) if config.get("grid_s") else [None]
 
+    # Each row starts as the env of its grid point.
     rows = []
     for t in ts:
         for s in ss:
-            env = {"t": float(t)}
-            if s is not None:
-                env["s"] = float(s)
-            row = {"t": float(t)}
-            if s is not None:
-                row["s"] = float(s)
-            try:
-                value, method, unc = _evaluate(quantity, dom, config, env=env)
-                row.update({"value": value, "method": method,
-                            "uncertainty": unc, "status": "ok"})
-            except _TemplateError:
-                raise
-            except (DomainError, UnsupportedDomainError):
-                row.update({"value": float("nan"), "method": "",
-                            "uncertainty": float("nan"), "status": "outside"})
-            except ConvergenceError:
-                row.update({"value": float("nan"), "method": "",
-                            "uncertainty": float("nan"), "status": "error"})
-            rows.append(row)
+            rows.append({"t": float(t)} if s is None else {"t": float(t), "s": float(s)})
+    for row, outcome in zip(rows, _evaluate(quantity, dom, config, rows)):
+        if isinstance(outcome, tuple):
+            value, method, unc = outcome
+            row.update({"value": value, "method": method, "uncertainty": unc, "status": "ok"})
+        else:
+            status = "error" if isinstance(outcome, ConvergenceError) else "outside"
+            row.update({"value": float("nan"), "method": "",
+                        "uncertainty": float("nan"), "status": status})
 
     columns = ["t"] + (["s"] if config.get("grid_s") else []) + \
               ["value", "method", "uncertainty", "status"]

@@ -155,27 +155,72 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
 # ---------------------------------------------------------------------------
 
 
-def _ball_distance(z, w) -> float:
-    """Hyperbolic distance of the unit ball in any dimension."""
-    nz = float(np.linalg.norm(z))
-    nw = float(np.linalg.norm(w))
-    if nz >= 1.0 or nw >= 1.0:
+def _row_norm(x):
+    """np.linalg.norm of each row of a complex stack (..., n), bit for bit.
+
+    The row-wise matmul takes the same real dot products as norm does
+    for one vector (norm(axis=-1) sums in another order).
+    """
+    re, im = x.real, x.imag
+    return np.sqrt(np.matmul(re[..., None, :], re[..., :, None])[..., 0, 0]
+                   + np.matmul(im[..., None, :], im[..., :, None])[..., 0, 0])
+
+
+def _ball_distance(z, w):
+    """Hyperbolic distance of the unit ball in any dimension.
+
+    z and w are points or stacks (..., n) of them, broadcast together.
+    A stack gives each pair's distance bit for bit as the pair alone
+    does: Python's complex scalars of the one-pair formula are written
+    out in reals, numpy's complex products are never taken in place
+    (numpy may reuse a large temporary as the output, and its in-place
+    loop rounds differently) and _k_from_rho runs per element.  Returns
+    a float for one pair, else an array.
+    """
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    nz, nw = _row_norm(z), _row_norm(w)
+    if (nz >= 1.0).any() or (nw >= 1.0).any():
         raise DomainError("points must lie in the open ball")
-    zw = complex(np.sum(z * np.conj(w)))
-    den = abs(1.0 - zw) ** 2
-    if nw < 1e-14:
-        rho = nz
-    elif nz < 1e-14:
-        rho = nw
-    else:
-        # Moebius automorphism sending w to 0, applied to z.
-        pw = (zw / (nw * nw)) * w
+    conj_w = np.conj(w)
+    zw = np.sum(z * conj_w, axis=-1)
+    nw2 = nw * nw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Moebius automorphism sending w to 0, applied to z.  Rows with
+        # |w| or |z| below 1e-14 discard it and take rho = |z| or |w|.
+        pw = (zw.real / nw2 + 1j * (zw.imag / nw2))[..., None] * w
         qw = z - pw
-        sw = math.sqrt(max(0.0, 1.0 - nw * nw))
-        vec = (w - pw - sw * qw) / (1.0 - zw)
-        rho = float(np.linalg.norm(vec))
-    s = (1.0 - nz * nz) * (1.0 - nw * nw) / den
-    return hyperbolic_models._k_from_rho(min(rho, 1.0), s)
+        sw = np.sqrt(np.maximum(0.0, 1.0 - nw2))
+        num = w - pw - sw[..., None] * qw
+        vec = num / (1.0 - zw)[..., None]
+    rho = np.where(nw < 1e-14, nz, np.where(nz < 1e-14, nw, _row_norm(vec)))
+    s = (1.0 - nz * nz) * (1.0 - nw2) / hyperbolic_models._hypot_sq(1.0 - zw.real, zw.imag)
+    k = hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
+    return float(k) if k.ndim == 0 else k
+
+
+def _distance_form(dom: Domain):
+    """kobayashi_distance's values as a function of (z, w), or None.
+
+    On the disc and the ball the function takes interior points or
+    stacks (..., n) of them, broadcast together, and gives each pair's
+    value bit for bit as the pair alone does.  Pairs closer than 1e-15
+    get 0 without evaluating the formula, as in kobayashi_distance.
+    Other kinds have no such function.
+    """
+    if dom.kind not in ("disc", "ball"):
+        return None
+
+    def distances(z, w):
+        z, w = np.broadcast_arrays(z, w)
+        apart = ~(_row_norm(z - w) < 1e-15)
+        zs, ws = z[apart], w[apart]
+        out = np.zeros(apart.shape)
+        if dom.kind == "disc":
+            out[apart] = hyperbolic_models.disc_distance(zs[:, 0], ws[:, 0])
+        else:
+            out[apart] = _ball_distance(zs, ws)
+        return out
+    return distances
 
 
 def egg_invert(m: int, z):
@@ -247,16 +292,16 @@ def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
     """
     z = require_interior(dom, z, "z")
     w = require_interior(dom, w, "w")
+    exact = _distance_form(dom)
+    if exact is not None:
+        val = float(exact(z, w))
+        return DistanceBound(val, val, True)
     if np.linalg.norm(z - w) < 1e-15:
         return DistanceBound(0.0, 0.0, True)
 
     k = dom.kind
-    if k == "disc":
-        val = hyperbolic_models.disc_distance(z[0], w[0])
-    elif k == "half_plane":
+    if k == "half_plane":
         val = hyperbolic_models.halfplane_distance(z[0], w[0])
-    elif k == "ball":
-        val = _ball_distance(z, w)
     elif k == "annulus":
         val = hyperbolic_models.annulus_distance(dom.r, z[0], w[0])
     elif k == "ellipsoid":

@@ -33,14 +33,46 @@ def _k_from_rho(rho, one_minus_rho_sq):
     return math.log((1.0 + rho) ** 2 / one_minus_rho_sq)
 
 
-def disc_distance(z1, z2) -> float:
-    """Hyperbolic distance between two points of the unit disc."""
-    z1 = _require_disc(z1, "z1")
-    z2 = _require_disc(z2, "z2")
-    den = abs(1.0 - np.conj(z2) * z1) ** 2
-    rho = abs(z1 - z2) / math.sqrt(den)
-    s = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2) / den
-    return _k_from_rho(rho, s)
+def _k_from_rho_many(rho, one_minus_rho_sq):
+    """_k_from_rho per element of two arrays of one shape.
+
+    Python's math runs on each element: numpy's atanh and log round
+    differently.
+    """
+    vals = [_k_from_rho(r, s) for r, s in zip(rho.ravel().tolist(), one_minus_rho_sq.ravel().tolist())]
+    return np.array(vals).reshape(rho.shape)
+
+
+def _hypot_sq(re, im):
+    """|re + i im|^2 as Python's abs(complex) ** 2 rounds it (hypot, then pow)."""
+    return np.float_power(np.hypot(re, im), 2)
+
+
+def disc_distance(z1, z2):
+    """Hyperbolic distance between two points of the unit disc.
+
+    z1 and z2 may also be arrays (broadcast together), for the distances
+    of many pairs in one call, each bit for bit what the pair gives
+    alone: |.| is hypot and a square float_power, as Python's scalar
+    arithmetic rounds them, and the complex product is written out in
+    reals.  Returns a float for scalars, else an array.
+    """
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    for name, z in (("z1", z1), ("z2", z2)):
+        mag = np.hypot(z.real, z.imag)
+        outside = mag >= 1.0
+        if outside.any():
+            raise DomainError(f"{name} must lie in the open unit disc, "
+                              f"got |z| = {float(mag[outside].flat[0]):.6g}")
+    # 1 - conj(z2) z1, in reals.
+    xr = 1.0 - (z2.real * z1.real + z2.imag * z1.imag)
+    xi = z2.real * z1.imag - z2.imag * z1.real
+    den = _hypot_sq(xr, xi)
+    rho = np.hypot(z1.real - z2.real, z1.imag - z2.imag) / np.sqrt(den)
+    s = (1.0 - _hypot_sq(z1.real, z1.imag)) * (1.0 - _hypot_sq(z2.real, z2.imag)) / den
+    k = _k_from_rho_many(rho, s)
+    return float(k) if k.ndim == 0 else k
 
 
 def _upper_distance(u1, u2) -> float:

@@ -67,8 +67,8 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
     array operation rounds as the Python scalar formula for one point
     does, so a stack and its points one at a time agree bit for bit:
     |w| is hypot (np.abs rounds differently), a float power is
-    float_power (not the array **), the squared norm is a row-wise
-    matmul (not norm(axis=-1)), and the product with the conjugate egg
+    float_power (not the array **), the norm is a row-wise matmul
+    (geodesics_metrics._row_norm), and the product with the conjugate egg
     phase is written out in reals (numpy's complex multiply may fuse
     its products).
     """
@@ -92,10 +92,7 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
         conj_xi = np.conj(xi.position)
 
         def form(z):
-            re, im = z.real, z.imag
-            sq = (np.matmul(re[..., None, :], re[..., :, None])
-                  + np.matmul(im[..., None, :], im[..., :, None]))[..., 0, 0]
-            num = 1.0 - np.float_power(np.sqrt(sq), 2)
+            num = 1.0 - np.float_power(geodesics_metrics._row_norm(z), 2)
             return -num / np.float_power(_abs(1.0 - np.sum(z * conj_xi, axis=-1)), 2)
         return form
     if k == "ellipsoid":
@@ -207,6 +204,9 @@ def green_function(dom: Domain, w, z) -> KernelValue:
         raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
     w = require_interior(dom, w, "w")
     z = require_interior(dom, z, "z")
+    form = _green_form(dom)
+    if form is not None:
+        return KernelValue(float(form(w, z)), "closed_form", 0.0)
     if float(np.linalg.norm(z - w)) < 1e-15:
         return KernelValue(GREEN_POLE, "closed_form", 0.0)
     bound = geodesics_metrics.kobayashi_distance(dom, z, w)
@@ -217,6 +217,36 @@ def green_function(dom: Domain, w, z) -> KernelValue:
     if glo == GREEN_POLE:
         raise ConvergenceError("distance lower bound degenerate at the pole")
     return KernelValue(0.5 * (glo + ghi), "limit_ladder", 0.5 * (ghi - glo))
+
+
+def _green_form(dom: Domain):
+    """green_function's values as a function of (w, z), or None.
+
+    Defined on the disc and the ball, where geodesics_metrics has an
+    exact distance form, with the same stacking (..., n) and bit for bit
+    contract.
+    """
+    distances = geodesics_metrics._distance_form(dom)
+    if distances is None:
+        return None
+
+    def green(w, z):
+        k = distances(z, w)
+        pole = geodesics_metrics._row_norm(z - w) < 1e-15
+        vals = [GREEN_POLE if at_pole else _log_tanh_half(d)
+                for at_pole, d in zip(pole.ravel().tolist(), k.ravel().tolist())]
+        return np.array(vals).reshape(k.shape)
+    return green
+
+
+def _horofunction_many(form, p, z):
+    """log|Omega(p)| - log|Omega(z)| per row of stacks p and z (k, n).
+
+    form is a _closed_form of Omega_xi, evaluated once on all 2k points.
+    """
+    om = form(np.concatenate([p, z])).tolist()
+    k = len(z)
+    return np.array([math.log(-a) - math.log(-b) for a, b in zip(om[:k], om[k:])])
 
 
 def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
@@ -236,8 +266,7 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
 
     form = None if method == "ladder" else _closed_form(dom, xi)
     if form is not None:
-        om_p, om_z = form(np.stack([p, z]))
-        return KernelValue(math.log(-om_p) - math.log(-om_z), "closed_form", 0.0)
+        return KernelValue(float(_horofunction_many(form, p[None], z[None])[0]), "closed_form", 0.0)
     if method == "kernel":
         raise _no_closed_form(dom)
 

@@ -148,15 +148,20 @@ def _geodesic_laplacians(u, phi, samples) -> list:
 
     Uses the Richardson-combined 5-point Laplacian (4 L_{h/2} - L_h)/3
     with h = 1e-3 at each disc sample; the stencil must stay inside the
-    unit disc.
+    unit disc.  u is a function of one point; it is evaluated once per
+    sample, on the images of both stencils as one stack (a
+    kernels.ClosedFormKernel in one array call).
     """
     h = 1e-3
+    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
     out = []
     for zeta in samples:
         zeta = complex(zeta)
         if abs(zeta) + 1.5 * h >= 1.0:
             raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
-        lap, _ = laplacian_1d(lambda w: float(u(phi(w))), zeta, h, richardson=True)
+        stencil = _stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0)
+        at = dict(zip(stencil, values(np.array([phi(w) for w in stencil])).tolist()))
+        lap, _ = laplacian_1d(at.__getitem__, zeta, h, richardson=True)
         out.append(abs(lap))
     return out
 

@@ -3,11 +3,14 @@
 Each is an independent route to a quantity the package computes
 another way: the disc and half-plane kernels and the Cayley transform in
 closed form, the strip distance on one lift, a radial angular-derivative
-ladder with its own cut rules, and a Monte-Carlo boundary measure.
+ladder with its own cut rules, a Monte-Carlo boundary measure, and the
+one-pair disc and ball distance formulas in Python's scalar arithmetic,
+which the package's stacked distances must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +20,7 @@ from pluripot import domain_core
 from pluripot._extrap import extrapolate
 from pluripot.domain_core import Domain, defining_function
 from pluripot.errors import DomainError, UnsupportedDomainError
-from pluripot.hyperbolic_models import _require_disc, _strip_exp, _upper_distance
+from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
 
 
 def cayley(zeta) -> complex:
@@ -50,6 +53,39 @@ def poisson_halfplane(zeta) -> float:
     if zeta.real >= 0:
         raise DomainError("point must satisfy Re w < 0")
     return 2.0 * (1.0 / zeta).real
+
+
+def disc_distance_formula(z1, z2) -> float:
+    """Hyperbolic distance of the unit disc, one pair in scalar arithmetic."""
+    z1 = _require_disc(z1, "z1")
+    z2 = _require_disc(z2, "z2")
+    den = abs(1.0 - np.conj(z2) * z1) ** 2
+    rho = abs(z1 - z2) / math.sqrt(den)
+    s = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2) / den
+    return _k_from_rho(rho, s)
+
+
+def ball_distance_formula(z, w) -> float:
+    """Hyperbolic distance of the unit ball, one pair of points (n,)."""
+    nz = float(np.linalg.norm(z))
+    nw = float(np.linalg.norm(w))
+    if nz >= 1.0 or nw >= 1.0:
+        raise DomainError("points must lie in the open ball")
+    zw = complex(np.sum(z * np.conj(w)))
+    den = abs(1.0 - zw) ** 2
+    if nw < 1e-14:
+        rho = nz
+    elif nz < 1e-14:
+        rho = nw
+    else:
+        # Moebius automorphism sending w to 0, applied to z.
+        pw = (zw / (nw * nw)) * w
+        qw = z - pw
+        sw = math.sqrt(max(0.0, 1.0 - nw * nw))
+        vec = (w - pw - sw * qw) / (1.0 - zw)
+        rho = float(np.linalg.norm(vec))
+    s = (1.0 - nz * nz) * (1.0 - nw * nw) / den
+    return _k_from_rho(min(rho, 1.0), s)
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,18 @@ def test_sweep_template_outside_whitelist_is_config_error(template, capsys):
      lambda t, s: (complex(0.9 * t), complex(0.4 * s))),
     ("green", "ball2", ["--w=0.1,-0.15j"], "+0.9*t,-(0.4*s)",
      lambda t, s: (complex(+0.9 * t), complex(-(0.4 * s)))),
+    # The pole w = z at t = 0.
+    ("green", "ball2", ["--w", "0,0"], "0.5*t,0", lambda t, s: (complex(0.5 * t), 0j)),
+    # Rows outside the domain.
+    ("poisson", "ball2", ["--xi", "e1"], "1.2*t,0.5*s", lambda t, s: (complex(1.2 * t), complex(0.5 * s))),
+    ("poisson", "half_plane", ["--xi", "0"], "t+j*s", lambda t, s: (t + 1j * s,)),
+    ("distance", "disc", ["--w=0.2j"], "0.9*t+0.3*j*s", lambda t, s: (0.9 * t + 0.3 * 1j * s,)),
+    ("distance", "ball3", ["--w=0.1,0.2,-0.3j"], "0.9*t,0.4*s,0.1*j",
+     lambda t, s: (complex(0.9 * t), complex(0.4 * s), 0.1 * 1j)),
+    ("horofunction", "ball2", ["--xi", "e1", "--p=0.1,0.2j"], "0.9*t,0.4*s",
+     lambda t, s: (complex(0.9 * t), complex(0.4 * s))),
+    # A template that fails arithmetically (log of t <= 0) on some rows.
+    ("poisson", "egg4", ["--xi", "e1"], "log(t),0.5*s", lambda t, s: (complex(math.log(t)), complex(0.5 * s))),
 ])
 def test_sweep_template_rows_match_eval_bytes(quantity, domain, fixed, template, point, capsys):
     # Each sweep row equals, byte for byte, eval at the point that
@@ -222,8 +234,13 @@ def test_sweep_template_rows_match_eval_bytes(quantity, domain, fixed, template,
     assert rc == 0
     assert len(rows) == 9 and any(r["status"] == "ok" for r in rows)
     for row in rows:
-        z = point(float(row["t"]), float(row["s"]))
-        rc = main(["eval", quantity, "--domain", domain, *fixed, f"--z={z[0]!r},{z[1]!r}",
+        try:
+            z = point(float(row["t"]), float(row["s"]))
+        except ValueError:
+            # The template fails here: the row has no point and is outside.
+            assert row["status"] == "outside"
+            continue
+        rc = main(["eval", quantity, "--domain", domain, *fixed, "--z=" + ",".join(repr(c) for c in z),
                    "--format", "csv"])
         out = capsys.readouterr().out
         if row["status"] == "outside":
@@ -463,3 +480,47 @@ def test_config_file_ellipsoid_exponents(m, rc_expected, tmp_path, capsys):
         assert json.loads(out.out)["rows"][0]["method"] == "closed_form"
     else:
         assert "m must be" in out.err
+
+
+def test_sweep_evaluates_each_benchmark_grid_as_one_stack(monkeypatch, capsys):
+    # The two 60 x 60 grids of the benchmark sweep: each makes one call
+    # of the closed-form kernel or of the ball distance, on all of its
+    # interior rows, and none of the one-point functions.
+    from pluripot import geodesics_metrics, kernels
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    closed_form = kernels._closed_form
+    monkeypatch.setattr(kernels, "_closed_form",
+                        lambda dom, xi: counted("closed_form", closed_form(dom, xi)))
+    monkeypatch.setattr(geodesics_metrics, "_ball_distance",
+                        counted("ball_distance", geodesics_metrics._ball_distance))
+    for module, name in ((kernels, "poisson_kernel"), (kernels, "green_function"),
+                         (geodesics_metrics, "kobayashi_distance")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    grid = ["--grid-t=-0.95:0.95:60", "--grid-s=-1:1:60"]
+    assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "e1",
+                 "--z", "t,0.6*s*(cos(t)+j*sin(t))", *grid]) == 0
+    poisson, _ = _csv_rows(capsys.readouterr().out)
+    assert calls == ["closed_form"]
+    assert main(["sweep", "green", "--domain", "ball2", "--w=0.27,-0.19j", "--z", "0.9*t,0.4*s",
+                 *grid]) == 0
+    green, _ = _csv_rows(capsys.readouterr().out)
+    assert calls == ["closed_form", "ball_distance"]
+    assert len(poisson) == len(green) == 3600
+    assert {r["status"] for r in poisson} == {"ok", "outside"}
+    assert {r["status"] for r in green} == {"ok"}
+
+
+def test_verify_annulus_refuses_radius_beyond_its_circle(capsys):
+    # The suite samples the circle |z| = 0.7, so it supports 0 < r < 0.7.
+    rc = main(["verify", "annulus", "--r", "0.75"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "configuration error: the annulus suite needs --r in 0 < r < 0.7, got 0.75\n"

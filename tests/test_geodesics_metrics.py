@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import (
     asymptoticity_gap,
@@ -13,6 +15,7 @@ from pluripot import (
     disc_distance,
     egg_geodesic,
     egg_invert,
+    green_function,
     kobayashi_distance,
     make_domain,
     minkowski_gauge,
@@ -20,7 +23,10 @@ from pluripot import (
     slice_upper_bound,
 )
 
-from oracles import angular_derivative, cayley_inverse
+from pluripot.geodesics_metrics import _distance_form
+from pluripot.kernels import _green_form
+
+from oracles import angular_derivative, ball_distance_formula, cayley_inverse, disc_distance_formula
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -253,3 +259,103 @@ def test_asymptoticity_requires_shared_endpoint():
     psi = ball_geodesic(np.zeros(2), np.array([0.0, 1.0]))
     with pytest.raises(Exception):
         asymptoticity_gap(phi, psi, 5.0)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _check_stacked_distances(dom, z, w):
+    """Stacked distances and Green functions of the pairs (z, w), against
+    the one-pair formula and the scalar functions, bit for bit."""
+    distances = _distance_form(dom)(z, w)
+    assert distances.shape == (len(z),)
+    for zi, wi, got in zip(z, w, distances):
+        if np.linalg.norm(zi - wi) < 1e-15:
+            want = 0.0
+        elif dom.kind == "disc":
+            want = disc_distance_formula(zi[0], wi[0])
+        else:
+            want = ball_distance_formula(zi, wi)
+        assert _bits(got) == _bits(want) == _bits(kobayashi_distance(dom, zi, wi).value)
+    # log tanh(k/2) fails on a distance 0 between distinct points; the
+    # stack then fails as one of its pairs does.
+    try:
+        wants = [green_function(dom, wi, zi).value for zi, wi in zip(z, w)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            _green_form(dom)(w, z)
+    else:
+        assert [_bits(g) for g in _green_form(dom)(w, z)] == [_bits(g) for g in wants]
+    # One w for the whole stack broadcasts against it.
+    fixed = _distance_form(dom)(z, w[0])
+    for zi, got in zip(z, fixed):
+        assert _bits(got) == _bits(kobayashi_distance(dom, zi, w[0]).value)
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _round_point(n, data):
+    """A point of the unit disc or ball (n = 1 or n >= 2): tiny (below
+    1e-14), anywhere, or near the sphere (pairs there have rho >= 0.9)."""
+    raw = np.array([complex(data.draw(_UNIT), data.draw(_UNIT)) for _ in range(n)])
+    norm = float(np.linalg.norm(raw))
+    if norm == 0.0:
+        raw[0], norm = 1.0, 1.0
+    size = data.draw(st.sampled_from(["tiny", "any", "near"]))
+    if size == "tiny":
+        radius = data.draw(st.floats(0.0, 9e-15))
+    elif size == "any":
+        radius = data.draw(st.floats(0.0, 0.95))
+    else:
+        radius = data.draw(st.floats(0.95, 0.9999))
+    return raw / norm * radius
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(["disc", "ball2", "ball3"]), count=st.integers(1, 9), data=st.data())
+def test_stacked_distances_match_the_one_pair_formula(spec, count, data):
+    dom = make_domain(spec)
+    z = np.array([_round_point(dom.n, data) for _ in range(count)])
+    w = np.array([z[i] if data.draw(st.booleans()) and i % 3 == 0 else _round_point(dom.n, data)
+                  for i in range(count)])
+    _check_stacked_distances(dom, z, w)
+
+
+@pytest.mark.parametrize("spec", ["disc", "ball2", "ball3"])
+def test_stacked_distances_take_every_branch(spec):
+    dom = make_domain(spec)
+    e = np.zeros(dom.n, dtype=complex)
+    e[0] = 1.0
+    f = np.zeros(dom.n, dtype=complex)
+    f[-1] = 1.0j
+    pairs = [
+        (0.4 * e + 0.3 * f, 3e-15 * f),   # |w| < 1e-14
+        (2e-15 * e, 0.5 * f),             # |z| < 1e-14
+        (0.99 * e, -0.98 * f),            # rho >= 0.9
+        (0.3 * f, 0.3 * f),               # the pole
+        (0.3 * f, 0.3 * f + 5e-16 * e),   # closer than 1e-15
+        (0.2 * e, 0.1 * f),
+    ]
+    z, w = (np.array(side) for side in zip(*pairs))
+    assert [float(np.linalg.norm(x)) < 1e-14 for x in w] == [True] + [False] * 5
+    assert [float(np.linalg.norm(x)) < 1e-14 for x in z] == [False, True] + [False] * 4
+    assert disc_distance(0.0, 0.9) < _distance_form(dom)(z, w)[2]
+    _check_stacked_distances(dom, z, w)
+
+
+@pytest.mark.parametrize("spec", ["disc", "ball3"])
+def test_large_stacked_distances_match_the_one_pair_formula(spec):
+    # Stacks past numpy's 256 KiB threshold for computing in place on
+    # temporaries, where its complex product rounds differently.
+    dom = make_domain(spec)
+    rng = np.random.default_rng(12)
+    z, w = (np.array([_random_interior(dom, rng, 0.0, 0.99) for _ in range(12000)])
+            for _ in range(2))
+    got = _distance_form(dom)(z, w)
+    if dom.kind == "disc":
+        want = [disc_distance_formula(a[0], b[0]) for a, b in zip(z, w)]
+    else:
+        want = [ball_distance_formula(a, b) for a, b in zip(z, w)]
+    assert got.tobytes() == np.array(want).tobytes()

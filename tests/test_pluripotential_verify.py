@@ -319,6 +319,47 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     assert len(hessians) == 400
 
 
+def test_harmonic_on_geodesics_work_count(monkeypatch):
+    # One stacked kernel call per disc sample (its 10 stencil images),
+    # none per point: 2 domains x 3 curves x 25 samples = 150 calls,
+    # beside one call per Hessian.
+    from pluripot import _suites, kernels
+
+    sizes = []
+    many = kernels.ClosedFormKernel.many
+
+    def counting_many(self, pts):
+        sizes.append(len(pts))
+        return many(self, pts)
+
+    def one_point(self, z):
+        raise AssertionError("a one-point kernel call")
+
+    monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
+    monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", one_point)
+    reports = _suites.suite_monge_ampere({})
+    assert [rep.check for rep in reports][2::3] == ["harmonic_on_geodesics[ball2]",
+                                                    "harmonic_on_geodesics[egg4]"]
+    assert sizes.count(10) == 150
+    assert sizes.count(49) == 400 and len(sizes) == 550
+
+
+@pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
+                                         ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
+def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
+    # The stacked stencil reads the same values in laplacian_1d's order
+    # as the kernel taken one point at a time.
+    dom = make_domain(spec)
+    xi = boundary_point(dom, [1.0, 0.0])
+    phi = curve(xi)
+    u = ClosedFormKernel(dom, xi, 1.0)
+    zetas = [0.0, 0.3, -0.2 + 0.4j, 0.65j]
+    want = [abs(laplacian_1d(lambda w: float(u(phi(w))), zeta, 1e-3, richardson=True)[0])
+            for zeta in zetas]
+    assert _geodesic_laplacians(u, phi, zetas) == want
+    assert _geodesic_laplacians(_kernel(dom, xi), phi, zetas) == want
+
+
 def test_report_verdict_is_derived_from_its_numbers():
     import dataclasses
 

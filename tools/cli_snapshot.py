@@ -64,6 +64,18 @@ eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
 eval poisson --domain ball2 --xi e1 --z 2,0
 eval distance --domain egg4 --z 0.1,0 --w 2,0
 eval green --domain ball2 --w 0,0 --z 1,0""".splitlines()]
+    # Sweeps through every stacked route and its fallbacks: the Green
+    # pole, rows outside the domain, a per-row xi, and egg4 Green rows on
+    # the catalogue and sandwich routes.
+    + [line.split() for line in """\
+sweep green --domain ball2 --w 0,0 --z 0.5*t,0 --grid-t=-0.95:0.95:5
+sweep distance --domain disc --w 0.2j --z 0.9*t+0.3*j*s --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep distance --domain ball3 --w=0.1,0.2,-0.3j --z 0.9*t,0.4*s,0.1*j --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep horofunction --domain ball2 --xi e1 --p 0.1,0.2j --z 0.9*t,0.4*s --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep poisson --domain disc --xi e1 --z 1.2*t+0.5*j*s --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep poisson --domain half_plane --xi 0 --z t+j*s --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep poisson --domain ball2 --xi cos(t),sin(t) --z 0.3,0.2j --grid-t=0:3:7
+sweep green --domain egg4 --w 0.2,0.3 --z 0.5*t,0.3*s --grid-t=-0.9:0.9:3 --grid-s=-1:1:3""".splitlines()]
 )
 
 
