@@ -194,8 +194,7 @@ def _ball_distance(z, w):
         vec = num / (1.0 - zw)[..., None]
     rho = np.where(nw < 1e-14, nz, np.where(nz < 1e-14, nw, _row_norm(vec)))
     s = (1.0 - nz * nz) * (1.0 - nw2) / hyperbolic_models._hypot_sq(1.0 - zw.real, zw.imag)
-    k = hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
-    return float(k) if k.ndim == 0 else k
+    return hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
 
 
 def _distance_form(dom: Domain):
@@ -448,7 +447,8 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
     if sep < 1e-15:
         return 0.0
     direction = (w - z) / sep
-    best = math.inf
+    # The two points in the unit disc of each center's slice that holds them.
+    pairs = []
     for sfrac in np.linspace(0.0, 1.0, _N_CENTERS):
         center = z + sfrac * (w - z)
         radius = _inscribed_disc_radius(dom, center, direction)
@@ -458,7 +458,10 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
         tw = complex(np.sum((w - center) * np.conj(direction)))
         if abs(tz) >= radius or abs(tw) >= radius:
             continue
-        best = min(best, hyperbolic_models.disc_distance(tz / radius, tw / radius))
+        pairs.append((tz / radius, tw / radius))
+    best = math.inf
+    if pairs:
+        best = min([best] + hyperbolic_models.disc_distance(*np.array(pairs).T).tolist())
     if math.isinf(best):
         if _depth >= 6:
             raise ConvergenceError("slice bound subdivision failed to capture the pair")

@@ -34,11 +34,13 @@ def _k_from_rho(rho, one_minus_rho_sq):
 
 
 def _k_from_rho_many(rho, one_minus_rho_sq):
-    """_k_from_rho per element of two arrays of one shape.
+    """_k_from_rho per element of two arrays of one shape (a float if 0-d).
 
     Python's math runs on each element: numpy's atanh and log round
     differently.
     """
+    if rho.ndim == 0:
+        return _k_from_rho(float(rho), float(one_minus_rho_sq))
     vals = [_k_from_rho(r, s) for r, s in zip(rho.ravel().tolist(), one_minus_rho_sq.ravel().tolist())]
     return np.array(vals).reshape(rho.shape)
 
@@ -59,20 +61,18 @@ def disc_distance(z1, z2):
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    for name, z in (("z1", z1), ("z2", z2)):
-        mag = np.hypot(z.real, z.imag)
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    mag1, mag2 = np.hypot(x1, y1), np.hypot(x2, y2)
+    for name, mag in (("z1", mag1), ("z2", mag2)):
         outside = mag >= 1.0
         if outside.any():
             raise DomainError(f"{name} must lie in the open unit disc, "
                               f"got |z| = {float(mag[outside].flat[0]):.6g}")
-    # 1 - conj(z2) z1, in reals.
-    xr = 1.0 - (z2.real * z1.real + z2.imag * z1.imag)
-    xi = z2.real * z1.imag - z2.imag * z1.real
-    den = _hypot_sq(xr, xi)
-    rho = np.hypot(z1.real - z2.real, z1.imag - z2.imag) / np.sqrt(den)
-    s = (1.0 - _hypot_sq(z1.real, z1.imag)) * (1.0 - _hypot_sq(z2.real, z2.imag)) / den
-    k = _k_from_rho_many(rho, s)
-    return float(k) if k.ndim == 0 else k
+    # |1 - conj(z2) z1|^2, the product written out in reals.
+    den = _hypot_sq(1.0 - (x2 * x1 + y2 * y1), x2 * y1 - y2 * x1)
+    rho = np.hypot(x1 - x2, y1 - y2) / np.sqrt(den)
+    s = (1.0 - np.float_power(mag1, 2)) * (1.0 - np.float_power(mag2, 2)) / den
+    return _k_from_rho_many(rho, s)
 
 
 def _upper_distance(u1, u2) -> float:
