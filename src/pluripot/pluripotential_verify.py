@@ -160,6 +160,7 @@ def _geodesic_laplacians(u, phi, samples) -> list:
         if abs(zeta) + 1.5 * h >= 1.0:
             raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
         stencil = _stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0)
+        # laplacian_1d reads the values back, so they are summed in its order.
         at = dict(zip(stencil, values(np.array([phi(w) for w in stencil])).tolist()))
         lap, _ = laplacian_1d(at.__getitem__, zeta, h, richardson=True)
         out.append(abs(lap))
