@@ -37,58 +37,64 @@ def _directions(n):
 
 
 def _assemble(lap, n):
-    """Hermitian complex Hessian from the directional Laplacians lap.
+    """Hermitian complex Hessians from the directional Laplacians lap.
 
-    Diagonal entries are the Laplacians along the coordinate axes.
-    Off-diagonal entries are recovered by polarization:
+    lap has shape (..., m), one Laplacian per direction of
+    _directions(n); the result has shape (..., n, n).  Diagonal entries
+    are the Laplacians along the coordinate axes.  Off-diagonal entries
+    are recovered by polarization:
         Re u_{j kbar} = (L(e_j + e_k) - L(e_j - e_k)) / 4
         Im u_{j kbar} = (L(e_j + i e_k) - L(e_j - i e_k)) / 4
     The result is Hermitian-symmetrized.
     """
-    H = np.zeros((n, n), dtype=complex)
+    H = np.zeros(lap.shape[:-1] + (n, n), dtype=complex)
     for j in range(n):
-        H[j, j] = lap[j]
+        H[..., j, j] = lap[..., j]
     i = n
     for j in range(n):
         for k in range(j + 1, n):
-            re = (lap[i] - lap[i + 1]) / 4.0
-            im = (lap[i + 2] - lap[i + 3]) / 4.0
-            H[j, k] = re + 1j * im
-            H[k, j] = np.conj(H[j, k])
+            re = (lap[..., i] - lap[..., i + 1]) / 4.0
+            im = (lap[..., i + 2] - lap[..., i + 3]) / 4.0
+            H[..., j, k] = re + 1j * im
+            H[..., k, j] = np.conj(H[..., j, k])
             i += 4
-    return (H + H.conj().T) / 2.0
+    return (H + np.conj(np.swapaxes(H, -1, -2))) / 2.0
 
 
 def hessian_richardson(values, z, h):
-    """Step-halved complex Hessian with Richardson extrapolation.
+    """Step-halved complex Hessians with Richardson extrapolation.
 
-    values maps a stack of points (k, n) to their k real values; it is
-    called once, on z and the 4-point stencils of steps h and h/2 along
-    every direction of _directions(n).  The quarter Laplacian along v is
-    (sum of the 4 values - 4 u(z)) / (4 h^2), which approximates
-    sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2).
+    z is a stack of points (k, n) and h their steps (k,).  values maps
+    a stack of points to their real values; it is called once, on the
+    points z and the 4-point stencils of steps h and h/2 along every
+    direction of _directions(n) about each of them.  The quarter
+    Laplacian along v is (sum of the 4 values - 4 u(z)) / (4 h^2), which
+    approximates sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2).
 
-    Returns (matrix, gap).  The matrix is the h^2-error-cancelling
-    combination (4 H(h/2) - H(h)) / 3; the gap is the relative
-    discrepancy between the two raw estimates and serves as the
-    truncation diagnostic.
+    Returns (matrices, gaps) of shapes (k, n, n) and (k,).  A matrix is
+    the h^2-error-cancelling combination (4 H(h/2) - H(h)) / 3; its gap
+    is the relative discrepancy between the two raw estimates and serves
+    as the truncation diagnostic.  Each point's results are bit for bit
+    those of the point alone.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
+    k, n = z.shape
     table = _directions(n)
-    hs = np.array([h, h / 2.0])
-    hv = hs[:, None, None] * table
-    ihv = (1j * hs)[:, None, None] * table
-    # Axis 1 runs over z + h v, z - h v, z + i h v, z - i h v.
-    pts = np.stack([z + hv, z - hv, z + ihv, z - ihv], axis=1)
-    vals = values(np.concatenate([z[None, :], pts.reshape(-1, n)]))
-    u0 = vals[0]
-    s = vals[1:].reshape(2, 4, len(table))
-    lap = (s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3] - 4.0 * u0) / (4.0 * hs * hs)[:, None]
-    H1, H2 = _assemble(lap[0], n), _assemble(lap[1], n)
-    scale = max(1.0, float(np.max(np.abs(H2))))
-    gap = float(np.max(np.abs(H1 - H2))) / scale
-    return (4.0 * H2 - H1) / 3.0, gap
+    hs = np.stack([h, h / 2.0], axis=-1)
+    hv = hs[:, :, None, None] * table
+    ihv = (1j * hs)[:, :, None, None] * table
+    zs = z[:, None, None, :]
+    # Axis 2 runs over z + h v, z - h v, z + i h v, z - i h v.
+    pts = np.stack([zs + hv, zs - hv, zs + ihv, zs - ihv], axis=2)
+    vals = values(np.concatenate([z, pts.reshape(-1, n)]))
+    u0 = vals[:k, None, None]
+    s = vals[k:].reshape(k, 2, 4, len(table))
+    lap = (s[:, :, 0] + s[:, :, 1] + s[:, :, 2] + s[:, :, 3] - 4.0 * u0) / (4.0 * hs * hs)[:, :, None]
+    H = _assemble(lap, n)
+    H1, H2 = H[:, 0], H[:, 1]
+    scale = np.maximum(1.0, np.max(np.abs(H2), axis=(1, 2)))
+    gaps = np.max(np.abs(H1 - H2), axis=(1, 2)) / scale
+    return (4.0 * H2 - H1) / 3.0, gaps
 
 
 def five_points(zeta, h):

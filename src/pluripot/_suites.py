@@ -205,8 +205,9 @@ def suite_monge_ampere(config) -> list:
         samples = _interior_samples(dom, 200, rng,
                                     gauge_lo=0.15, gauge_hi=0.6,
                                     min_axis_gap=0.3, min_tangential=0.05)
-        # One projection and one Hessian per sample serve both reports.
-        hessians = [complex_hessian(u, z, 1e-3 * boundary_distance(dom, z)) for z in samples]
+        # One projection per sample and one stacked Hessian call serve both reports.
+        steps = [1e-3 * boundary_distance(dom, z) for z in samples]
+        hessians = complex_hessian(u, np.array(samples), np.array(steps))
         curves = [phi for phi, _ in _geodesic_family(dom, xi)]
         zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
                          for rad in (0.2, 0.45, 0.7) for l in range(8)]
@@ -248,8 +249,10 @@ def suite_reproducing(config) -> list:
 
     def check(dom):
         quad = boundary_measure.build_quadrature(dom, resolution)
-        residuals = {name: [abs(boundary_measure.reproduce_pluriharmonic(dom, F, z, quad)
-                                - float(F(z[None, :])[0])) for z in points]
+        # One kernel sweep per point serves every function.
+        reproducers = [boundary_measure._reproducer(dom, z, quad) for z in points]
+        residuals = {name: [abs(reproduce(F) - float(F(z[None, :])[0]))
+                            for z, reproduce in zip(points, reproducers)]
                      for name, F in _PLURIHARMONIC_TESTS}
         per_f = {name: _worst(0.0, *res) for name, res in residuals.items()}
         return _report(f"reproducing[{dom.label}]", [r for res in residuals.values() for r in res],
@@ -283,8 +286,10 @@ def suite_dilation(config) -> list:
         mp = dilation_jwc.map_from_spec("egg_to_ball", m=4)
         rng = np.random.default_rng(_seed(config))
         samples = _interior_samples(mp.source, 100, rng)
+        xi, xi_target = boundary_point(mp.source, e1_2), boundary_point(mp.target, e1_2)
         return _report("dilation_pullback[egg4->ball2]",
-                       [dilation_jwc.omega_preserving_residual(mp, e1_2, e1_2, [z]) for z in samples],
+                       [dilation_jwc.omega_preserving_residual(mp, xi, xi_target, [z])
+                        for z in samples],
                        tol_pullback)
 
     def alpha_egg():

@@ -157,6 +157,15 @@ def reproduce_pluriharmonic(dom: Domain, F, z, quad: BoundaryQuadrature) -> floa
     Closed-form kernels at arbitrary boundary points exist for the disc
     and the ball, so those are the supported kinds.
     """
+    return _reproducer(dom, z, quad)(F)
+
+
+def _reproducer(dom: Domain, z, quad: BoundaryQuadrature):
+    """reproduce_pluriharmonic at z as a function of F alone.
+
+    The kernel weights w_i density_i |Omega_{xi_i}(z)|^n are computed
+    here, once, for every F the function is then called on.
+    """
     if quad.domain.label != dom.label:
         raise DomainError("quadrature was built for a different domain")
     if dom.kind not in ("disc", "ball"):
@@ -165,9 +174,12 @@ def reproduce_pluriharmonic(dom: Domain, F, z, quad: BoundaryQuadrature) -> floa
     n = dom.n
     inner = quad.points @ np.conj(z)
     omega_abs = (1.0 - float(np.linalg.norm(z)) ** 2) / np.abs(1.0 - inner) ** 2
-    fvals = np.asarray(F(quad.points), dtype=float)
-    total = np.sum(quad.weights * quad.densities * omega_abs ** n * fvals)
-    return float(total / (2.0 * np.pi) ** n)
+    weighted = quad.weights * quad.densities * omega_abs ** n
+
+    def reproduce(F) -> float:
+        total = np.sum(weighted * np.asarray(F(quad.points), dtype=float))
+        return float(total / (2.0 * np.pi) ** n)
+    return reproduce
 
 
 def calibrate_quadrature(dom: Domain, F, z, start_resolution=16, tol=1e-3):

@@ -133,6 +133,8 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples) -> dict:
     the per-formulation suprema, the dilation, and boolean verdicts.
     """
     _check_map(mp)
+    xi = boundary_point(mp.source, xi)
+    xi_target = boundary_point(mp.target, xi_target)
     lam, lam_unc = dilation(mp, xi, xi_target)
     log_lam = float(np.log(lam))
     alpha = normalized_dilation(mp, xi, xi_target)
@@ -220,6 +222,8 @@ def omega_preserving_residual(mp: MapUnderTest, xi, xi_target, samples) -> float
     Zero exactly when the map transports one kernel to the other, as the
     egg squaring map does at the axis point.
     """
+    xi = boundary_point(mp.source, xi)
+    xi_target = boundary_point(mp.target, xi_target)
     worst = 0.0
     for z in samples:
         z = as_point(mp.source, z)

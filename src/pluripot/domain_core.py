@@ -75,13 +75,17 @@ class BoundaryPoint:
     """A boundary point with its outward unit normal and tangent frame.
 
     tangent_frame has shape (n-1, n); its rows complete the normal to a
-    Hermitian-orthonormal basis of C^n.  line_type is filled in lazily.
+    Hermitian-orthonormal basis of C^n.  It is built on first use: few
+    callers read it.  line_type is filled in lazily.
     """
 
     position: np.ndarray
     normal: np.ndarray
-    tangent_frame: np.ndarray
     line_type: Optional[int] = None
+
+    @functools.cached_property
+    def tangent_frame(self) -> np.ndarray:
+        return _tangent_frame(self.normal)
 
     def __repr__(self):
         pos = np.array2string(self.position, precision=6, separator=",")
@@ -370,7 +374,7 @@ def _tangent_frame(normal: np.ndarray) -> np.ndarray:
 
 
 def boundary_point(domain: Domain, position, compute_line_type=False) -> BoundaryPoint:
-    """Package a boundary position with its normal and tangent frame.
+    """Package a boundary position with its normal (the frame follows on use).
 
     The position must be finite and satisfy |rho| <= _BOUNDARY_TOL.  A
     BoundaryPoint is returned unchanged unless its line type is asked for.
@@ -386,11 +390,9 @@ def boundary_point(domain: Domain, position, compute_line_type=False) -> Boundar
     if resid > _BOUNDARY_TOL:
         raise DomainError(f"not a boundary point: |rho| = {resid:.3e} exceeds {_BOUNDARY_TOL:g}")
     nrm = unit_normal(domain, pos)
-    frame = _tangent_frame(nrm)
-    bp = BoundaryPoint(position=pos, normal=nrm, tangent_frame=frame)
+    bp = BoundaryPoint(position=pos, normal=nrm)
     if compute_line_type:
-        bp = BoundaryPoint(position=pos, normal=nrm, tangent_frame=frame,
-                           line_type=line_type(domain, bp))
+        bp = BoundaryPoint(position=pos, normal=nrm, line_type=line_type(domain, bp))
     return bp
 
 
@@ -630,7 +632,9 @@ def levi_data(domain: Domain, xi):
         return float(defining_function(domain, w))
 
     # One point at a time: rho on a stack rounds differently on eggs.
-    H, gap = _stencils.hessian_richardson(_stencils.pointwise(u), bp.position, 1e-4)
+    Hs, gaps = _stencils.hessian_richardson(_stencils.pointwise(u), bp.position[None],
+                                            np.array([1e-4]))
+    H, gap = Hs[0], float(gaps[0])
     if gap > 1e-4:
         raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")
     frame = bp.tangent_frame

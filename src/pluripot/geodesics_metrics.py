@@ -186,13 +186,16 @@ def _ball_distance(z, w):
     nw2 = nw * nw
     with np.errstate(divide="ignore", invalid="ignore"):
         # Moebius automorphism sending w to 0, applied to z.  Rows with
-        # |w| or |z| below 1e-14 discard it and take rho = |z| or |w|.
+        # |w| or |z| below 1e-14 discard it and take the disc's
+        # rho = |z - w| / |1 - <z, w>|, which there differs from the
+        # ball's by less than |z|^2 |w|^2.
         pw = (zw.real / nw2 + 1j * (zw.imag / nw2))[..., None] * w
         qw = z - pw
         sw = np.sqrt(np.maximum(0.0, 1.0 - nw2))
         num = w - pw - sw[..., None] * qw
         vec = num / (1.0 - zw)[..., None]
-    rho = np.where(nw < 1e-14, nz, np.where(nz < 1e-14, nw, _row_norm(vec)))
+    near_origin = (nw < 1e-14) | (nz < 1e-14)
+    rho = np.where(near_origin, _row_norm(z - w) / np.hypot(1.0 - zw.real, zw.imag), _row_norm(vec))
     s = (1.0 - nz * nz) * (1.0 - nw2) / hyperbolic_models._hypot_sq(1.0 - zw.real, zw.imag)
     return hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
 

@@ -255,8 +255,9 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     Kernel form: log|Omega_xi(p)| - log|Omega_xi(z)| by the closed form
     of Omega_xi; "kernel" raises UnsupportedDomainError where xi has
     none.  Ladder: extrapolate k(z, w_j) - k(w_j, p) along
-    w_j = xi - 10^-j n_xi.  "auto" is the kernel form where the closed
-    form exists, else the ladder.
+    w_j = xi - 10^-j n_xi; on the disc and the ball the distances of all
+    rungs are two stacked calls.  "auto" is the kernel form where the
+    closed form exists, else the ladder.
     """
     xi = boundary_point(dom, xi)
     p = require_interior(dom, p, "p")
@@ -271,13 +272,20 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
         raise _no_closed_form(dom)
 
     js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
+    rungs = normal_ladder(dom, xi, js)
+    distances = geodesics_metrics._distance_form(dom)
     vals = []
     widths = 0.0
-    for w in normal_ladder(dom, xi, js):
-        bz = geodesics_metrics.kobayashi_distance(dom, z, w)
-        bp = geodesics_metrics.kobayashi_distance(dom, w, p)
-        vals.append(bz.value - bp.value)
-        widths = max(widths, bz.width + bp.width)
+    if distances is not None:
+        # Exact distances, so no width.
+        ws = np.array(rungs)
+        vals = (distances(z, ws) - distances(ws, p)).tolist()
+    else:
+        for w in rungs:
+            bz = geodesics_metrics.kobayashi_distance(dom, z, w)
+            bp = geodesics_metrics.kobayashi_distance(dom, w, p)
+            vals.append(bz.value - bp.value)
+            widths = max(widths, bz.width + bp.width)
     est, unc = extrapolate(vals, "horofunction")
     return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
 

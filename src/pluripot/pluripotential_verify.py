@@ -23,12 +23,13 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class HessianSample:
-    """A complex Hessian estimate at one point."""
+    """A complex Hessian estimate at one point, with its eigenvalues."""
 
     point: np.ndarray
     step: float
     matrix: np.ndarray
     richardson_gap: float
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,29 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     return "fail"
 
 
-def complex_hessian(u, z, h) -> HessianSample:
+def complex_hessian(u, z, h):
     """Complex Hessian of u at z with step-halving Richardson control.
 
-    u is a function of one point.  A kernels.ClosedFormKernel is
-    evaluated on the whole stencil as one stack.  The returned matrix is
-    the extrapolated combination of the h and h/2 stencils;
-    richardson_gap records their relative discrepancy.
+    u is a function of one point.  z is one point and h its step, or z
+    is a stack of points (k, n) and h their steps (k,); a stack gives a
+    list of k samples, each bit for bit the sample of its point alone.
+    The function is evaluated once, on every stencil point as one stack:
+    a kernels.ClosedFormKernel in one array call.  A matrix is the
+    extrapolated combination of the h and h/2 stencils; richardson_gap
+    records their relative discrepancy.  The eigenvalues of all the
+    matrices come from one eigvalsh call.
     """
     z = np.asarray(z, dtype=complex)
-    if not h > 0:
+    pts = z.reshape(-1, z.shape[-1])
+    steps = np.broadcast_to(np.asarray(h, dtype=float), pts.shape[:1])
+    if not np.all(steps > 0):
         raise DomainError("stencil step must be positive")
     values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
-    H, gap = _stencils.hessian_richardson(values, z, h)
-    return HessianSample(point=z, step=float(h), matrix=H, richardson_gap=gap)
+    matrices, gaps = _stencils.hessian_richardson(values, pts, steps)
+    eigs = np.linalg.eigvalsh(matrices)
+    samples = [HessianSample(point=p, step=float(s), matrix=H, richardson_gap=float(g), eigenvalues=e)
+               for p, s, H, g, e in zip(pts, steps, matrices, gaps, eigs)]
+    return samples[0] if z.ndim == 1 else samples
 
 
 def _monge_ampere_residual(sample: HessianSample) -> float:
@@ -120,7 +130,7 @@ def _monge_ampere_residual(sample: HessianSample) -> float:
     Vanishes (up to stencil noise) exactly when the complex Hessian is
     degenerate, as it is for maximal plurisubharmonic functions.
     """
-    eigs = np.linalg.eigvalsh(sample.matrix)
+    eigs = sample.eigenvalues
     lam = float(np.max(np.abs(eigs)))
     if lam == 0.0:
         return 0.0
@@ -132,7 +142,7 @@ def _psh_report(hessians, tol) -> VerificationReport:
 
     The residual is the worst negative eigenvalue excursion, clipped at 0.
     """
-    excursions = [-float(np.linalg.eigvalsh(sample.matrix).min()) for sample in hessians]
+    excursions = [-float(sample.eigenvalues.min()) for sample in hessians]
     gap_max = _worst(0.0, *[sample.richardson_gap for sample in hessians])
     details = {"richardson_gap_max": gap_max}
     worst = _worst(0.0, *excursions)

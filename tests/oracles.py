@@ -73,10 +73,8 @@ def ball_distance_formula(z, w) -> float:
         raise DomainError("points must lie in the open ball")
     zw = complex(np.sum(z * np.conj(w)))
     den = abs(1.0 - zw) ** 2
-    if nw < 1e-14:
-        rho = nz
-    elif nz < 1e-14:
-        rho = nw
+    if nw < 1e-14 or nz < 1e-14:
+        rho = float(np.linalg.norm(z - w)) / abs(1.0 - zw)
     else:
         # Moebius automorphism sending w to 0, applied to z.
         pw = (zw / (nw * nw)) * w

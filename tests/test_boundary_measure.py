@@ -92,6 +92,25 @@ def test_reproduce_probability_normalization():
         assert abs(reproduce_pluriharmonic(dom, one, z, quad) - 1.0) < 1e-3
 
 
+def test_reproducing_suite_sweeps_the_kernel_once_per_point(monkeypatch):
+    # 5 points x 5 functions: one kernel-weight sweep per point, and one
+    # per calibration step.
+    from pluripot import _suites, boundary_measure
+
+    swept = []
+    reproducer = boundary_measure._reproducer
+
+    def counting_reproducer(dom, z, quad):
+        swept.append(quad.resolution)
+        return reproducer(dom, z, quad)
+
+    monkeypatch.setattr(boundary_measure, "_reproducer", counting_reproducer)
+    check, calibration = _suites.run_suite("reproducing")
+    assert check.samples == 25
+    history = calibration.details["history"]
+    assert swept[:5] == [24] * 5 and len(swept) == 5 + len(history)
+
+
 def test_calibrate_quadrature_converges():
     dom = make_domain("ball2")
     re_z1 = lambda pts: pts[:, 0].real

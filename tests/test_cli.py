@@ -45,6 +45,18 @@ def test_eval_green_ball(capsys):
     assert abs(rows[0]["value"] - math.log(0.5)) < 1e-12
 
 
+def test_eval_distinct_points_near_the_ball_origin(capsys):
+    # Both points within 1e-14 of the origin: the disc's distance 8.6e-15,
+    # and a finite Green value.
+    argv = ["--domain", "ball2", "--w", "4.3e-15,0", "--z", "0,0"]
+    assert main(["eval", "distance", *argv]) == 0
+    rows, _ = _rows(capsys)
+    assert abs(rows[0]["value"] - 8.6e-15) <= 1e-12 * 8.6e-15
+    assert main(["eval", "green", *argv]) == 0
+    rows, _ = _rows(capsys)
+    assert rows[0]["method"] == "closed_form" and -40.0 < rows[0]["value"] < -30.0
+
+
 def test_eval_missing_point_is_config_error(capsys):
     rc = main(["eval", "poisson", "--domain", "ball2", "--xi", "e1"])
     capsys.readouterr()
@@ -408,27 +420,29 @@ def test_verify_domain_takes_m_and_r(suite, flags, rc_expected, message, capsys)
 def test_sweep_builds_a_fixed_xi_once(monkeypatch, capsys):
     from pluripot import domain_core
 
-    frames = []
-    tangent_frame = domain_core._tangent_frame
+    # A boundary_point packaging takes one unit_normal; the tangent frame
+    # is built only where it is read.
+    packed = []
+    unit_normal = domain_core.unit_normal
 
-    def counting_frame(normal):
-        frames.append(normal)
-        return tangent_frame(normal)
+    def counting_normal(domain, position):
+        packed.append(position)
+        return unit_normal(domain, position)
 
-    monkeypatch.setattr(domain_core, "_tangent_frame", counting_frame)
+    monkeypatch.setattr(domain_core, "unit_normal", counting_normal)
     grid = ["--z", "t,0.3*s", "--grid-t=-0.95:0.95:4", "--grid-s=-1:1:3"]
     assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "e1", *grid]) == 0
     fixed = capsys.readouterr().out
-    assert len(frames) == 1
-    # A xi template in t is parsed and framed per row, to the same bytes.
+    assert len(packed) == 1
+    # A xi template in t is parsed and packaged per row, to the same bytes.
     assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "1+0*t,0", *grid]) == 0
     assert capsys.readouterr().out == fixed
-    assert len(frames) == 1 + 12
+    assert len(packed) == 1 + 12
     # A fixed xi off the boundary leaves every row outside, as before.
     assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "0.5,0", *grid]) == 0
     rows, _ = _csv_rows(capsys.readouterr().out)
     assert [r["status"] for r in rows] == ["outside"] * 12
-    assert len(frames) == 1 + 12
+    assert len(packed) == 1 + 12
 
 
 def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
@@ -441,7 +455,7 @@ def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
     verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
-    assert len(verify) == 16 and {c[1] for c in verify} == set(snapshot.SUITES)
+    assert len(verify) == 20 and {c[1] for c in verify} == set(snapshot.SUITES)
 
     argv = ["eval", "poisson", "--domain", "disc", "--xi", "e1", "--z", "0.5"]
     out = tmp_path / "out.json"

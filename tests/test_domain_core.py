@@ -80,6 +80,25 @@ def test_boundary_point_frame():
     assert abs(defining_function(dom, bp.position)) < 1e-12
 
 
+def test_boundary_point_builds_its_frame_on_first_use(monkeypatch):
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a):
+        qr_calls.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    for spec, pos in [("egg4", [1.0, 0.0]), ("ball3", [0.6, 0.8j, 0.0])]:
+        dom = make_domain(spec)
+        bp = boundary_point(dom, pos)
+        assert qr_calls == []
+        frame = bp.tangent_frame
+        assert len(qr_calls) == 1 and bp.tangent_frame is frame
+        assert frame.tobytes() == domain_core._tangent_frame(bp.normal).tobytes()
+        qr_calls.clear()
+
+
 def test_boundary_project_models():
     ball2 = make_domain("ball2")
     bp, delta = boundary_project(ball2, [0.5, 0.0])

@@ -24,7 +24,7 @@ from pluripot import (
 )
 
 from pluripot.geodesics_metrics import _distance_form
-from pluripot.kernels import _green_form
+from pluripot.kernels import _green_form, _log_tanh_half
 
 from oracles import angular_derivative, ball_distance_formula, cayley_inverse, disc_distance_formula
 
@@ -359,3 +359,33 @@ def test_large_stacked_distances_match_the_one_pair_formula(spec):
     else:
         want = [ball_distance_formula(a, b) for a, b in zip(z, w)]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(["ball2", "ball3"]), data=st.data())
+def test_ball_distance_on_the_axis_is_the_disc_distance(spec, data):
+    # On the z0 axis the ball's distance is the disc's, also for pairs
+    # of distinct points near the origin, where the Moebius map is not
+    # taken.
+    ball, disc = make_domain(spec), make_domain("disc")
+    a, b = _round_point(1, data)[0], _round_point(1, data)[0]
+    z = np.zeros(ball.n, dtype=complex)
+    w = np.zeros(ball.n, dtype=complex)
+    z[0], w[0] = a, b
+    want = kobayashi_distance(disc, a, b).value
+    for got in (kobayashi_distance(ball, z, w).value, float(_distance_form(ball)(z[None], w[None])[0])):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("spec", ["ball2", "ball3"])
+def test_ball_distance_between_distinct_points_near_the_origin(spec):
+    dom = make_domain(spec)
+    e = np.zeros(dom.n, dtype=complex)
+    e[0] = 1.0
+    f = np.zeros(dom.n, dtype=complex)
+    f[-1] = 1.0j
+    for z, w in [(0 * e, 4.3e-15 * e), (3e-15 * e, -5e-15 * f), (2e-15 * f, 0.4 * e)]:
+        want = disc_distance(0.0, float(np.linalg.norm(z - w)))
+        assert abs(kobayashi_distance(dom, z, w).value - want) <= 1e-12 * want
+        green = green_function(dom, w, z)
+        assert green.value == _log_tanh_half(kobayashi_distance(dom, z, w).value) > -40.0

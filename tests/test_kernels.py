@@ -166,6 +166,25 @@ def test_horofunction_ladder_matches_closed_form():
     assert abs(closed.value - ladder.value) < 1e-5
 
 
+@pytest.mark.parametrize("spec", ["disc", "ball2", "ball3"])
+def test_stacked_ladder_matches_the_per_rung_distances(spec):
+    # On the disc and the ball the ladder takes its distances in two
+    # stacked calls, bit for bit the per-rung kobayashi_distance ladder.
+    from pluripot._extrap import extrapolate, normal_ladder
+    from pluripot.geodesics_metrics import kobayashi_distance
+
+    dom = make_domain(spec)
+    xi = boundary_point(dom, np.eye(dom.n)[0])
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        p, z = _random_interior(dom, rng), _random_interior(dom, rng)
+        vals = [kobayashi_distance(dom, z, w).value - kobayashi_distance(dom, w, p).value
+                for w in normal_ladder(dom, xi, range(1, 9))]
+        est, unc = extrapolate(vals, "horofunction")
+        got = horofunction(dom, xi, p, z, method="ladder")
+        assert (got.value, got.uncertainty) == (float(est), float(unc))
+
+
 def test_horofunction_cocycle():
     dom = make_domain("ball2")
     xi = boundary_point(dom, [0.6, 0.8])

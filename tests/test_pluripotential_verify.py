@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import (
     ClosedFormKernel,
@@ -23,6 +25,7 @@ from pluripot import (
     phragmen_lindelof_compare,
     poisson_kernel,
 )
+from pluripot import _stencils
 from pluripot.pluripotential_verify import (_geodesic_laplacians, _monge_ampere_residual,
                                           _psh_report, _report)
 
@@ -293,8 +296,8 @@ def test_verdict_fails_closed_on_non_finite():
 
 
 def test_monge_ampere_suite_work_count(monkeypatch):
-    # One boundary projection and one Hessian per sample serve both the
-    # psh and the Monge-Ampere report of a domain.
+    # One boundary projection per sample and one stacked Hessian call per
+    # domain serve both the psh and the Monge-Ampere report of a domain.
     from pluripot import _suites, domain_core, pluripotential_verify
 
     projected = []
@@ -307,7 +310,7 @@ def test_monge_ampere_suite_work_count(monkeypatch):
         return project(dom, z)
 
     def counting_hessian(u, z, h):
-        hessians.append(h)
+        hessians.append(len(z))
         return hessian(u, z, h)
 
     monkeypatch.setattr(domain_core, "boundary_project", counting_project)
@@ -316,13 +319,13 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     reports = _suites.suite_monge_ampere({})
     assert [rep.samples for rep in reports[:2]] == [200, 200]
     assert projected.count("egg4") == 200
-    assert len(hessians) == 400
+    assert hessians == [200, 200]
 
 
 def test_harmonic_on_geodesics_work_count(monkeypatch):
     # One stacked kernel call per disc sample (its 10 stencil images),
     # none per point: 2 domains x 3 curves x 25 samples = 150 calls,
-    # beside one call per Hessian.
+    # beside one call per domain for its 200 Hessians of 49 points each.
     from pluripot import _suites, kernels
 
     sizes = []
@@ -341,7 +344,7 @@ def test_harmonic_on_geodesics_work_count(monkeypatch):
     assert [rep.check for rep in reports][2::3] == ["harmonic_on_geodesics[ball2]",
                                                     "harmonic_on_geodesics[egg4]"]
     assert sizes.count(10) == 150
-    assert sizes.count(49) == 400 and len(sizes) == 550
+    assert sizes.count(9800) == 2 and len(sizes) == 152
 
 
 @pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
@@ -466,6 +469,87 @@ def test_hessian_stencil_leaving_the_domain_raises_on_both_paths():
     for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
         with pytest.raises(DomainError, match="inside the domain"):
             complex_hessian(u, z, 0.2)
+    # One such point spoils the whole stack.
+    stack = np.array([[0.1, 0.2j], [0.0, 0.9], [-0.3, 0.1]])
+    for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
+        with pytest.raises(DomainError, match="inside the domain"):
+            complex_hessian(u, stack, np.array([1e-3, 0.2, 1e-3]))
+
+
+def test_stacked_hessian_rejects_a_step_that_is_not_positive():
+    u = ClosedFormKernel(make_domain("ball2"), [1.0, 0.0], 1.0)
+    stack = np.array([[0.1, 0.2j], [0.3, 0.0], [-0.3, 0.1]])
+    for bad in (0.0, -1e-3, math.nan):
+        with pytest.raises(DomainError, match="step must be positive"):
+            complex_hessian(u, stack, np.array([1e-3, bad, 1e-3]))
+    with pytest.raises(DomainError, match="step must be positive"):
+        complex_hessian(u, stack[0], math.nan)
+
+
+def _same_sample(a, b):
+    return (a.point.tobytes() == b.point.tobytes() and a.step == b.step
+            and a.matrix.tobytes() == b.matrix.tobytes() and a.richardson_gap == b.richardson_gap
+            and a.eigenvalues.tobytes() == b.eigenvalues.tobytes())
+
+
+_STACK_DOMAINS = ("ball2", "ball3", "egg4", "egg6")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_STACK_DOMAINS + ("plain",)), count=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_stacked_hessian_matches_one_point_bit_for_bit(spec, count, seed, data):
+    # hessian_richardson on a stack gives each point's matrix and gap as
+    # the stack of that point alone does; complex_hessian adds the same
+    # eigenvalues.  Kernels go through ClosedFormKernel.many, a plain
+    # function of one point through pointwise.
+    from pluripot import _suites
+
+    rng = np.random.default_rng(seed)
+    if spec == "plain":
+        n = data.draw(st.integers(1, 3))
+        u = lambda z: float(np.sum(np.abs(z) ** 4)) + float((z[0] * np.conj(z[-1])).real) ** 3
+        values = _stencils.pointwise(u)
+        pts = 0.5 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+        steps = rng.uniform(1e-5, 1e-2, count)
+    else:
+        dom = make_domain(spec)
+        u = ClosedFormKernel(dom, _suites._axis_boundary(dom), 1.0)
+        values = u.many
+        pts = np.array(_suites._interior_samples(dom, count, rng, gauge_hi=0.6, min_axis_gap=0.3))
+        steps = np.array([1e-3 * boundary_distance(dom, z) for z in pts])
+    matrices, gaps = _stencils.hessian_richardson(values, pts, steps)
+    stacked = complex_hessian(u, pts, steps)
+    assert len(stacked) == count
+    for i in range(count):
+        one_h, one_gap = _stencils.hessian_richardson(values, pts[i:i + 1], steps[i:i + 1])
+        assert matrices[i].tobytes() == one_h[0].tobytes()
+        assert gaps[i] == one_gap[0]
+        assert _same_sample(stacked[i], complex_hessian(u, pts[i], steps[i]))
+
+
+@pytest.mark.parametrize("spec", _STACK_DOMAINS)
+def test_suite_hessian_stack_matches_one_point_calls(spec):
+    # The monge_ampere suite's 200 samples as one stack, against the
+    # oracle stencil one point at a time.
+    from pluripot import _suites
+
+    dom = make_domain(spec)
+    xi = _suites._axis_boundary(dom)
+    u = ClosedFormKernel(dom, xi, 1.0)
+    scalar = lambda z: poisson_kernel(dom, xi, z, method="closed_form").value
+    rng = np.random.default_rng(20240519)
+    samples = _suites._interior_samples(dom, 200, rng, gauge_lo=0.15, gauge_hi=0.6,
+                                        min_axis_gap=0.3, min_tangential=0.05)
+    steps = [1e-3 * boundary_distance(dom, z) for z in samples]
+    stacked = complex_hessian(u, np.array(samples), np.array(steps))
+    for i in range(0, 200, 10):
+        matrix, gap = _hessian_oracle(scalar, samples[i], steps[i])
+        assert stacked[i].matrix.tobytes() == matrix.tobytes()
+        assert stacked[i].richardson_gap == gap
+        assert stacked[i].eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+    for i in range(200):
+        assert _same_sample(stacked[i], complex_hessian(u, samples[i], steps[i]))
 
 
 def test_report_reduces_residuals_to_the_worst():

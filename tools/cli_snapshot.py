@@ -34,6 +34,12 @@ COMMANDS = (
     # Every suite at its default seed and at seed 1.
     [["verify", suite] for suite in SUITES]
     + [["verify", suite, "--seed", "1"] for suite in SUITES]
+    # The stacked Hessian at n = 3 and on egg6, and the ball3 and disc ladders.
+    + [line.split() for line in """\
+verify monge_ampere --domain ball3
+verify monge_ampere --domain egg6
+verify poisson_horofunction --domain ball3
+verify poisson_horofunction --domain disc""".splitlines()]
     # The two sweeps of perfbench/run.py --workload sweep --seed 1.
     + [["sweep", "poisson", "--domain", "egg4", "--xi", "e1",
         "--z", "t,0.6023643249400513*s*(cos(t)+j*sin(t))"] + _GRIDS,
@@ -64,6 +70,10 @@ eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
 eval poisson --domain ball2 --xi e1 --z 2,0
 eval distance --domain egg4 --z 0.1,0 --w 2,0
 eval green --domain ball2 --w 0,0 --z 1,0""".splitlines()]
+    # Two distinct points both near the origin of the ball.
+    + [line.split() for line in """\
+eval distance --domain ball2 --w 4.3e-15,0 --z 0,0
+eval green --domain ball2 --w 4.3e-15,0 --z 0,0""".splitlines()]
     # Sweeps through every stacked route and its fallbacks: the Green
     # pole, rows outside the domain, a per-row xi, and egg4 Green rows on
     # the catalogue and sandwich routes.
