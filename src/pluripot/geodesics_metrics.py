@@ -345,8 +345,32 @@ def _lattice_directions(n: int, count: int) -> np.ndarray:
     return dirs
 
 
+@functools.lru_cache(maxsize=16)
+def _lattice_support(kind: str, n: int, m: tuple):
+    """Boundary points v / gauge(v) of the lattice directions of a
+    balanced kind, and their unit normals (read-only, cached).
+    """
+    dom = Domain(kind=kind, n=n, m=m)
+    pts = np.array([v / minkowski_gauge(dom, v) for v in _lattice_directions(n, 64 * n)])
+    normals = np.array([domain_core.unit_normal(dom, eta) for eta in pts])
+    pts.flags.writeable = False
+    normals.flags.writeable = False
+    return pts, normals
+
+
 def _supporting_points(dom: Domain, z, w):
-    """Boundary points whose tangent half-spaces contain the domain."""
+    """Boundary points whose tangent half-spaces contain the domain, and
+    their unit normals, as two stacks (k, n).
+
+    The balanced kinds take the lattice points from _lattice_support and
+    project only z and w; general_convex shoots the lattice directions
+    from z.
+    """
+    if dom.kind in ("disc", "ball", "ellipsoid"):
+        pts, normals = _lattice_support(dom.kind, dom.n, dom.m)
+        feet = [domain_core.boundary_project(dom, base)[0] for base in (z, w)]
+        return (np.concatenate([pts, [bp.position for bp in feet]]),
+                np.concatenate([normals, [bp.normal for bp in feet]]))
     pts = []
     if dom.kind == "annulus":
         thetas = np.exp(2j * np.pi * np.arange(64) / 64.0)
@@ -355,22 +379,14 @@ def _supporting_points(dom: Domain, z, w):
             mag = abs(base[0])
             if 1.0 - mag <= mag - dom.r:
                 pts.append(np.array([base[0] / mag]))
-        return pts
-    if dom.kind in ("disc", "ball", "ellipsoid"):
-        dirs = _lattice_directions(dom.n, 64 * dom.n)
-        for v in dirs:
-            pts.append(v / minkowski_gauge(dom, v))
     else:
-        dirs = _lattice_directions(dom.n, 64 * dom.n)
-        for v in dirs:
+        for v in _lattice_directions(dom.n, 64 * dom.n):
             try:
                 pts.append(domain_core._shoot_to_boundary(dom, z, v))
             except ConvergenceError:
                 continue
-    for base in (z, w):
-        bp, _ = domain_core.boundary_project(dom, base)
-        pts.append(bp.position)
-    return pts
+        pts.extend(domain_core.boundary_project(dom, base)[0].position for base in (z, w))
+    return np.array(pts), np.array([domain_core.unit_normal(dom, eta) for eta in pts])
 
 
 def caratheodory_lower_bound(dom: Domain, z, w) -> float:
@@ -380,17 +396,21 @@ def caratheodory_lower_bound(dom: Domain, z, w) -> float:
     map zeta -> <zeta - eta, n> into {Re < 0}, hence the half-plane
     distance of the images bounds the domain distance from below.
     Requires the half-space containment, which holds for the convex
-    kinds and for the annulus through its outer circle.
+    kinds and for the annulus through its outer circle.  On the disc,
+    the ball and the ellipsoids the 64 n lattice points and their
+    normals are built once per (kind, n, m); only the nearest boundary
+    points of z and w are found per pair.
     """
     z = as_point(dom, z)
     w = as_point(dom, w)
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
+    pts, normals = _supporting_points(dom, z, w)
+    conj_n = np.conj(normals)
+    pzs = np.sum((z - pts) * conj_n, axis=-1).tolist()
+    pws = np.sum((w - pts) * conj_n, axis=-1).tolist()
     best = 0.0
-    for eta in _supporting_points(dom, z, w):
-        nrm = domain_core.unit_normal(dom, eta)
-        pz = complex(np.sum((z - eta) * np.conj(nrm)))
-        pw = complex(np.sum((w - eta) * np.conj(nrm)))
+    for pz, pw in zip(pzs, pws):
         if pz.real >= 0.0 or pw.real >= 0.0:
             continue
         best = max(best, hyperbolic_models.halfplane_distance(pz, pw))
@@ -401,44 +421,60 @@ _N_RAYS = 256
 _N_CENTERS = 17
 
 
-def _inscribed_disc_radius(dom: Domain, center, direction) -> float:
-    """Certified radius of a round disc inside the slice through center.
+def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
+    """Certified radii of round discs inside the slices through centers.
 
-    Marches _N_RAYS rays by bisection; the returned value shrinks the
-    minimal certified-inside radius by cos(pi / _N_RAYS), the inradius
-    factor of the inscribed polygon of a convex slice.
+    centers is a stack (k, n) of slice centres, all in one direction.
+    The k * _N_RAYS rays march at once, one stack (k * _N_RAYS, n) per
+    evaluation of rho: each ray doubles until it leaves the domain, then
+    bisects.  The bisection ends after 64 steps, or earlier once every
+    midpoint rounds to an end of its bracket: from then on no inside end
+    moves.  Each radius is the centre's minimal certified inside radius
+    shrunk by cos(pi / _N_RAYS), the inradius factor of the inscribed
+    polygon of a convex slice.  Rays are independent, so each radius is
+    bit for bit what the centre's own march gives.
     """
+    k, n = centers.shape
     thetas = np.exp(2j * np.pi * np.arange(_N_RAYS) / _N_RAYS)
-    offsets = thetas[:, None] * direction[None, :]
+    offsets = np.ascontiguousarray(np.broadcast_to(thetas[:, None] * direction, (k, _N_RAYS, n)))
+    base = np.ascontiguousarray(np.broadcast_to(centers[:, None, :], (k, _N_RAYS, n)))
 
     def inside(t):
-        pts = center[None, :] + t[:, None] * offsets
-        return defining_function(dom, pts) < 0.0
+        # t is real, so every loop of numpy's complex multiply, fused or
+        # not, rounds t * offset as the real products t Re and t Im do.
+        pts = np.empty((k, _N_RAYS, n), dtype=complex)
+        pts.real, pts.imag = t[:, :, None], 0.0
+        pts *= offsets
+        pts += base
+        return defining_function(dom, pts.reshape(-1, n)).reshape(k, _N_RAYS) < 0.0
 
-    lo = np.zeros(_N_RAYS)
-    hi = np.full(_N_RAYS, 0.5)
+    lo = np.zeros((k, _N_RAYS))
+    hi = np.full((k, _N_RAYS), 0.5)
     for _ in range(16):
         mask = inside(hi)
         if not mask.any():
             break
-        lo[mask] = hi[mask]
-        hi[mask] *= 2.0
+        lo = np.where(mask, hi, lo)
+        hi = np.where(mask, 2.0 * hi, hi)
         if np.max(hi) > 64.0:
             raise UnsupportedDomainError("slice bound needs a bounded domain")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break
         mask = inside(mid)
-        lo[mask] = mid[mask]
-        hi[~mask] = mid[~mask]
-    return float(np.min(lo)) * math.cos(math.pi / _N_RAYS) - 1e-12
+        lo = np.where(mask, mid, lo)
+        hi = np.where(mask, hi, mid)
+    return np.min(lo, axis=1) * math.cos(math.pi / _N_RAYS) - 1e-12
 
 
 def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
     """Upper distance bound from a round disc inside a complex slice.
 
-    Tries inscribed discs centered along the segment [z, w]; when no
-    center captures both points the segment is split and the bound
-    chained by the triangle inequality.  Convex kinds only.
+    Tries inscribed discs centered at _N_CENTERS points along the
+    segment [z, w], all found by one march (_inscribed_disc_radius);
+    when no center captures both points the segment is split and the
+    bound chained by the triangle inequality.  Convex kinds only.
     """
     if dom.kind == "annulus":
         raise UnsupportedDomainError("slice bound requires a convex domain")
@@ -450,16 +486,15 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
     if sep < 1e-15:
         return 0.0
     direction = (w - z) / sep
+    centers = z + np.linspace(0.0, 1.0, _N_CENTERS)[:, None] * (w - z)
+    radii = _inscribed_disc_radius(dom, centers, direction).tolist()
+    conj_d = np.conj(direction)
+    tzs = np.sum((z - centers) * conj_d, axis=-1).tolist()
+    tws = np.sum((w - centers) * conj_d, axis=-1).tolist()
     # The two points in the unit disc of each center's slice that holds them.
     pairs = []
-    for sfrac in np.linspace(0.0, 1.0, _N_CENTERS):
-        center = z + sfrac * (w - z)
-        radius = _inscribed_disc_radius(dom, center, direction)
-        if radius <= 0.0:
-            continue
-        tz = complex(np.sum((z - center) * np.conj(direction)))
-        tw = complex(np.sum((w - center) * np.conj(direction)))
-        if abs(tz) >= radius or abs(tw) >= radius:
+    for radius, tz, tw in zip(radii, tzs, tws):
+        if radius <= 0.0 or abs(tz) >= radius or abs(tw) >= radius:
             continue
         pairs.append((tz / radius, tw / radius))
     best = math.inf

@@ -41,7 +41,15 @@ class KernelValue:
 
 
 def _log_tanh_half(k: float) -> float:
-    """log tanh(k/2) for k > 0, stable for both tiny and huge k."""
+    """log tanh(k/2) for k > 0, to a few ulp for tiny and huge k alike.
+
+    Up to k = 1 tanh itself is accurate; above it the log1p form keeps
+    the relative accuracy of the tiny value -2 exp(-k) (where tanh
+    rounds to 1), which below it would inherit the absolute rounding of
+    exp(-k) near 1.
+    """
+    if k <= 1.0:
+        return math.log(math.tanh(0.5 * k))
     return math.log1p(-math.exp(-k)) - math.log1p(math.exp(-k))
 
 

@@ -5,7 +5,10 @@ another way: the disc and half-plane kernels and the Cayley transform in
 closed form, the strip distance on one lift, a radial angular-derivative
 ladder with its own cut rules, a Monte-Carlo boundary measure, and the
 one-pair disc and ball distance formulas in Python's scalar arithmetic,
-which the package's stacked distances must match bit for bit.
+which the package's stacked distances must match bit for bit, the two
+distance bounds centre by centre and point by point, which the stacked
+slice march and the cached supporting points must match bit for bit,
+and log tanh(k/2) in multiple precision.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from pluripot import domain_core
+from pluripot import domain_core, hyperbolic_models
 from pluripot._extrap import extrapolate
-from pluripot.domain_core import Domain, defining_function
-from pluripot.errors import DomainError, UnsupportedDomainError
+from pluripot.domain_core import Domain, as_point, defining_function, minkowski_gauge
+from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainError
+from pluripot.geodesics_metrics import _N_CENTERS, _N_RAYS, _lattice_directions
 from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
 
 
@@ -84,6 +89,98 @@ def ball_distance_formula(z, w) -> float:
         rho = float(np.linalg.norm(vec))
     s = (1.0 - nz * nz) * (1.0 - nw * nw) / den
     return _k_from_rho(min(rho, 1.0), s)
+
+
+def log_tanh_half(k) -> float:
+    """log tanh(k/2) in 60-digit arithmetic, rounded once to a float."""
+    with mpmath.workdps(60):
+        return float(mpmath.log(mpmath.tanh(mpmath.mpf(k) / 2)))
+
+
+def inscribed_disc_radius(dom: Domain, center, direction) -> float:
+    """Certified radius of a round disc inside the slice through center.
+
+    Marches _N_RAYS rays by bisection; the returned value shrinks the
+    minimal certified-inside radius by cos(pi / _N_RAYS), the inradius
+    factor of the inscribed polygon of a convex slice.
+    """
+    thetas = np.exp(2j * np.pi * np.arange(_N_RAYS) / _N_RAYS)
+    offsets = thetas[:, None] * direction[None, :]
+
+    def inside(t):
+        pts = center[None, :] + t[:, None] * offsets
+        return defining_function(dom, pts) < 0.0
+
+    lo = np.zeros(_N_RAYS)
+    hi = np.full(_N_RAYS, 0.5)
+    for _ in range(16):
+        mask = inside(hi)
+        if not mask.any():
+            break
+        lo[mask] = hi[mask]
+        hi[mask] *= 2.0
+        if np.max(hi) > 64.0:
+            raise UnsupportedDomainError("slice bound needs a bounded domain")
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        mask = inside(mid)
+        lo[mask] = mid[mask]
+        hi[~mask] = mid[~mask]
+    return float(np.min(lo)) * math.cos(math.pi / _N_RAYS) - 1e-12
+
+
+def slice_upper_bound_per_centre(dom: Domain, z, w, _depth=0) -> float:
+    """The slice upper bound with each centre's disc marched on its own."""
+    z = as_point(dom, z)
+    w = as_point(dom, w)
+    sep = float(np.linalg.norm(z - w))
+    if sep < 1e-15:
+        return 0.0
+    direction = (w - z) / sep
+    pairs = []
+    for sfrac in np.linspace(0.0, 1.0, _N_CENTERS):
+        center = z + sfrac * (w - z)
+        radius = inscribed_disc_radius(dom, center, direction)
+        if radius <= 0.0:
+            continue
+        tz = complex(np.sum((z - center) * np.conj(direction)))
+        tw = complex(np.sum((w - center) * np.conj(direction)))
+        if abs(tz) >= radius or abs(tw) >= radius:
+            continue
+        pairs.append((tz / radius, tw / radius))
+    best = math.inf
+    if pairs:
+        best = min([best] + hyperbolic_models.disc_distance(*np.array(pairs).T).tolist())
+    if math.isinf(best):
+        if _depth >= 6:
+            raise ConvergenceError("slice bound subdivision failed to capture the pair")
+        mid = 0.5 * (z + w)
+        return (slice_upper_bound_per_centre(dom, z, mid, _depth + 1)
+                + slice_upper_bound_per_centre(dom, mid, w, _depth + 1))
+    return best
+
+
+def caratheodory_lower_bound_per_pair(dom: Domain, z, w) -> float:
+    """The supporting half-space lower bound of a balanced kind, with the
+    lattice boundary points, their normals and the half-plane images
+    found anew point by point."""
+    if dom.kind not in ("disc", "ball", "ellipsoid"):
+        raise UnsupportedDomainError("reference implemented for the balanced kinds")
+    z = as_point(dom, z)
+    w = as_point(dom, w)
+    if np.linalg.norm(z - w) < 1e-15:
+        return 0.0
+    pts = [v / minkowski_gauge(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
+    pts += [domain_core.boundary_project(dom, base)[0].position for base in (z, w)]
+    best = 0.0
+    for eta in pts:
+        nrm = domain_core.unit_normal(dom, eta)
+        pz = complex(np.sum((z - eta) * np.conj(nrm)))
+        pw = complex(np.sum((w - eta) * np.conj(nrm)))
+        if pz.real >= 0.0 or pw.real >= 0.0:
+            continue
+        best = max(best, hyperbolic_models.halfplane_distance(pz, pw))
+    return best
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pluripot import domain_core, geodesics_metrics
 from pluripot import (
     asymptoticity_gap,
     ball_geodesic,
@@ -23,10 +24,15 @@ from pluripot import (
     slice_upper_bound,
 )
 
-from pluripot.geodesics_metrics import _distance_form
-from pluripot.kernels import _green_form, _log_tanh_half
+from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _distance_form, _inscribed_disc_radius,
+                                        _lattice_support)
+from pluripot.kernels import _green_form
 
-from oracles import angular_derivative, ball_distance_formula, cayley_inverse, disc_distance_formula
+from oracles import (angular_derivative, ball_distance_formula, caratheodory_lower_bound_per_pair,
+                     cayley_inverse, disc_distance_formula, inscribed_disc_radius, log_tanh_half,
+                     slice_upper_bound_per_centre)
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -170,7 +176,13 @@ def test_general_convex_sandwich_brackets_ball():
         assert exact <= bound.upper + 1e-9
 
 
+def _same_bits(got, want):
+    return np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_sandwich_soundness_random_pairs():
+    # Each bound is also bit for bit its centre-by-centre and
+    # point-by-point reference.
     rng = np.random.default_rng(37)
     ball = make_domain("ball2")
     egg = make_domain("egg4")
@@ -182,12 +194,16 @@ def test_sandwich_soundness_random_pairs():
         hi = slice_upper_bound(ball, z, w)
         assert lo <= exact + 1e-9
         assert exact <= hi + 1e-9
+        assert _same_bits([lo, hi], [caratheodory_lower_bound_per_pair(ball, z, w),
+                                     slice_upper_bound_per_centre(ball, z, w)])
     for _ in range(100):
         z = _random_interior(egg, rng)
         w = _random_interior(egg, rng)
         lo = caratheodory_lower_bound(egg, z, w)
         hi = slice_upper_bound(egg, z, w)
         assert lo <= hi + 1e-9
+        assert _same_bits([lo, hi], [caratheodory_lower_bound_per_pair(egg, z, w),
+                                     slice_upper_bound_per_centre(egg, z, w)])
         bound = kobayashi_distance(egg, z, w)
         if bound.exact:
             assert lo <= bound.value + 1e-9
@@ -202,6 +218,68 @@ def test_lattice_directions_cached_and_read_only():
     assert not dirs.flags.writeable
     assert dirs.shape == (128, 2)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+
+
+_MARCH_DOMAINS = {spec: make_domain(spec) for spec in ("egg2", "egg4", "egg6", "ball2", "ball3")}
+_MARCH_DOMAINS["ellipsoid[4,4]"] = make_domain({"kind": "ellipsoid", "m": [4, 4]})
+_MARCH_DOMAINS["general_convex ball2"] = make_domain(
+    {"kind": "general_convex", "n": 2}, rho=lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(label=st.sampled_from(sorted(_MARCH_DOMAINS)), data=st.data())
+def test_stacked_slice_march_is_the_per_centre_march(label, data):
+    # Points of the unit ball lie in every one of these domains.
+    dom = _MARCH_DOMAINS[label]
+    z, w = _round_point(dom.n, data), _round_point(dom.n, data)
+    sep = float(np.linalg.norm(w - z))
+    assume(sep >= 1e-15)
+    direction = (w - z) / sep
+    centers = z + np.linspace(0.0, 1.0, _N_CENTERS)[:, None] * (w - z)
+    want = [inscribed_disc_radius(dom, center, direction) for center in centers]
+    assert _same_bits(_inscribed_disc_radius(dom, centers, direction), want)
+
+
+def test_lattice_support_cached_and_read_only():
+    pts, normals = _lattice_support("ellipsoid", 2, (4,))
+    assert _lattice_support("ellipsoid", 2, (4,))[0] is pts
+    assert not pts.flags.writeable and not normals.flags.writeable
+    assert pts.shape == normals.shape == (128, 2)
+
+
+def _counted(monkeypatch, calls, module, name, check=None):
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls[name] = calls.get(name, 0) + 1
+        if check is not None:
+            check(*args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_caratheodory_bound_projects_only_the_pair(monkeypatch):
+    egg = make_domain("egg4")
+    caratheodory_lower_bound(egg, np.array([0.1, 0.2j]), np.array([0.3, 0.1]))
+    calls = {}
+    _counted(monkeypatch, calls, domain_core, "minkowski_gauge")
+    _counted(monkeypatch, calls, geodesics_metrics, "minkowski_gauge")
+    _counted(monkeypatch, calls, domain_core, "boundary_project")
+    caratheodory_lower_bound(egg, np.array([0.3, 0.2j]), np.array([-0.1, 0.4]))
+    assert calls == {"boundary_project": 2}
+
+
+def test_one_slice_march_per_segment(monkeypatch):
+    def whole_stack(dom, pts):
+        assert pts.shape == (_N_CENTERS * _N_RAYS, dom.n)
+
+    egg = make_domain("egg4")
+    calls = {}
+    _counted(monkeypatch, calls, geodesics_metrics, "defining_function", whole_stack)
+    _counted(monkeypatch, calls, geodesics_metrics, "slice_upper_bound")
+    geodesics_metrics.slice_upper_bound(egg, np.array([0.3, 0.2j]), np.array([-0.1, 0.4]))
+    assert calls["slice_upper_bound"] == 1
+    assert calls["defining_function"] <= 80
 
 
 def test_caratheodory_bound_cases():
@@ -388,4 +466,6 @@ def test_ball_distance_between_distinct_points_near_the_origin(spec):
         want = disc_distance(0.0, float(np.linalg.norm(z - w)))
         assert abs(kobayashi_distance(dom, z, w).value - want) <= 1e-12 * want
         green = green_function(dom, w, z)
-        assert green.value == _log_tanh_half(kobayashi_distance(dom, z, w).value) > -40.0
+        want_green = log_tanh_half(kobayashi_distance(dom, z, w).value)
+        assert abs(green.value - want_green) <= 4 * _EPS * abs(want_green)
+        assert green.value > -40.0

@@ -29,9 +29,9 @@ from pluripot import (
     poisson_kernel,
 )
 from pluripot import kernels
-from pluripot.kernels import _closed_form
+from pluripot.kernels import _closed_form, _log_tanh_half
 
-from oracles import poisson_disc, poisson_halfplane
+from oracles import log_tanh_half, poisson_disc, poisson_halfplane
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -481,3 +481,24 @@ def test_horofunction_kernel_form_without_closed_form_raises_at_once(monkeypatch
     monkeypatch.setattr(kernels, "green_normal_derivative", no_ladder)
     with pytest.raises(UnsupportedDomainError, match="no closed-form kernel"):
         horofunction(gc, [1.0, 0.0], [0.0, 0.0], [0.3, 0.2], method="kernel")
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _log_tanh_half_error(k):
+    want = log_tanh_half(k)
+    return abs(_log_tanh_half(k) - want) / (_EPS * abs(want))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.floats(1e-300, 50.0))
+def test_log_tanh_half_to_a_few_ulp(k):
+    assert _log_tanh_half_error(k) <= 4.0
+
+
+def test_log_tanh_half_to_a_few_ulp_on_every_scale():
+    # Log-spaced over [1e-300, 50], the k = 8.6e-15 of a near-origin ball
+    # pair, and both sides of the switch between the two forms.
+    ks = np.geomspace(1e-300, 50.0, 400).tolist() + [8.6e-15, 1.0, math.nextafter(1.0, 2.0)]
+    assert max(_log_tanh_half_error(k) for k in ks) <= 4.0

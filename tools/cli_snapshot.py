@@ -65,6 +65,12 @@ eval density --domain disc --xi e1
 eval density --domain ball2 --xi 0.6,0.8
 eval density --domain egg4 --xi e1
 eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
+    # The sandwich route beyond egg4: off-axis pairs on egg6 and on
+    # ellipsoids in C^3.
+    + [line.split() for line in """\
+eval distance --domain egg6 --w 0.1,0.5 --z 0.4,0.1j
+eval distance --domain ellipsoid --m 4,4 --w 0.1,0.3,0.2j --z 0.4,0.1j,0.3
+eval green --domain ellipsoid --m 2,4 --w 0.1,0.3,0.2j --z 0.4,0.1j,0.3""".splitlines()]
     # Points outside the domain: each exits 2 naming the point.
     + [line.split() for line in """\
 eval poisson --domain ball2 --xi e1 --z 2,0
