@@ -23,10 +23,11 @@ import numpy as np
 
 from . import boundary_measure, geodesics_metrics, kernels
 from ._suites import SUITES, domain_from_config, run_suite
-from .domain_core import BoundaryPoint, boundary_point, require_interior
+from .domain_core import BoundaryPoint, boundary_point, defining_function, require_interior
 from .errors import ConvergenceError, DomainError, PluripotError, UnsupportedDomainError
 
 _QUANTITIES = ("green", "poisson", "horofunction", "distance", "density")
+_FORMATS = ("csv", "json")
 
 _CONFIG_KEYS = {"command", "quantity", "suite", "domain", "xi", "z", "w", "p",
                 "r", "m", "tol", "resolution", "out", "format", "seed", "u",
@@ -80,14 +81,28 @@ def _point_str(pt) -> str:
     return ";".join(parts)
 
 
-def _write_csv(rows, columns, out):
+_FLOATS = (float, np.floating)
+
+
+def _cells(column):
+    """The CSV cells of one column: floats at 17 significant digits, the rest by str.
+
+    In a column of floats each distinct float is formatted once (grid
+    values repeat, and so do uncertainty 0 and NaN).  Floats are told
+    apart by their bit patterns, not their values: 0.0 == -0.0, but they
+    print as 0 and -0.
+    """
+    if not all(isinstance(v, _FLOATS) for v in column):
+        return [_fmt_float(float(v)) if isinstance(v, _FLOATS) else str(v) for v in column]
+    bits, which = np.unique(np.array(column, dtype=float).view(np.int64), return_inverse=True)
+    texts = [_fmt_float(x) for x in bits.view(float).tolist()]
+    return [texts[i] for i in which.tolist()]
+
+
+def _write_csv(columns, out):
+    """Write columns, a dict of header -> cells of equal length, as CSV."""
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row.get(col, "")
-            cells.append(_fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*[_cells(column) for column in columns.values()])))
     out.write("\n".join(lines) + "\n")
 
 
@@ -134,17 +149,15 @@ def _disallowed(node, params):
     return node
 
 
-@functools.lru_cache(maxsize=64)
-def _template_code(text, params):
-    """Compiled sweep-template component such as '0.9*t' or 'cos(t)+j*s'.
+def _template_component(text, params):
+    """The validated tree of one sweep-template component such as '0.9*t' or 'cos(t)+j*s'.
 
     Only numeric constants, the grid parameters (params), j and pi, the
     operators + - * / ** and unary minus and plus, and one-argument calls
     of _TEMPLATE_FUNCS are allowed; anything else raises _TemplateError.
-    The code therefore reaches no object but numbers and these functions.
-    Integer constants are compiled as floats, so a power such as 9**9**9
-    raises OverflowError at once instead of building a huge integer; an
-    integer constant too large for a float raises _TemplateError.
+    Integer constants become floats, so a power such as 9**9**9 raises
+    OverflowError at once instead of building a huge integer; an integer
+    constant too large for a float raises _TemplateError.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -153,52 +166,108 @@ def _template_code(text, params):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Constant) and type(node.value) is int:
                     node.value = float(node.value)
-            return compile(tree, "<template>", "eval")
+            return tree.body
     except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
         raise _TemplateError(f"cannot parse component {text!r}: {exc}")
     raise _TemplateError(f"component {text!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
 
 
-def _parse_point(text, n, env=None):
-    """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'.
+@functools.lru_cache(maxsize=64)
+def _template(text, params):
+    """(function, component count) of a comma-separated sweep template.
 
-    With env, components may be expressions in the grid parameters
-    (sweep templates, see _template_code).
+    The function takes the grid parameters (params) and returns the
+    tuple of the components, each computed by Python's own scalar
+    arithmetic.  Its code reaches no object but numbers and
+    _TEMPLATE_ENV: it has no builtins, and every component passed
+    _template_component.
     """
+    comps = [_template_component(tok.strip(), params) for tok in text.split(",")]
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(
+        ast.Expression(ast.Lambda(args, ast.Tuple(comps, ast.Load()))))
+    try:
+        code = compile(tree, "<template>", "eval")
+    except (ValueError, RecursionError) as exc:
+        raise _TemplateError(f"cannot compile template {text!r}: {exc}")
+    return eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), len(comps)
+
+
+def _unit_vector(text, n):
+    """e_k of C^n for text 'ek', or None when text is not of that form."""
+    if not (text.startswith("e") and text[1:].isdigit()):
+        return None
+    k = int(text[1:])
+    if k < 1 or k > n:
+        raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
+    v = np.zeros(n, dtype=complex)
+    v[k - 1] = 1.0
+    return v
+
+
+def _parse_point(text, n):
+    """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'."""
     text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
-        k = int(text[1:])
-        if k < 1 or k > n:
-            raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
-        v = np.zeros(n, dtype=complex)
-        v[k - 1] = 1.0
-        return v
+    unit = _unit_vector(text, n)
+    if unit is not None:
+        return unit
     comps = []
     for tok in text.split(","):
         tok = tok.strip()
-        if env is not None:
-            code = _template_code(tok, tuple(env))
-            try:
-                comps.append(complex(eval(code, {"__builtins__": {}}, dict(_TEMPLATE_ENV, **env))))
-            except (ArithmeticError, ValueError, TypeError) as exc:
-                raise DomainError(f"cannot evaluate component {tok!r}: {exc}")
-        else:
-            try:
-                comps.append(complex(tok))
-            except ValueError:
-                raise DomainError(f"cannot parse component {tok!r} as a complex number")
+        try:
+            comps.append(complex(tok))
+        except ValueError:
+            raise DomainError(f"cannot parse component {tok!r} as a complex number")
     return np.array(comps, dtype=complex)
+
+
+class _Rows:
+    """A point that changes from row to row: its stack (k, n), and the
+    error of each row (by index) whose template arithmetic failed, whose
+    stack row is then NaN."""
+
+    def __init__(self, stack, errors):
+        self.stack, self.errors = stack, errors
+
+
+def _template_rows(text, n, params, grid):
+    """The sweep template text at each grid point (a tuple of params values), as _Rows.
+
+    A template whose component count is not n raises DomainError with the
+    message a point of another dimension gets from eval; a row whose
+    arithmetic fails (ArithmeticError, ValueError, TypeError) gets a
+    DomainError of its own.
+    """
+    text = text.strip()
+    unit = _unit_vector(text, n)
+    if unit is not None:
+        return _Rows(np.tile(unit, (len(grid), 1)), {})
+    point, count = _template(text, params)
+    if count != n:
+        raise DomainError(f"expected a point of C^{n}, got shape {(count,)}")
+    failed = (math.nan,) * n
+    values, errors = [], {}
+    for row, args in enumerate(grid):
+        try:
+            values.append(point(*args))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            values.append(failed)
+            errors[row] = DomainError(f"cannot evaluate {text!r}: {exc}")
+    return _Rows(np.array(values, dtype=complex), errors)
 
 
 def _parse_grid(text):
     """start:stop:count -> linspace."""
-    parts = text.split(":")
+    parts = text.split(":") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise DomainError(f"grid spec must be start:stop:count, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"cannot parse grid spec {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid ends must be finite, got {text!r}")
     if count < 1:
         raise DomainError("grid count must be positive")
     return np.linspace(lo, hi, count)
@@ -227,6 +296,8 @@ def _load_config(args) -> dict:
             config[key] = val
     if config.get("tol") is not None and not float(config["tol"]) > 0:
         raise DomainError("tolerance must be positive")
+    if config.get("format") not in (None, *_FORMATS):
+        raise DomainError(f"format must be one of {_FORMATS}, got {config['format']!r}")
     return config
 
 
@@ -255,20 +326,26 @@ def _detached(exc):
     return exc
 
 
-def _row_points(quantity, dom, config, env):
-    """The points of one row, parsed in the order the quantity reads them."""
-    pts = []
+def _points(quantity, dom, config, parse):
+    """Each point the quantity reads, by key, in the order it reads them.
+
+    A string is parse(text); a BoundaryPoint stays as it is; anything
+    else becomes a complex array.
+    """
+    if quantity not in _POINTS:
+        raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    points = {}
     for key in _POINTS[quantity]:
         raw = config.get(key)
         if raw is None:
             raise DomainError(f"quantity {quantity!r} requires --{key}")
         if isinstance(raw, str):
-            pts.append(_parse_point(raw, n=dom.n, env=env))
+            points[key] = parse(raw)
         elif isinstance(raw, BoundaryPoint):
-            pts.append(raw)
+            points[key] = raw
         else:
-            pts.append(np.asarray(raw, dtype=complex))
-    return tuple(pts)
+            points[key] = np.asarray(raw, dtype=complex)
+    return points
 
 
 def _scalar(quantity, dom, pts):
@@ -308,76 +385,102 @@ def _stacked(quantity, dom, xi):
     return functools.partial(kernels._horofunction_many, form)
 
 
-def _evaluate_stacked(quantity, dom, config, route, points, outcomes):
-    """Fill in the outcomes of the parsed rows that route evaluates.
+# defining_function of a built-in kind may round differently on a stack
+# than on one point.  On 50,000 points within 1e-3 of the boundary of the
+# disc, ball2, ball3, egg4 and egg6 the two differed by at most 2.2e-16,
+# and never in sign.  A stacked rho farther than this margin from 0 has
+# the sign of the one-point rho, with a factor of about 4,500 to spare.
+_INTERIOR_MARGIN = 1e-12
 
-    points holds each row's parsed points, or None.  Each row's interior
-    points are checked one row at a time, in the order and by the test
-    (require_interior) of the quantity's function, and a point that
-    fails rules its row out with that function's error; a point fixed
-    for all rows is checked once.  The rows that pass are evaluated in
-    one call of route.  If that call fails, their outcomes stay None,
-    for the quantity's function to evaluate one row at a time.
+
+def _interior_errors(dom, key, stack):
+    """Per point of stack (m, n): None if it lies inside, else the error
+    that require_interior(dom, point, key) raises.
+
+    rho is taken once on the whole stack.  require_interior decides the
+    points whose stacked rho is within _INTERIOR_MARGIN of 0, NaN or
+    infinite (so an overflow warns as it does on one point), and every
+    point of a general_convex domain, whose rho_fn may round in any way
+    on a stack.
     """
-    keys = [(i, key) for i, key in enumerate(_POINTS[quantity]) if key != "xi"]
-
-    def check(key, pt):
+    if dom.kind == "general_convex":
+        rho = np.full(len(stack), math.nan)
+    else:
+        with np.errstate(over="ignore"):
+            rho = defining_function(dom, stack)
+    outside = DomainError(f"{key} must lie inside the domain")
+    errors = [None if r < 0.0 else outside for r in rho.tolist()]
+    for i in np.flatnonzero(~(np.isfinite(rho) & (np.abs(rho) > _INTERIOR_MARGIN))).tolist():
         try:
-            return require_interior(dom, pt, key)
+            require_interior(dom, stack[i], key)
+            errors[i] = None
         except DomainError as exc:
-            return _detached(exc)
+            errors[i] = _detached(exc)
+    return errors
 
-    fixed = {key: check(key, config[key]) for _, key in keys
-             if config.get(key) is not None and not isinstance(config[key], str)}
-    rows, stacks = [], [[] for _ in keys]
-    for row, pts in enumerate(points):
-        if pts is None:
-            continue
-        inside = [fixed[key] if key in fixed else check(key, pts[i]) for i, key in keys]
-        failed = [pt for pt in inside if isinstance(pt, DomainError)]
-        if failed:
-            outcomes[row] = failed[0]
-            continue
-        rows.append(row)
-        for stack, pt in zip(stacks, inside):
-            stack.append(pt)
+
+def _evaluate_stacked(quantity, dom, route, points, outcomes):
+    """Fill in the outcomes of the open rows (outcome None) that route evaluates.
+
+    The interior points of the open rows are checked in the order the
+    quantity reads them, by the test of its function (require_interior):
+    a point fixed for all rows once, a _Rows by _interior_errors.  The
+    first point that is not inside rules its row out with that error.
+    The rows that pass are evaluated in one call of route.  If that call
+    fails, their outcomes stay None, for the quantity's function to
+    evaluate one row at a time.
+    """
+    keys = [key for key in _POINTS[quantity] if key != "xi"]
+    rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
+    for key in keys:
+        pt = points[key]
+        if isinstance(pt, _Rows):
+            errors = _interior_errors(dom, key, pt.stack[rows])
+        else:
+            try:
+                require_interior(dom, pt, key)
+                errors = [None] * len(rows)
+            except DomainError as exc:
+                errors = [_detached(exc)] * len(rows)
+        for row, exc in zip(rows, errors):
+            outcomes[row] = exc
+        rows = [row for row, exc in zip(rows, errors) if exc is None]
     if not rows:
         return
+    stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
+              else np.tile(points[key], (len(rows), 1)) for key in keys]
     try:
-        values = route(*[np.array(stack) for stack in stacks])
+        values = route(*stacks)
     except (PluripotError, ArithmeticError, ValueError):
         return
     for row, value in zip(rows, values.tolist()):
         outcomes[row] = (value, "closed_form", 0.0)
 
 
-def _evaluate(quantity, dom, config, envs):
-    """Per env, (value, method, uncertainty) or the error that rules the row out.
+def _evaluate(quantity, dom, points, k):
+    """Per row of k, (value, method, uncertainty) or the error that rules the row out.
 
-    eval passes [None]; a sweep one env per grid row, with the points
-    that use no grid parameter parsed once in config.  Each row's points
-    are parsed in the order the quantity reads them; a template that is
-    not plain arithmetic (_TemplateError) stops the whole evaluation.
-    Rows on an exact route (_stacked) are evaluated as one stack; the
-    others call the quantity's function one row at a time, in row order.
+    points maps each key the quantity reads to one point for all rows
+    (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1
+    and fixed points.  A row whose template arithmetic failed takes the
+    error of its first such point.  Rows on an exact route (_stacked)
+    are evaluated as one stack; the others call the quantity's function
+    one row at a time, in row order.
     """
-    if quantity not in _POINTS:
-        raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    points, outcomes = [], []
-    for env in envs:
-        try:
-            points.append(_row_points(quantity, dom, config, env))
-            outcomes.append(None)
-        except _TemplateError:
-            raise
-        except DomainError as exc:
-            points.append(None)
-            outcomes.append(_detached(exc))
-    route = _stacked(quantity, dom, config.get("xi"))
+    keys = _POINTS[quantity]
+    outcomes = [None] * k
+    for key in keys:
+        if isinstance(points[key], _Rows):
+            for row, exc in points[key].errors.items():
+                if outcomes[row] is None:
+                    outcomes[row] = exc
+    route = _stacked(quantity, dom, points.get("xi"))
     if route is not None:
-        _evaluate_stacked(quantity, dom, config, route, points, outcomes)
-    for row, pts in enumerate(points):
-        if outcomes[row] is None:
+        _evaluate_stacked(quantity, dom, route, points, outcomes)
+    for row, outcome in enumerate(outcomes):
+        if outcome is None:
+            pts = [points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
+                   for key in keys]
             try:
                 outcomes[row] = _scalar(quantity, dom, pts)
             except _ROW_ERRORS as exc:
@@ -388,7 +491,8 @@ def _evaluate(quantity, dom, config, envs):
 def cmd_eval(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
-    [outcome] = _evaluate(quantity, dom, config, [None])
+    points = _points(quantity, dom, config, functools.partial(_parse_point, n=dom.n))
+    [outcome] = _evaluate(quantity, dom, points, 1)
     if isinstance(outcome, Exception):
         raise outcome
     value, method, unc = outcome
@@ -404,13 +508,13 @@ def cmd_eval(config) -> int:
     if fmt == "json":
         _emit(_dumps({"schema": 1, "rows": [row]}) + "\n", config.get("out"))
     else:
-        _write_csv_to(config, [row], list(row.keys()))
+        _write_csv_to(config, {key: [cell] for key, cell in row.items()})
     return 0
 
 
-def _write_csv_to(config, rows, columns):
+def _write_csv_to(config, columns):
     buf = io.StringIO()
-    _write_csv(rows, columns, buf)
+    _write_csv(columns, buf)
     _emit(buf.getvalue(), config.get("out"))
 
 
@@ -426,12 +530,13 @@ def cmd_verify(config) -> int:
 
 
 def _fixed_points(dom, config, keys):
-    """The points among keys that use no grid parameter, parsed once.
+    """The points among keys that use no grid parameter, evaluated once.
 
-    xi becomes its BoundaryPoint.  A point that does not parse without
-    the grid parameters, or an xi that is no boundary point, is left
-    out: every row then parses and checks it itself and reports what it
-    finds.
+    xi becomes its BoundaryPoint.  A template that uses a grid parameter
+    (or breaks the grammar) does not compile without them, and is left
+    out, as are a point whose arithmetic fails and an xi that is no
+    boundary point: every row then evaluates and checks it itself and
+    reports what it finds.
     """
     fixed = {}
     for key in keys:
@@ -439,8 +544,13 @@ def _fixed_points(dom, config, keys):
         if not isinstance(raw, str):
             continue
         try:
-            pt = _parse_point(raw, n=dom.n, env={})
-            fixed[key] = boundary_point(dom, pt) if key == "xi" else pt
+            once = _template_rows(raw, dom.n, (), [()])
+        except _TemplateError:
+            continue
+        if once.errors:
+            continue
+        try:
+            fixed[key] = boundary_point(dom, once.stack[0]) if key == "xi" else once.stack[0]
         except DomainError:
             continue
     return fixed
@@ -451,33 +561,30 @@ def cmd_sweep(config) -> int:
     quantity = config.get("quantity")
     if quantity not in _QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    config = dict(config, **_fixed_points(dom, config, _POINTS[quantity]))
     if not config.get("grid_t"):
         raise DomainError("sweep requires --grid-t start:stop:count")
-    ts = _parse_grid(config["grid_t"])
-    ss = _parse_grid(config["grid_s"]) if config.get("grid_s") else [None]
+    ts = _parse_grid(config["grid_t"]).tolist()
+    if config.get("grid_s") in (None, ""):
+        params, grid = ("t",), [(t,) for t in ts]
+    else:
+        params = ("t", "s")
+        grid = [(t, s) for t in ts for s in _parse_grid(config["grid_s"]).tolist()]
+    config = dict(config, **_fixed_points(dom, config, _POINTS[quantity]))
+    points = _points(quantity, dom, config,
+                     lambda text: _template_rows(text, dom.n, params, grid))
 
-    # Each row starts as the env of its grid point.
-    rows = []
-    for t in ts:
-        for s in ss:
-            rows.append({"t": float(t)} if s is None else {"t": float(t), "s": float(s)})
-    for row, outcome in zip(rows, _evaluate(quantity, dom, config, rows)):
-        if isinstance(outcome, tuple):
-            value, method, unc = outcome
-            row.update({"value": value, "method": method, "uncertainty": unc, "status": "ok"})
-        else:
-            status = "error" if isinstance(outcome, ConvergenceError) else "outside"
-            row.update({"value": float("nan"), "method": "",
-                        "uncertainty": float("nan"), "status": status})
-
-    columns = ["t"] + (["s"] if config.get("grid_s") else []) + \
-              ["value", "method", "uncertainty", "status"]
+    columns = dict(zip(params, map(list, zip(*grid))))
+    nan = math.nan
+    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
+             else (nan, "", nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
+             for outcome in _evaluate(quantity, dom, points, len(grid))]
+    columns.update(zip(("value", "method", "uncertainty", "status"), map(list, zip(*cells))))
     fmt = config.get("format") or "csv"
     if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         _emit(_dumps({"schema": 1, "rows": rows}) + "\n", config.get("out"))
     else:
-        _write_csv_to(config, rows, columns)
+        _write_csv_to(config, columns)
     return 0
 
 
@@ -499,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="tolerance override")
         p.add_argument("--resolution", type=int, help="quadrature resolution")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=_FORMATS, help="output format")
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--seed", type=int, help="sampling seed override")
         if with_points:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot.cli import main
 
@@ -538,3 +540,184 @@ def test_verify_annulus_refuses_radius_beyond_its_circle(capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "configuration error: the annulus suite needs --r in 0 < r < 0.7, got 0.75\n"
+
+
+@pytest.mark.parametrize("key, point", [("z", "t"), ("z", "t,0,0"), ("xi", "1,0,0"), ("xi", "e3")])
+def test_sweep_point_of_another_dimension_is_config_error(key, point, capsys):
+    # Checked once per template, with the message eval gives the same point.
+    points = {"xi": "e1", "z": "0.1,0"}
+    sweep = dict(points, **{key: point})
+    rc = main(["sweep", "poisson", "--domain", "ball2", "--xi", sweep["xi"], "--z", sweep["z"],
+               "--grid-t", "0:0.5:3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    evaluated = dict(points, **{key: point.replace("t", "0.5")})
+    assert main(["eval", "poisson", "--domain", "ball2", "--xi", evaluated["xi"],
+                 "--z", evaluated["z"]]) == 2
+    assert captured.err == capsys.readouterr().err
+
+
+def test_sweep_missing_point_is_config_error(capsys):
+    rc = main(["sweep", "poisson", "--domain", "ball2", "--z", "t,0", "--grid-t", "0:0.5:3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "configuration error: quantity 'poisson' requires --xi\n"
+
+
+@pytest.mark.parametrize("command", [["eval", "poisson", "--z", "0.1,0"],
+                                     ["sweep", "poisson", "--z", "t,0", "--grid-t", "0:0.5:3"]])
+def test_config_file_format_is_validated(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "ball2", "xi": "e1", "format": "xml"}))
+    rc = main([*command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "configuration error: format must be one of ('csv', 'json'), got 'xml'\n"
+
+
+@pytest.mark.parametrize("grids, message", [
+    ({"grid_t": 5}, "grid spec must be start:stop:count, got 5"),
+    ({"grid_t": "0:0.5:3", "grid_s": 5}, "grid spec must be start:stop:count, got 5"),
+    ({"grid_t": "0:0.5:3", "grid_s": ["0", "1", "3"]},
+     "grid spec must be start:stop:count, got ['0', '1', '3']"),
+    ({"grid_t": "nan:0.5:3"}, "grid ends must be finite, got 'nan:0.5:3'"),
+    ({"grid_t": "0:inf:3"}, "grid ends must be finite, got '0:inf:3'"),
+    ({"grid_t": "0:0.5:3", "grid_s": "-inf:0:3"}, "grid ends must be finite, got '-inf:0:3'"),
+])
+def test_sweep_grid_must_be_a_finite_spec(grids, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"domain": "ball2", "xi": "e1", "z": "t,0"}, **grids)))
+    rc = main(["sweep", "poisson", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+def _one_point_errors(dom, key, stack):
+    from pluripot.domain_core import require_interior
+    from pluripot.errors import DomainError
+
+    out = []
+    for pt in stack:
+        try:
+            require_interior(dom, pt, key)
+            out.append(None)
+        except DomainError as exc:
+            out.append(str(exc))
+    return out
+
+
+_ULP = 2.0 ** -52
+
+
+def _near_boundary(dom, v, k):
+    """v moved onto the boundary of dom, then k ulps of its size out (k > 0) or in."""
+    from pluripot.domain_core import minkowski_gauge
+
+    if dom.kind == "half_plane":
+        return np.array([complex(k * _ULP * abs(v[0]), v[0].imag)])
+    if dom.kind == "annulus":
+        return v / abs(v[0]) * (dom.r if k % 2 else 1.0) * (1.0 + k * _ULP)
+    return v / minkowski_gauge(dom, v) * (1.0 + k * _ULP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("disc", "ball2", "ball3", "egg4", "egg6", "half_plane", "annulus")),
+       data=st.data())
+def test_stacked_interior_check_is_the_one_point_check(name, data):
+    # The sweep checks a stack of points with one defining_function call
+    # and rechecks near rho = 0 one point at a time: every verdict, and
+    # every error message, must be require_interior's on the point alone.
+    from pluripot import cli
+    from pluripot.domain_core import make_domain
+
+    dom = make_domain("annulus", r=0.5) if name == "annulus" else make_domain(name)
+    n = dom.n
+    part = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+    ulps = st.integers(-8, 8)
+    special = st.sampled_from((math.nan, math.inf, -math.inf, complex(math.inf, math.nan), 0.0))
+    points = []
+    for _ in range(data.draw(st.integers(1, 24))):
+        v = np.array([complex(data.draw(part), data.draw(part)) for _ in range(n)])
+        how = data.draw(st.sampled_from(("near", "axis", "far", "inside", "special")))
+        if how == "near":
+            points.append(_near_boundary(dom, v, data.draw(ulps)))
+        elif how == "axis":
+            # Exactly on the boundary, e.g. t = +-1 on egg4, then a few ulps off.
+            axis = np.zeros(n, dtype=complex)
+            axis[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((1, -1, 1j, -1j)))
+            points.append(_near_boundary(dom, axis, data.draw(ulps)) if dom.kind in ("half_plane", "annulus")
+                          else axis * (1.0 + data.draw(ulps) * _ULP))
+        elif how == "far":
+            points.append(v * data.draw(st.sampled_from((10.0, 1e10, 1e200))))
+        elif how == "inside":
+            points.append(_near_boundary(dom, v, 0) * 0.5)
+        else:
+            v[data.draw(st.integers(0, n - 1))] = data.draw(special)
+            points.append(v)
+    stack = np.array(points)
+    got = [None if exc is None else str(exc) for exc in cli._interior_errors(dom, "z", stack)]
+    assert got == _one_point_errors(dom, "z", stack)
+
+
+def _per_cell_csv(columns):
+    # The CSV writer before it formatted by column: one row dict at a time.
+    from pluripot.cli import _fmt_float
+
+    names = list(columns)
+    lines = [",".join(names)]
+    for row in zip(*columns.values()):
+        cells = []
+        for v in row:
+            cells.append(_fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _column_csv(columns):
+    import io
+
+    from pluripot.cli import _write_csv
+
+    buf = io.StringIO()
+    _write_csv(columns, buf)
+    return buf.getvalue()
+
+
+def test_write_csv_matches_per_cell_formatting():
+    floats = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, np.float64(-0.0),
+              np.float64(math.nan), np.float32(0.1), 0.1, np.float64(0.1), 5e-324, -1e300, 0.0]
+    mixed = [0.0, "x", -0.0, np.float64(math.nan), "", 3, None, -math.inf, "NaN", np.float64(2.5),
+             True, "0", 1.0, -0.0]
+    columns = {"t": floats, "value": mixed, "status": ["ok", "outside"] * 7,
+               "s": [np.float64(x) for x in floats[::-1]]}
+    text = _column_csv(columns)
+    assert text == _per_cell_csv(columns)
+    assert text.splitlines()[1:3] == ["0,0,ok,0", "-0,x,outside,-1.0000000000000001e+300"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.one_of(st.floats(), st.text(max_size=3))), min_size=1))
+def test_write_csv_columns_match_per_cell_formatting_on_any_cells(rows):
+    columns = {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
+    assert _column_csv(columns) == _per_cell_csv(columns)
+
+
+def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, capsys):
+    # The interior check takes rho on the whole stack; only the rows at
+    # t = -1 and t = 1, exactly on the egg's boundary, are checked alone.
+    from pluripot import cli
+
+    checked = []
+    require_interior = cli.require_interior
+
+    def counting(dom, z, name):
+        checked.append(complex(z[0]))
+        return require_interior(dom, z, name)
+
+    monkeypatch.setattr(cli, "require_interior", counting)
+    assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "e1", "--z", "t,0",
+                 "--grid-t=-1:1:5"]) == 0
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert [r["status"] for r in rows] == ["outside", "ok", "ok", "ok", "outside"]
+    assert checked == [-1, 1]
