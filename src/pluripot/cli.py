@@ -94,9 +94,10 @@ def _cells(column):
     """
     if not all(isinstance(v, _FLOATS) for v in column):
         return [_fmt_float(float(v)) if isinstance(v, _FLOATS) else str(v) for v in column]
-    bits, which = np.unique(np.array(column, dtype=float).view(np.int64), return_inverse=True)
-    texts = [_fmt_float(x) for x in bits.view(float).tolist()]
-    return [texts[i] for i in which.tolist()]
+    floats = np.array(column, dtype=float)
+    bits = floats.view(np.int64).tolist()
+    texts = {b: _fmt_float(x) for b, x in dict(zip(bits, floats.tolist())).items()}
+    return [texts[b] for b in bits]
 
 
 def _write_csv(columns, out):
@@ -149,69 +150,50 @@ def _disallowed(node, params):
     return node
 
 
-def _template_component(text, params):
-    """The validated tree of one sweep-template component such as '0.9*t' or 'cos(t)+j*s'.
-
-    Only numeric constants, the grid parameters (params), j and pi, the
-    operators + - * / ** and unary minus and plus, and one-argument calls
-    of _TEMPLATE_FUNCS are allowed; anything else raises _TemplateError.
-    Integer constants become floats, so a power such as 9**9**9 raises
-    OverflowError at once instead of building a huge integer; an integer
-    constant too large for a float raises _TemplateError.
-    """
-    try:
-        tree = ast.parse(text, mode="eval")
-        bad = _disallowed(tree, params)
-        if bad is None:
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Constant) and type(node.value) is int:
-                    node.value = float(node.value)
-            return tree.body
-    except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
-        raise _TemplateError(f"cannot parse component {text!r}: {exc}")
-    raise _TemplateError(f"component {text!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
-
-
 @functools.lru_cache(maxsize=64)
 def _template(text, params):
     """(function, component count) of a comma-separated sweep template.
 
-    The function takes the grid parameters (params) and returns the
-    tuple of the components, each computed by Python's own scalar
-    arithmetic.  Its code reaches no object but numbers and
-    _TEMPLATE_ENV: it has no builtins, and every component passed
-    _template_component.
+    The function takes the grid parameters (params) and returns the tuple
+    of the components, each computed by Python's own scalar arithmetic.
+    A component such as '0.9*t' or 'cos(t)+j*s' may hold only numeric
+    constants, the grid parameters, j and pi, the operators + - * / **
+    and unary minus and plus, and one-argument calls of _TEMPLATE_FUNCS;
+    anything else raises _TemplateError.  The code has no builtins, so it
+    reaches no object but numbers and these functions.  Integer
+    constants become floats, so a power such as 9**9**9 raises
+    OverflowError at once instead of building a huge integer; an integer
+    constant too large for a float raises _TemplateError.
     """
-    comps = [_template_component(tok.strip(), params) for tok in text.split(",")]
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[],
-                         kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(
-        ast.Expression(ast.Lambda(args, ast.Tuple(comps, ast.Load()))))
-    try:
-        code = compile(tree, "<template>", "eval")
-    except (ValueError, RecursionError) as exc:
-        raise _TemplateError(f"cannot compile template {text!r}: {exc}")
-    return eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), len(comps)
-
-
-def _unit_vector(text, n):
-    """e_k of C^n for text 'ek', or None when text is not of that form."""
-    if not (text.startswith("e") and text[1:].isdigit()):
-        return None
-    k = int(text[1:])
-    if k < 1 or k > n:
-        raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
-    v = np.zeros(n, dtype=complex)
-    v[k - 1] = 1.0
-    return v
+    tree = ast.parse(f"lambda {','.join(params)}: ()", mode="eval")
+    for tok in text.split(","):
+        tok = tok.strip()
+        try:
+            comp = ast.parse(tok, mode="eval")
+            bad = _disallowed(comp, params)
+            if bad is None:
+                for node in ast.walk(comp):
+                    if isinstance(node, ast.Constant) and type(node.value) is int:
+                        node.value = float(node.value)
+        except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
+            raise _TemplateError(f"cannot parse component {tok!r}: {exc}")
+        if bad is not None:
+            raise _TemplateError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
+        tree.body.body.elts.append(comp.body)
+    code = compile(ast.fix_missing_locations(tree), "<template>", "eval")
+    return eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), len(tree.body.body.elts)
 
 
 def _parse_point(text, n):
     """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'."""
     text = text.strip()
-    unit = _unit_vector(text, n)
-    if unit is not None:
-        return unit
+    if text.startswith("e") and text[1:].isdigit():
+        k = int(text[1:])
+        if k < 1 or k > n:
+            raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
+        v = np.zeros(n, dtype=complex)
+        v[k - 1] = 1.0
+        return v
     comps = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -224,37 +206,59 @@ def _parse_point(text, n):
 
 class _Rows:
     """A point that changes from row to row: its stack (k, n), and the
-    error of each row (by index) whose template arithmetic failed, whose
-    stack row is then NaN."""
+    error of each row (by index) whose template arithmetic failed."""
 
     def __init__(self, stack, errors):
         self.stack, self.errors = stack, errors
 
 
 def _template_rows(text, n, params, grid):
-    """The sweep template text at each grid point (a tuple of params values), as _Rows.
+    """The sweep template text at each grid point (a tuple of params values).
 
-    A template whose component count is not n raises DomainError with the
-    message a point of another dimension gets from eval; a row whose
-    arithmetic fails (ArithmeticError, ValueError, TypeError) gets a
-    DomainError of its own.
+    A template with other than n components raises the DomainError that
+    eval gives a point of another dimension.  A row whose arithmetic
+    fails gets a DomainError of its own, and NaN in the stack.
     """
-    text = text.strip()
-    unit = _unit_vector(text, n)
-    if unit is not None:
-        return _Rows(np.tile(unit, (len(grid), 1)), {})
     point, count = _template(text, params)
     if count != n:
         raise DomainError(f"expected a point of C^{n}, got shape {(count,)}")
-    failed = (math.nan,) * n
     values, errors = [], {}
     for row, args in enumerate(grid):
         try:
             values.append(point(*args))
         except (ArithmeticError, ValueError, TypeError) as exc:
-            values.append(failed)
+            values.append((math.nan,) * n)
             errors[row] = DomainError(f"cannot evaluate {text!r}: {exc}")
     return _Rows(np.array(values, dtype=complex), errors)
+
+
+def _sweep_point(dom, key, text, params, grid):
+    """A sweep's point: computed once if it uses no grid parameter, else a _Rows.
+
+    A fixed xi becomes its BoundaryPoint when it is one; otherwise each
+    row hands it to the quantity's function, which reports what it
+    finds.  A template whose arithmetic fails once is evaluated per row,
+    so that every row reports it.
+    """
+    text = text.strip()
+    if text.startswith("e") and text[1:].isdigit():
+        pt = _parse_point(text, dom.n)
+    else:
+        try:
+            once = _template_rows(text, dom.n, (), [()])
+        except _TemplateError:
+            # It uses a grid parameter (or breaks the grammar, which the
+            # per-row compile reports).
+            once = None
+        if once is None or once.errors:
+            return _template_rows(text, dom.n, params, grid)
+        pt = once.stack[0]
+    if key == "xi":
+        try:
+            return boundary_point(dom, pt)
+        except DomainError:
+            pass
+    return pt
 
 
 def _parse_grid(text):
@@ -329,8 +333,8 @@ def _detached(exc):
 def _points(quantity, dom, config, parse):
     """Each point the quantity reads, by key, in the order it reads them.
 
-    A string is parse(text); a BoundaryPoint stays as it is; anything
-    else becomes a complex array.
+    A string is parse(key, text); a BoundaryPoint stays as it is;
+    anything else becomes a complex array.
     """
     if quantity not in _POINTS:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
@@ -340,7 +344,7 @@ def _points(quantity, dom, config, parse):
         if raw is None:
             raise DomainError(f"quantity {quantity!r} requires --{key}")
         if isinstance(raw, str):
-            points[key] = parse(raw)
+            points[key] = parse(key, raw)
         elif isinstance(raw, BoundaryPoint):
             points[key] = raw
         else:
@@ -385,23 +389,33 @@ def _stacked(quantity, dom, xi):
     return functools.partial(kernels._horofunction_many, form)
 
 
+def _inside(dom, pt, key):
+    """None if pt lies inside the domain, else the error require_interior raises."""
+    try:
+        require_interior(dom, pt, key)
+    except DomainError as exc:
+        return _detached(exc)
+
+
 # defining_function of a built-in kind may round differently on a stack
-# than on one point.  On 50,000 points within 1e-3 of the boundary of the
-# disc, ball2, ball3, egg4 and egg6 the two differed by at most 2.2e-16,
-# and never in sign.  A stacked rho farther than this margin from 0 has
-# the sign of the one-point rho, with a factor of about 4,500 to spare.
+# than on one point.  On 50,000 points within 1e-3 of the boundary of
+# each of the disc, ball2, ball3, egg4, egg6, half-plane and annulus, the
+# two differed by at most 2.2e-16 (on about 2 % of the egg points), so
+# their signs can differ only within a few ulps of the boundary, as they
+# do at 17 of 180,000 egg4 points placed there.  A stacked rho farther
+# than this margin from 0 has the sign of the one-point rho, with a
+# factor of about 4,500 to spare.
 _INTERIOR_MARGIN = 1e-12
 
 
 def _interior_errors(dom, key, stack):
-    """Per point of stack (m, n): None if it lies inside, else the error
-    that require_interior(dom, point, key) raises.
+    """_inside(dom, point, key) for each point of stack (m, n).
 
-    rho is taken once on the whole stack.  require_interior decides the
-    points whose stacked rho is within _INTERIOR_MARGIN of 0, NaN or
-    infinite (so an overflow warns as it does on one point), and every
-    point of a general_convex domain, whose rho_fn may round in any way
-    on a stack.
+    rho is taken once on the whole stack.  Each point whose stacked rho
+    is within _INTERIOR_MARGIN of 0, NaN or infinite (so that an overflow
+    warns as on one point) is checked on its own, and so is every point
+    of a general_convex domain, whose rho_fn may round in any way on a
+    stack.
     """
     if dom.kind == "general_convex":
         rho = np.full(len(stack), math.nan)
@@ -410,77 +424,56 @@ def _interior_errors(dom, key, stack):
             rho = defining_function(dom, stack)
     outside = DomainError(f"{key} must lie inside the domain")
     errors = [None if r < 0.0 else outside for r in rho.tolist()]
-    for i in np.flatnonzero(~(np.isfinite(rho) & (np.abs(rho) > _INTERIOR_MARGIN))).tolist():
-        try:
-            require_interior(dom, stack[i], key)
-            errors[i] = None
-        except DomainError as exc:
-            errors[i] = _detached(exc)
+    for i in np.flatnonzero(~(np.abs(rho) > _INTERIOR_MARGIN) | np.isinf(rho)).tolist():
+        errors[i] = _inside(dom, stack[i], key)
     return errors
-
-
-def _evaluate_stacked(quantity, dom, route, points, outcomes):
-    """Fill in the outcomes of the open rows (outcome None) that route evaluates.
-
-    The interior points of the open rows are checked in the order the
-    quantity reads them, by the test of its function (require_interior):
-    a point fixed for all rows once, a _Rows by _interior_errors.  The
-    first point that is not inside rules its row out with that error.
-    The rows that pass are evaluated in one call of route.  If that call
-    fails, their outcomes stay None, for the quantity's function to
-    evaluate one row at a time.
-    """
-    keys = [key for key in _POINTS[quantity] if key != "xi"]
-    rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
-    for key in keys:
-        pt = points[key]
-        if isinstance(pt, _Rows):
-            errors = _interior_errors(dom, key, pt.stack[rows])
-        else:
-            try:
-                require_interior(dom, pt, key)
-                errors = [None] * len(rows)
-            except DomainError as exc:
-                errors = [_detached(exc)] * len(rows)
-        for row, exc in zip(rows, errors):
-            outcomes[row] = exc
-        rows = [row for row, exc in zip(rows, errors) if exc is None]
-    if not rows:
-        return
-    stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
-              else np.tile(points[key], (len(rows), 1)) for key in keys]
-    try:
-        values = route(*stacks)
-    except (PluripotError, ArithmeticError, ValueError):
-        return
-    for row, value in zip(rows, values.tolist()):
-        outcomes[row] = (value, "closed_form", 0.0)
 
 
 def _evaluate(quantity, dom, points, k):
     """Per row of k, (value, method, uncertainty) or the error that rules the row out.
 
     points maps each key the quantity reads to one point for all rows
-    (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1
-    and fixed points.  A row whose template arithmetic failed takes the
-    error of its first such point.  Rows on an exact route (_stacked)
-    are evaluated as one stack; the others call the quantity's function
-    one row at a time, in row order.
+    (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1.
+    A row is ruled out by the first of its points, in the order the
+    quantity reads them, whose template arithmetic failed.  On an exact
+    route (_stacked) the interior points of the other rows are then
+    checked in that order, as the quantity's function does
+    (require_interior), a fixed point once; the first that is not inside
+    rules its row out, and the rows that pass are evaluated in one call
+    of the route.  The rows left (all of them if that call fails) call
+    the quantity's function one row at a time, in row order.
     """
     keys = _POINTS[quantity]
     outcomes = [None] * k
-    for key in keys:
+    for key in reversed(keys):
         if isinstance(points[key], _Rows):
             for row, exc in points[key].errors.items():
-                if outcomes[row] is None:
-                    outcomes[row] = exc
+                outcomes[row] = exc
     route = _stacked(quantity, dom, points.get("xi"))
     if route is not None:
-        _evaluate_stacked(quantity, dom, route, points, outcomes)
+        keys = [key for key in keys if key != "xi"]
+        rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
+        for key in keys:
+            pt = points[key]
+            if isinstance(pt, _Rows):
+                errors = _interior_errors(dom, key, pt.stack[rows])
+            else:
+                errors = [_inside(dom, pt, key)] * len(rows)
+            for row, exc in zip(rows, errors):
+                outcomes[row] = exc
+            rows = [row for row, exc in zip(rows, errors) if exc is None]
+        stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
+                  else np.tile(points[key], (len(rows), 1)) for key in keys]
+        try:
+            values = route(*stacks).tolist() if rows else []
+        except (PluripotError, ArithmeticError, ValueError):
+            values = []
+        for row, value in zip(rows, values):
+            outcomes[row] = (value, "closed_form", 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
             pts = [points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
-                   for key in keys]
+                   for key in _POINTS[quantity]]
             try:
                 outcomes[row] = _scalar(quantity, dom, pts)
             except _ROW_ERRORS as exc:
@@ -491,7 +484,7 @@ def _evaluate(quantity, dom, points, k):
 def cmd_eval(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
-    points = _points(quantity, dom, config, functools.partial(_parse_point, n=dom.n))
+    points = _points(quantity, dom, config, lambda key, text: _parse_point(text, dom.n))
     [outcome] = _evaluate(quantity, dom, points, 1)
     if isinstance(outcome, Exception):
         raise outcome
@@ -529,58 +522,24 @@ def cmd_verify(config) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 3
 
 
-def _fixed_points(dom, config, keys):
-    """The points among keys that use no grid parameter, evaluated once.
-
-    xi becomes its BoundaryPoint.  A template that uses a grid parameter
-    (or breaks the grammar) does not compile without them, and is left
-    out, as are a point whose arithmetic fails and an xi that is no
-    boundary point: every row then evaluates and checks it itself and
-    reports what it finds.
-    """
-    fixed = {}
-    for key in keys:
-        raw = config.get(key)
-        if not isinstance(raw, str):
-            continue
-        try:
-            once = _template_rows(raw, dom.n, (), [()])
-        except _TemplateError:
-            continue
-        if once.errors:
-            continue
-        try:
-            fixed[key] = boundary_point(dom, once.stack[0]) if key == "xi" else once.stack[0]
-        except DomainError:
-            continue
-    return fixed
-
-
 def cmd_sweep(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
-    if quantity not in _QUANTITIES:
-        raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if not config.get("grid_t"):
         raise DomainError("sweep requires --grid-t start:stop:count")
-    ts = _parse_grid(config["grid_t"]).tolist()
-    if config.get("grid_s") in (None, ""):
-        params, grid = ("t",), [(t,) for t in ts]
-    else:
-        params = ("t", "s")
-        grid = [(t, s) for t in ts for s in _parse_grid(config["grid_s"]).tolist()]
-    config = dict(config, **_fixed_points(dom, config, _POINTS[quantity]))
+    columns = {"t": _parse_grid(config["grid_t"]).tolist()}
+    if config.get("grid_s") not in (None, ""):
+        ss = _parse_grid(config["grid_s"]).tolist()
+        columns = {"t": [t for t in columns["t"] for _ in ss], "s": ss * len(columns["t"])}
+    grid = list(zip(*columns.values()))
     points = _points(quantity, dom, config,
-                     lambda text: _template_rows(text, dom.n, params, grid))
-
-    columns = dict(zip(params, map(list, zip(*grid))))
+                     lambda key, text: _sweep_point(dom, key, text, tuple(columns), grid))
     nan = math.nan
     cells = [outcome + ("ok",) if isinstance(outcome, tuple)
              else (nan, "", nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
              for outcome in _evaluate(quantity, dom, points, len(grid))]
     columns.update(zip(("value", "method", "uncertainty", "status"), map(list, zip(*cells))))
-    fmt = config.get("format") or "csv"
-    if fmt == "json":
+    if config.get("format") == "json":
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         _emit(_dumps({"schema": 1, "rows": rows}) + "\n", config.get("out"))
     else:

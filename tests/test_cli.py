@@ -660,6 +660,39 @@ def test_stacked_interior_check_is_the_one_point_check(name, data):
     assert got == _one_point_errors(dom, "z", stack)
 
 
+# Points a few ulps from the egg boundaries whose rho is negative on a
+# stack but exactly 0 on the point alone (found by a scan of 180,000
+# points each).
+_SIGN_FLIPS = {
+    "egg4": [[0.1381236389496036 + 0.29456360582617236j, 0.9569301292608001 - 0.17286401843966967j],
+             [-0.4234589725271297 - 0.07147409728739233j, -0.8191338592281884 + 0.48177904852453735j]],
+    "egg6": [[-0.2865010998626056 - 0.24319900461874325j, -0.7866023909215086 - 0.5759966476294376j],
+             [-0.415271495989502 - 0.41870070553835165j, -0.8854471161166986 + 0.2884720521709275j]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIGN_FLIPS))
+def test_stacked_interior_check_keeps_the_one_point_verdict_where_signs_differ(name, capsys):
+    from pluripot import cli
+    from pluripot.domain_core import defining_function, make_domain
+
+    dom = make_domain(name)
+    stack = np.array(_SIGN_FLIPS[name])
+    assert (defining_function(dom, stack) < 0.0).all()
+    assert [float(defining_function(dom, pt)) for pt in stack] == [0.0, 0.0]
+    got = [None if exc is None else str(exc) for exc in cli._interior_errors(dom, "z", stack)]
+    assert got == _one_point_errors(dom, "z", stack) == ["z must lie inside the domain"] * 2
+    # A sweep row at such a point is outside, as eval refuses the point.
+    z0, z1 = _SIGN_FLIPS[name][0]
+    template = f"{z0.real!r}+({z0.imag!r})*j+0*t,{z1.real!r}+({z1.imag!r})*j"
+    assert main(["sweep", "poisson", "--domain", name, "--xi", "e1", "--z", template,
+                 "--grid-t", "0:1:2"]) == 0
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert [r["status"] for r in rows] == ["outside", "outside"]
+    assert main(["eval", "poisson", "--domain", name, "--xi", "e1", f"--z={z0!r},{z1!r}"]) == 2
+    assert capsys.readouterr().err == "configuration error: z must lie inside the domain\n"
+
+
 def _per_cell_csv(columns):
     # The CSV writer before it formatted by column: one row dict at a time.
     from pluripot.cli import _fmt_float
