@@ -445,7 +445,7 @@ def _evaluate(quantity, dom, points, k):
     """
     keys = _POINTS[quantity]
     outcomes = [None] * k
-    for key in reversed(keys):
+    for key in reversed(keys):  # so that the first failing point's error stays
         if isinstance(points[key], _Rows):
             for row, exc in points[key].errors.items():
                 outcomes[row] = exc
