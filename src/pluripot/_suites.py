@@ -96,20 +96,29 @@ def _interior_samples(dom: Domain, count, rng, gauge_lo=0.15, gauge_hi=0.7,
     min_tangential excludes the tube around the z1-axis disc, where the
     kernel's complex Hessian vanishes to high order in every entry and
     scale-free residuals are pure stencil noise.
+
+    Each round draws only the candidates still needed, in the order of
+    drawing them one at a time (v, then its scale unless v = 0), and
+    gauges them as one stack, so the points and the generator's state
+    are those of gauging each candidate as it is drawn.
     """
     out = []
     while len(out) < count:
-        raw = rng.standard_normal(2 * dom.n)
-        v = raw[:dom.n] + 1j * raw[dom.n:]
-        g = minkowski_gauge(dom, v)
-        if not g > 0:
-            continue
-        z = v / g * rng.uniform(gauge_lo, gauge_hi)
-        if min_axis_gap and abs(1.0 - z[0]) < min_axis_gap:
-            continue
-        if min_tangential and dom.n >= 2 and min(abs(c) for c in z[1:]) < min_tangential:
-            continue
-        out.append(z)
+        vs, scales = [], []
+        for _ in range(count - len(out)):
+            raw = rng.standard_normal(2 * dom.n)
+            v = raw[:dom.n] + 1j * raw[dom.n:]
+            if v.any():
+                vs.append(v)
+                scales.append(rng.uniform(gauge_lo, gauge_hi))
+        gauges = minkowski_gauge(dom, np.reshape(vs, (-1, dom.n))).tolist()
+        for v, g, scale in zip(vs, gauges, scales):
+            z = v / g * scale
+            if min_axis_gap and abs(1.0 - z[0]) < min_axis_gap:
+                continue
+            if min_tangential and dom.n >= 2 and min(abs(c) for c in z[1:]) < min_tangential:
+                continue
+            out.append(z)
     return out
 
 
@@ -124,9 +133,8 @@ def suite_poisson_horofunction(config) -> list:
         rng = np.random.default_rng(_seed(config))
         xi = _axis_boundary(dom)
         residuals, uncertainties = [], []
-        for _ in range(20):
-            p = _interior_samples(dom, 1, rng)[0]
-            z = _interior_samples(dom, 1, rng)[0]
+        samples = _interior_samples(dom, 40, rng)
+        for p, z in zip(samples[0::2], samples[1::2]):
             ladder = kernels.horofunction(dom, xi, p, z, method="ladder")
             kernel = kernels.horofunction(dom, xi, p, z, method="kernel")
             residuals.append(abs(ladder.value - kernel.value))
@@ -436,11 +444,8 @@ def suite_phragmen_lindelof(config) -> list:
                 ("kernel_twice", 2.0, True, True),
                 ("kernel_half", 0.5, False, False))
 
-    def check(dom, name, scale, exp_member, exp_dominated):
-        xi = _axis_boundary(dom)
+    def check(dom, xi, samples, name, scale, exp_member, exp_dominated):
         u = kernels.ClosedFormKernel(dom, xi, scale)
-        rng = np.random.default_rng(_seed(config))
-        samples = _interior_samples(dom, 30, rng)
         rep = phragmen_lindelof_compare(u, dom, xi, samples, tol=tol)
         details = dict(rep.details)
         details["expected_member"] = exp_member
@@ -451,8 +456,13 @@ def suite_phragmen_lindelof(config) -> list:
             rep = replace(rep, max_residual=math.inf)
         return rep
 
-    doms = _domains(config, ("ball2", "egg4"), "phragmen_lindelof", (_BALANCED, _ELLIPSOID_IN_C2))
-    return [check(dom, *variant) for dom in doms for variant in variants]
+    reports = []
+    for dom in _domains(config, ("ball2", "egg4"), "phragmen_lindelof", (_BALANCED, _ELLIPSOID_IN_C2)):
+        # One sample set serves every variant.
+        samples = _interior_samples(dom, 30, np.random.default_rng(_seed(config)))
+        xi = _axis_boundary(dom)
+        reports += [check(dom, xi, samples, *variant) for variant in variants]
+    return reports
 
 
 SUITES = {

@@ -551,6 +551,7 @@ def cmd_sweep(config) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pluripot",

@@ -267,26 +267,15 @@ _BRENT_RTOL = 4 * _EPS
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol) -> float:
-    """Root of the scalar function f in [a, b] by Brent's method.
-
-    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
-    ch. 4, ported step for step from the widely used C routine brentq.c
-    with its default rtol and maxiter, so that roots agree with it bit for
-    bit (the tests compare the two).  Converged when the bracket
-    half-width drops below (xtol + _BRENT_RTOL |x|) / 2, or on an exact
-    zero of f.  Raises ConvergenceError when f(a) and f(b) have the same
-    sign, when f returns NaN, or after _BRENT_MAXITER steps.
+def _brent(a, b, xtol):
+    """Brent's method on one problem, as a generator: it yields each x at
+    which f is wanted, is sent f(x) (a float, not NaN), and returns the
+    root.  brentq drives one problem with it, _brentq_rows many in
+    lockstep, so the step arithmetic lives here alone.
     """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root finder: f({x!r}) is NaN")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = yield xpre
+    fcur = yield xcur
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -326,25 +315,105 @@ def brentq(f, a, b, xtol) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = yield xcur
     raise ConvergenceError(f"root finder: no convergence in {_BRENT_MAXITER} steps")
 
 
-def minkowski_gauge(domain: Domain, z) -> float:
-    """Gauge of the balanced kinds: the t > 0 with z / t on the boundary."""
-    if domain.kind in ("disc", "ball"):
-        return float(np.linalg.norm(as_point(domain, z)))
-    if domain.kind != "ellipsoid":
+def _nan_error(x):
+    return ConvergenceError(f"root finder: f({x!r}) is NaN")
+
+
+def brentq(f, a, b, xtol) -> float:
+    """Root of the scalar function f in [a, b] by Brent's method.
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 4, ported step for step from the widely used C routine brentq.c
+    with its default rtol and maxiter, so that roots agree with it bit for
+    bit (the tests compare the two).  Converged when the bracket
+    half-width drops below (xtol + _BRENT_RTOL |x|) / 2, or on an exact
+    zero of f.  Raises ConvergenceError when f(a) and f(b) have the same
+    sign, when f returns NaN, or after _BRENT_MAXITER steps.
+    """
+    steps = _brent(a, b, xtol)
+    x = next(steps)
+    while True:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise _nan_error(x)
+        try:
+            x = steps.send(fx)
+        except StopIteration as done:
+            return done.value
+
+
+def _brentq_rows(f, a, b, xtol) -> np.ndarray:
+    """Roots of k problems in lockstep, each bit for bit brentq's alone.
+
+    Problem i brackets its root in [a[i], b[i]].  f(x, rows) evaluates
+    the problems whose indices are the array rows at the array x, in one
+    call per Brent step for all problems still open.
+    """
+    solvers = [_brent(ai, bi, xtol) for ai, bi in zip(a.tolist(), b.tolist())]
+    rows = list(range(len(solvers)))
+    xs = [next(s) for s in solvers]
+    roots = np.empty(len(solvers))
+    while rows:
+        fxs = f(np.array(xs), np.array(rows, dtype=np.intp)).tolist()
+        open_rows, open_xs = [], []
+        for i, x, fx in zip(rows, xs, fxs):
+            if math.isnan(fx):
+                raise _nan_error(x)
+            try:
+                open_xs.append(solvers[i].send(fx))
+                open_rows.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        rows, xs = open_rows, open_xs
+    return roots
+
+
+def _row_norm(x):
+    """np.linalg.norm of each row of a complex stack (..., n), bit for bit.
+
+    The row-wise matmul takes the same real dot products as norm does
+    for one vector (norm(axis=-1) sums in another order).
+    """
+    re, im = x.real, x.imag
+    return np.sqrt(np.matmul(re[..., None, :], re[..., :, None])[..., 0, 0]
+                   + np.matmul(im[..., None, :], im[..., :, None])[..., 0, 0])
+
+
+def minkowski_gauge(domain: Domain, z):
+    """Gauge of the balanced kinds: the t > 0 with z / t on the boundary.
+
+    z is one point (the gauge is a float) or a stack (..., n) of points
+    (an array of their gauges, each bit for bit the point's own).  An
+    ellipsoid's gauge is the root of the excess sum_j (|z_j|/t)^e_j - 1
+    by Brent's method; a stack solves all its rows in lockstep.
+    Non-finite coordinates raise DomainError.
+    """
+    if domain.kind not in ("disc", "ball", "ellipsoid"):
         raise UnsupportedDomainError(f"gauge undefined for kind {domain.kind}")
-    pt = as_point(domain, z)
-    mags = np.abs(pt)
+    pts = np.asarray(z, dtype=complex)
+    if pts.ndim <= 1:
+        pts = as_point(domain, pts)
+    elif pts.shape[-1] != domain.n:
+        raise DomainError(f"points must have last dimension {domain.n}")
+    if not np.isfinite(pts).all():
+        raise DomainError("the gauge needs finite coordinates")
+    if pts.ndim > 1:
+        return _stacked_gauge(domain, pts.reshape(-1, domain.n)).reshape(pts.shape[:-1])
+    if domain.kind != "ellipsoid":
+        return float(np.linalg.norm(pts))
+    mags = np.abs(pts)
     top = float(mags.max())
     if top == 0.0:
         return 0.0
-    ex = np.array([2.0] + [float(mj) for mj in domain.m])
+    ex = np.array((2.0,) + domain.m)
 
     def excess(mu):
-        return float(np.sum((mags / mu) ** ex)) - 1.0
+        # Python's sum adds left to right, as the stack's column sum does.
+        return sum(((mags / mu) ** ex).tolist()) - 1.0
 
     lo = top
     while excess(lo) < 0.0:
@@ -353,6 +422,36 @@ def minkowski_gauge(domain: Domain, z) -> float:
     while excess(hi) > 0.0:
         hi *= 2.0
     return brentq(excess, lo, hi, xtol=1e-300)
+
+
+def _stacked_gauge(domain: Domain, pts):
+    """The gauges of a finite stack (k, n): the one-point brackets and
+    Brent steps, each taken for all rows that still need it at once."""
+    if domain.kind != "ellipsoid":
+        return _row_norm(pts)
+    mags = np.abs(pts)
+    top = mags.max(axis=1)
+    gauges = np.zeros(len(pts))
+    live = np.flatnonzero(top > 0.0)
+    mags = mags[live]
+    ex = np.array((2.0,) + domain.m)
+
+    def excess(mu, rows):
+        return sum(((mags[rows] / mu[:, None]) ** ex).T) - 1.0
+
+    every = np.arange(len(live))
+    lo = top[live]
+    low = excess(lo, every) < 0.0
+    while low.any():
+        lo[low] *= 0.5
+        low[low] = excess(lo[low], every[low]) < 0.0
+    hi = 2.0 * lo
+    high = excess(hi, every) > 0.0
+    while high.any():
+        hi[high] *= 2.0
+        high[high] = excess(hi[high], every[high]) > 0.0
+    gauges[live] = _brentq_rows(excess, lo, hi, xtol=1e-300)
+    return gauges
 
 
 def unit_normal(domain: Domain, position) -> np.ndarray:

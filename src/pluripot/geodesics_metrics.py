@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import domain_core, hyperbolic_models
-from .domain_core import (Domain, BoundaryPoint, as_point, defining_function, minkowski_gauge,
-                          require_interior)
+from .domain_core import (Domain, BoundaryPoint, _row_norm, as_point, defining_function,
+                          minkowski_gauge, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 
@@ -153,17 +153,6 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
 # ---------------------------------------------------------------------------
 # Exact distances
 # ---------------------------------------------------------------------------
-
-
-def _row_norm(x):
-    """np.linalg.norm of each row of a complex stack (..., n), bit for bit.
-
-    The row-wise matmul takes the same real dot products as norm does
-    for one vector (norm(axis=-1) sums in another order).
-    """
-    re, im = x.real, x.imag
-    return np.sqrt(np.matmul(re[..., None, :], re[..., :, None])[..., 0, 0]
-                   + np.matmul(im[..., None, :], im[..., :, None])[..., 0, 0])
 
 
 def _ball_distance(z, w):
@@ -351,7 +340,8 @@ def _lattice_support(kind: str, n: int, m: tuple):
     balanced kind, and their unit normals (read-only, cached).
     """
     dom = Domain(kind=kind, n=n, m=m)
-    pts = np.array([v / minkowski_gauge(dom, v) for v in _lattice_directions(n, 64 * n)])
+    dirs = _lattice_directions(n, 64 * n)
+    pts = dirs / minkowski_gauge(dom, dirs)[:, None]
     normals = np.array([domain_core.unit_normal(dom, eta) for eta in pts])
     pts.flags.writeable = False
     normals.flags.writeable = False

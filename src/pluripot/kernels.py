@@ -16,8 +16,8 @@ import numpy as np
 
 from . import geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
-from .domain_core import (Domain, BoundaryPoint, as_point, boundary_distance, boundary_point,
-                          defining_function, require_interior)
+from .domain_core import (Domain, BoundaryPoint, _row_norm, as_point, boundary_distance,
+                          boundary_point, defining_function, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
@@ -76,7 +76,7 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
     does, so a stack and its points one at a time agree bit for bit:
     |w| is hypot (np.abs rounds differently), a float power is
     float_power (not the array **), the norm is a row-wise matmul
-    (geodesics_metrics._row_norm), and the product with the conjugate egg
+    (domain_core._row_norm), and the product with the conjugate egg
     phase is written out in reals (numpy's complex multiply may fuse
     its products).
     """
@@ -100,7 +100,7 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
         conj_xi = np.conj(xi.position)
 
         def form(z):
-            num = 1.0 - np.float_power(geodesics_metrics._row_norm(z), 2)
+            num = 1.0 - np.float_power(_row_norm(z), 2)
             return -num / np.float_power(_abs(1.0 - np.sum(z * conj_xi, axis=-1)), 2)
         return form
     if k == "ellipsoid":
@@ -240,7 +240,7 @@ def _green_form(dom: Domain):
 
     def green(w, z):
         k = distances(z, w)
-        pole = geodesics_metrics._row_norm(z - w) < 1e-15
+        pole = _row_norm(z - w) < 1e-15
         vals = [GREEN_POLE if at_pole else _log_tanh_half(d)
                 for at_pole, d in zip(pole.ravel().tolist(), k.ravel().tolist())]
         return np.array(vals).reshape(k.shape)

@@ -286,3 +286,24 @@ def montecarlo_surface_measure(dom: Domain, n_samples=10_000_000, eps=5e-3, seed
         hits += int(np.count_nonzero(np.abs(rho[ok]) / gn[ok] < eps))
         done += take
     return hits / n_samples * box_vol / (2.0 * eps)
+
+
+def interior_samples_one_at_a_time(dom: Domain, count, rng, gauge_lo=0.15, gauge_hi=0.7,
+                                   min_axis_gap=0.0, min_tangential=0.0):
+    """The verify suites' interior sampler, gauging each candidate as it
+    is drawn; the package's sampler gauges a round's candidates as one
+    stack and must give the same points and leave rng in the same state."""
+    out = []
+    while len(out) < count:
+        raw = rng.standard_normal(2 * dom.n)
+        v = raw[:dom.n] + 1j * raw[dom.n:]
+        g = minkowski_gauge(dom, v)
+        if not g > 0:
+            continue
+        z = v / g * rng.uniform(gauge_lo, gauge_hi)
+        if min_axis_gap and abs(1.0 - z[0]) < min_axis_gap:
+            continue
+        if min_tangential and dom.n >= 2 and min(abs(c) for c in z[1:]) < min_tangential:
+            continue
+        out.append(z)
+    return out

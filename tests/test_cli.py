@@ -754,3 +754,39 @@ def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, cap
     rows, _ = _csv_rows(capsys.readouterr().out)
     assert [r["status"] for r in rows] == ["outside", "ok", "ok", "ok", "outside"]
     assert checked == [-1, 1]
+
+
+def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):
+    # main() builds its parser once per process.  Each command below
+    # drops a flag that the one before it set; every call must write the
+    # bytes of a fresh interpreter running it alone.
+    import hashlib
+    import importlib.util
+    import pathlib
+
+    from pluripot import cli
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_snapshot", root / "tools" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    sweep = ["sweep", "green", "--domain", "ball2", "--w", "0,0", "--z", "0.5*t,0", "--grid-t=-0.95:0.95:5"]
+    commands = [
+        ["eval", "poisson", "--domain", "egg4", "--xi", "e1", "--z", "0.2,0.3", "--format", "csv"],
+        ["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0"],
+        ["verify", "annulus", "--r", "0.3", "--tol", "1e-3"],
+        ["verify", "annulus"],
+        sweep + ["--format", "json"],
+        sweep,
+        ["eval", "poisson", "--domain", "ball2", "--xi", "e1"],
+    ]
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        rc = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        written = digest(out.read_bytes()) if out.exists() else "-"
+        line = (f"{rc} {written} {digest(captured.out.encode())} {digest(captured.err.encode())}  "
+                + " ".join(argv))
+        assert line == snapshot.fingerprint(argv, root / "src")
+    assert cli._build_parser() is cli._build_parser()

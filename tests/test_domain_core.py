@@ -1,9 +1,12 @@
 """Domain construction, boundary projection, Levi data, line type."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import (
     ConvergenceError,
@@ -281,6 +284,43 @@ def test_minkowski_gauge_boundary_normalization():
     assert abs(minkowski_gauge(dom, 2.0 * z) - 2.0 * g) < 1e-10
 
 
+_GAUGE_SPECS = ("disc", "ball2", "ball3", "egg2", "egg4", "egg6", {"kind": "ellipsoid", "m": [4, 6]})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_GAUGE_SPECS), count=st.integers(1, 9), data=st.data())
+def test_stacked_gauge_is_the_one_point_gauge(spec, count, data):
+    dom = make_domain(spec)
+    part = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    rows = []
+    for _ in range(count):
+        scale = 10.0 ** data.draw(st.floats(-4.0, 4.0))
+        if data.draw(st.integers(0, 4)) == 0:
+            scale = 0.0  # a zero row
+        rows.append([scale * complex(data.draw(part), data.draw(part)) for _ in range(dom.n)])
+    stack = np.array(rows, dtype=complex)
+    one = [minkowski_gauge(dom, row) for row in stack]
+    assert all(type(g) is float for g in one)
+    stacked = minkowski_gauge(dom, stack[:, None, :])
+    assert stacked.shape == (count, 1)
+    assert stacked.tobytes() == np.array(one)[:, None].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["disc", "ball2", "egg4", {"kind": "ellipsoid", "m": [4, 6]}])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_gauge_refuses_non_finite_coordinates(spec, bad):
+    dom = make_domain(spec)
+    point = np.full(dom.n, 0.3 + 0.1j)
+    point[-1] = bad
+    stack = np.full((4, dom.n), 0.2 - 0.1j)
+    stack[2] = point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (point, stack):
+            with pytest.raises(DomainError, match="finite"):
+                minkowski_gauge(dom, z)
+
+
 def _root_problems():
     """Gauge and ray root solves as the package makes them (through the
     module attribute domain_core.brentq, which the test swaps), plus the
@@ -300,13 +340,42 @@ def _root_problems():
     return problems
 
 
+def _gauge_stacks():
+    """Stacks of points for the lockstep gauge, a zero row in each."""
+    rng = np.random.default_rng(12)
+    stacks = []
+    for spec in ("egg2", "egg4", "egg6", "ball2", {"kind": "ellipsoid", "m": [4, 6]}):
+        dom = make_domain(spec)
+        raw = rng.standard_normal((40, 2 * dom.n)) * 10.0 ** rng.uniform(-4.0, 4.0, (40, 1))
+        vs = raw[:, :dom.n] + 1j * raw[:, dom.n:]
+        vs[7] = 0.0
+        stacks.append((dom, vs))
+    return stacks
+
+
 def test_brentq_matches_reference_bitwise(monkeypatch):
+    # The stacked gauge runs its rows in lockstep, not through brentq:
+    # each of its rows must still be scipy's root of the row's excess,
+    # which the swap reaches through the one-point gauge.
     optimize = pytest.importorskip("scipy.optimize")
     problems = _root_problems()
+    stacks = _gauge_stacks()
     ours = [np.asarray(p(domain_core.brentq)) for p in problems]
-    monkeypatch.setattr(domain_core, "brentq", optimize.brentq)
+    stacked = [minkowski_gauge(dom, vs) for dom, vs in stacks]
+    solved = []
+
+    def reference_brentq(*args, **kwargs):
+        solved.append(args)
+        return optimize.brentq(*args, **kwargs)
+
+    monkeypatch.setattr(domain_core, "brentq", reference_brentq)
     reference = [np.asarray(p(optimize.brentq)) for p in problems]
+    solved.clear()
+    stacked_reference = [np.array([minkowski_gauge(dom, v) for v in vs]) for dom, vs in stacks]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, stacked_reference))
+    # One scipy solve per nonzero ellipsoid row.
+    assert len(solved) == sum(len(vs) - 1 for dom, vs in stacks if dom.kind == "ellipsoid")
 
 
 def test_brentq_raises_convergence_error(monkeypatch):

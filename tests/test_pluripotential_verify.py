@@ -29,6 +29,8 @@ from pluripot import _stencils
 from pluripot.pluripotential_verify import (_geodesic_laplacians, _monge_ampere_residual,
                                           _psh_report, _report)
 
+from oracles import interior_samples_one_at_a_time
+
 
 def _random_interior(dom, rng, lo=0.15, hi=0.6):
     raw = rng.standard_normal(2 * dom.n)
@@ -582,3 +584,37 @@ def test_suite_domain_needs_are_checked_on_the_given_domain_only():
     with pytest.raises(UnsupportedDomainError, match=r"^s needs C\^2; got ball3 with n = 3$"):
         _domains({"domain": "ball3"}, ("disc",), "s", needs)
     assert checked == ["egg4", "ball3"]
+
+
+@pytest.mark.parametrize("label", ["ball2", "egg4", "disc", "ellipsoid[4,6]"])
+@pytest.mark.parametrize("count", [1, 40, 200])
+@pytest.mark.parametrize("gaps", [{}, {"min_axis_gap": 0.3}, {"min_tangential": 0.05},
+                                  {"min_axis_gap": 0.3, "min_tangential": 0.05}])
+def test_interior_samples_keep_the_one_at_a_time_points_and_stream(label, count, gaps):
+    # Gauging a round's candidates as one stack changes neither the
+    # points nor what is left of the generator's stream.
+    from pluripot import _suites
+
+    dom = make_domain({"kind": "ellipsoid", "m": [4, 6]} if label == "ellipsoid[4,6]" else label)
+    ours, theirs = np.random.default_rng(20240519), np.random.default_rng(20240519)
+    samples = _suites._interior_samples(dom, count, ours, gauge_hi=0.6, **gaps)
+    reference = interior_samples_one_at_a_time(dom, count, theirs, gauge_hi=0.6, **gaps)
+    assert len(samples) == count
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(samples, reference))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_monge_ampere_suite_gauges_only_stacks(monkeypatch):
+    from pluripot import _suites, domain_core, geodesics_metrics
+
+    gauged = []
+    gauge = domain_core.minkowski_gauge
+
+    def recording(dom, z):
+        gauged.append(np.ndim(z))
+        return gauge(dom, z)
+
+    for module in (_suites, domain_core, geodesics_metrics):
+        monkeypatch.setattr(module, "minkowski_gauge", recording)
+    _suites.run_suite("monge_ampere", {"domain": "egg4"})
+    assert gauged and 1 not in gauged
