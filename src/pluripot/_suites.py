@@ -213,9 +213,9 @@ def suite_monge_ampere(config) -> list:
         samples = _interior_samples(dom, 200, rng,
                                     gauge_lo=0.15, gauge_hi=0.6,
                                     min_axis_gap=0.3, min_tangential=0.05)
-        # One projection per sample and one stacked Hessian call serve both reports.
-        steps = [1e-3 * boundary_distance(dom, z) for z in samples]
-        hessians = complex_hessian(u, np.array(samples), np.array(steps))
+        # One stacked distance call and one stacked Hessian call serve both reports.
+        samples = np.array(samples)
+        hessians = complex_hessian(u, samples, 1e-3 * boundary_distance(dom, samples))
         curves = [phi for phi, _ in _geodesic_family(dom, xi)]
         zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
                          for rad in (0.2, 0.45, 0.7) for l in range(8)]

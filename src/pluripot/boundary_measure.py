@@ -10,7 +10,6 @@ interior point.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -38,33 +37,6 @@ class BoundaryQuadrature:
     normals: np.ndarray
     weights: np.ndarray
     densities: np.ndarray
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    def to_csv(self, target) -> None:
-        """Write nodes as CSV: 2n position columns, weight, density."""
-        n = self.domain.n
-        header = []
-        for j in range(n):
-            header += [f"re{j}", f"im{j}"]
-        header += ["weight", "density"]
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for i in range(self.points.shape[0]):
-            row = []
-            for j in range(n):
-                row.append(format(self.points[i, j].real, ".17g"))
-                row.append(format(self.points[i, j].imag, ".17g"))
-            row.append(format(float(self.weights[i]), ".17g"))
-            row.append(format(float(self.densities[i]), ".17g"))
-            buf.write(",".join(row) + "\n")
-        if hasattr(target, "write"):
-            target.write(buf.getvalue())
-        else:
-            with open(target, "w") as fh:
-                fh.write(buf.getvalue())
 
 
 def boundary_form_density(dom: Domain, xi) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boundary_measure, geodesics_metrics, kernels
 from ._suites import SUITES, domain_from_config, run_suite
-from .domain_core import BoundaryPoint, boundary_point, defining_function, require_interior
+from .domain_core import BoundaryPoint, _inside_rows, boundary_point, require_interior
 from .errors import ConvergenceError, DomainError, PluripotError, UnsupportedDomainError
 
 _QUANTITIES = ("green", "poisson", "horofunction", "distance", "density")
@@ -397,36 +397,11 @@ def _inside(dom, pt, key):
         return _detached(exc)
 
 
-# defining_function of a built-in kind may round differently on a stack
-# than on one point.  On 50,000 points within 1e-3 of the boundary of
-# each of the disc, ball2, ball3, egg4, egg6, half-plane and annulus, the
-# two differed by at most 2.2e-16 (on about 2 % of the egg points), so
-# their signs can differ only within a few ulps of the boundary, as they
-# do at 17 of 180,000 egg4 points placed there.  A stacked rho farther
-# than this margin from 0 has the sign of the one-point rho, with a
-# factor of about 4,500 to spare.
-_INTERIOR_MARGIN = 1e-12
-
-
 def _interior_errors(dom, key, stack):
-    """_inside(dom, point, key) for each point of stack (m, n).
-
-    rho is taken once on the whole stack.  Each point whose stacked rho
-    is within _INTERIOR_MARGIN of 0, NaN or infinite (so that an overflow
-    warns as on one point) is checked on its own, and so is every point
-    of a general_convex domain, whose rho_fn may round in any way on a
-    stack.
-    """
-    if dom.kind == "general_convex":
-        rho = np.full(len(stack), math.nan)
-    else:
-        with np.errstate(over="ignore"):
-            rho = defining_function(dom, stack)
+    """_inside(dom, point, key) for each point of stack (m, n), by one
+    stacked check (domain_core._inside_rows)."""
     outside = DomainError(f"{key} must lie inside the domain")
-    errors = [None if r < 0.0 else outside for r in rho.tolist()]
-    for i in np.flatnonzero(~(np.abs(rho) > _INTERIOR_MARGIN) | np.isinf(rho)).tolist():
-        errors[i] = _inside(dom, stack[i], key)
-    return errors
+    return [None if ok else outside for ok in _inside_rows(dom, stack).tolist()]
 
 
 def _evaluate(quantity, dom, points, k):

@@ -230,47 +230,112 @@ def egg_invert(m: int, z):
 
 
 def _egg_automorphism(dom: Domain, alpha, z):
-    """Automorphism of the egg moving the axis point (alpha, 0, ...) to 0."""
-    alpha = complex(alpha)
+    """Automorphisms of the egg moving axis points (alpha, 0, ...) to 0.
+
+    alpha is one complex number and z a point, or alpha holds one
+    number per point of a stack z (k, n); each row is bit for bit its
+    point's own.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
     z = np.asarray(z, dtype=complex)
     den = 1.0 - np.conj(alpha) * z[..., 0]
     out = np.empty_like(z)
     out[..., 0] = (z[..., 0] - alpha) / den
-    fac = 1.0 - abs(alpha) ** 2
+    # |alpha|^2 as Python's abs(complex) ** 2 rounds it.
+    fac = 1.0 - hyperbolic_models._hypot_sq(alpha.real, alpha.imag)
     for j, mj in enumerate(dom.m):
         out[..., j + 1] = z[..., j + 1] * np.power(fac, 1.0 / mj) / np.power(den, 2.0 / mj)
     return out
 
 
-def _is_axis(z) -> bool:
-    return bool(np.max(np.abs(np.asarray(z)[1:]), initial=0.0) < 1e-13)
+def _is_axis(z):
+    """Whether each point of z (..., n) lies on the z0 axis."""
+    return np.max(np.abs(z[..., 1:]), axis=-1, initial=0.0) < 1e-13
 
 
-def _egg_distance_exact(dom: Domain, z, w):
-    """Exact egg distance when the pair is catalogued, else None."""
+def _egg_distance_exact(dom: Domain, z, w) -> list:
+    """Exact egg distances of the pairs of stacks z and w (k, n), with
+    None for each pair that is not catalogued.
+
+    Each pair takes the first route that holds, as it does alone: the
+    ball distance when every m_j is 2; the disc distance when both
+    points lie on the z0 axis; the disc distance within a common
+    catalogued geodesic (n = 2); the gauge of the other point after the
+    automorphism moving the axis point to 0.  The last route takes all
+    its pairs as one stack, with Python's log1p per pair (np.log1p
+    rounds differently).
+    """
     if all(mj == 2 for mj in dom.m):
-        return _ball_distance(z, w)
+        return _ball_distance(z, w).tolist()
     z_axis, w_axis = _is_axis(z), _is_axis(w)
-    if z_axis and w_axis:
-        return hyperbolic_models.disc_distance(z[0], w[0])
+    out = [None] * len(z)
+    both = np.flatnonzero(z_axis & w_axis)
+    for i, d in zip(both.tolist(), hyperbolic_models.disc_distance(z[both, 0], w[both, 0]).tolist()):
+        out[i] = d
     if dom.n == 2:
         m = dom.m[0]
-        az, zz = egg_invert(m, z)
-        aw, zw = egg_invert(m, w)
-        if abs(az - aw) <= 1e-11 * (1.0 + abs(az)):
-            phi = egg_geodesic(m, (az + aw) / 2.0)
-            ok_z = np.linalg.norm(phi(zz) - z) <= 1e-10 * (1.0 + np.linalg.norm(z))
-            ok_w = np.linalg.norm(phi(zw) - w) <= 1e-10 * (1.0 + np.linalg.norm(w))
-            if ok_z and ok_w and abs(zz) < 1.0 and abs(zw) < 1.0:
-                return hyperbolic_models.disc_distance(zz, zw)
-    if z_axis or w_axis:
-        axis_pt, other = (z, w) if z_axis else (w, z)
-        moved = _egg_automorphism(dom, axis_pt[0], other)
-        mu = minkowski_gauge(dom, moved)
-        if mu >= 1.0:
+        for i in np.flatnonzero(~(z_axis & w_axis)).tolist():
+            az, zz = egg_invert(m, z[i])
+            aw, zw = egg_invert(m, w[i])
+            if abs(az - aw) <= 1e-11 * (1.0 + abs(az)):
+                phi = egg_geodesic(m, (az + aw) / 2.0)
+                ok_z = np.linalg.norm(phi(zz) - z[i]) <= 1e-10 * (1.0 + np.linalg.norm(z[i]))
+                ok_w = np.linalg.norm(phi(zw) - w[i]) <= 1e-10 * (1.0 + np.linalg.norm(w[i]))
+                if ok_z and ok_w and abs(zz) < 1.0 and abs(zw) < 1.0:
+                    out[i] = hyperbolic_models.disc_distance(zz, zw)
+    rows = [i for i in np.flatnonzero(z_axis | w_axis).tolist() if out[i] is None]
+    if rows:
+        axis_pts = np.where(z_axis[rows, None], z[rows], w[rows])
+        others = np.where(z_axis[rows, None], w[rows], z[rows])
+        mus = minkowski_gauge(dom, _egg_automorphism(dom, axis_pts[:, 0], others)).tolist()
+        if max(mus) >= 1.0:
             raise ConvergenceError("gauge evaluation left the domain")
-        return math.log1p(mu) - math.log1p(-mu)
-    return None
+        for i, mu in zip(rows, mus):
+            out[i] = math.log1p(mu) - math.log1p(-mu)
+    return out
+
+
+def _exact_distances(dom: Domain, z, w) -> list:
+    """The exact distances of the pairs of stacks z and w (k, n) of
+    interior points, broadcast together, each as kobayashi_distance
+    finds it for the pair alone: a float, or None where no exact route
+    applies.  Pairs closer than 1e-15 are at distance 0.
+    """
+    z, w = np.broadcast_arrays(z, w)
+    exact = _distance_form(dom)
+    if exact is not None:
+        return exact(z, w).tolist()
+    out = [0.0] * len(z)
+    apart = np.flatnonzero(~(_row_norm(z - w) < 1e-15))
+    zs, ws = z[apart], w[apart]
+    k = dom.kind
+    if k == "ellipsoid":
+        vals = _egg_distance_exact(dom, zs, ws)
+    elif k == "half_plane":
+        vals = [hyperbolic_models.halfplane_distance(a[0], b[0]) for a, b in zip(zs, ws)]
+    elif k == "annulus":
+        vals = [hyperbolic_models.annulus_distance(dom.r, a[0], b[0]) for a, b in zip(zs, ws)]
+    else:
+        vals = [None] * len(apart)
+    for i, val in zip(apart.tolist(), vals):
+        out[i] = val
+    return out
+
+
+def _distance_rows(dom: Domain, z, w):
+    """Values and widths of kobayashi_distance for the pairs of the
+    stacks z and w (k, n) of interior points, broadcast together, as two
+    lists: the exact routes take all pairs at once (_exact_distances),
+    the sandwich each remaining pair alone.
+    """
+    values = _exact_distances(dom, z, w)
+    widths = [0.0] * len(values)
+    if None in values:
+        z, w = np.broadcast_arrays(z, w)
+        for i in [i for i, val in enumerate(values) if val is None]:
+            bound = kobayashi_distance(dom, z[i], w[i])
+            values[i], widths[i] = bound.value, bound.width
+    return values, widths
 
 
 def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
@@ -283,23 +348,7 @@ def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
     """
     z = require_interior(dom, z, "z")
     w = require_interior(dom, w, "w")
-    exact = _distance_form(dom)
-    if exact is not None:
-        val = float(exact(z, w))
-        return DistanceBound(val, val, True)
-    if np.linalg.norm(z - w) < 1e-15:
-        return DistanceBound(0.0, 0.0, True)
-
-    k = dom.kind
-    if k == "half_plane":
-        val = hyperbolic_models.halfplane_distance(z[0], w[0])
-    elif k == "annulus":
-        val = hyperbolic_models.annulus_distance(dom.r, z[0], w[0])
-    elif k == "ellipsoid":
-        val = _egg_distance_exact(dom, z, w)
-    else:
-        val = None
-
+    [val] = _exact_distances(dom, z[None], w[None])
     if val is not None:
         return DistanceBound(val, val, True)
     lo = caratheodory_lower_bound(dom, z, w)

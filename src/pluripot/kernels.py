@@ -16,8 +16,8 @@ import numpy as np
 
 from . import geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
-from .domain_core import (Domain, BoundaryPoint, _row_norm, as_point, boundary_distance,
-                          boundary_point, defining_function, require_interior)
+from .domain_core import (Domain, BoundaryPoint, _inside_rows, _row_norm, as_point, boundary_distance,
+                          boundary_point, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
@@ -132,7 +132,7 @@ class ClosedFormKernel:
     it returns a float; many() takes a stack of points (..., n) and
     returns their values in one array evaluation, bit for bit the same
     as point by point.  Both raise DomainError unless every point lies
-    inside the domain.
+    inside the domain, as require_interior decides for the point alone.
     """
 
     def __init__(self, dom: Domain, xi, scale: float):
@@ -147,7 +147,7 @@ class ClosedFormKernel:
 
     def many(self, pts):
         pts = np.asarray(pts, dtype=complex)
-        if not np.all(defining_function(self.dom, pts) < 0.0):
+        if not _inside_rows(self.dom, pts.reshape(-1, pts.shape[-1])).all():
             raise DomainError("z must lie inside the domain")
         return self.scale * self._form(pts)
 
@@ -263,9 +263,9 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     Kernel form: log|Omega_xi(p)| - log|Omega_xi(z)| by the closed form
     of Omega_xi; "kernel" raises UnsupportedDomainError where xi has
     none.  Ladder: extrapolate k(z, w_j) - k(w_j, p) along
-    w_j = xi - 10^-j n_xi; on the disc and the ball the distances of all
-    rungs are two stacked calls.  "auto" is the kernel form where the
-    closed form exists, else the ladder.
+    w_j = xi - 10^-j n_xi; the exact distances of all rungs are one
+    stacked call, and a pair without one is sandwiched alone.  "auto"
+    is the kernel form where the closed form exists, else the ladder.
     """
     xi = boundary_point(dom, xi)
     p = require_interior(dom, p, "p")
@@ -280,20 +280,13 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
         raise _no_closed_form(dom)
 
     js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
-    rungs = normal_ladder(dom, xi, js)
-    distances = geodesics_metrics._distance_form(dom)
-    vals = []
-    widths = 0.0
-    if distances is not None:
-        # Exact distances, so no width.
-        ws = np.array(rungs)
-        vals = (distances(z, ws) - distances(ws, p)).tolist()
-    else:
-        for w in rungs:
-            bz = geodesics_metrics.kobayashi_distance(dom, z, w)
-            bp = geodesics_metrics.kobayashi_distance(dom, w, p)
-            vals.append(bz.value - bp.value)
-            widths = max(widths, bz.width + bp.width)
+    ws = np.array(normal_ladder(dom, xi, js))
+    k = len(ws)
+    # The pairs (z, w_j), then (w_j, p).
+    zs = np.concatenate([np.broadcast_to(z, ws.shape), ws])
+    dist, width = geodesics_metrics._distance_rows(dom, zs, np.concatenate([ws, np.broadcast_to(p, ws.shape)]))
+    vals = [a - b for a, b in zip(dist[:k], dist[k:])]
+    widths = max([0.0] + [a + b for a, b in zip(width[:k], width[k:])])
     est, unc = extrapolate(vals, "horofunction")
     return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
 

@@ -158,20 +158,21 @@ def _geodesic_laplacians(u, phi, samples) -> list:
 
     Uses the Richardson-combined 5-point Laplacian (4 L_{h/2} - L_h)/3
     with h = 1e-3 at each disc sample; the stencil must stay inside the
-    unit disc.  u is a function of one point; it is evaluated once per
-    sample, on the images of both stencils as one stack (a
-    kernels.ClosedFormKernel in one array call).
+    unit disc.  u is a function of one point.  phi maps the stencil
+    points of all samples in one call, and u is evaluated once on their
+    images (a kernels.ClosedFormKernel in one array call).
     """
     h = 1e-3
+    samples = [complex(zeta) for zeta in samples]
+    if any(abs(zeta) + 1.5 * h >= 1.0 for zeta in samples):
+        raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
+    stencils = [_stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0) for zeta in samples]
     values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
+    flat = values(phi(np.array(stencils).ravel())).tolist()
     out = []
-    for zeta in samples:
-        zeta = complex(zeta)
-        if abs(zeta) + 1.5 * h >= 1.0:
-            raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
-        stencil = _stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0)
+    for i, (zeta, stencil) in enumerate(zip(samples, stencils)):
         # laplacian_1d reads the values back, so they are summed in its order.
-        at = dict(zip(stencil, values(np.array([phi(w) for w in stencil])).tolist()))
+        at = dict(zip(stencil, flat[i * len(stencil):(i + 1) * len(stencil)]))
         lap, _ = laplacian_1d(at.__getitem__, zeta, h, richardson=True)
         out.append(abs(lap))
     return out
@@ -191,7 +192,7 @@ def _geodesic_family(dom: Domain, xi: BoundaryPoint):
             raise UnsupportedDomainError("curve family needs an axis boundary point of the egg")
         rot = np.array([phase, 1.0], dtype=complex)
         discs = [geodesics_metrics.egg_geodesic(dom.m[0], a) for a in (0.0, 0.5, 0.25j)]
-        return [(lambda t, phi=phi: phi(complex(t)) * rot, phi.normal_derivative)
+        return [(lambda t, phi=phi: phi(t) * rot, phi.normal_derivative)
                 for phi in discs]
     if dom.kind in ("disc", "ball"):
         bases = [np.zeros(dom.n, dtype=complex), 0.4 * xi.position]
@@ -221,19 +222,26 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
             vel = xi.normal + 0.3 * xi.tangent_frame[0]
             curves.append((lambda t: xi.position - (1.0 - complex(t)) * vel, 1.0))
 
+    # The kernel values of each curve, and of all the samples, are one
+    # call each of u and of Omega_xi when these are closed forms.
+    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
     member_viol = 0.0
     curve_limits = []
+    ts = 1.0 - 10.0 ** (-np.arange(1, 7, dtype=float))
     for curve, gamma_n in curves:
-        ts = 1.0 - 10.0 ** (-np.arange(1, 7, dtype=float))
-        vals = [float(u(np.asarray(curve(t)))) * (1.0 - t) for t in ts]
+        vals = (values(np.array([curve(t) for t in ts])) * (1.0 - ts)).tolist()
         est, _ = extrapolate(vals, "membership curve")
         bound = -2.0 / gamma_n
         curve_limits.append({"limit": float(est), "bound": float(bound)})
         member_viol = _worst(member_viol, float(est) - bound)
     member = member_viol <= tol
 
-    samples = [np.asarray(z, dtype=complex) for z in samples]
-    dom_viol = _worst(0.0, *[float(u(z)) - kernels.poisson_kernel(dom, xi, z).value for z in samples])
+    samples = np.asarray(samples, dtype=complex).reshape(-1, dom.n)
+    try:
+        omega = kernels.ClosedFormKernel(dom, xi, 1.0).many
+    except UnsupportedDomainError:
+        omega = _stencils.pointwise(lambda z: kernels.poisson_kernel(dom, xi, z).value)
+    dom_viol = _worst(0.0, *(values(samples) - omega(samples)).tolist())
     dominated = dom_viol <= tol
 
     # A non-member passes vacuously; a NaN membership violation is no

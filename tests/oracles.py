@@ -8,11 +8,16 @@ one-pair disc and ball distance formulas in Python's scalar arithmetic,
 which the package's stacked distances must match bit for bit, the two
 distance bounds centre by centre and point by point, which the stacked
 slice march and the cached supporting points must match bit for bit,
-and log tanh(k/2) in multiple precision.
+the exact egg distance of one pair route by route, which the stacked
+egg distances must match bit for bit, and log tanh(k/2) in multiple
+precision.  Besides these, a few readings
+of package objects that only the tests need: whether a domain kind has
+a closed-form kernel, and a quadrature's total weight and CSV dump.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +29,8 @@ from pluripot import domain_core, hyperbolic_models
 from pluripot._extrap import extrapolate
 from pluripot.domain_core import Domain, as_point, defining_function, minkowski_gauge
 from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainError
-from pluripot.geodesics_metrics import _N_CENTERS, _N_RAYS, _lattice_directions
+from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _lattice_directions, egg_geodesic,
+                                        egg_invert)
 from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
 
 
@@ -89,6 +95,44 @@ def ball_distance_formula(z, w) -> float:
         rho = float(np.linalg.norm(vec))
     s = (1.0 - nz * nz) * (1.0 - nw * nw) / den
     return _k_from_rho(min(rho, 1.0), s)
+
+
+def egg_distance_one_pair(dom: Domain, z, w):
+    """The exact distance of one pair of points (n,) of an ellipsoid, or
+    None: the ball formula when every m_j is 2, the disc distance of two
+    z0-axis points or within a common catalogued geodesic (n = 2), and
+    otherwise, with one point on the axis, log((1 + mu) / (1 - mu)) for
+    the gauge mu of the other after the automorphism moving the axis
+    point to 0, each in one-point arithmetic."""
+    if np.linalg.norm(z - w) < 1e-15:
+        return 0.0
+    if all(mj == 2 for mj in dom.m):
+        return ball_distance_formula(z, w)
+    z_axis, w_axis = (bool(np.max(np.abs(p[1:])) < 1e-13) for p in (z, w))
+    if z_axis and w_axis:
+        return disc_distance_formula(z[0], w[0])
+    if dom.n == 2:
+        m = dom.m[0]
+        az, zz = egg_invert(m, z)
+        aw, zw = egg_invert(m, w)
+        if abs(az - aw) <= 1e-11 * (1.0 + abs(az)):
+            phi = egg_geodesic(m, (az + aw) / 2.0)
+            if (np.linalg.norm(phi(zz) - z) <= 1e-10 * (1.0 + np.linalg.norm(z))
+                    and np.linalg.norm(phi(zw) - w) <= 1e-10 * (1.0 + np.linalg.norm(w))
+                    and abs(zz) < 1.0 and abs(zw) < 1.0):
+                return disc_distance_formula(zz, zw)
+    if not (z_axis or w_axis):
+        return None
+    axis_pt, other = (z, w) if z_axis else (w, z)
+    alpha = complex(axis_pt[0])
+    den = 1.0 - np.conj(alpha) * other[..., 0]
+    moved = np.empty_like(other)
+    moved[..., 0] = (other[..., 0] - alpha) / den
+    for j, mj in enumerate(dom.m):
+        fac = np.power(1.0 - abs(alpha) ** 2, 1.0 / mj)
+        moved[..., j + 1] = other[..., j + 1] * fac / np.power(den, 2.0 / mj)
+    mu = minkowski_gauge(dom, moved)
+    return math.log1p(mu) - math.log1p(-mu)
 
 
 def log_tanh_half(k) -> float:
@@ -307,3 +351,37 @@ def interior_samples_one_at_a_time(dom: Domain, count, rng, gauge_lo=0.15, gauge
             continue
         out.append(z)
     return out
+
+
+def closed_form_poisson(dom: Domain) -> bool:
+    """Whether the boundary kernel of the domain's kind has a closed form."""
+    return dom.kind in ("disc", "half_plane", "ball", "ellipsoid")
+
+
+def total_weight(quad) -> float:
+    """The sum of a BoundaryQuadrature's weights: the boundary volume."""
+    return float(np.sum(quad.weights))
+
+
+def quadrature_csv(quad, target) -> None:
+    """Write a BoundaryQuadrature's nodes as CSV: 2n position columns, weight, density."""
+    n = quad.domain.n
+    header = []
+    for j in range(n):
+        header += [f"re{j}", f"im{j}"]
+    header += ["weight", "density"]
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for i in range(quad.points.shape[0]):
+        row = []
+        for j in range(n):
+            row.append(format(quad.points[i, j].real, ".17g"))
+            row.append(format(quad.points[i, j].imag, ".17g"))
+        row.append(format(float(quad.weights[i]), ".17g"))
+        row.append(format(float(quad.densities[i]), ".17g"))
+        buf.write(",".join(row) + "\n")
+    if hasattr(target, "write"):
+        target.write(buf.getvalue())
+    else:
+        with open(target, "w") as fh:
+            fh.write(buf.getvalue())

@@ -457,7 +457,7 @@ def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
     verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
-    assert len(verify) == 20 and {c[1] for c in verify} == set(snapshot.SUITES)
+    assert len(verify) == 25 and {c[1] for c in verify} == set(snapshot.SUITES)
 
     argv = ["eval", "poisson", "--domain", "disc", "--xi", "e1", "--z", "0.5"]
     out = tmp_path / "out.json"
@@ -739,16 +739,19 @@ def test_write_csv_columns_match_per_cell_formatting_on_any_cells(rows):
 def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, capsys):
     # The interior check takes rho on the whole stack; only the rows at
     # t = -1 and t = 1, exactly on the egg's boundary, are checked alone.
-    from pluripot import cli
+    import sys
+
+    from pluripot import domain_core
 
     checked = []
-    require_interior = cli.require_interior
+    defining_function = domain_core.defining_function
 
-    def counting(dom, z, name):
-        checked.append(complex(z[0]))
-        return require_interior(dom, z, name)
+    def counting(dom, z):
+        if sys._getframe(1).f_code.co_name == "_inside_rows" and np.ndim(z) == 1:
+            checked.append(complex(z[0]))
+        return defining_function(dom, z)
 
-    monkeypatch.setattr(cli, "require_interior", counting)
+    monkeypatch.setattr(domain_core, "defining_function", counting)
     assert main(["sweep", "poisson", "--domain", "egg4", "--xi", "e1", "--z", "t,0",
                  "--grid-t=-1:1:5"]) == 0
     rows, _ = _csv_rows(capsys.readouterr().out)

@@ -24,13 +24,15 @@ from pluripot import (
     unit_normal,
 )
 
+from oracles import closed_form_poisson
+
 
 def test_make_domain_egg4():
     dom = make_domain("egg4")
     assert dom.kind == "ellipsoid"
     assert dom.n == 2
     assert tuple(dom.m) == (4,)
-    assert dom.closed_form_poisson
+    assert closed_form_poisson(dom)
 
 
 def test_make_domain_ball1_is_disc():
@@ -274,6 +276,93 @@ def test_ellipsoid_projection_is_global():
         scan = 1025 if dom.n == 2 else 257
         oracle = _oracle_distance(dom.m, z, scan=scan)
         assert abs(boundary_distance(dom, z) - oracle) <= 1e-12 * oracle, (dom, z)
+
+
+# Points of C^3 ellipsoids, among 3,000 drawn by
+# _interior_samples(dom, 3000, default_rng(7), gauge_lo=0.05,
+# gauge_hi=0.99), where one table seed's Newton run diverges although
+# another converges to the nearest point.
+_DIVERGING_SEEDS = {
+    (2, 4): [[0.2814937005225652 + 0.00012155476186148759j, -0.15095959098632175 + 0.2760330790500772j,
+              -0.31568448215663863 - 0.10711592371175949j]],
+    (4, 4): [[0.08893654276480016 + 0.24502628538153778j, 0.1512289452225685 - 0.07562264945908104j,
+              -0.0696680597861797 + 0.03588670695196502j],
+             [-0.21815702697409325 + 0.3072185021721732j, 0.01466955196336418 + 0.3495670544156464j,
+              -0.045404660754223274 + 0.24103578609369408j]],
+    (4, 6): [[0.38564754814508545 - 0.1378997740943703j, -0.33116753280491984 - 0.27590581324780195j,
+              0.28314961490082596 - 0.03390724628330549j]],
+}
+
+
+@pytest.mark.parametrize("m", sorted(_DIVERGING_SEEDS))
+def test_ellipsoid_projection_passes_over_a_diverging_seed(m):
+    dom = make_domain({"kind": "ellipsoid", "m": list(m)})
+    points = np.array(_DIVERGING_SEEDS[m])
+    for z in points:
+        bp, delta = boundary_project(dom, z)
+        assert np.linalg.norm(bp.position - delta * bp.normal - z) < 1e-9
+        oracle = _oracle_distance(dom.m, z, scan=257)
+        assert abs(delta - oracle) <= 1e-12 * oracle
+        assert boundary_distance(dom, z) == delta
+    assert boundary_distance(dom, points).tolist() == [boundary_distance(dom, z) for z in points]
+
+
+_DISTANCE_SPECS = ("disc", "ball2", "ball3", "egg2", "egg4", "egg6", {"kind": "ellipsoid", "m": [4, 6]})
+
+
+def _distance_or_error(dom, z):
+    try:
+        return boundary_distance(dom, z)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_DISTANCE_SPECS), count=st.integers(1, 9), data=st.data())
+def test_stacked_boundary_distance_is_the_one_point_distance(spec, count, data):
+    # Rows anywhere inside, at the centre, and within a few ulps of the
+    # boundary, on either side of it.
+    dom = make_domain(spec)
+    part = st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-6))
+    rows = []
+    for _ in range(count):
+        v = np.array([complex(data.draw(part), data.draw(part)) for _ in range(dom.n)])
+        how = data.draw(st.sampled_from(("inside", "centre", "near")))
+        if how == "centre" or not v.any():
+            rows.append(np.zeros(dom.n, dtype=complex))
+        elif how == "inside":
+            rows.append(v / minkowski_gauge(dom, v) * data.draw(st.floats(1e-3, 0.999)))
+        else:
+            ulps = data.draw(st.integers(-8, 8))
+            rows.append(v / minkowski_gauge(dom, v) * (1.0 + ulps * 2.0 ** -52))
+    stack = np.array(rows)
+    one = [_distance_or_error(dom, z) for z in stack]
+    floats = [d for d in one if isinstance(d, float)]
+    if len(floats) == count:
+        stacked = boundary_distance(dom, stack[:, None, :])
+        assert stacked.shape == (count, 1)
+        assert stacked.tobytes() == np.array(one)[:, None].tobytes()
+    else:
+        with pytest.raises((DomainError, ConvergenceError)) as raised:
+            boundary_distance(dom, stack)
+        assert raised.type in one
+
+
+@pytest.mark.parametrize("spec", ["annulus", "half_plane"])
+def test_stacked_boundary_distance_of_the_plane_kinds_is_the_scalar_formula(spec):
+    # Python's abs of the complex coordinate, which np.abs does not
+    # round alike.
+    dom = make_domain("annulus", r=0.3) if spec == "annulus" else make_domain(spec)
+    rng = np.random.default_rng(29)
+    z = rng.standard_normal((500, 1)) + 1j * rng.standard_normal((500, 1))
+    if spec == "annulus":
+        z = z / np.abs(z) * rng.uniform(0.3, 1.0, (500, 1))
+        expected = [min(1.0 - abs(complex(c)), abs(complex(c)) - 0.3) for c in z[:, 0]]
+    else:
+        z.real = -np.abs(z.real)
+        expected = [-c.real for c in z[:, 0]]
+    assert boundary_distance(dom, z).tolist() == expected
+    assert [boundary_distance(dom, c) for c in z] == expected
 
 
 def test_minkowski_gauge_boundary_normalization():

@@ -31,7 +31,7 @@ from pluripot import (
 from pluripot import kernels
 from pluripot.kernels import _closed_form, _log_tanh_half
 
-from oracles import log_tanh_half, poisson_disc, poisson_halfplane
+from oracles import egg_distance_one_pair, log_tanh_half, poisson_disc, poisson_halfplane
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -166,23 +166,87 @@ def test_horofunction_ladder_matches_closed_form():
     assert abs(closed.value - ladder.value) < 1e-5
 
 
-@pytest.mark.parametrize("spec", ["disc", "ball2", "ball3"])
-def test_stacked_ladder_matches_the_per_rung_distances(spec):
-    # On the disc and the ball the ladder takes its distances in two
-    # stacked calls, bit for bit the per-rung kobayashi_distance ladder.
+def _ladder_point(dom, data, kind):
+    """An interior point off the z0 axis, on it, or (on an egg) on a
+    catalogued geodesic so near the axis disc that its pairs with the
+    axis rungs take the common-geodesic route."""
+    angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+    radius = data.draw(st.floats(0.05, 0.85))
+    if kind == "axis":
+        pt = np.zeros(dom.n, dtype=complex)
+        pt[0] = radius * complex(math.cos(angle), math.sin(angle))
+        return pt
+    if kind == "geodesic" and dom.kind == "ellipsoid" and dom.n == 2:
+        a = 10.0 ** data.draw(st.floats(-12.9, -11.5)) * complex(math.cos(angle), math.sin(angle))
+        return egg_geodesic(dom.m[0], a)(radius * (2.0 * data.draw(st.floats(0.0, 1.0)) - 1.0))
+    parts = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+    v = np.array([complex(data.draw(parts), data.draw(parts)) for _ in range(dom.n)])
+    return v / minkowski_gauge(dom, v) * radius
+
+
+@pytest.mark.parametrize("spec", ["disc", "ball2", "ball3", "egg2", "egg4", "egg6"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_ladder_matches_the_per_rung_distances(spec, data):
+    # The ladder takes the exact distances of all rungs in one stacked
+    # call, bit for bit the per-rung kobayashi_distance ladder, at axis
+    # boundary points of any phase; on the eggs, every distance is also
+    # the one-pair oracle's.
     from pluripot._extrap import extrapolate, normal_ladder
     from pluripot.geodesics_metrics import kobayashi_distance
 
     dom = make_domain(spec)
-    xi = boundary_point(dom, np.eye(dom.n)[0])
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        p, z = _random_interior(dom, rng), _random_interior(dom, rng)
-        vals = [kobayashi_distance(dom, z, w).value - kobayashi_distance(dom, w, p).value
-                for w in normal_ladder(dom, xi, range(1, 9))]
+    phase = data.draw(st.sampled_from((1.0, 1j, 0.6 - 0.8j)))
+    xi = boundary_point(dom, phase * np.eye(dom.n)[0])
+    kinds = st.sampled_from(("off", "axis", "geodesic"))
+    p, z = _ladder_point(dom, data, data.draw(kinds)), _ladder_point(dom, data, data.draw(kinds))
+    vals = []
+    for w in normal_ladder(dom, xi, range(1, 9)):
+        kz, kp = kobayashi_distance(dom, z, w).value, kobayashi_distance(dom, w, p).value
+        if dom.kind == "ellipsoid":
+            assert (kz, kp) == (egg_distance_one_pair(dom, z, w), egg_distance_one_pair(dom, w, p))
+        vals.append(kz - kp)
+    try:
         est, unc = extrapolate(vals, "horofunction")
-        got = horofunction(dom, xi, p, z, method="ladder")
-        assert (got.value, got.uncertainty) == (float(est), float(unc))
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            horofunction(dom, xi, p, z, method="ladder")
+        return
+    got = horofunction(dom, xi, p, z, method="ladder")
+    assert (got.value, got.uncertainty) == (float(est), float(unc))
+
+
+def test_stacked_egg_distances_take_each_route_of_the_pair_alone():
+    # One stack reaches every route: a common catalogued geodesic near
+    # the axis disc, both points on the axis, one on it (through the
+    # automorphism and the gauge), and none.
+    from pluripot.geodesics_metrics import _egg_automorphism, _egg_distance_exact, egg_invert
+
+    dom = make_domain("egg4")
+    near = egg_geodesic(4, 1e-12j)(0.4)
+    z = np.array([near, [0.3, 0.0], [0.1, 0.2j], [0.1, 0.2j]])
+    w = np.array([[0.3, 0.0], [-0.2j, 0.0], [-0.2j, 0.0], [0.3, -0.1]])
+    mu = minkowski_gauge(dom, _egg_automorphism(dom, -0.2j, z[2]))
+    expected = [disc_distance(egg_invert(4, near)[1], 0.3), disc_distance(0.3, -0.2j),
+                math.log1p(mu) - math.log1p(-mu), None]
+    assert expected == [egg_distance_one_pair(dom, a, b) for a, b in zip(z, w)]
+    assert _egg_distance_exact(dom, z, w) == expected
+    assert [_egg_distance_exact(dom, a[None], b[None])[0] for a, b in zip(z, w)] == expected
+
+
+def test_closed_form_kernel_stacks_refuse_what_the_point_refuses():
+    # rho of this egg4 point is 0.0 alone and negative on a stack: a
+    # stack holding it is refused as the point alone is.
+    dom = make_domain("egg4")
+    u = ClosedFormKernel(dom, [1.0, 0.0], 1.0)
+    z = np.array([0.1381236389496036 + 0.29456360582617236j, 0.9569301292608001 - 0.17286401843966967j])
+    assert defining_function(dom, z[None])[0] < 0.0 == float(defining_function(dom, z))
+    for pts in (z, z[None], np.array([[0.1, 0.2], z]), np.array([[z]])):
+        with pytest.raises(DomainError, match="inside"):
+            u.many(pts)
+    with pytest.raises(DomainError, match="inside"):
+        u(z)
+    assert u.many(np.array([[0.1, 0.2], [0.3, 0.1j]])).tolist() == [u([0.1, 0.2]), u([0.3, 0.1j])]
 
 
 def test_horofunction_cocycle():

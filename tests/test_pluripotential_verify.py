@@ -191,6 +191,26 @@ def test_phragmen_lindelof_flags():
     assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("spec", ["disc", "ball2", "ball3", "egg4", "egg6"])
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_stacked_kernel_comparisons_match_the_one_point_calls(spec, scale):
+    # With u a ClosedFormKernel, each membership curve is one stacked
+    # call of u and the domination one of u and one of Omega_xi; u
+    # called point by point, against poisson_kernel point by point,
+    # gives the same bits.
+    dom = make_domain(spec)
+    xi = boundary_point(dom, np.eye(dom.n)[0])
+    rng = np.random.default_rng(17)
+    samples = [_random_interior(dom, rng, lo=0.01, hi=0.99) for _ in range(300)]
+    u = ClosedFormKernel(dom, xi, scale)
+    stacked = phragmen_lindelof_compare(u, dom, xi, samples)
+    one_point = phragmen_lindelof_compare(lambda z: u(z), dom, xi, samples)
+    assert stacked.details["curve_limits"] == one_point.details["curve_limits"]
+    violation = max(0.0, *[u(z) - poisson_kernel(dom, xi, z).value for z in samples])
+    assert stacked.details["domination_violation"] == violation
+    assert (stacked.max_residual, stacked.details) == (one_point.max_residual, one_point.details)
+
+
 def test_laplacian_1d_references():
     assert abs(laplacian_1d(lambda z: (z ** 2).real, 0.2 + 0.1j, 1e-3)) < 1e-9
     assert abs(laplacian_1d(lambda z: abs(z) ** 2, 0.2 + 0.1j, 1e-3) - 4.0) < 1e-8
@@ -298,36 +318,46 @@ def test_verdict_fails_closed_on_non_finite():
 
 
 def test_monge_ampere_suite_work_count(monkeypatch):
-    # One boundary projection per sample and one stacked Hessian call per
-    # domain serve both the psh and the Monge-Ampere report of a domain.
+    # One stacked boundary distance call and one stacked Hessian call per
+    # domain serve both the psh and the Monge-Ampere report of a domain;
+    # the ellipsoid's distances take no one-point projection.
     from pluripot import _suites, domain_core, pluripotential_verify
 
     projected = []
+    distances = []
     hessians = []
     project = domain_core.boundary_project
+    distance = domain_core.boundary_distance
     hessian = pluripotential_verify.complex_hessian
 
     def counting_project(dom, z):
         projected.append(dom.label)
         return project(dom, z)
 
+    def counting_distance(dom, z):
+        distances.append((dom.label, np.shape(z)))
+        return distance(dom, z)
+
     def counting_hessian(u, z, h):
         hessians.append(len(z))
         return hessian(u, z, h)
 
     monkeypatch.setattr(domain_core, "boundary_project", counting_project)
+    monkeypatch.setattr(_suites, "boundary_distance", counting_distance)
     monkeypatch.setattr(pluripotential_verify, "complex_hessian", counting_hessian)
     monkeypatch.setattr(_suites, "complex_hessian", counting_hessian, raising=False)
     reports = _suites.suite_monge_ampere({})
     assert [rep.samples for rep in reports[:2]] == [200, 200]
-    assert projected.count("egg4") == 200
+    assert projected == []
+    assert distances == [("ball2", (200, 2)), ("egg4", (200, 2))]
     assert hessians == [200, 200]
 
 
 def test_harmonic_on_geodesics_work_count(monkeypatch):
-    # One stacked kernel call per disc sample (its 10 stencil images),
-    # none per point: 2 domains x 3 curves x 25 samples = 150 calls,
-    # beside one call per domain for its 200 Hessians of 49 points each.
+    # One stacked kernel call per curve (the 10 stencil images of each of
+    # its 25 disc samples), none per point: 2 domains x 3 curves = 6
+    # calls of 250 points, beside one call per domain for its 200
+    # Hessians of 49 points each.
     from pluripot import _suites, kernels
 
     sizes = []
@@ -345,8 +375,31 @@ def test_harmonic_on_geodesics_work_count(monkeypatch):
     reports = _suites.suite_monge_ampere({})
     assert [rep.check for rep in reports][2::3] == ["harmonic_on_geodesics[ball2]",
                                                     "harmonic_on_geodesics[egg4]"]
-    assert sizes.count(10) == 150
-    assert sizes.count(9800) == 2 and len(sizes) == 152
+    assert sizes == [9800, 250, 250, 250, 9800, 250, 250, 250]
+
+
+def test_phragmen_lindelof_suite_work_count(monkeypatch):
+    # Per domain and variant: one stacked kernel call per membership
+    # curve (its 6 points) and two for the domination (u and Omega_xi on
+    # the 30 samples); no one-point kernel call and no poisson_kernel.
+    from pluripot import _suites, kernels
+
+    sizes = []
+    many = kernels.ClosedFormKernel.many
+
+    def counting_many(self, pts):
+        sizes.append(len(pts))
+        return many(self, pts)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-point kernel call")
+
+    monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
+    monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", refused)
+    monkeypatch.setattr(kernels, "poisson_kernel", refused)
+    reports = _suites.suite_phragmen_lindelof({})
+    assert [rep.verdict for rep in reports] == ["pass"] * 6
+    assert sizes == ([6] * 4 + [30, 30]) * 6
 
 
 @pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),

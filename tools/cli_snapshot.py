@@ -34,12 +34,19 @@ COMMANDS = (
     # Every suite at its default seed and at seed 1.
     [["verify", suite] for suite in SUITES]
     + [["verify", suite, "--seed", "1"] for suite in SUITES]
-    # The stacked Hessian at n = 3 and on egg6, and the ball3 and disc ladders.
+    # The stacked Hessian at n = 3 and on egg6, the ball3 and disc ladders,
+    # the egg ladders (egg2 on the ball route), the stacked kernel
+    # comparisons on egg6 and ball3, and the egg2 boundary distances.
     + [line.split() for line in """\
 verify monge_ampere --domain ball3
 verify monge_ampere --domain egg6
 verify poisson_horofunction --domain ball3
-verify poisson_horofunction --domain disc""".splitlines()]
+verify poisson_horofunction --domain disc
+verify poisson_horofunction --domain egg6
+verify poisson_horofunction --domain egg2
+verify phragmen_lindelof --domain egg6
+verify phragmen_lindelof --domain ball3
+verify monge_ampere --domain egg2""".splitlines()]
     # The two sweeps of perfbench/run.py --workload sweep --seed 1.
     + [["sweep", "poisson", "--domain", "egg4", "--xi", "e1",
         "--z", "t,0.6023643249400513*s*(cos(t)+j*sin(t))"] + _GRIDS,
