@@ -622,16 +622,16 @@ def _ellipsoid_feet(domain: Domain, pts):
     points, at distance 1.
     """
     mags = np.abs(pts)
-    feet = np.zeros_like(pts)
-    feet[:, 0] = 1.0
-    delta = np.ones(len(pts))
-    live = np.flatnonzero(~(mags.max(axis=1) < 1e-12))
-    if live.size:
-        pts, mags = pts[live], mags[live]
-        phase = np.divide(pts, mags, out=np.ones_like(pts), where=mags > 0.0)
-        feet[live] = phase * _ellipsoid_nearest(domain.m, mags)
-        delta[live] = _row_norm(pts - feet[live])
-    return feet, delta
+    centre = mags.max(axis=1) < 1e-12
+    if centre.any():
+        feet = np.zeros_like(pts)
+        feet[:, 0] = 1.0
+        delta = np.ones(len(pts))
+        feet[~centre], delta[~centre] = _ellipsoid_feet(domain, pts[~centre])
+        return feet, delta
+    phase = np.divide(pts, mags, out=np.ones_like(pts), where=mags > 0.0)
+    feet = phase * _ellipsoid_nearest(domain.m, mags)
+    return feet, _row_norm(pts - feet)
 
 
 @functools.lru_cache(maxsize=16)
@@ -698,14 +698,12 @@ def _ellipsoid_nearest(m, a):
     """
     table, nbrs = _moduli_table(m)
     ex = (2,) + tuple(m)
-    block = max(1, 65536 // table.size)  # rows per (block, T, n) difference stack
+    block = max(1, 262144 // nbrs.size)  # rows per (block, T, n(n - 1)) neighbour test
     out = []
     for start in range(0, len(a), block):
         rows = a[start:start + block]
         d2 = np.sum((table - rows[:, None, :]) ** 2, axis=-1)
-        seeds = np.ones(d2.shape, dtype=bool)
-        for col in nbrs.T:
-            seeds &= d2 <= d2[:, col]
+        seeds = np.all(d2[:, :, None] <= d2[:, nbrs], axis=2)
         for ai, row_seeds, nearest in zip(rows.tolist(), seeds, d2.min(axis=1).tolist()):
             best, best_d2 = None, math.inf
             for i in np.flatnonzero(row_seeds).tolist():
@@ -721,7 +719,7 @@ def _ellipsoid_nearest(m, a):
             if not math.sqrt(best_d2) <= math.sqrt(nearest) + 1e-12:
                 raise ConvergenceError("ellipsoid projection lost the nearest boundary point")
             out.append(best)
-    return np.array(out)
+    return np.reshape(out, a.shape)
 
 
 def _kkt_newton(ex, a, s):

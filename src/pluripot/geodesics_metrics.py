@@ -270,8 +270,9 @@ def _egg_distance_exact(dom: Domain, z, w) -> list:
     z_axis, w_axis = _is_axis(z), _is_axis(w)
     out = [None] * len(z)
     both = np.flatnonzero(z_axis & w_axis)
-    for i, d in zip(both.tolist(), hyperbolic_models.disc_distance(z[both, 0], w[both, 0]).tolist()):
-        out[i] = d
+    if both.size:
+        for i, d in zip(both.tolist(), hyperbolic_models.disc_distance(z[both, 0], w[both, 0]).tolist()):
+            out[i] = d
     if dom.n == 2:
         m = dom.m[0]
         for i in np.flatnonzero(~(z_axis & w_axis)).tolist():
@@ -297,11 +298,10 @@ def _egg_distance_exact(dom: Domain, z, w) -> list:
 
 def _exact_distances(dom: Domain, z, w) -> list:
     """The exact distances of the pairs of stacks z and w (k, n) of
-    interior points, broadcast together, each as kobayashi_distance
-    finds it for the pair alone: a float, or None where no exact route
-    applies.  Pairs closer than 1e-15 are at distance 0.
+    interior points, each as kobayashi_distance finds it for the pair
+    alone: a float, or None where no exact route applies.  Pairs closer
+    than 1e-15 are at distance 0.
     """
-    z, w = np.broadcast_arrays(z, w)
     exact = _distance_form(dom)
     if exact is not None:
         return exact(z, w).tolist()
@@ -324,17 +324,15 @@ def _exact_distances(dom: Domain, z, w) -> list:
 
 def _distance_rows(dom: Domain, z, w):
     """Values and widths of kobayashi_distance for the pairs of the
-    stacks z and w (k, n) of interior points, broadcast together, as two
-    lists: the exact routes take all pairs at once (_exact_distances),
-    the sandwich each remaining pair alone.
+    stacks z and w (k, n) of interior points, as two lists: the exact
+    routes take all pairs at once (_exact_distances), the sandwich each
+    remaining pair alone.
     """
     values = _exact_distances(dom, z, w)
     widths = [0.0] * len(values)
-    if None in values:
-        z, w = np.broadcast_arrays(z, w)
-        for i in [i for i, val in enumerate(values) if val is None]:
-            bound = kobayashi_distance(dom, z[i], w[i])
-            values[i], widths[i] = bound.value, bound.width
+    for i in [i for i, val in enumerate(values) if val is None]:
+        bound = kobayashi_distance(dom, z[i], w[i])
+        values[i], widths[i] = bound.value, bound.width
     return values, widths
 
 
