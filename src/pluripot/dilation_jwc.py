@@ -20,13 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
+from . import geodesics_metrics, kernels
 from ._extrap import extrapolate, normal_ladder
-from .domain_core import (Domain, as_point, boundary_distance, boundary_point, defining_function,
-                          make_domain)
+from .domain_core import (Domain, _inside_rows, as_point, boundary_distance, boundary_point,
+                          defining_function, make_domain)
 from .errors import DomainError, UnsupportedDomainError
 from .pluripotential_verify import _worst
-from .geodesics_metrics import kobayashi_distance
 
 # Ladder exponents: every boundary limit here steps in to 10^-j, j = 1..8.
 _JS = range(1, 9)
@@ -102,27 +101,32 @@ def dilation(mp: MapUnderTest, xi, xi_target, js=_JS):
 
     Returns (lam, uncertainty).  The log-dilation is the limit of
     k(z_j, p) - k'(f(z_j), p') along the inward normal ladder at xi;
-    the liminf is realized as the extrapolated ladder limit.
+    the liminf is realized as the extrapolated ladder limit.  The rungs
+    are one stack: one interior check of their images and one distance
+    call per side.
     """
     _check_map(mp)
-    vals = []
-    for z in normal_ladder(mp.source, xi, js):
-        w = mp(z)
-        if not float(defining_function(mp.target, w)) < 0.0:
-            raise DomainError("map sent a ladder point outside the target")
-        ks = kobayashi_distance(mp.source, z, mp.source_base)
-        kt = kobayashi_distance(mp.target, w, mp.target_base)
-        vals.append(ks.value - kt.value)
-    est, unc = extrapolate(vals, "dilation")
+    zs = np.array(normal_ladder(mp.source, xi, js))
+    ws = mp(zs)
+    if not _inside_rows(mp.target, ws).all():
+        raise DomainError("map sent a ladder point outside the target")
+    ks, _ = geodesics_metrics._distance_rows(mp.source, zs, np.broadcast_to(mp.source_base, zs.shape))
+    kt, _ = geodesics_metrics._distance_rows(mp.target, ws, np.broadcast_to(mp.target_base, ws.shape))
+    est, unc = extrapolate([a - b for a, b in zip(ks, kt)], "dilation")
     lam = float(np.exp(est))
     return lam, float(lam * unc)
+
+
+def _base_kernels(mp: MapUnderTest, xi, xi_target):
+    """Omega_xi(p) and Omega'_{xi'}(p') at the two base points."""
+    return (kernels.poisson_kernel(mp.source, xi, mp.source_base).value,
+            kernels.poisson_kernel(mp.target, xi_target, mp.target_base).value)
 
 
 def normalized_dilation(mp: MapUnderTest, xi, xi_target) -> float:
     """alpha = lambda * Omega_xi(p) / Omega'_{xi'}(f-image base)."""
     lam, _ = dilation(mp, xi, xi_target)
-    op = kernels.poisson_kernel(mp.source, xi, mp.source_base).value
-    oq = kernels.poisson_kernel(mp.target, xi_target, mp.target_base).value
+    op, oq = _base_kernels(mp, xi, xi_target)
     return float(lam * op / oq)
 
 
@@ -131,37 +135,27 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples) -> dict:
 
     samples: interior points of the source domain.  Returns a dict with
     the per-formulation suprema, the dilation, and boolean verdicts.
+    The samples and the ladder rungs are one stack for each kernel.
     """
     _check_map(mp)
     xi = boundary_point(mp.source, xi)
     xi_target = boundary_point(mp.target, xi_target)
     lam, lam_unc = dilation(mp, xi, xi_target)
     log_lam = float(np.log(lam))
-    alpha = normalized_dilation(mp, xi, xi_target)
+    op, oq = _base_kernels(mp, xi, xi_target)
+    alpha = float(lam * op / oq)
 
-    op = kernels.poisson_kernel(mp.source, xi, mp.source_base).value
-    oq = kernels.poisson_kernel(mp.target, xi_target, mp.target_base).value
-
-    mj_gaps = []
-    pj_ratios = []
-    for z in samples:
-        z = as_point(mp.source, z)
-        w = mp(z)
-        hs = kernels.horofunction(mp.source, xi, mp.source_base, z).value
-        ht = kernels.horofunction(mp.target, xi_target, mp.target_base, w).value
-        mj_gaps.append(ht - hs)
-        oz = kernels.poisson_kernel(mp.source, xi, z).value
-        ow = kernels.poisson_kernel(mp.target, xi_target, w).value
-        pj_ratios.append(oz / ow)
-
+    zs = _samples(mp, samples)
+    k = len(zs)
     # The suprema are attained in the boundary limit, so fold the ladder
     # points into the sample set before comparing.
-    ladder_gaps = []
-    for z in normal_ladder(mp.source, xi, _JS):
-        w = mp(z)
-        hs = kernels.horofunction(mp.source, xi, mp.source_base, z).value
-        ht = kernels.horofunction(mp.target, xi_target, mp.target_base, w).value
-        ladder_gaps.append(ht - hs)
+    pts = np.concatenate([zs, normal_ladder(mp.source, xi, _JS)])
+    images = mp(pts)
+    gaps = (kernels._kernel_rows(mp.target, xi_target, images, mp.target_base)
+            - kernels._kernel_rows(mp.source, xi, pts, mp.source_base)).tolist()
+    mj_gaps, ladder_gaps = gaps[:k], gaps[k:]
+    pj_ratios = (kernels._kernel_rows(mp.source, xi, zs)
+                 / kernels._kernel_rows(mp.target, xi_target, images[:k])).tolist()
     sup_est, sup_unc = extrapolate(ladder_gaps, "Julia gap")
 
     mj_sup = _worst(*mj_gaps, sup_est)
@@ -216,21 +210,27 @@ def delta_ratio_limit(mp: MapUnderTest, xi):
     return float(est), float(unc)
 
 
+def _samples(mp: MapUnderTest, samples) -> np.ndarray:
+    """The samples, points of the source domain, as one stack (k, n)."""
+    return np.reshape([as_point(mp.source, z) for z in samples], (-1, mp.source.n))
+
+
+def _omega_residuals(mp: MapUnderTest, xi, xi_target, samples) -> list:
+    """|Omega'_{xi'}(f(z)) - Omega_xi(z)| at each sample, each kernel
+    taken on all samples at once."""
+    zs = _samples(mp, samples)
+    oz = kernels._kernel_rows(mp.source, boundary_point(mp.source, xi), zs)
+    ow = kernels._kernel_rows(mp.target, boundary_point(mp.target, xi_target), mp(zs))
+    return np.abs(ow - oz).tolist()
+
+
 def omega_preserving_residual(mp: MapUnderTest, xi, xi_target, samples) -> float:
     """max |Omega'_{xi'}(f(z)) - Omega_xi(z)| over the samples.
 
     Zero exactly when the map transports one kernel to the other, as the
     egg squaring map does at the axis point.
     """
-    xi = boundary_point(mp.source, xi)
-    xi_target = boundary_point(mp.target, xi_target)
-    worst = 0.0
-    for z in samples:
-        z = as_point(mp.source, z)
-        oz = kernels.poisson_kernel(mp.source, xi, z).value
-        ow = kernels.poisson_kernel(mp.target, xi_target, mp(z)).value
-        worst = _worst(worst, abs(ow - oz))
-    return float(worst)
+    return float(_worst(0.0, *_omega_residuals(mp, xi, xi_target, samples)))
 
 
 def gamma_lambda(lam: complex):
@@ -257,17 +257,11 @@ def special_curve_limit(lam: complex) -> dict:
     predicted value -2(1-|lam|^2), and the limit of delta / (1-t).
     """
     dom = make_domain("ball", n=2)
-    curve = gamma_lambda(lam)
+    ts = np.array([1.0 - 10.0 ** (-j) for j in _JS])
+    zs = gamma_lambda(lam)(ts)
     xi = np.array([1.0 + 0j, 0.0 + 0j])
-    kvals = []
-    dvals = []
-    for j in _JS:
-        t = 1.0 - 10.0 ** (-j)
-        z = curve(t)
-        kvals.append(kernels.poisson_kernel(dom, xi, z).value * (1.0 - t))
-        dvals.append(boundary_distance(dom, z) / (1.0 - t))
-    kest, kunc = extrapolate(kvals, "curve kernel")
-    dest, dunc = extrapolate(dvals, "curve delta ratio")
+    kest, kunc = extrapolate((kernels._kernel_rows(dom, xi, zs) * (1.0 - ts)).tolist(), "curve kernel")
+    dest, dunc = extrapolate((boundary_distance(dom, zs) / (1.0 - ts)).tolist(), "curve delta ratio")
     expected = -2.0 * (1.0 - abs(lam) ** 2)
     return {
         "kernel_limit": float(kest),

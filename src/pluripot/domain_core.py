@@ -627,7 +627,8 @@ def _ellipsoid_feet(domain: Domain, pts):
         feet = np.zeros_like(pts)
         feet[:, 0] = 1.0
         delta = np.ones(len(pts))
-        feet[~centre], delta[~centre] = _ellipsoid_feet(domain, pts[~centre])
+        if not centre.all():
+            feet[~centre], delta[~centre] = _ellipsoid_feet(domain, pts[~centre])
         return feet, delta
     phase = np.divide(pts, mags, out=np.ones_like(pts), where=mags > 0.0)
     feet = phase * _ellipsoid_nearest(domain.m, mags)
@@ -691,80 +692,132 @@ def _ellipsoid_nearest(m, a):
     Newton on the KKT system s - lam grad rho(s) = a, rho(s) = 0 runs
     from every local minimum of |s - a| over the seed table, found for
     a block of rows by one distance matrix against the table and one
-    neighbour test; the nearest converged point wins.  A seed whose
-    Newton run does not converge is passed over.  A row where none
-    converges, or whose winner is farther than its nearest table point,
-    raises ConvergenceError.
+    neighbour test; all (row, seed) runs are one array Newton
+    (_kkt_newton), and the nearest converged point wins, the first seed
+    on a tie.  A seed whose Newton run does not converge is passed over.
+    A row where none converges, or whose winner is farther than its
+    nearest table point, raises ConvergenceError.
     """
     table, nbrs = _moduli_table(m)
-    ex = (2,) + tuple(m)
     block = max(1, 262144 // nbrs.size)  # rows per (block, T, n(n - 1)) neighbour test
-    out = []
+    rows, seeds, nearest = [], [], []
     for start in range(0, len(a), block):
-        rows = a[start:start + block]
-        d2 = np.sum((table - rows[:, None, :]) ** 2, axis=-1)
-        seeds = np.all(d2[:, :, None] <= d2[:, nbrs], axis=2)
-        for ai, row_seeds, nearest in zip(rows.tolist(), seeds, d2.min(axis=1).tolist()):
-            best, best_d2 = None, math.inf
-            for i in np.flatnonzero(row_seeds).tolist():
-                try:
-                    s = _kkt_newton(ex, ai, table[i].tolist())
-                except ConvergenceError:
-                    continue
-                dist2 = sum((sj - aj) ** 2 for sj, aj in zip(s, ai))
-                if dist2 < best_d2:
-                    best, best_d2 = s, dist2
-            if best is None:
-                raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
-            if not math.sqrt(best_d2) <= math.sqrt(nearest) + 1e-12:
-                raise ConvergenceError("ellipsoid projection lost the nearest boundary point")
-            out.append(best)
-    return np.reshape(out, a.shape)
+        d2 = np.sum((table - a[start:start + block, None, :]) ** 2, axis=-1)
+        local = d2 <= d2[:, nbrs[:, 0]]
+        for j in range(1, nbrs.shape[1]):
+            local &= d2 <= d2[:, nbrs[:, j]]
+        r, i = np.nonzero(local)
+        rows.append(r + start)
+        seeds.append(i)
+        nearest.append(d2.min(axis=1))
+    # Pairs run row by row, each row's seeds in table order.
+    rows, seeds = np.concatenate(rows), np.concatenate(seeds)
+    s, converged = _kkt_newton((2,) + tuple(m), a[rows].T, table[seeds].T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist2 = _column_sum(np.float_power(s - a[rows].T, 2))
+    dist2[~(converged & (dist2 < math.inf))] = math.inf
+    best_d2 = np.full(len(a), math.inf)
+    np.minimum.at(best_d2, rows, dist2)
+    # The first pair of each row that attains the row's least distance.
+    hits = np.flatnonzero(dist2 == best_d2[rows])
+    winner = hits[np.diff(rows[hits], prepend=-1) > 0]
+    lost = ~(np.sqrt(best_d2) <= np.sqrt(np.concatenate(nearest)) + 1e-12)
+    if lost.any():
+        if best_d2[np.argmax(lost)] == math.inf:
+            raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
+        raise ConvergenceError("ellipsoid projection lost the nearest boundary point")
+    return s[:, winner].T
+
+
+def _column_sum(x):
+    """Sum over the coordinates of x (n, P), left to right from 0.0, as
+    Python's sum adds the n floats of one pair."""
+    acc = 0.0 + x[0]
+    for xj in x[1:]:
+        acc = acc + xj
+    return acc
 
 
 def _kkt_newton(ex, a, s):
-    """Newton on s_j - lam e_j s_j^(e_j - 1) = a_j, sum_j s_j^e_j = 1."""
-    g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
-    lam = sum(gj * (sj - aj) for gj, sj, aj in zip(g, s, a)) / sum(gj * gj for gj in g)
-    for _ in range(50):
-        g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
-        d = [1.0 - lam * e * (e - 1) * sj ** (e - 2) for e, sj in zip(ex, s)]
-        b = [aj - sj + lam * gj for aj, sj, gj in zip(a, s, g)]
-        c = 1.0 - sum(sj ** e for e, sj in zip(ex, s))
-        try:
-            x, y = _bordered_solve(d, g, b, c)
-        except (ZeroDivisionError, np.linalg.LinAlgError):
-            break
-        s = [sj + xj for sj, xj in zip(s, x)]
-        lam += y
-        step = max(abs(xj) for xj in x)
-        if step <= 1e-13:
-            return s
-        if not math.isfinite(step):
-            break
-    raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
+    """Newton on s_j - lam e_j s_j^(e_j - 1) = a_j, sum_j s_j^e_j = 1,
+    for P pairs of moduli a and seeds s at once, both (n, P).
+
+    Returns the final s (n, P) and whether each run converged: its
+    largest step is at most 1e-13 within 50 steps.  A run stops
+    unconverged when its step is not finite or its Newton system is
+    singular.  Each run is bit for bit the same run in Python floats:
+    every power is float_power (it rounds as Python's float ** does; the
+    array ** does not), every sum adds the coordinates left to right,
+    and the largest step is taken as Python's max takes it.
+    """
+    e = np.array(ex, dtype=float)[:, None]
+    e1, e2 = e - 1, e - 2
+    out = np.array(s, dtype=float)
+    converged = np.zeros(out.shape[1], dtype=bool)
+    live = np.arange(out.shape[1])
+    with np.errstate(all="ignore"):
+        g = e * np.float_power(s, e1)
+        lam = _column_sum(g * (s - a)) / _column_sum(g * g)
+        for _ in range(50):
+            if not live.size:
+                break
+            g = e * np.float_power(s, e1)
+            d = 1.0 - lam * e * e1 * np.float_power(s, e2)
+            b = a - s + lam * g
+            c = 1.0 - _column_sum(np.float_power(s, e))
+            x, y, solved = _bordered_solve(d, g, b, c)
+            s = s + x
+            lam = lam + y
+            step = np.abs(x[0])
+            for xj in np.abs(x[1:]):
+                step = np.where(xj > step, xj, step)
+            done = solved & (step <= 1e-13)
+            if done.any():
+                out[:, live[done]] = s[:, done]
+                converged[live[done]] = True
+            keep = solved & ~done & np.isfinite(step)
+            if not keep.all():
+                live, s, a, lam = live[keep], s[:, keep], a[:, keep], lam[keep]
+    return out, converged
 
 
 def _bordered_solve(d, g, b, c):
-    """Solve d_j x_j - g_j y = b_j for every j and sum_j g_j x_j = c.
+    """Solve d_j x_j - g_j y = b_j for every j and sum_j g_j x_j = c, for
+    P systems at once: d, g, b are (n, P) and c is (P,).
 
-    This is the Newton system of the nearest-point KKT equations.  For
+    This is the Newton system of the nearest-point KKT equations.
+    Returns x (n, P), y (P,) and whether each system was solved.  For
     n = 2 it is eliminated in closed form (Cramer's rule, which never
-    divides by d_j: d_j may vanish on the way).
+    divides by d_j: d_j may vanish on the way), unsolved where the
+    determinant is 0.  Larger systems are one batched LAPACK solve,
+    each bit for bit its system's own solve; a singular one is
+    unsolved.
     """
-    if len(d) == 2:
-        (d0, d1), (g0, g1), (b0, b1) = d, g, b
-        det = g0 * g0 * d1 + g1 * g1 * d0
-        return ([(b0 * g1 * g1 + g0 * (c * d1 - g1 * b1)) / det,
-                 (b1 * g0 * g0 + g1 * (c * d0 - g0 * b0)) / det],
-                (c * d0 * d1 - g0 * b0 * d1 - g1 * b1 * d0) / det)
-    n = len(d)
-    jac = np.zeros((n + 1, n + 1))
-    jac[:n, :n] = np.diag(d)
-    jac[:n, n] = [-gj for gj in g]
-    jac[n, :n] = g
-    sol = np.linalg.solve(jac, b + [c])
-    return sol[:n].tolist(), float(sol[n])
+    n, P = d.shape
+    if n == 2:
+        # Row j pairs with the other row: D, G, B hold d, g, b swapped.
+        D, G, B = d[::-1], g[::-1], b[::-1]
+        t = g * g * D
+        det = t[0] + t[1]
+        x = (b * G * G + g * (c * D - G * B)) / det
+        u = g * b * D
+        return x, (c * d[0] * d[1] - u[0] - u[1]) / det, det != 0.0
+    jac = np.zeros((P, n + 1, n + 1))
+    jac[:, range(n), range(n)] = d.T
+    jac[:, :n, n] = -g.T
+    jac[:, n, :n] = g.T
+    rhs = np.concatenate([b, c[None]]).T
+    solved = np.ones(P, dtype=bool)
+    try:
+        sol = np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs)
+        for i in range(P):
+            try:
+                sol[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+    return sol[:, :n].T, sol[:, n], solved
 
 
 def _any_outward_seed(domain: Domain, pt):

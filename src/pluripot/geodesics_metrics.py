@@ -400,12 +400,19 @@ def _supporting_points(dom: Domain, z, w):
     their unit normals, as two stacks (k, n).
 
     The balanced kinds take the lattice points from _lattice_support and
-    project only z and w; general_convex shoots the lattice directions
-    from z.
+    project only z and w (an ellipsoid both in one array Newton, each
+    foot bit for bit boundary_project's); general_convex shoots the
+    lattice directions from z.
     """
     if dom.kind in ("disc", "ball", "ellipsoid"):
         pts, normals = _lattice_support(dom.kind, dom.n, dom.m)
-        feet = [domain_core.boundary_project(dom, base)[0] for base in (z, w)]
+        if dom.kind == "ellipsoid":
+            pair = np.array([z, w])
+            if not domain_core._inside_rows(dom, pair).all():
+                raise domain_core._not_interior()
+            feet = [domain_core.boundary_point(dom, xi) for xi in domain_core._ellipsoid_feet(dom, pair)[0]]
+        else:
+            feet = [domain_core.boundary_project(dom, base)[0] for base in (z, w)]
         return (np.concatenate([pts, [bp.position for bp in feet]]),
                 np.concatenate([normals, [bp.normal for bp in feet]]))
     pts = []

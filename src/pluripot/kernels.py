@@ -250,11 +250,32 @@ def _green_form(dom: Domain):
 def _horofunction_many(form, p, z):
     """log|Omega(p)| - log|Omega(z)| per row of stacks p and z (k, n).
 
-    form is a _closed_form of Omega_xi, evaluated once on all 2k points.
+    form evaluates Omega_xi on a stack (a _closed_form, or the many of a
+    ClosedFormKernel of scale 1), once on all 2k points.
     """
     om = form(np.concatenate([p, z])).tolist()
     k = len(z)
     return np.array([math.log(-a) - math.log(-b) for a, b in zip(om[:k], om[k:])])
+
+
+def _kernel_rows(dom: Domain, xi, z, p=None) -> np.ndarray:
+    """Omega_xi, or h_{xi, p} given a base point p, at each point of a
+    stack z (k, n), each bit for bit the point's poisson_kernel or
+    horofunction value.
+
+    Where xi has a closed form the stack (with p) is one
+    ClosedFormKernel.many call, which checks every point inside;
+    elsewhere each row is a one-point call.
+    """
+    try:
+        omega = ClosedFormKernel(dom, xi, 1.0).many
+    except UnsupportedDomainError:
+        if p is None:
+            return np.array([poisson_kernel(dom, xi, row).value for row in z])
+        return np.array([horofunction(dom, xi, p, row).value for row in z])
+    if p is None:
+        return omega(z)
+    return _horofunction_many(omega, np.broadcast_to(p, z.shape), z)
 
 
 def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:

@@ -237,11 +237,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     member = member_viol <= tol
 
     samples = np.asarray(samples, dtype=complex).reshape(-1, dom.n)
-    try:
-        omega = kernels.ClosedFormKernel(dom, xi, 1.0).many
-    except UnsupportedDomainError:
-        omega = _stencils.pointwise(lambda z: kernels.poisson_kernel(dom, xi, z).value)
-    dom_viol = _worst(0.0, *(values(samples) - omega(samples)).tolist())
+    dom_viol = _worst(0.0, *(values(samples) - kernels._kernel_rows(dom, xi, samples)).tolist())
     dominated = dom_viol <= tol
 
     # A non-member passes vacuously; a NaN membership violation is no

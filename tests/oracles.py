@@ -9,8 +9,9 @@ which the package's stacked distances must match bit for bit, the two
 distance bounds centre by centre and point by point, which the stacked
 slice march and the cached supporting points must match bit for bit,
 the exact egg distance of one pair route by route, which the stacked
-egg distances must match bit for bit, and log tanh(k/2) in multiple
-precision.  Besides these, a few readings
+egg distances must match bit for bit, the ellipsoid nearest-point
+Newton run in Python floats per (row, seed), which the array Newton must
+match bit for bit, and log tanh(k/2) in multiple precision.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
 """
@@ -385,3 +386,79 @@ def quadrature_csv(quad, target) -> None:
     else:
         with open(target, "w") as fh:
             fh.write(buf.getvalue())
+
+
+def ellipsoid_nearest_per_pair(m, a):
+    """The moduli of the nearest boundary points to the rows of a (k, n),
+    with the seeds of a block of rows picked as the package picks them
+    and each (row, seed) Newton run in Python floats, one at a time; the
+    package's array Newton must give the same moduli bit for bit."""
+    table, nbrs = domain_core._moduli_table(m)
+    ex = (2,) + tuple(m)
+    block = max(1, 262144 // nbrs.size)  # rows per (block, T, n(n - 1)) neighbour test
+    out = []
+    for start in range(0, len(a), block):
+        rows = a[start:start + block]
+        d2 = np.sum((table - rows[:, None, :]) ** 2, axis=-1)
+        seeds = np.all(d2[:, :, None] <= d2[:, nbrs], axis=2)
+        for ai, row_seeds, nearest in zip(rows.tolist(), seeds, d2.min(axis=1).tolist()):
+            best, best_d2 = None, math.inf
+            for i in np.flatnonzero(row_seeds).tolist():
+                try:
+                    s = kkt_newton_python_floats(ex, ai, table[i].tolist())
+                except ConvergenceError:
+                    continue
+                dist2 = sum((sj - aj) ** 2 for sj, aj in zip(s, ai))
+                if dist2 < best_d2:
+                    best, best_d2 = s, dist2
+            if best is None:
+                raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
+            if not math.sqrt(best_d2) <= math.sqrt(nearest) + 1e-12:
+                raise ConvergenceError("ellipsoid projection lost the nearest boundary point")
+            out.append(best)
+    return np.reshape(out, a.shape)
+
+
+def kkt_newton_python_floats(ex, a, s):
+    """Newton on s_j - lam e_j s_j^(e_j - 1) = a_j, sum_j s_j^e_j = 1."""
+    g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
+    lam = sum(gj * (sj - aj) for gj, sj, aj in zip(g, s, a)) / sum(gj * gj for gj in g)
+    for _ in range(50):
+        g = [e * sj ** (e - 1) for e, sj in zip(ex, s)]
+        d = [1.0 - lam * e * (e - 1) * sj ** (e - 2) for e, sj in zip(ex, s)]
+        b = [aj - sj + lam * gj for aj, sj, gj in zip(a, s, g)]
+        c = 1.0 - sum(sj ** e for e, sj in zip(ex, s))
+        try:
+            x, y = bordered_solve_python_floats(d, g, b, c)
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            break
+        s = [sj + xj for sj, xj in zip(s, x)]
+        lam += y
+        step = max(abs(xj) for xj in x)
+        if step <= 1e-13:
+            return s
+        if not math.isfinite(step):
+            break
+    raise ConvergenceError("ellipsoid nearest-point Newton did not converge")
+
+
+def bordered_solve_python_floats(d, g, b, c):
+    """Solve d_j x_j - g_j y = b_j for every j and sum_j g_j x_j = c.
+
+    This is the Newton system of the nearest-point KKT equations.  For
+    n = 2 it is eliminated in closed form (Cramer's rule, which never
+    divides by d_j: d_j may vanish on the way).
+    """
+    if len(d) == 2:
+        (d0, d1), (g0, g1), (b0, b1) = d, g, b
+        det = g0 * g0 * d1 + g1 * g1 * d0
+        return ([(b0 * g1 * g1 + g0 * (c * d1 - g1 * b1)) / det,
+                 (b1 * g0 * g0 + g1 * (c * d0 - g0 * b0)) / det],
+                (c * d0 * d1 - g0 * b0 * d1 - g1 * b1 * d0) / det)
+    n = len(d)
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = np.diag(d)
+    jac[:n, n] = [-gj for gj in g]
+    jac[n, :n] = g
+    sol = np.linalg.solve(jac, b + [c])
+    return sol[:n].tolist(), float(sol[n])

@@ -457,7 +457,7 @@ def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
     verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
-    assert len(verify) == 25 and {c[1] for c in verify} == set(snapshot.SUITES)
+    assert len(verify) == 28 and {c[1] for c in verify} == set(snapshot.SUITES)
 
     argv = ["eval", "poisson", "--domain", "disc", "--xi", "e1", "--z", "0.5"]
     out = tmp_path / "out.json"

@@ -173,32 +173,30 @@ def test_gamma_lambda_domain():
 
 
 def test_omega_preserving_residual_keeps_nan(monkeypatch):
-    from types import SimpleNamespace
-
     from pluripot import kernels
 
     mp = map_from_spec("identity", n=2)
-    # Kernel values: NaN at the first sample, 0 elsewhere.
-    fake = lambda dom, xi, z: SimpleNamespace(value=math.nan if z[0].real < 0.2 else 0.0)
-    monkeypatch.setattr(kernels, "poisson_kernel", fake)
+    # Kernel values on the stack: NaN at the first sample, 0 elsewhere.
+    fake = lambda dom, xi, z, p=None: np.where(z[:, 0].real < 0.2, math.nan, 0.0)
+    monkeypatch.setattr(kernels, "_kernel_rows", fake)
     worst = omega_preserving_residual(mp, E1, E1, [np.array([0.1, 0.0]), np.array([0.5, 0.0])])
     assert math.isnan(worst)
 
 
 def test_julia_checks_nan_sample_fails(monkeypatch):
-    from types import SimpleNamespace
-
     from pluripot import kernels
 
-    real = kernels.horofunction
+    real = kernels._kernel_rows
     marker = np.array([0.3, 0.1j])
 
-    def fake(dom, xi, p, z, method="auto"):
-        if np.array_equal(z, marker):
-            return SimpleNamespace(value=math.nan)
-        return real(dom, xi, p, z, method)
+    def fake(dom, xi, z, p=None):
+        # The horofunction is NaN at the marker sample.
+        vals = real(dom, xi, z, p)
+        if p is not None:
+            vals[np.all(z == marker, axis=1)] = math.nan
+        return vals
 
-    monkeypatch.setattr(kernels, "horofunction", fake)
+    monkeypatch.setattr(kernels, "_kernel_rows", fake)
     out = julia_checks(map_from_spec("identity"), E1, E1, [np.array([0.2, 0.0]), marker])
     assert math.isnan(out["mj_sup"])
     assert not out["mj_holds"]

@@ -24,7 +24,7 @@ from pluripot import (
     unit_normal,
 )
 
-from oracles import closed_form_poisson
+from oracles import closed_form_poisson, ellipsoid_nearest_per_pair
 
 
 def test_make_domain_egg4():
@@ -305,6 +305,56 @@ def test_ellipsoid_projection_passes_over_a_diverging_seed(m):
         assert abs(delta - oracle) <= 1e-12 * oracle
         assert boundary_distance(dom, z) == delta
     assert boundary_distance(dom, points).tolist() == [boundary_distance(dom, z) for z in points]
+
+
+def _nearest_or_error(nearest, m, a):
+    try:
+        return nearest(m, a).tobytes()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+_NEWTON_SPECS = ("egg2", "egg4", "egg6", {"kind": "ellipsoid", "m": [4, 4]},
+                 {"kind": "ellipsoid", "m": [2, 4]}, {"kind": "ellipsoid", "m": [4, 6]})
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_NEWTON_SPECS), count=st.integers(1, 6), data=st.data())
+def test_array_newton_is_the_python_float_newton(spec, count, data):
+    # The moduli of the nearest points, or the error, bit for bit those
+    # of one Python-float Newton run per (row, seed): rows anywhere
+    # inside, within a few ulps of rho = 0 on either side, and on the C^3
+    # ellipsoids rows where one seed's run diverges; the stack and each
+    # of its rows alone.
+    dom = make_domain(spec)
+    part = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-6)
+    rows = []
+    for _ in range(count):
+        how = data.draw(st.sampled_from(("inside", "near", "diverging")))
+        if how == "diverging" and dom.m in _DIVERGING_SEEDS:
+            rows.append(data.draw(st.sampled_from(_DIVERGING_SEEDS[dom.m])))
+            continue
+        v = np.array([complex(data.draw(part), data.draw(part)) for _ in range(dom.n)])
+        scale = (1.0 + data.draw(st.integers(-8, 8)) * 2.0 ** -52 if how == "near"
+                 else data.draw(st.floats(1e-3, 0.999)))
+        rows.append(v / minkowski_gauge(dom, v) * scale)
+    a = np.abs(np.array(rows, dtype=complex))
+    for stack in [a] + [row[None] for row in a]:
+        want = _nearest_or_error(ellipsoid_nearest_per_pair, dom.m, stack)
+        assert _nearest_or_error(domain_core._ellipsoid_nearest, dom.m, stack) == want
+
+
+@pytest.mark.parametrize("m", sorted(_DIVERGING_SEEDS))
+def test_array_newton_stops_the_diverging_seed(m):
+    # The diverging-seed rows do reach the array Newton with a seed whose
+    # run does not converge, beside one that does.
+    table, nbrs = domain_core._moduli_table(m)
+    for z in _DIVERGING_SEEDS[m]:
+        a = np.abs(np.array(z))
+        d2 = np.sum((table - a) ** 2, axis=1)
+        seeds = table[np.all(d2[:, None] <= d2[nbrs], axis=1)]
+        _, converged = domain_core._kkt_newton((2,) + m, np.repeat(a[:, None], len(seeds), axis=1), seeds.T)
+        assert converged.any() and not converged.all()
 
 
 _DISTANCE_SPECS = ("disc", "ball2", "ball3", "egg2", "egg4", "egg6", {"kind": "ellipsoid", "m": [4, 6]})

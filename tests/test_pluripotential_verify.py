@@ -402,6 +402,50 @@ def test_phragmen_lindelof_suite_work_count(monkeypatch):
     assert sizes == ([6] * 4 + [30, 30]) * 6
 
 
+def test_dilation_suite_work_count(monkeypatch):
+    # The pullback's 100 samples, the Julia check's 25 samples with its 8
+    # ladder rungs, and each curve's 8 rungs are stacks: one kernel call
+    # per side.  The only one-point kernels are the 8 at the base points
+    # of the four dilations, and each dilation ladder is one distance
+    # call per side, so julia_checks takes one egg ladder.
+    from pluripot import _suites, geodesics_metrics, kernels
+
+    sizes, base_points, ladders = [], [], []
+    many = kernels.ClosedFormKernel.many
+    poisson = kernels.poisson_kernel
+    rows = geodesics_metrics._distance_rows
+
+    def counting_many(self, pts):
+        sizes.append(len(pts))
+        return many(self, pts)
+
+    def counting_poisson(dom, xi, z, method="auto"):
+        base_points.append(not np.any(z))
+        return poisson(dom, xi, z, method)
+
+    def counting_rows(dom, z, w):
+        ladders.append((dom.label, len(z)))
+        return rows(dom, z, w)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-point call")
+
+    monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
+    monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", refused)
+    monkeypatch.setattr(kernels, "poisson_kernel", counting_poisson)
+    monkeypatch.setattr(kernels, "horofunction", refused)
+    monkeypatch.setattr(geodesics_metrics, "kobayashi_distance", refused)
+    monkeypatch.setattr(geodesics_metrics, "_distance_rows", counting_rows)
+    reports = _suites.suite_dilation({})
+    assert [rep.verdict for rep in reports] == ["pass"] * 8
+    # pullback, julia (horofunctions of samples and rungs, then kernels
+    # of the samples), projection, three curves.
+    assert sizes == [100, 100, 66, 66, 25, 25, 1, 1, 8, 8, 8]
+    assert base_points == [True] * 8
+    # alpha_egg, julia_egg, alpha_identity, projection.
+    assert ladders == [("egg4", 8), ("ball2", 8)] * 2 + [("ball2", 8)] * 3 + [("disc", 8)]
+
+
 @pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
                                          ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
 def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):

@@ -36,7 +36,9 @@ COMMANDS = (
     + [["verify", suite, "--seed", "1"] for suite in SUITES]
     # The stacked Hessian at n = 3 and on egg6, the ball3 and disc ladders,
     # the egg ladders (egg2 on the ball route), the stacked kernel
-    # comparisons on egg6 and ball3, and the egg2 boundary distances.
+    # comparisons on egg6 and ball3, the egg2 boundary distances, the
+    # stacked dilation suite and the array projection Newton on egg4 and
+    # egg6 samples.
     + [line.split() for line in """\
 verify monge_ampere --domain ball3
 verify monge_ampere --domain egg6
@@ -46,7 +48,10 @@ verify poisson_horofunction --domain egg6
 verify poisson_horofunction --domain egg2
 verify phragmen_lindelof --domain egg6
 verify phragmen_lindelof --domain ball3
-verify monge_ampere --domain egg2""".splitlines()]
+verify monge_ampere --domain egg2
+verify dilation --seed 2
+verify monge_ampere --domain egg4 --seed 2
+verify main2_estimate --domain egg6""".splitlines()]
     # The two sweeps of perfbench/run.py --workload sweep --seed 1.
     + [["sweep", "poisson", "--domain", "egg4", "--xi", "e1",
         "--z", "t,0.6023643249400513*s*(cos(t)+j*sin(t))"] + _GRIDS,
