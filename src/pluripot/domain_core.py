@@ -627,8 +627,7 @@ def _ellipsoid_feet(domain: Domain, pts):
         feet = np.zeros_like(pts)
         feet[:, 0] = 1.0
         delta = np.ones(len(pts))
-        if not centre.all():
-            feet[~centre], delta[~centre] = _ellipsoid_feet(domain, pts[~centre])
+        feet[~centre], delta[~centre] = _ellipsoid_feet(domain, pts[~centre])
         return feet, delta
     phase = np.divide(pts, mags, out=np.ones_like(pts), where=mags > 0.0)
     feet = phase * _ellipsoid_nearest(domain.m, mags)
@@ -701,7 +700,7 @@ def _ellipsoid_nearest(m, a):
     table, nbrs = _moduli_table(m)
     block = max(1, 262144 // nbrs.size)  # rows per (block, T, n(n - 1)) neighbour test
     rows, seeds, nearest = [], [], []
-    for start in range(0, len(a), block):
+    for start in range(0, max(len(a), 1), block):  # one block even for no rows
         d2 = np.sum((table - a[start:start + block, None, :]) ** 2, axis=-1)
         local = d2 <= d2[:, nbrs[:, 0]]
         for j in range(1, nbrs.shape[1]):
@@ -713,8 +712,7 @@ def _ellipsoid_nearest(m, a):
     # Pairs run row by row, each row's seeds in table order.
     rows, seeds = np.concatenate(rows), np.concatenate(seeds)
     s, converged = _kkt_newton((2,) + tuple(m), a[rows].T, table[seeds].T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist2 = _column_sum(np.float_power(s - a[rows].T, 2))
+    dist2 = _column_sum(np.float_power(s - a[rows].T, 2))
     dist2[~(converged & (dist2 < math.inf))] = math.inf
     best_d2 = np.full(len(a), math.inf)
     np.minimum.at(best_d2, rows, dist2)

@@ -344,6 +344,14 @@ def test_array_newton_is_the_python_float_newton(spec, count, data):
         assert _nearest_or_error(domain_core._ellipsoid_nearest, dom.m, stack) == want
 
 
+@pytest.mark.parametrize("spec", ["egg4", {"kind": "ellipsoid", "m": [4, 4]}])
+def test_ellipsoid_stacks_without_projected_rows(spec):
+    # An empty stack, and a stack of centres only, leave the Newton no rows.
+    dom = make_domain(spec)
+    assert boundary_distance(dom, np.zeros((0, dom.n))).shape == (0,)
+    assert boundary_distance(dom, np.zeros((3, dom.n))).tolist() == [1.0] * 3
+
+
 @pytest.mark.parametrize("m", sorted(_DIVERGING_SEEDS))
 def test_array_newton_stops_the_diverging_seed(m):
     # The diverging-seed rows do reach the array Newton with a seed whose
