@@ -13,11 +13,6 @@ import functools
 import numpy as np
 
 
-def pointwise(u):
-    """The function of a stack of points (k, n) that applies u to each row."""
-    return lambda pts: np.array([u(p) for p in pts])
-
-
 @functools.lru_cache(maxsize=8)
 def _directions(n):
     """Complex directions of the Hessian stencil in C^n, shape (m, n).

@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
-from .domain_core import Domain, boundary_distance, boundary_point, brentq, make_domain, minkowski_gauge
+from .domain_core import (Domain, _brentq_rows, boundary_distance, boundary_point, make_domain,
+                          minkowski_gauge)
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
 from .pluripotential_verify import (VerificationReport, _geodesic_family, _geodesic_laplacians,
@@ -151,14 +152,21 @@ def suite_poisson_horofunction(config) -> list:
 # Suite: boundary distance asymptotics of the Kobayashi distance.
 # ---------------------------------------------------------------------------
 
-def _point_at_delta(dom: Domain, curve, delta: float):
-    """Point on the curve where the boundary distance equals delta."""
+def _points_at_delta(dom: Domain, curves, delta: float) -> np.ndarray:
+    """The point on each curve where the boundary distance equals delta.
 
-    def f(t):
-        return boundary_distance(dom, np.asarray(curve(t))) - delta
+    The curves are root-found in lockstep, with one stacked
+    boundary_distance per Brent step; each root is bit for bit the
+    curve's own brentq root.
+    """
 
-    t_star = brentq(f, 0.5, 1.0 - 1e-9, xtol=1e-15)
-    return np.asarray(curve(t_star))
+    def f(ts, rows):
+        pts = np.array([curves[i](t) for i, t in zip(rows.tolist(), ts.tolist())])
+        return boundary_distance(dom, pts) - delta
+
+    k = len(curves)
+    t_star = _brentq_rows(f, np.full(k, 0.5), np.full(k, 1.0 - 1e-9), xtol=1e-15)
+    return np.array([curve(t) for curve, t in zip(curves, t_star.tolist())])
 
 
 def suite_main2_estimate(config) -> list:
@@ -180,11 +188,11 @@ def suite_main2_estimate(config) -> list:
             phi = geodesics_metrics.egg_geodesic(dom.m[0], 0.5)
             approaches["curved"] = lambda t: phi(complex(t))
 
+        zs = _points_at_delta(dom, list(approaches.values()), delta)
         residuals = {}
-        for name, curve in approaches.items():
-            z = _point_at_delta(dom, curve, delta)
+        for name, z, dist in zip(approaches, zs, boundary_distance(dom, zs).tolist()):
             k = geodesics_metrics.kobayashi_distance(dom, z, p)
-            residuals[name] = abs(k.value + math.log(boundary_distance(dom, z)) + shift)
+            residuals[name] = abs(k.value + math.log(dist) + shift)
         return _report(f"main2_estimate[{dom.label}]", list(residuals.values()), tol,
                        details={"delta": delta, "residuals": residuals})
 

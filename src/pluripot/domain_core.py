@@ -210,11 +210,22 @@ def defining_function(domain: Domain, z):
         mag = np.abs(pts[..., 0])
         return np.maximum(mag - 1.0, domain.r - mag)
     if k == "ellipsoid":
-        acc = np.abs(pts[..., 0]) ** 2
+        acc = _even_power(pts[..., 0], 2)
         for j, mj in enumerate(domain.m):
-            acc = acc + np.abs(pts[..., j + 1]) ** mj
+            acc = acc + _even_power(pts[..., j + 1], mj)
         return acc - 1.0
     return domain.rho_fn(pts)
+
+
+def _even_power(w, e):
+    """|w|^e for even e >= 2 as real products: |w|^2 = x x + y y, then
+    repeated products of it.  These round alike on one point and on any
+    stack; numpy's ** does not (a 0-d operand rounds unlike an array)."""
+    sq = w.real * w.real + w.imag * w.imag
+    out = sq
+    for _ in range(e // 2 - 1):
+        out = out * sq
+    return out
 
 
 def gradient(domain: Domain, z):
@@ -238,7 +249,7 @@ def gradient(domain: Domain, z):
         out[..., 0] = 2.0 * pts[..., 0]
         for j, mj in enumerate(domain.m):
             w = pts[..., j + 1]
-            out[..., j + 1] = mj * np.abs(w) ** (mj - 2) * w
+            out[..., j + 1] = mj * w if mj == 2 else mj * _even_power(w, mj - 2) * w
         return out
     return _fd_gradient(domain, pts)
 
@@ -265,36 +276,17 @@ def require_interior(domain: Domain, z, name) -> np.ndarray:
     return pt
 
 
-# defining_function of a built-in kind may round differently on a stack
-# than on one point.  On 50,000 points within 1e-3 of the boundary of
-# each of the disc, ball2, ball3, egg4, egg6, half-plane and annulus, the
-# two differed by at most 2.2e-16 (on about 2 % of the egg points), so
-# their signs can differ only within a few ulps of the boundary, as they
-# do at 17 of 180,000 egg4 points placed there.  A stacked rho farther
-# than this margin from 0 has the sign of the one-point rho, with a
-# factor of about 4,500 to spare.
-_INTERIOR_MARGIN = 1e-12
-
-
 def _inside_rows(domain: Domain, pts) -> np.ndarray:
     """Whether each point of a stack (k, n) lies inside the domain, as
     require_interior decides for the point alone (rho < 0; NaN fails).
 
-    rho is taken once on the whole stack.  Each point whose stacked rho
-    is within _INTERIOR_MARGIN of 0, NaN or infinite (so that an overflow
-    warns as on one point) is checked on its own, and so is every point
-    of a general_convex domain, whose rho_fn may round in any way on a
-    stack.
+    A built-in kind takes rho once on the whole stack, which rounds as on
+    each point alone.  A general_convex domain checks each point alone:
+    its rho_fn may round in any way on a stack.
     """
     if domain.kind == "general_convex":
-        rho = np.full(len(pts), math.nan)
-    else:
-        with np.errstate(over="ignore"):
-            rho = defining_function(domain, pts)
-    inside = rho < 0.0
-    for i in np.flatnonzero(~(np.abs(rho) > _INTERIOR_MARGIN) | np.isinf(rho)).tolist():
-        inside[i] = float(defining_function(domain, pts[i])) < 0.0
-    return inside
+        return np.array([float(defining_function(domain, pt)) < 0.0 for pt in pts], dtype=bool)
+    return defining_function(domain, pts) < 0.0
 
 
 _BRENT_RTOL = 4 * _EPS
@@ -421,42 +413,23 @@ def minkowski_gauge(domain: Domain, z):
     """Gauge of the balanced kinds: the t > 0 with z / t on the boundary.
 
     z is one point (the gauge is a float) or a stack (..., n) of points
-    (an array of their gauges, each bit for bit the point's own).  An
+    (an array of their gauges); one point is a stack of one.  An
     ellipsoid's gauge is the root of the excess sum_j (|z_j|/t)^e_j - 1
-    by Brent's method; a stack solves all its rows in lockstep.
-    Non-finite coordinates raise DomainError.
+    by Brent's method, all rows in lockstep.  Non-finite coordinates
+    raise DomainError.
     """
     if domain.kind not in ("disc", "ball", "ellipsoid"):
         raise UnsupportedDomainError(f"gauge undefined for kind {domain.kind}")
     pts = _as_points(domain, z)
     if not np.isfinite(pts).all():
         raise DomainError("the gauge needs finite coordinates")
-    if pts.ndim > 1:
-        return _stacked_gauge(domain, pts.reshape(-1, domain.n)).reshape(pts.shape[:-1])
-    if domain.kind != "ellipsoid":
-        return float(np.linalg.norm(pts))
-    mags = np.abs(pts)
-    top = float(mags.max())
-    if top == 0.0:
-        return 0.0
-    ex = np.array((2.0,) + domain.m)
-
-    def excess(mu):
-        # Python's sum adds left to right, as the stack's column sum does.
-        return sum(((mags / mu) ** ex).tolist()) - 1.0
-
-    lo = top
-    while excess(lo) < 0.0:
-        lo *= 0.5
-    hi = 2.0 * lo
-    while excess(hi) > 0.0:
-        hi *= 2.0
-    return brentq(excess, lo, hi, xtol=1e-300)
+    gauges = _stacked_gauge(domain, pts.reshape(-1, domain.n))
+    return float(gauges[0]) if pts.ndim == 1 else gauges.reshape(pts.shape[:-1])
 
 
 def _stacked_gauge(domain: Domain, pts):
-    """The gauges of a finite stack (k, n): the one-point brackets and
-    Brent steps, each taken for all rows that still need it at once."""
+    """The gauges of a finite stack (k, n): each row's bracket and Brent
+    steps, each step taken for all rows that still need it at once."""
     if domain.kind != "ellipsoid":
         return _row_norm(pts)
     mags = np.abs(pts)
@@ -854,12 +827,8 @@ def levi_data(domain: Domain, xi):
     if domain.n == 1:
         return np.zeros((0, 0), dtype=complex), gn
 
-    def u(w):
-        return float(defining_function(domain, w))
-
-    # One point at a time: rho on a stack rounds differently on eggs.
-    Hs, gaps = _stencils.hessian_richardson(_stencils.pointwise(u), bp.position[None],
-                                            np.array([1e-4]))
+    Hs, gaps = _stencils.hessian_richardson(functools.partial(defining_function, domain),
+                                            bp.position[None], np.array([1e-4]))
     H, gap = Hs[0], float(gaps[0])
     if gap > 1e-4:
         raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")

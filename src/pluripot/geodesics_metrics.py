@@ -389,7 +389,8 @@ def _lattice_support(kind: str, n: int, m: tuple):
     dom = Domain(kind=kind, n=n, m=m)
     dirs = _lattice_directions(n, 64 * n)
     pts = dirs / minkowski_gauge(dom, dirs)[:, None]
-    normals = np.array([domain_core.unit_normal(dom, eta) for eta in pts])
+    g = domain_core.gradient(dom, pts)
+    normals = g / _row_norm(g)[:, None]
     pts.flags.writeable = False
     normals.flags.writeable = False
     return pts, normals

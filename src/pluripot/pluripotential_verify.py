@@ -99,6 +99,14 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     return "fail"
 
 
+def _on_stack(u):
+    """u, a function of one point, as a function of a stack (k, n): a
+    kernels.ClosedFormKernel's own array call, else u on each row."""
+    if isinstance(u, kernels.ClosedFormKernel):
+        return u.many
+    return lambda pts: np.array([u(p) for p in pts])
+
+
 def complex_hessian(u, z, h):
     """Complex Hessian of u at z with step-halving Richardson control.
 
@@ -116,8 +124,7 @@ def complex_hessian(u, z, h):
     steps = np.broadcast_to(np.asarray(h, dtype=float), pts.shape[:1])
     if not np.all(steps > 0):
         raise DomainError("stencil step must be positive")
-    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
-    matrices, gaps = _stencils.hessian_richardson(values, pts, steps)
+    matrices, gaps = _stencils.hessian_richardson(_on_stack(u), pts, steps)
     eigs = np.linalg.eigvalsh(matrices)
     samples = [HessianSample(point=p, step=float(s), matrix=H, richardson_gap=float(g), eigenvalues=e)
                for p, s, H, g, e in zip(pts, steps, matrices, gaps, eigs)]
@@ -167,8 +174,7 @@ def _geodesic_laplacians(u, phi, samples) -> list:
     if any(abs(zeta) + 1.5 * h >= 1.0 for zeta in samples):
         raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
     stencils = [_stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0) for zeta in samples]
-    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
-    flat = values(phi(np.array(stencils).ravel())).tolist()
+    flat = _on_stack(u)(phi(np.array(stencils).ravel())).tolist()
     out = []
     for i, (zeta, stencil) in enumerate(zip(samples, stencils)):
         # laplacian_1d reads the values back, so they are summed in its order.
@@ -224,7 +230,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
 
     # The kernel values of each curve, and of all the samples, are one
     # call each of u and of Omega_xi when these are closed forms.
-    values = u.many if isinstance(u, kernels.ClosedFormKernel) else _stencils.pointwise(u)
+    values = _on_stack(u)
     member_viol = 0.0
     curve_limits = []
     ts = 1.0 - 10.0 ** (-np.arange(1, 7, dtype=float))

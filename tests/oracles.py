@@ -11,7 +11,9 @@ slice march and the cached supporting points must match bit for bit,
 the exact egg distance of one pair route by route, which the stacked
 egg distances must match bit for bit, the ellipsoid nearest-point
 Newton run in Python floats per (row, seed), which the array Newton must
-match bit for bit, and log tanh(k/2) in multiple precision.  Besides these, a few readings
+match bit for bit, the gauge of one point by one brentq, which the
+lockstep gauge must match bit for bit, and log tanh(k/2) in multiple
+precision.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from pluripot import domain_core, hyperbolic_models
 from pluripot._extrap import extrapolate
-from pluripot.domain_core import Domain, as_point, defining_function, minkowski_gauge
+from pluripot.domain_core import Domain, as_point, defining_function
 from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainError
 from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _lattice_directions, egg_geodesic,
                                         egg_invert)
@@ -132,7 +134,7 @@ def egg_distance_one_pair(dom: Domain, z, w):
     for j, mj in enumerate(dom.m):
         fac = np.power(1.0 - abs(alpha) ** 2, 1.0 / mj)
         moved[..., j + 1] = other[..., j + 1] * fac / np.power(den, 2.0 / mj)
-    mu = minkowski_gauge(dom, moved)
+    mu = gauge_one_point(dom, moved)
     return math.log1p(mu) - math.log1p(-mu)
 
 
@@ -215,7 +217,7 @@ def caratheodory_lower_bound_per_pair(dom: Domain, z, w) -> float:
     w = as_point(dom, w)
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
-    pts = [v / minkowski_gauge(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
+    pts = [v / gauge_one_point(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
     pts += [domain_core.boundary_project(dom, base)[0].position for base in (z, w)]
     best = 0.0
     for eta in pts:
@@ -342,7 +344,7 @@ def interior_samples_one_at_a_time(dom: Domain, count, rng, gauge_lo=0.15, gauge
     while len(out) < count:
         raw = rng.standard_normal(2 * dom.n)
         v = raw[:dom.n] + 1j * raw[dom.n:]
-        g = minkowski_gauge(dom, v)
+        g = gauge_one_point(dom, v)
         if not g > 0:
             continue
         z = v / g * rng.uniform(gauge_lo, gauge_hi)
@@ -462,3 +464,34 @@ def bordered_solve_python_floats(d, g, b, c):
     jac[n, :n] = g
     sol = np.linalg.solve(jac, b + [c])
     return sol[:n].tolist(), float(sol[n])
+
+
+def gauge_one_point(dom: Domain, z) -> float:
+    """The Minkowski gauge of one point of a balanced kind: its norm, or
+    for an ellipsoid the root of the excess sum_j (|z_j|/t)^e_j - 1 by
+    one domain_core.brentq (a module attribute, which a test may swap),
+    with the excess summed by Python's sum.  The package's lockstep
+    gauge must give each row these bits."""
+    if dom.kind not in ("disc", "ball", "ellipsoid"):
+        raise UnsupportedDomainError(f"gauge undefined for kind {dom.kind}")
+    pts = as_point(dom, z)
+    if not np.isfinite(pts).all():
+        raise DomainError("the gauge needs finite coordinates")
+    if dom.kind != "ellipsoid":
+        return float(np.linalg.norm(pts))
+    mags = np.abs(pts)
+    top = float(mags.max())
+    if top == 0.0:
+        return 0.0
+    ex = np.array((2.0,) + dom.m)
+
+    def excess(mu):
+        return sum(((mags / mu) ** ex).tolist()) - 1.0
+
+    lo = top
+    while excess(lo) < 0.0:
+        lo *= 0.5
+    hi = 2.0 * lo
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return domain_core.brentq(excess, lo, hi, xtol=1e-300)

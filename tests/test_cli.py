@@ -660,9 +660,9 @@ def test_stacked_interior_check_is_the_one_point_check(name, data):
     assert got == _one_point_errors(dom, "z", stack)
 
 
-# Points a few ulps from the egg boundaries whose rho is negative on a
-# stack but exactly 0 on the point alone (found by a scan of 180,000
-# points each).
+# Points a few ulps from the egg boundaries whose rho, when numpy's **
+# took it, was negative on a stack but exactly 0 on the point alone
+# (found by a scan of 180,000 points each).
 _SIGN_FLIPS = {
     "egg4": [[0.1381236389496036 + 0.29456360582617236j, 0.9569301292608001 - 0.17286401843966967j],
              [-0.4234589725271297 - 0.07147409728739233j, -0.8191338592281884 + 0.48177904852453735j]],
@@ -678,19 +678,23 @@ def test_stacked_interior_check_keeps_the_one_point_verdict_where_signs_differ(n
 
     dom = make_domain(name)
     stack = np.array(_SIGN_FLIPS[name])
-    assert (defining_function(dom, stack) < 0.0).all()
-    assert [float(defining_function(dom, pt)) for pt in stack] == [0.0, 0.0]
+    # rho of the stack is the rho of each point alone, bit for bit.
+    alone = np.array([defining_function(dom, pt) for pt in stack])
+    assert defining_function(dom, stack).tobytes() == alone.tobytes()
     got = [None if exc is None else str(exc) for exc in cli._interior_errors(dom, "z", stack)]
-    assert got == _one_point_errors(dom, "z", stack) == ["z must lie inside the domain"] * 2
-    # A sweep row at such a point is outside, as eval refuses the point.
+    assert got == _one_point_errors(dom, "z", stack)
+    # A sweep row at such a point gets the verdict that eval gives the
+    # point alone.
     z0, z1 = _SIGN_FLIPS[name][0]
+    inside = float(alone[0]) < 0.0
     template = f"{z0.real!r}+({z0.imag!r})*j+0*t,{z1.real!r}+({z1.imag!r})*j"
     assert main(["sweep", "poisson", "--domain", name, "--xi", "e1", "--z", template,
                  "--grid-t", "0:1:2"]) == 0
     rows, _ = _csv_rows(capsys.readouterr().out)
-    assert [r["status"] for r in rows] == ["outside", "outside"]
-    assert main(["eval", "poisson", "--domain", name, "--xi", "e1", f"--z={z0!r},{z1!r}"]) == 2
-    assert capsys.readouterr().err == "configuration error: z must lie inside the domain\n"
+    assert [r["status"] for r in rows] == ["ok" if inside else "outside"] * 2
+    assert main(["eval", "poisson", "--domain", name, "--xi", "e1", f"--z={z0!r},{z1!r}"]) == (0 if inside else 2)
+    err = capsys.readouterr().err
+    assert err == ("" if inside else "configuration error: z must lie inside the domain\n")
 
 
 def _per_cell_csv(columns):
@@ -737,8 +741,10 @@ def test_write_csv_columns_match_per_cell_formatting_on_any_cells(rows):
 
 
 def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, capsys):
-    # The interior check takes rho on the whole stack; only the rows at
-    # t = -1 and t = 1, exactly on the egg's boundary, are checked alone.
+    # The interior check takes rho once on the whole stack: no row of an
+    # egg4 sweep, not even those at t = -1 and t = 1, exactly on the
+    # boundary, is checked alone.  A general_convex domain, whose rho_fn
+    # may round in any way on a stack, still checks each row alone.
     import sys
 
     from pluripot import domain_core
@@ -756,7 +762,17 @@ def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, cap
                  "--grid-t=-1:1:5"]) == 0
     rows, _ = _csv_rows(capsys.readouterr().out)
     assert [r["status"] for r in rows] == ["outside", "ok", "ok", "ok", "outside"]
-    assert checked == [-1, 1]
+    assert checked == []
+    shapes = []
+
+    def rho(z):
+        shapes.append(np.shape(z))
+        return np.sum(np.abs(z) ** 2, axis=-1) - 1.0
+
+    ball = domain_core.make_domain({"kind": "general_convex", "n": 2}, rho=rho)
+    stack = np.array([[-1.0, 0.0], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], dtype=complex)
+    assert domain_core._inside_rows(ball, stack).tolist() == [False, True, True, True, False]
+    assert shapes == [(2,)] * 5
 
 
 def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):

@@ -24,7 +24,9 @@ from pluripot import (
     unit_normal,
 )
 
-from oracles import closed_form_poisson, ellipsoid_nearest_per_pair
+from pluripot.domain_core import gradient
+
+from oracles import closed_form_poisson, ellipsoid_nearest_per_pair, gauge_one_point
 
 
 def test_make_domain_egg4():
@@ -60,6 +62,61 @@ def test_defining_function_signs():
         e1 = np.zeros(dom.n, dtype=complex)
         e1[0] = 1.0
         assert abs(defining_function(dom, e1)) < 1e-12
+
+
+_ULP = 2.0 ** -52
+_BUILT_IN_SPECS = ("disc", "half_plane", "ball2", "ball3", "egg2", "egg4", "egg6", "annulus",
+                   {"kind": "ellipsoid", "m": [4, 4]}, {"kind": "ellipsoid", "m": [2, 4]},
+                   {"kind": "ellipsoid", "m": [4, 6]})
+
+
+def _on_the_boundary(dom, v, ulps):
+    """v moved onto the boundary of dom, then ulps of its size out (ulps > 0) or in."""
+    if dom.kind == "half_plane":
+        return np.array([complex(ulps * _ULP * abs(v[0]), v[0].imag)])
+    if dom.kind == "annulus":
+        return v / abs(v[0]) * (dom.r if ulps % 2 else 1.0) * (1.0 + ulps * _ULP)
+    return v / gauge_one_point(dom, v) * (1.0 + ulps * _ULP)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_BUILT_IN_SPECS), count=st.integers(1, 12), data=st.data())
+def test_one_point_and_any_stack_take_the_same_rho_and_gradient(spec, count, data):
+    # defining_function and gradient of a point are bit for bit those of
+    # the point in any stack: rows within 8 ulps of rho = 0 on either
+    # side, on the coordinate axes, far out, and non-finite; stacks of
+    # shape (k, n), (k, 1, n) and in Fortran order.
+    dom = make_domain("annulus", r=0.5) if spec == "annulus" else make_domain(spec)
+    part = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+    special = st.sampled_from((math.nan, math.inf, -math.inf, complex(math.inf, math.nan),
+                               complex(0.0, -math.inf), 0.0))
+    rows = []
+    for _ in range(count):
+        v = np.array([complex(data.draw(part), data.draw(part)) for _ in range(dom.n)])
+        how = data.draw(st.sampled_from(("near", "axis", "inside", "huge", "special")))
+        if how == "axis":
+            v = np.zeros(dom.n, dtype=complex)
+            v[data.draw(st.integers(0, dom.n - 1))] = data.draw(st.sampled_from((1, -1, 1j, -1j)))
+        if how in ("near", "axis"):
+            rows.append(_on_the_boundary(dom, v, data.draw(st.integers(-8, 8))))
+        elif how == "inside":
+            rows.append(_on_the_boundary(dom, v, 0) * data.draw(st.floats(0.0, 1.0)))
+        elif how == "huge":
+            rows.append(v * data.draw(st.sampled_from((1e10, 1e80, 1e155, 1e200))))
+        else:
+            v[data.draw(st.integers(0, dom.n - 1))] = data.draw(special)
+            rows.append(v)
+    stack = np.array(rows)
+    # The annulus gradient is undefined at the origin, on a stack as alone.
+    smooth = stack[np.abs(stack[:, 0]) > 0] if dom.kind == "annulus" else stack
+    with np.errstate(all="ignore"):
+        rho = np.array([defining_function(dom, z) for z in stack])
+        grad = np.array([gradient(dom, z) for z in smooth]).reshape(smooth.shape)
+        for shaped in (stack, stack[:, None, :], np.asfortranarray(stack)):
+            assert defining_function(dom, shaped).tobytes() == rho.reshape(shaped.shape[:-1]).tobytes()
+        for shaped in (smooth, smooth[:, None, :], np.asfortranarray(smooth)):
+            got = np.ascontiguousarray(gradient(dom, shaped))
+            assert got.tobytes() == grad.reshape(shaped.shape).tobytes()
 
 
 def test_convexity_midpoint_spot_check():
@@ -437,6 +494,8 @@ _GAUGE_SPECS = ("disc", "ball2", "ball3", "egg2", "egg4", "egg6", {"kind": "elli
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=st.sampled_from(_GAUGE_SPECS), count=st.integers(1, 9), data=st.data())
 def test_stacked_gauge_is_the_one_point_gauge(spec, count, data):
+    # Each row of a stack, and each point alone, gets the gauge of the
+    # one-point brentq reference.
     dom = make_domain(spec)
     part = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     rows = []
@@ -446,11 +505,13 @@ def test_stacked_gauge_is_the_one_point_gauge(spec, count, data):
             scale = 0.0  # a zero row
         rows.append([scale * complex(data.draw(part), data.draw(part)) for _ in range(dom.n)])
     stack = np.array(rows, dtype=complex)
+    want = [gauge_one_point(dom, row) for row in stack]
     one = [minkowski_gauge(dom, row) for row in stack]
     assert all(type(g) is float for g in one)
+    assert np.array(one).tobytes() == np.array(want).tobytes()
     stacked = minkowski_gauge(dom, stack[:, None, :])
     assert stacked.shape == (count, 1)
-    assert stacked.tobytes() == np.array(one)[:, None].tobytes()
+    assert stacked.tobytes() == np.array(want)[:, None].tobytes()
 
 
 @pytest.mark.parametrize("spec", ["disc", "ball2", "egg4", {"kind": "ellipsoid", "m": [4, 6]}])
@@ -480,7 +541,7 @@ def _root_problems():
             raw = rng.standard_normal(2 * dom.n)
             v = raw[:dom.n] + 1j * raw[dom.n:]
             pt = v / np.linalg.norm(v) * rng.uniform(0.0, 0.5)
-            problems.append(lambda solve, dom=dom, v=v: minkowski_gauge(dom, v))
+            problems.append(lambda solve, dom=dom, v=v: gauge_one_point(dom, v))
             problems.append(lambda solve, dom=dom, pt=pt, v=v: domain_core._shoot_to_boundary(dom, pt, v))
     for d in range(2, 13):
         problems.append(lambda solve, d=d: solve(lambda x: x ** (d + 1) - x - 1.0, 1.0, 2.0, xtol=1e-15))
@@ -501,14 +562,16 @@ def _gauge_stacks():
 
 
 def test_brentq_matches_reference_bitwise(monkeypatch):
-    # The stacked gauge runs its rows in lockstep, not through brentq:
-    # each of its rows must still be scipy's root of the row's excess,
-    # which the swap reaches through the one-point gauge.
+    # The gauge runs its rows in lockstep, not through brentq: each row
+    # of a stack, and each point alone, must still be scipy's root of
+    # its excess, which the swap reaches through the one-point reference
+    # gauge.
     optimize = pytest.importorskip("scipy.optimize")
     problems = _root_problems()
     stacks = _gauge_stacks()
     ours = [np.asarray(p(domain_core.brentq)) for p in problems]
     stacked = [minkowski_gauge(dom, vs) for dom, vs in stacks]
+    one_point = [np.array([minkowski_gauge(dom, v) for v in vs]) for dom, vs in stacks]
     solved = []
 
     def reference_brentq(*args, **kwargs):
@@ -518,9 +581,10 @@ def test_brentq_matches_reference_bitwise(monkeypatch):
     monkeypatch.setattr(domain_core, "brentq", reference_brentq)
     reference = [np.asarray(p(optimize.brentq)) for p in problems]
     solved.clear()
-    stacked_reference = [np.array([minkowski_gauge(dom, v) for v in vs]) for dom, vs in stacks]
+    stacked_reference = [np.array([gauge_one_point(dom, v) for v in vs]) for dom, vs in stacks]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, stacked_reference))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one_point, stacked_reference))
     # One scipy solve per nonzero ellipsoid row.
     assert len(solved) == sum(len(vs) - 1 for dom, vs in stacks if dom.kind == "ellipsoid")
 

@@ -245,6 +245,13 @@ def test_lattice_support_cached_and_read_only():
     assert _lattice_support("ellipsoid", 2, (4,))[0] is pts
     assert not pts.flags.writeable and not normals.flags.writeable
     assert pts.shape == normals.shape == (128, 2)
+    # The stacked normals are unit_normal's of each point alone, bit for bit.
+    for kind, n, m in (("disc", 1, ()), ("ball", 2, ()), ("ball", 3, ()), ("ellipsoid", 2, (2,)),
+                       ("ellipsoid", 2, (4,)), ("ellipsoid", 2, (6,)), ("ellipsoid", 3, (4, 6))):
+        dom = domain_core.Domain(kind=kind, n=n, m=m)
+        pts, normals = _lattice_support(kind, n, m)
+        alone = np.array([domain_core.unit_normal(dom, eta) for eta in pts])
+        assert normals.tobytes() == alone.tobytes()
 
 
 def _counted(monkeypatch, calls, module, name, check=None):

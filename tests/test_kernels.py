@@ -235,12 +235,13 @@ def test_stacked_egg_distances_take_each_route_of_the_pair_alone():
 
 
 def test_closed_form_kernel_stacks_refuse_what_the_point_refuses():
-    # rho of this egg4 point is 0.0 alone and negative on a stack: a
-    # stack holding it is refused as the point alone is.
+    # rho of this egg4 point is 0.0, alone and on a stack (numpy's **
+    # once made it negative on a stack): a stack holding it is refused
+    # as the point alone is.
     dom = make_domain("egg4")
     u = ClosedFormKernel(dom, [1.0, 0.0], 1.0)
     z = np.array([0.1381236389496036 + 0.29456360582617236j, 0.9569301292608001 - 0.17286401843966967j])
-    assert defining_function(dom, z[None])[0] < 0.0 == float(defining_function(dom, z))
+    assert defining_function(dom, z[None])[0] == 0.0 == float(defining_function(dom, z))
     for pts in (z, z[None], np.array([[0.1, 0.2], z]), np.array([[z]])):
         with pytest.raises(DomainError, match="inside"):
             u.many(pts)

@@ -446,6 +446,42 @@ def test_dilation_suite_work_count(monkeypatch):
     assert ladders == [("egg4", 8), ("ball2", 8)] * 2 + [("ball2", 8)] * 3 + [("disc", 8)]
 
 
+@pytest.mark.parametrize("label", ["ball2", "egg4", "egg6"])
+def test_main2_estimate_points_are_each_curves_own_root(label, monkeypatch):
+    # The suite's approaches share one lockstep Brent, one stacked
+    # boundary_distance per step (and one more for the distances of the
+    # points found); each point is bit for bit the curve's own brentq
+    # root.
+    from pluripot import _suites, domain_core
+
+    dom = make_domain(label)
+    xi = _suites._axis_boundary(dom)
+    slant = xi.normal + 0.3 * xi.tangent_frame[0]
+    phi = egg_geodesic(dom.m[0], 0.5) if dom.kind == "ellipsoid" else None
+    curves = [lambda t: xi.position - (1.0 - t) * xi.normal, lambda t: xi.position - (1.0 - t) * slant]
+    if phi is not None:
+        curves.append(lambda t: phi(complex(t)))
+    want = []
+    for curve in curves:
+        t = domain_core.brentq(lambda t: boundary_distance(dom, curve(t)) - 1e-6, 0.5, 1.0 - 1e-9,
+                               xtol=1e-15)
+        want.append(curve(t))
+    assert _suites._points_at_delta(dom, curves, 1e-6).tobytes() == np.array(want).tobytes()
+
+    shapes = []
+    distance = _suites.boundary_distance
+
+    def counting(dom, z):
+        shapes.append(np.shape(z))
+        return distance(dom, z)
+
+    monkeypatch.setattr(_suites, "boundary_distance", counting)
+    report, = _suites.run_suite("main2_estimate", {"domain": label})
+    assert report.verdict == "pass"
+    assert shapes[0] == shapes[-1] == (len(curves), dom.n)
+    assert all(len(shape) == 2 and shape[0] <= len(curves) for shape in shapes)
+
+
 @pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
                                          ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
 def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
@@ -601,20 +637,21 @@ def test_stacked_hessian_matches_one_point_bit_for_bit(spec, count, seed, data):
     # hessian_richardson on a stack gives each point's matrix and gap as
     # the stack of that point alone does; complex_hessian adds the same
     # eigenvalues.  Kernels go through ClosedFormKernel.many, a plain
-    # function of one point through pointwise.
-    from pluripot import _suites
+    # function of one point through one call per row.
+    from pluripot import _suites, pluripotential_verify
 
     rng = np.random.default_rng(seed)
     if spec == "plain":
         n = data.draw(st.integers(1, 3))
         u = lambda z: float(np.sum(np.abs(z) ** 4)) + float((z[0] * np.conj(z[-1])).real) ** 3
-        values = _stencils.pointwise(u)
+        values = pluripotential_verify._on_stack(u)
         pts = 0.5 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
         steps = rng.uniform(1e-5, 1e-2, count)
     else:
         dom = make_domain(spec)
         u = ClosedFormKernel(dom, _suites._axis_boundary(dom), 1.0)
-        values = u.many
+        values = pluripotential_verify._on_stack(u)
+        assert values == u.many
         pts = np.array(_suites._interior_samples(dom, count, rng, gauge_hi=0.6, min_axis_gap=0.3))
         steps = np.array([1e-3 * boundary_distance(dom, z) for z in pts])
     matrices, gaps = _stencils.hessian_richardson(values, pts, steps)

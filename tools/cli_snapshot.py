@@ -76,6 +76,7 @@ eval distance --domain egg4 --w 0.1,0.5 --z 0.4,0.1j
 eval density --domain disc --xi e1
 eval density --domain ball2 --xi 0.6,0.8
 eval density --domain egg4 --xi e1
+eval density --domain egg4 --xi 0.6,0.8944271909999159
 eval density --domain egg6 --xi 0.6,0.9283177667225558""".splitlines()]
     # The sandwich route beyond egg4: off-axis pairs on egg6 and on
     # ellipsoids in C^3.
@@ -105,8 +106,8 @@ sweep poisson --domain half_plane --xi 0 --z t+j*s --grid-t=-1:1:9 --grid-s=-1:1
 sweep poisson --domain ball2 --xi cos(t),sin(t) --z 0.3,0.2j --grid-t=0:3:7
 sweep green --domain egg4 --w 0.2,0.3 --z 0.5*t,0.3*s --grid-t=-0.9:0.9:3 --grid-s=-1:1:3""".splitlines()]
     # The stacked interior check: rows exactly on the boundary (t = +-1),
-    # which it hands to the one-point check, and a template whose
-    # arithmetic fails on some rows of a 2-D grid.
+    # where rho is 0 on the stack as on the point alone, and a template
+    # whose arithmetic fails on some rows of a 2-D grid.
     + [line.split() for line in """\
 sweep poisson --domain egg4 --xi e1 --z t,0 --grid-t=-1:1:5
 sweep poisson --domain egg4 --xi e1 --z log(t),0.5*s --grid-t=-0.95:0.95:9 --grid-s=-1:1:5""".splitlines()]
