@@ -400,37 +400,29 @@ def _supporting_points(dom: Domain, z, w):
     """Boundary points whose tangent half-spaces contain the domain, and
     their unit normals, as two stacks (k, n).
 
-    The balanced kinds take the lattice points from _lattice_support and
-    project only z and w (an ellipsoid both in one array Newton, each
-    foot bit for bit boundary_project's); general_convex shoots the
-    lattice directions from z.
+    z and w are projected together, by one stacked boundary_project.
+    The balanced kinds take the lattice points from _lattice_support
+    beside the two feet; the annulus takes 64 points of the outer circle
+    and the feet that lie on it; general_convex shoots the lattice
+    directions from z.
     """
+    feet = domain_core.boundary_project(dom, np.array([z, w]))[0]
     if dom.kind in ("disc", "ball", "ellipsoid"):
         pts, normals = _lattice_support(dom.kind, dom.n, dom.m)
-        if dom.kind == "ellipsoid":
-            pair = np.array([z, w])
-            if not domain_core._inside_rows(dom, pair).all():
-                raise domain_core._not_interior()
-            feet = [domain_core.boundary_point(dom, xi) for xi in domain_core._ellipsoid_feet(dom, pair)[0]]
-        else:
-            feet = [domain_core.boundary_project(dom, base)[0] for base in (z, w)]
-        return (np.concatenate([pts, [bp.position for bp in feet]]),
-                np.concatenate([normals, [bp.normal for bp in feet]]))
+        g = domain_core.gradient(dom, feet)
+        return np.concatenate([pts, feet]), np.concatenate([normals, g / _row_norm(g)[:, None]])
     pts = []
     if dom.kind == "annulus":
         thetas = np.exp(2j * np.pi * np.arange(64) / 64.0)
         pts.extend(np.array([t]) for t in thetas)
-        for base in (z, w):
-            mag = abs(base[0])
-            if 1.0 - mag <= mag - dom.r:
-                pts.append(np.array([base[0] / mag]))
+        pts.extend(xi for xi in feet if abs(xi[0]) >= (1.0 + dom.r) / 2.0)
     else:
         for v in _lattice_directions(dom.n, 64 * dom.n):
             try:
                 pts.append(domain_core._shoot_to_boundary(dom, z, v))
             except ConvergenceError:
                 continue
-        pts.extend(domain_core.boundary_project(dom, base)[0].position for base in (z, w))
+        pts.extend(feet)
     return np.array(pts), np.array([domain_core.unit_normal(dom, eta) for eta in pts])
 
 

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from ._extrap import extrapolate
-from .errors import ConvergenceError, DomainError, UnsupportedDomainError
+from .errors import DomainError, UnsupportedDomainError
 
 
 def _require_disc(z, name="point"):
@@ -168,13 +167,11 @@ def _log_poisson_upper(w) -> float:
     return math.log(w.imag) - 2.0 * math.log(abs(w + 1.0))
 
 
-def annulus_horofunction(r, xi, p, z, method="strip") -> float:
+def annulus_horofunction(r, xi, p, z) -> float:
     """Horofunction of the annulus at an outer-circle point xi, base p.
 
-    p must be real with r < p < 1.  method "strip", the closed form,
-    minimizes the strip horofunction over deck lifts of z; "ladder"
-    extrapolates k(z, w_j) - k(w_j, p) along w_j = (1 - 10^-j) xi and
-    errors when the final two rungs differ by more than 1e-6.
+    p must be real with r < p < 1.  The closed form minimizes the strip
+    horofunction over deck lifts of z.
     """
     xi = complex(xi)
     if abs(abs(xi) - 1.0) > 1e-9:
@@ -187,27 +184,12 @@ def annulus_horofunction(r, xi, p, z, method="strip") -> float:
     z = _check_annulus(r, z, "z")
     phase = xi / abs(xi)
     zr = z * np.conj(phase)
-
-    if method not in ("strip", "ladder"):
-        raise DomainError(f"unknown annulus horofunction method {method!r}")
-
-    if method == "strip":
-        base = _log_poisson_upper(complex(_strip_exp(r, math.log(p))))
-        lift0 = np.log(zr)
-        best = -math.inf
-        for k in range(-2, 3):
-            w = complex(_strip_exp(r, lift0 + 2j * math.pi * k))
-            if w.imag <= 0:
-                continue
-            best = max(best, _log_poisson_upper(w))
-        return base - best
-
-    vals = []
-    for j in range(4, 12):
-        wj = 1.0 - 10.0 ** (-j)
-        vals.append(annulus_distance(r, zr, wj) - annulus_distance(r, wj, p))
-    if abs(vals[-1] - vals[-2]) > 1e-6:
-        raise ConvergenceError(f"annulus horofunction ladder did not settle: "
-                               f"final gap {abs(vals[-1] - vals[-2]):.3e}")
-    est, _ = extrapolate(vals, "annulus horofunction")
-    return float(est)
+    base = _log_poisson_upper(complex(_strip_exp(r, math.log(p))))
+    lift0 = np.log(zr)
+    best = -math.inf
+    for k in range(-2, 3):
+        w = complex(_strip_exp(r, lift0 + 2j * math.pi * k))
+        if w.imag <= 0:
+            continue
+        best = max(best, _log_poisson_upper(w))
+    return base - best

@@ -5,7 +5,9 @@ another way: the disc and half-plane kernels and the Cayley transform in
 closed form, the strip distance on one lift, a radial angular-derivative
 ladder with its own cut rules, a Monte-Carlo boundary measure, and the
 one-pair disc and ball distance formulas in Python's scalar arithmetic,
-which the package's stacked distances must match bit for bit, the two
+which the package's stacked distances must match bit for bit, the
+nearest boundary point of one point kind by kind, which the package's
+stacked projection must match bit for bit, the two
 distance bounds centre by centre and point by point, which the stacked
 slice march and the cached supporting points must match bit for bit,
 the exact egg distance of one pair route by route, which the stacked
@@ -218,7 +220,7 @@ def caratheodory_lower_bound_per_pair(dom: Domain, z, w) -> float:
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
     pts = [v / gauge_one_point(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
-    pts += [domain_core.boundary_project(dom, base)[0].position for base in (z, w)]
+    pts += [boundary_project_one_point(dom, base)[0].position for base in (z, w)]
     best = 0.0
     for eta in pts:
         nrm = domain_core.unit_normal(dom, eta)
@@ -464,6 +466,61 @@ def bordered_solve_python_floats(d, g, b, c):
     jac[n, :n] = g
     sol = np.linalg.solve(jac, b + [c])
     return sol[:n].tolist(), float(sol[n])
+
+
+def boundary_project_one_point(domain: Domain, z):
+    """Nearest boundary point of one interior z, as (BoundaryPoint,
+    delta), by each kind's own route: the closed forms of the disc, ball,
+    half-plane and annulus, the ellipsoid moduli by
+    ellipsoid_nearest_per_pair, and the general_convex shooting loop
+    (which returns its last foot, settled or not).  The package's
+    projection of a point or a stack must give each row these bits,
+    except delta at 0 < |z| < 1e-12 on the disc and ball: 1 here,
+    1 - |z| there."""
+    pt = as_point(domain, z)
+    if not float(defining_function(domain, pt)) < 0.0:
+        raise DomainError("boundary_project requires an interior point")
+    boundary_point = domain_core.boundary_point
+    e1 = np.zeros(domain.n, dtype=complex)
+    e1[0] = 1.0
+    k = domain.kind
+
+    if k in ("disc", "ball"):
+        norm = float(np.linalg.norm(pt))
+        if norm < 1e-12:
+            return boundary_point(domain, e1), 1.0
+        return boundary_point(domain, pt / norm), 1.0 - norm
+
+    if k == "half_plane":
+        xi = np.array([1j * pt[0].imag], dtype=complex)
+        return boundary_point(domain, xi), -float(pt[0].real)
+
+    if k == "annulus":
+        mag = float(abs(pt[0]))
+        douter = 1.0 - mag
+        dinner = mag - domain.r
+        phase = pt[0] / mag
+        if douter <= dinner:
+            return boundary_point(domain, np.array([phase])), douter
+        return boundary_point(domain, np.array([domain.r * phase])), dinner
+
+    if k == "ellipsoid":
+        mags = np.abs(pt)
+        if mags.max() < 1e-12:
+            return boundary_point(domain, e1), 1.0
+        phase = np.divide(pt, mags, out=np.ones_like(pt), where=mags > 0.0)
+        xi = phase * ellipsoid_nearest_per_pair(domain.m, mags[None])[0]
+        return boundary_point(domain, xi), float(np.linalg.norm(pt - xi))
+
+    xi = domain_core._any_outward_seed(domain, pt)
+    for _ in range(100):
+        nrm = domain_core.unit_normal(domain, xi)
+        xi_new = domain_core._shoot_to_boundary(domain, pt, nrm)
+        if float(np.linalg.norm(xi_new - xi)) <= 1e-14:
+            xi = xi_new
+            break
+        xi = xi_new
+    return boundary_point(domain, xi), float(np.linalg.norm(pt - xi))
 
 
 def gauge_one_point(dom: Domain, z) -> float:

@@ -26,7 +26,8 @@ from pluripot import (
 
 from pluripot.domain_core import gradient
 
-from oracles import closed_form_poisson, ellipsoid_nearest_per_pair, gauge_one_point
+from oracles import (boundary_project_one_point, closed_form_poisson, ellipsoid_nearest_per_pair,
+                     gauge_one_point)
 
 
 def test_make_domain_egg4():
@@ -209,6 +210,146 @@ def test_general_convex_projection_brackets_model():
     bp, delta = boundary_project(gen, z)
     assert abs(delta - (1.0 - np.linalg.norm(z))) < 1e-7
     assert abs(defining_function(gen, bp.position)) < 1e-9
+
+
+_GC_BALL = make_domain({"kind": "general_convex", "n": 2},
+                       rho=lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0)
+
+
+def _project_domain(spec):
+    return make_domain("annulus", r=0.4) if spec == "annulus" else make_domain(spec)
+
+
+def _draw_row(dom, how, data):
+    """One point of dom: inside ("inside", and "centre", "tiny" for the
+    balanced kinds; inside the general_convex ball means 0.3 <= |z| <=
+    0.9, where its projection settles), within a few ulps of the
+    boundary on either side ("near"), or not inside ("outside",
+    "boundary", "nan")."""
+    unit = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-6)
+    e1 = np.zeros(dom.n, dtype=complex)
+    e1[0] = data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+    if how == "boundary":
+        if dom.kind == "half_plane":
+            return np.array([complex(0.0, 3.0 * data.draw(unit))])
+        return e1 * (data.draw(st.sampled_from([1.0, dom.r])) if dom.kind == "annulus" else 1.0)
+    if how == "nan":
+        return np.full(dom.n, complex(math.nan, 0.0))
+    if dom.kind == "half_plane":
+        y = 3.0 * data.draw(unit)
+        x = {"inside": -data.draw(st.floats(1e-3, 3.0)), "outside": data.draw(st.floats(0.0, 3.0)),
+             "near": data.draw(st.integers(-8, 8)) * 2.0 ** -1074}[how]
+        return np.array([complex(x, y)])
+    if dom.kind == "annulus":
+        phase = complex(math.cos(data.draw(unit) * math.pi), math.sin(data.draw(unit) * math.pi))
+        if how == "inside":
+            return np.array([phase * (dom.r + (1.0 - dom.r) * data.draw(st.floats(1e-3, 0.999)))])
+        if how == "near":
+            edge = data.draw(st.sampled_from([1.0, dom.r]))
+            return np.array([edge * (1.0 + data.draw(st.integers(-8, 8)) * 2.0 ** -52) + 0j])
+        return np.array([phase * data.draw(st.sampled_from([0.0, 0.2 * dom.r, 0.99 * dom.r, 1.01, 2.0]))])
+    v = np.array([complex(data.draw(unit), data.draw(unit)) for _ in range(dom.n)])
+    v = v / (np.linalg.norm(v) if dom.kind == "general_convex" else minkowski_gauge(dom, v))
+    if how == "inside":
+        low = 0.3 if dom.kind == "general_convex" else 1e-3
+        return v * data.draw(st.floats(low, 0.9 if dom.kind == "general_convex" else 0.999))
+    if how == "centre":
+        return 0.0 * v
+    if how == "tiny":
+        return v * data.draw(st.sampled_from([3e-13, 1e-15]))
+    if how == "near":
+        return v * (1.0 + data.draw(st.integers(-8, 8)) * 2.0 ** -52)
+    return v * data.draw(st.floats(1.001, 3.0))
+
+
+def _project_or_error(project, dom, z):
+    try:
+        bp, delta = project(dom, z)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc)
+    return bp.position.tobytes(), bp.normal.tobytes(), delta
+
+
+def _check_one_path(dom, rows):
+    # Each row alone against the reference projection, then the stack.
+    stack = np.array(rows)
+    one = [_project_or_error(boundary_project, dom, z) for z in stack]
+    for z, got in zip(stack, one):
+        want = _project_or_error(boundary_project_one_point, dom, z)
+        if dom.kind in ("disc", "ball") and 0.0 < np.linalg.norm(z) < 1e-12:
+            # The documented move: delta is 1 - |z|, as boundary_distance had it.
+            assert got[:2] == want[:2] and want[2] == 1.0 and got[2] == 1.0 - np.linalg.norm(z)
+        else:
+            assert got == want
+        if isinstance(got, tuple):
+            assert boundary_distance(dom, z) == got[2]
+        else:
+            with pytest.raises(got):
+                boundary_distance(dom, z)
+    if all(isinstance(got, tuple) for got in one):
+        feet, dist = boundary_project(dom, stack[:, None, :])
+        assert feet.shape == (len(rows), 1, dom.n) and dist.shape == (len(rows), 1)
+        positions = np.array([np.frombuffer(got[0], dtype=complex) for got in one])
+        assert feet.tobytes() == positions.tobytes()
+        assert dist.tobytes() == np.array([got[2] for got in one]).tobytes()
+        assert boundary_distance(dom, stack).tobytes() == dist.tobytes()
+    else:
+        # The interior check of every row comes first.
+        error = DomainError if DomainError in one else ConvergenceError
+        for fn in (boundary_project, boundary_distance):
+            with pytest.raises(error):
+                fn(dom, stack)
+    return one
+
+
+_PROJECT_SPECS = ("disc", "half_plane", "ball2", "ball3", "egg2", "egg4", "egg6",
+                  {"kind": "ellipsoid", "m": [4, 6]}, "annulus")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_PROJECT_SPECS), count=st.integers(1, 6), data=st.data())
+def test_boundary_project_is_one_path(spec, count, data):
+    # A stack's feet and distances are each point's projection bit for
+    # bit, and boundary_distance is its delta; each point's projection is
+    # the reference's.  A stack holding a row that is not inside (outside,
+    # on the boundary, NaN) raises DomainError, as that row does alone.
+    dom = _project_domain(spec)
+    hows = ["inside", "inside", "near"] + (["centre", "tiny"] if dom.kind in ("disc", "ball", "ellipsoid")
+                                           else [])
+    if data.draw(st.booleans()):
+        hows += ["outside", "boundary", "nan"]
+    rows = [_draw_row(dom, data.draw(st.sampled_from(hows)), data) for _ in range(count)]
+    one = _check_one_path(dom, rows)
+    for z, got in zip(rows, one):
+        if not float(defining_function(dom, z)) < 0.0:
+            assert got is DomainError
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(count=st.integers(1, 3), data=st.data())
+def test_general_convex_boundary_project_is_one_path(count, data):
+    hows = ["inside"] + (["outside", "boundary", "nan"] if data.draw(st.booleans()) else [])
+    rows = [_draw_row(_GC_BALL, data.draw(st.sampled_from(hows)), data) for _ in range(count)]
+    _check_one_path(_GC_BALL, rows)
+
+
+def test_general_convex_projection_fails_closed(monkeypatch):
+    # Feet that keep alternating 1e-6 apart never settle: the projection
+    # raises, for one point and for a stack, rather than return the last.
+    feet = [np.array([math.cos(t), math.sin(t)], dtype=complex) for t in (0.6, 0.6 + 1e-6)]
+    shots = []
+
+    def alternating(domain, pt, direction):
+        shots.append(pt)
+        return feet[len(shots) % 2]
+
+    monkeypatch.setattr(domain_core, "_shoot_to_boundary", alternating)
+    z = np.array([0.3, 0.1j])
+    for fn in (boundary_project, boundary_distance):
+        with pytest.raises(ConvergenceError, match="boundary projection did not converge"):
+            fn(_GC_BALL, z)
+        with pytest.raises(ConvergenceError, match="boundary projection did not converge"):
+            fn(_GC_BALL, np.array([z, z]))
 
 
 def _scaled_onto_boundary(v, ex):

@@ -11,7 +11,9 @@ from pluripot import (
     annulus_horofunction,
     disc_distance,
     halfplane_distance,
+    horofunction,
     horofunction_disc,
+    make_domain,
 )
 from pluripot._extrap import aitken
 
@@ -131,11 +133,13 @@ def test_annulus_distance_covering_contraction():
 
 
 def test_annulus_horofunction_base_and_ladder():
+    # The strip closed form against the annulus ladder of kernels.horofunction.
     r, p = 0.5, 0.7
+    dom = make_domain("annulus", r=r)
     assert abs(annulus_horofunction(r, 1.0, p, p)) < 1e-12
     for z in (0.6, 0.8 * np.exp(0.7j), 0.55 - 0.3j):
-        closed = annulus_horofunction(r, 1.0, p, z, method="strip")
-        ladder = annulus_horofunction(r, 1.0, p, z, method="ladder")
+        closed = annulus_horofunction(r, 1.0, p, z)
+        ladder = horofunction(dom, [1.0], [p], [z], method="ladder").value
         assert abs(closed - ladder) < 1e-6
 
 
@@ -174,10 +178,3 @@ def test_horofunction_disc_closed_form():
     for z in (0.3, -0.4 + 0.2j):
         expected = math.log(abs(1 - z) ** 2 / (1 - abs(z) ** 2))
         assert abs(horofunction_disc(1.0, 0.0, z) - expected) < 1e-12
-
-
-def test_annulus_horofunction_methods_are_strip_and_ladder():
-    r, p, z = 0.5, 0.7, 0.6 + 0.2j
-    assert annulus_horofunction(r, 1.0, p, z) == annulus_horofunction(r, 1.0, p, z, method="strip")
-    with pytest.raises(DomainError, match="unknown annulus horofunction method"):
-        annulus_horofunction(r, 1.0, p, z, method="auto")

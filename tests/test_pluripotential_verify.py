@@ -318,9 +318,9 @@ def test_verdict_fails_closed_on_non_finite():
 
 
 def test_monge_ampere_suite_work_count(monkeypatch):
-    # One stacked boundary distance call and one stacked Hessian call per
-    # domain serve both the psh and the Monge-Ampere report of a domain;
-    # the ellipsoid's distances take no one-point projection.
+    # One stacked boundary distance call, hence one stacked projection,
+    # and one stacked Hessian call per domain serve both the psh and the
+    # Monge-Ampere report of a domain; no point is projected alone.
     from pluripot import _suites, domain_core, pluripotential_verify
 
     projected = []
@@ -331,7 +331,7 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     hessian = pluripotential_verify.complex_hessian
 
     def counting_project(dom, z):
-        projected.append(dom.label)
+        projected.append((dom.label, np.shape(z)))
         return project(dom, z)
 
     def counting_distance(dom, z):
@@ -348,7 +348,7 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     monkeypatch.setattr(_suites, "complex_hessian", counting_hessian, raising=False)
     reports = _suites.suite_monge_ampere({})
     assert [rep.samples for rep in reports[:2]] == [200, 200]
-    assert projected == []
+    assert projected == [("ball2", (200, 2)), ("egg4", (200, 2))]
     assert distances == [("ball2", (200, 2)), ("egg4", (200, 2))]
     assert hessians == [200, 200]
 

@@ -71,6 +71,7 @@ eval green --domain egg4 --w 0.2,0.3 --z 0.3,0.2
 eval horofunction --domain egg4 --xi e1 --p 0.1,0 --z 0.3,0.2
 eval horofunction --domain ball2 --xi e1 --p 0,0 --z 0.3,0.2
 eval horofunction --domain disc --xi e1 --p 0 --z 0.4j
+eval horofunction --domain annulus --r 0.5 --xi 1 --p 0.7 --z 0.6+0.2j
 eval distance --domain annulus --r 0.5 --z 0.7 --w 0.71
 eval distance --domain egg4 --w 0.1,0.5 --z 0.4,0.1j
 eval density --domain disc --xi e1
