@@ -3,14 +3,75 @@
 All stencils act on real-valued functions u of a point z in C^n (numpy
 complex vector).  The complex Hessian entries are u_{j kbar} =
 d^2 u / dz_j dzbar_k in the convention where u(z) = ||z||^2 has Hessian
-equal to the identity matrix.
+equal to the identity matrix.  They serve the functions that jets
+cannot evaluate: any callable u, a general_convex rho, and the
+Laplacians of the annulus suite.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DomainError
+
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class HessianSample:
+    """A complex Hessian estimate at one point, with its eigenvalues."""
+
+    point: np.ndarray
+    step: float
+    matrix: np.ndarray
+    richardson_gap: float
+    eigenvalues: np.ndarray
+
+
+def _on_stack(u):
+    """u, a function of one point, as a function of a stack (k, n): the
+    array call many of a kernels.ClosedFormKernel, else u on each row."""
+    many = getattr(u, "many", None)
+    if many is not None:
+        return many
+    return lambda pts: np.array([u(p) for p in pts])
+
+
+def complex_hessian(u, z, h):
+    """Complex Hessian of u at z with step-halving Richardson control.
+
+    u is a function of one point.  z is one point and h its step, or z
+    is a stack of points (k, n) and h their steps (k,); a stack gives a
+    list of k samples, each bit for bit the sample of its point alone.
+    The function is evaluated once, on every stencil point as one stack:
+    a kernels.ClosedFormKernel in one array call.  A matrix is the
+    extrapolated combination of the h and h/2 stencils; richardson_gap
+    records their relative discrepancy.  The eigenvalues of all the
+    matrices come from one eigvalsh call.
+    """
+    z = np.asarray(z, dtype=complex)
+    pts = z.reshape(-1, z.shape[-1])
+    steps = np.broadcast_to(np.asarray(h, dtype=float), pts.shape[:1])
+    if not np.all(steps > 0):
+        raise DomainError("stencil step must be positive")
+    matrices, gaps = hessian_richardson(_on_stack(u), pts, steps)
+    eigs = np.linalg.eigvalsh(matrices)
+    samples = [HessianSample(point=p, step=float(s), matrix=H, richardson_gap=float(g), eigenvalues=e)
+               for p, s, H, g, e in zip(pts, steps, matrices, gaps, eigs)]
+    return samples[0] if z.ndim == 1 else samples
+
+
+def error_bound(matrix, gap, magnitude, h):
+    """Error estimate of the entries of a Richardson Hessian of step h.
+
+    The step-halving gap, which is relative to max(1, |H|), stands for
+    the truncation error; eps |u| / h^2 is the rounding of values of
+    size magnitude.
+    """
+    return gap * max(1.0, float(np.max(np.abs(matrix)))) + _EPS * magnitude / (h * h)
 
 
 @functools.lru_cache(maxsize=8)

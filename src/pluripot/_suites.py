@@ -18,9 +18,9 @@ from .domain_core import (Domain, _brentq_rows, boundary_distance, boundary_poin
                           minkowski_gauge)
 from .errors import DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
-from .pluripotential_verify import (VerificationReport, _geodesic_family, _geodesic_laplacians,
-                                    _monge_ampere_residual, _psh_report, _report, _worst,
-                                    complex_hessian, laplacian_1d, laplacian_noise_floor,
+from .pluripotential_verify import (VerificationReport, _exact_hessians, _geodesic_family,
+                                    _geodesic_laplacians, _monge_ampere_bounds, _monge_ampere_residual,
+                                    _psh_report, _report, _worst, laplacian_1d, laplacian_noise_floor,
                                     phragmen_lindelof_compare)
 
 _DEFAULT_SEED = 20240519
@@ -204,37 +204,47 @@ def suite_main2_estimate(config) -> list:
 # Suite: Monge-Ampere degeneracy of the kernel.
 # ---------------------------------------------------------------------------
 
+# The catalogued test functions of the monge_ampere suite by --u name,
+# each made from (domain, xi) as a function of a stack of points that
+# also takes a _jets.JetPoint, so that its Hessians are exact.
+_TEST_FUNCTIONS = {"poisson": lambda dom, xi: kernels.ClosedFormKernel(dom, xi, 1.0).many}
+
+
 def suite_monge_ampere(config) -> list:
     uname = config.get("u", "poisson")
-    if uname != "poisson":
+    if uname not in _TEST_FUNCTIONS:
         raise UnsupportedDomainError(f"no catalogued test function named {uname!r}")
     reports = []
     needs = ((lambda dom: dom.n >= 2, "n >= 2; {dom.label} has n = {dom.n}"), _ELLIPSOID_IN_C2)
     for dom in _domains(config, ("ball2", "egg4"), "monge_ampere", needs):
         xi = _axis_boundary(dom)
-        u = kernels.ClosedFormKernel(dom, xi, 1.0)
+        u = _TEST_FUNCTIONS[uname](dom, xi)
         rng = np.random.default_rng(_seed(config))
         # min_tangential: on the z1-axis disc of the ellipsoid the kernel
         # restricts to a harmonic function of z0 alone, so the full Hessian
         # degenerates (largest eigenvalue ~ 4|z1|^2) and the determinant
-        # ratio turns into stencil noise divided by |z1|^4.
+        # ratio is the error of the Hessian divided by |z1|^4.
         samples = _interior_samples(dom, 200, rng,
                                     gauge_lo=0.15, gauge_hi=0.6,
                                     min_axis_gap=0.3, min_tangential=0.05)
-        # One stacked distance call and one stacked Hessian call serve both reports.
-        samples = np.array(samples)
-        hessians = complex_hessian(u, samples, 1e-3 * boundary_distance(dom, samples))
-        curves = [phi for phi, _ in _geodesic_family(dom, xi)]
+        # One jet evaluation on all samples serves both reports.
+        hessians = _exact_hessians(u, np.array(samples))
+        psh = _psh_report(hessians, _tol(config, 1e-6))
+        ma_bound = _worst(0.0, *_monge_ampere_bounds(hessians).tolist())
         zetas = [0.0] + [rad * np.exp(2j * np.pi * l / 8)
                          for rad in (0.2, 0.45, 0.7) for l in range(8)]
+        curves = _geodesic_family(dom, xi)
+        laplacians, lap_bound = [], 0.0
+        for phi, dphi, _ in curves:
+            laps, bounds = _geodesic_laplacians(u, phi, zetas, dphi=dphi)
+            laplacians += laps
+            lap_bound = _worst(lap_bound, *bounds.tolist())
         reports += [
-            replace(_psh_report(hessians, _tol(config, 1e-6)), check=f"psh[{dom.label}]"),
-            _report(f"monge_ampere[{dom.label}]",
-                    [_monge_ampere_residual(sample) for sample in hessians],
-                    _tol(config, 1e-5)),
-            _report(f"harmonic_on_geodesics[{dom.label}]",
-                    [r for phi in curves for r in _geodesic_laplacians(u, phi, zetas)],
-                    _tol(config, 1e-5), details={"curves": len(curves)}),
+            replace(psh, check=f"psh[{dom.label}]"),
+            _report(f"monge_ampere[{dom.label}]", _monge_ampere_residual(hessians).tolist(),
+                    _tol(config, 1e-5), uncertainty=ma_bound, details={"rounding_bound": ma_bound}),
+            _report(f"harmonic_on_geodesics[{dom.label}]", laplacians, _tol(config, 1e-5),
+                    uncertainty=lap_bound, details={"curves": len(curves), "rounding_bound": lap_bound}),
         ]
     return reports
 

@@ -39,17 +39,25 @@ class BoundaryQuadrature:
     densities: np.ndarray
 
 
-def boundary_form_density(dom: Domain, xi) -> float:
-    """Boundary form density at xi from the finite-difference Levi form.
+def boundary_form_density(dom: Domain, xi, uncertainty=False):
+    """Boundary form density at xi from the Levi form (domain_core.levi_data).
 
-    In one variable the determinant is empty and the density is 1.
+    In one variable the determinant is empty and the density is exactly
+    1.  With uncertainty=True returns (density, uncertainty): with every
+    eigenvalue of the Levi form L within the bound E of its error, |det
+    L| lies below prod(|lambda_i| + E), and the uncertainty is that
+    excess, scaled as the density is.
     """
-    L, gn = domain_core.levi_data(dom, xi)
+    L, gn, err = domain_core.levi_data(dom, xi, error=True)
     n = dom.n
     if n == 1:
-        return 1.0
-    det = float(np.linalg.det(L).real)
-    return 4.0 ** (n - 1) * math.factorial(n - 1) * det / gn ** (n - 1)
+        return (1.0, 0.0) if uncertainty else 1.0
+    scale = 4.0 ** (n - 1) * math.factorial(n - 1) / gn ** (n - 1)
+    density = scale * float(np.linalg.det(L).real)
+    if not uncertainty:
+        return density
+    lam = np.abs(np.linalg.eigvalsh(L))
+    return density, scale * float(np.prod(lam + err) - np.prod(lam))
 
 
 def _egg_density_analytic(dom: Domain, points) -> np.ndarray:

@@ -358,7 +358,8 @@ def _scalar(quantity, dom, pts):
         bound = geodesics_metrics.kobayashi_distance(dom, *pts)
         return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
     if quantity == "density":
-        return boundary_measure.boundary_form_density(dom, *pts), "levi_form", 0.0
+        value, uncertainty = boundary_measure.boundary_form_density(dom, *pts, uncertainty=True)
+        return value, "levi_form", uncertainty
     if quantity == "poisson":
         kv = kernels.poisson_kernel(dom, *pts)
     elif quantity == "green":

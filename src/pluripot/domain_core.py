@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _stencils
+from . import _jets, _stencils
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 _EPS = float(np.finfo(float).eps)
@@ -195,32 +195,52 @@ def _as_points(domain: Domain, z) -> np.ndarray:
 
 
 def defining_function(domain: Domain, z):
-    """Evaluate rho at one point or an array of points (shape (..., n))."""
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim == 0:
-        pts = pts.reshape(1)
-    if pts.shape[-1] != domain.n:
-        raise DomainError(f"points must have last dimension {domain.n}")
+    """Evaluate rho at one point or an array of points (shape (..., n)).
+
+    On the disc, ball, half-plane and ellipsoid z may also be a
+    _jets.JetPoint, which gives the jet of rho: one expression serves
+    values and exact derivatives.
+    """
+    if isinstance(z, _jets.JetPoint):
+        pts = z
+    else:
+        pts = np.asarray(z, dtype=complex)
+        if pts.ndim == 0:
+            pts = pts.reshape(1)
+        if pts.shape[-1] != domain.n:
+            raise DomainError(f"points must have last dimension {domain.n}")
     k = domain.kind
     if k in ("disc", "ball"):
-        return np.sum(np.abs(pts) ** 2, axis=-1) - 1.0
+        return _sq_norm(pts) - 1.0
     if k == "half_plane":
-        return pts[..., 0].real
+        return _jets.coords(pts)[0].real
     if k == "annulus":
-        mag = np.abs(pts[..., 0])
+        mag = np.abs(pts[..., 0][()])
         return np.maximum(mag - 1.0, domain.r - mag)
     if k == "ellipsoid":
-        acc = _even_power(pts[..., 0], 2)
+        w = _jets.coords(pts)
+        acc = _even_power(w[0], 2)
         for j, mj in enumerate(domain.m):
-            acc = acc + _even_power(pts[..., j + 1], mj)
+            acc = acc + _even_power(w[j + 1], mj)
         return acc - 1.0
     return domain.rho_fn(pts)
+
+
+def _sq_norm(pts):
+    """sum_j |z_j|^2 of each point of a stack, or of a JetPoint's points.
+
+    On an array each |z_j| is np.abs, so a point rounds as in any stack.
+    """
+    if isinstance(pts, _jets.JetPoint):
+        return sum(_even_power(w, 2) for w in pts.coords)
+    return np.sum(np.abs(pts) ** 2, axis=-1)
 
 
 def _even_power(w, e):
     """|w|^e for even e >= 2 as real products: |w|^2 = x x + y y, then
     repeated products of it.  These round alike on one point and on any
-    stack; numpy's ** does not (a 0-d operand rounds unlike an array)."""
+    stack; numpy's ** does not (a 0-d operand rounds unlike an array).
+    w may be a _jets.Coord, whose power is a jet."""
     sq = w.real * w.real + w.imag * w.imag
     out = sq
     for _ in range(e // 2 - 1):
@@ -795,27 +815,40 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
     return pt + t * direction
 
 
-def levi_data(domain: Domain, xi):
+def levi_data(domain: Domain, xi, error=False):
     """Levi form of rho at a boundary point, restricted to the tangent frame.
 
-    Returns (L, grad_norm) with L of shape (n-1, n-1).  The full complex
-    Hessian is estimated with stencils of step 1e-4 and 5e-5 and
+    Returns (L, grad_norm) with L of shape (n-1, n-1); with error=True
+    (L, grad_norm, err), err bounding the spectral norm of the error of
+    L.  A built-in rho has its exact complex Hessian, from jets.  A
+    general_convex rho has the stencils of step 1e-4 and 5e-5 with
     Richardson extrapolation; a relative discrepancy above 1e-4 between
-    the two raw estimates raises ConvergenceError.
+    the two raw estimates raises ConvergenceError.  err is n times the
+    entrywise error bound of the Hessian (jets: rounding; stencil: its
+    error_bound), since L is the Hessian pressed onto a
+    Hermitian-orthonormal frame.
     """
     bp = boundary_point(domain, xi)
     gn = float(np.linalg.norm(gradient(domain, bp.position)))
     if domain.n == 1:
-        return np.zeros((0, 0), dtype=complex), gn
-
-    Hs, gaps = _stencils.hessian_richardson(functools.partial(defining_function, domain),
-                                            bp.position[None], np.array([1e-4]))
-    H, gap = Hs[0], float(gaps[0])
-    if gap > 1e-4:
-        raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")
+        L, err = np.zeros((0, 0), dtype=complex), 0.0
+        return (L, gn, err) if error else (L, gn)
+    rho = functools.partial(defining_function, domain)
+    if domain.kind == "general_convex":
+        h = 1e-4
+        sample = _stencils.complex_hessian(rho, bp.position, h)
+        if sample.richardson_gap > 1e-4:
+            raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {sample.richardson_gap:.3e}")
+        H = sample.matrix
+        # The stencil reads rho within sqrt(2) h of xi, where |rho| <= |rho(xi)| + 2 h |grad rho|.
+        err = _stencils.error_bound(H, sample.richardson_gap, abs(float(rho(bp.position))) + 2.0 * h * gn, h)
+    else:
+        Hs, bounds = _jets.hessians(rho, bp.position[None])
+        H, err = Hs[0], float(bounds[0])
     frame = bp.tangent_frame
     L = frame @ H @ frame.conj().T
-    return (L + L.conj().T) / 2.0, gn
+    L = (L + L.conj().T) / 2.0
+    return (L, gn, domain.n * err) if error else (L, gn)
 
 
 def line_type(domain: Domain, xi) -> int:

@@ -29,16 +29,23 @@ class GeodesicDisc:
     endpoint is the radial limit at 1 (a boundary position) and
     normal_derivative the positive number lim <phi'(t), n> along
     t -> 1-, which controls the boundary kernel on the geodesic.
+    derivative gives phi' by its closed form, as the map gives phi: at
+    one disc point or an array of them.
     """
 
     domain: Domain
     endpoint: np.ndarray
     normal_derivative: float
     map_fn: Callable
+    derivative_fn: Callable
 
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=complex)
         return self.map_fn(zeta)
+
+    def derivative(self, zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        return self.derivative_fn(zeta)
 
     def __repr__(self):
         return (f"GeodesicDisc({self.domain.label}, endpoint="
@@ -98,9 +105,14 @@ def egg_geodesic(m: int, a) -> GeodesicDisc:
         second = a * np.power((1.0 - zeta) / (1.0 + s), 2.0 / m)
         return np.stack([first, second], axis=-1)
 
+    def dphi(zeta):
+        first = np.full(zeta.shape, 1.0 / (1.0 + s), dtype=complex)
+        second = -a * (2.0 / m) / (1.0 + s) * np.power((1.0 - zeta) / (1.0 + s), 2.0 / m - 1.0)
+        return np.stack([first, second], axis=-1)
+
     endpoint = np.array([1.0, 0.0], dtype=complex)
     return GeodesicDisc(domain=dom, endpoint=endpoint, normal_derivative=1.0 / (1.0 + s),
-                        map_fn=phi)
+                        map_fn=phi, derivative_fn=dphi)
 
 
 def ball_geodesic(z, xi) -> GeodesicDisc:
@@ -142,12 +154,16 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
         mu = B * abs(g) - gb
         return xi_pos + mu[..., np.newaxis] * d
 
+    def dphi(zeta):
+        dB = c * (1.0 - abs(aa) ** 2) / (1.0 + np.conj(aa) * c * zeta) ** 2
+        return (dB * abs(g))[..., np.newaxis] * d
+
     deriv = abs(g) * c * (1.0 - abs(aa) ** 2) / (1.0 + np.conj(aa) * c) ** 2 * g * dn2
     pN = complex(deriv)
     if abs(pN.imag) > 1e-9 * max(1.0, abs(pN.real)) or pN.real <= 0:
         raise ConvergenceError(f"ball geodesic normal derivative not positive real: {pN}")
     return GeodesicDisc(domain=dom, endpoint=xi_pos.astype(complex),
-                        normal_derivative=float(pN.real), map_fn=phi)
+                        normal_derivative=float(pN.real), map_fn=phi, derivative_fn=dphi)
 
 
 # ---------------------------------------------------------------------------

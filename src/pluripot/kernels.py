@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics_metrics
+from . import _jets, geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
-from .domain_core import (Domain, BoundaryPoint, _inside_rows, _row_norm, as_point, boundary_distance,
-                          boundary_point, require_interior)
+from .domain_core import (Domain, BoundaryPoint, _even_power, _inside_rows, _row_norm, _sq_norm, as_point,
+                          boundary_distance, boundary_point, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
@@ -68,6 +68,14 @@ def _abs(w):
     return np.hypot(w.real, w.imag)
 
 
+def _abs_power(x, y, e):
+    """|x + i y|^e for even e: float_power of hypot on arrays, and on
+    jets products of x x + y y (domain_core._even_power)."""
+    if isinstance(x, _jets.Jet):
+        return _even_power(_jets.Coord(x, y), e)
+    return np.float_power(np.hypot(x, y), e)
+
+
 def _closed_form(dom: Domain, xi: BoundaryPoint):
     """Omega_xi as a function of a stack of points (..., n), or None.
 
@@ -78,7 +86,9 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
     float_power (not the array **), the norm is a row-wise matmul
     (domain_core._row_norm), and the product with the conjugate egg
     phase is written out in reals (numpy's complex multiply may fuse
-    its products).
+    its products).  The ball and egg forms also take a _jets.JetPoint,
+    which gives their jets: one expression serves values and exact
+    Hessians.
     """
     k = dom.kind
     if k == "disc":
@@ -100,8 +110,16 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
         conj_xi = np.conj(xi.position)
 
         def form(z):
-            num = 1.0 - np.float_power(_row_norm(z), 2)
-            return -num / np.float_power(_abs(1.0 - np.sum(z * conj_xi, axis=-1)), 2)
+            if isinstance(z, _jets.JetPoint):
+                # sum_j z_j conj(xi_j) in reals.
+                s_re = sum(w.real * c.real - w.imag * c.imag for w, c in zip(z.coords, conj_xi))
+                s_im = sum(w.real * c.imag + w.imag * c.real for w, c in zip(z.coords, conj_xi))
+                num = 1.0 - _sq_norm(z)
+            else:
+                s = np.sum(z * conj_xi, axis=-1)
+                s_re, s_im = s.real, s.imag
+                num = 1.0 - np.float_power(_row_norm(z), 2)
+            return -num / _abs_power(1.0 - s_re, s_im, 2)
         return form
     if k == "ellipsoid":
         phase = _egg_axis_phase(dom, xi)
@@ -110,13 +128,14 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
         cr, ci = phase.real, -phase.imag
 
         def form(z):
-            zr, zi = z[..., 0].real, z[..., 0].imag
+            w = _jets.coords(z)
+            zr, zi = w[0].real, w[0].imag
             # z0 = z[0] conj(phase), in reals.
             z0r, z0i = zr * cr - zi * ci, zr * ci + zi * cr
-            acc = 1.0 - np.float_power(np.hypot(z0r, z0i), 2)
+            acc = 1.0 - _abs_power(z0r, z0i, 2)
             for j, mj in enumerate(dom.m):
-                acc = acc - np.float_power(_abs(z[..., j + 1]), mj)
-            return -acc / np.float_power(np.hypot(1.0 - z0r, z0i), 2)
+                acc = acc - _abs_power(w[j + 1].real, w[j + 1].imag, mj)
+            return -acc / _abs_power(1.0 - z0r, z0i, 2)
         return form
     return None
 
@@ -131,8 +150,10 @@ class ClosedFormKernel:
     xi is parsed and its closed form set up once.  Called on one point
     it returns a float; many() takes a stack of points (..., n) and
     returns their values in one array evaluation, bit for bit the same
-    as point by point.  Both raise DomainError unless every point lies
-    inside the domain, as require_interior decides for the point alone.
+    as point by point.  On a ball or egg many() also takes a
+    _jets.JetPoint and returns the jet, whose Hessians are exact.  Both
+    raise DomainError unless every point lies inside the domain, as
+    require_interior decides for the point alone.
     """
 
     def __init__(self, dom: Domain, xi, scale: float):
@@ -146,8 +167,11 @@ class ClosedFormKernel:
         return float(self.many(as_point(self.dom, z)))
 
     def many(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        if not _inside_rows(self.dom, pts.reshape(-1, pts.shape[-1])).all():
+        if isinstance(pts, _jets.JetPoint):
+            rows = pts.points
+        else:
+            pts = rows = np.asarray(pts, dtype=complex)
+        if not _inside_rows(self.dom, rows.reshape(-1, rows.shape[-1])).all():
             raise DomainError("z must lie inside the domain")
         return self.scale * self._form(pts)
 

@@ -1,9 +1,14 @@
 """Plurisubharmonicity, Monge-Ampere, and extremal-family verification.
 
-All checks are finite-difference based and report a VerificationReport
-whose verdict is "pass" exactly when the worst residual meets the
-tolerance and it and the stencil uncertainty are finite; "inconclusive"
-appears only when the stencil uncertainty exceeds the failure margin.
+The psh, Monge-Ampere and harmonicity checks of a function that takes
+jets (the ball and egg-axis closed-form kernels) read its exact
+Hessians, from _jets, with their rounding bounds as the uncertainty.
+Any other callable takes the finite-difference stencils of _stencils,
+with the Richardson gap as the uncertainty.  Every check reports a
+VerificationReport whose verdict is "pass" exactly when the worst
+residual meets the tolerance and it and the uncertainty are finite;
+"inconclusive" appears only when the uncertainty exceeds the failure
+margin.
 """
 
 from __future__ import annotations
@@ -13,23 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _stencils, domain_core, geodesics_metrics, kernels
+from . import _jets, _stencils, domain_core, geodesics_metrics, kernels
+from ._stencils import HessianSample, _on_stack, complex_hessian
 from ._extrap import extrapolate
 from .domain_core import Domain, BoundaryPoint
 from .errors import DomainError, UnsupportedDomainError
 
+__all__ = ["HessianSample", "VerificationReport", "complex_hessian", "laplacian_1d",
+           "laplacian_noise_floor", "phragmen_lindelof_compare"]
+
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True, eq=False)
-class HessianSample:
-    """A complex Hessian estimate at one point, with its eigenvalues."""
-
-    point: np.ndarray
-    step: float
-    matrix: np.ndarray
-    richardson_gap: float
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,76 +97,105 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     return "fail"
 
 
-def _on_stack(u):
-    """u, a function of one point, as a function of a stack (k, n): a
-    kernels.ClosedFormKernel's own array call, else u on each row."""
-    if isinstance(u, kernels.ClosedFormKernel):
-        return u.many
-    return lambda pts: np.array([u(p) for p in pts])
+@dataclass(frozen=True, eq=False)
+class _ExactHessians:
+    """Exact complex Hessians of a stack of points (k, n), from jets.
 
-
-def complex_hessian(u, z, h):
-    """Complex Hessian of u at z with step-halving Richardson control.
-
-    u is a function of one point.  z is one point and h its step, or z
-    is a stack of points (k, n) and h their steps (k,); a stack gives a
-    list of k samples, each bit for bit the sample of its point alone.
-    The function is evaluated once, on every stencil point as one stack:
-    a kernels.ClosedFormKernel in one array call.  A matrix is the
-    extrapolated combination of the h and h/2 stencils; richardson_gap
-    records their relative discrepancy.  The eigenvalues of all the
-    matrices come from one eigvalsh call.
+    bounds holds per point a bound on the error of every eigenvalue: by
+    Weyl's inequality the spectral norm of the matrix error, at most n
+    times the entrywise bound of _jets.hessians.
     """
-    z = np.asarray(z, dtype=complex)
-    pts = z.reshape(-1, z.shape[-1])
-    steps = np.broadcast_to(np.asarray(h, dtype=float), pts.shape[:1])
-    if not np.all(steps > 0):
-        raise DomainError("stencil step must be positive")
-    matrices, gaps = _stencils.hessian_richardson(_on_stack(u), pts, steps)
-    eigs = np.linalg.eigvalsh(matrices)
-    samples = [HessianSample(point=p, step=float(s), matrix=H, richardson_gap=float(g), eigenvalues=e)
-               for p, s, H, g, e in zip(pts, steps, matrices, gaps, eigs)]
-    return samples[0] if z.ndim == 1 else samples
+
+    points: np.ndarray
+    eigenvalues: np.ndarray
+    bounds: np.ndarray
 
 
-def _monge_ampere_residual(sample: HessianSample) -> float:
+def _exact_hessians(u, points) -> _ExactHessians:
+    """The Hessians of u, a function of a stack that takes a
+    _jets.JetPoint, at a stack of points (k, n): one jet evaluation."""
+    matrices, bounds = _jets.hessians(u, points)
+    return _ExactHessians(points=points, eigenvalues=np.linalg.eigvalsh(matrices),
+                          bounds=points.shape[-1] * bounds)
+
+
+def _monge_ampere_residual(hessians):
     """Scale-free Monge-Ampere residual |det H| / lambda_max^n.
 
-    Vanishes (up to stencil noise) exactly when the complex Hessian is
-    degenerate, as it is for maximal plurisubharmonic functions.
+    Of one HessianSample a float, of an _ExactHessians stack an array
+    with one residual per point.  It vanishes (up to the error of H)
+    exactly when the complex Hessian is degenerate, as it is for
+    maximal plurisubharmonic functions; 0 where H is 0.
     """
-    eigs = sample.eigenvalues
-    lam = float(np.max(np.abs(eigs)))
-    if lam == 0.0:
-        return 0.0
-    return float(np.abs(np.prod(eigs)) / lam ** len(eigs))
+    eigs = hessians.eigenvalues
+    lam = np.max(np.abs(eigs), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.where(lam == 0.0, 0.0, np.abs(np.prod(eigs, axis=-1)) / lam ** eigs.shape[-1])
+    return float(residual) if residual.ndim == 0 else residual
+
+
+def _monge_ampere_bounds(hessians: _ExactHessians):
+    """How far each point's residual can be from the exact one, with
+    every eigenvalue within its bound b: the residual ranges over
+    prod(|lambda_i| -+ b) / (lambda_max +- b)^n (inf when lambda_max <= b)."""
+    eigs, b = np.abs(hessians.eigenvalues), hessians.bounds
+    lam, n = np.max(eigs, axis=-1), eigs.shape[-1]
+    residual = _monge_ampere_residual(hessians)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        high = np.prod(eigs + b[:, None], axis=-1) / np.maximum(lam - b, 0.0) ** n
+        low = np.prod(np.maximum(eigs - b[:, None], 0.0), axis=-1) / (lam + b) ** n
+    return np.maximum(high - residual, residual - low)
 
 
 def _psh_report(hessians, tol) -> VerificationReport:
     """Plurisubharmonicity over a set of Hessians via their eigenvalues.
 
-    The residual is the worst negative eigenvalue excursion, clipped at 0.
+    hessians is a list of stencil HessianSamples, whose uncertainty is
+    the largest Richardson gap, or an _ExactHessians stack, whose
+    uncertainty is its largest eigenvalue bound.  The residual is the
+    worst negative eigenvalue excursion, clipped at 0.
     """
-    excursions = [-float(sample.eigenvalues.min()) for sample in hessians]
-    gap_max = _worst(0.0, *[sample.richardson_gap for sample in hessians])
-    details = {"richardson_gap_max": gap_max}
+    if isinstance(hessians, _ExactHessians):
+        points = hessians.points
+        excursions = (-hessians.eigenvalues[:, 0]).tolist()
+        uncertainty = _worst(0.0, *hessians.bounds.tolist())
+        details = {"rounding_bound": uncertainty}
+    else:
+        points = [sample.point for sample in hessians]
+        excursions = [-float(sample.eigenvalues.min()) for sample in hessians]
+        uncertainty = _worst(0.0, *[sample.richardson_gap for sample in hessians])
+        details = {"richardson_gap_max": uncertainty}
     worst = _worst(0.0, *excursions)
     if not worst <= 0.0:
         # The first NaN excursion, else the first that attains the maximum.
         at = next(i for i, e in enumerate(excursions) if e != e or e == worst)
-        details["worst_point"] = [complex(c) for c in hessians[at].point]
-    return _report("plurisubharmonic", excursions, tol, details=details, uncertainty=gap_max)
+        details["worst_point"] = [complex(c) for c in points[at]]
+    return _report("plurisubharmonic", excursions, tol, details=details, uncertainty=uncertainty)
 
 
-def _geodesic_laplacians(u, phi, samples) -> list:
+def _geodesic_laplacians(u, phi, samples, dphi=None):
     """|Laplacian of u composed with phi| at each disc sample.
 
-    Uses the Richardson-combined 5-point Laplacian (4 L_{h/2} - L_h)/3
-    with h = 1e-3 at each disc sample; the stencil must stay inside the
-    unit disc.  u is a function of one point.  phi maps the stencil
-    points of all samples in one call, and u is evaluated once on their
-    images (a kernels.ClosedFormKernel in one array call).
+    Given dphi, the derivative of phi, u is a function of a stack that
+    takes a _jets.JetPoint, and the Laplacian is exact:
+    4 sum_{j,k} u_{j kbar}(phi) phi'_j conj(phi'_k), from one jet
+    evaluation on the images of all samples.  The result is then
+    (laplacians, bounds), each bound that of its Laplacian's error from
+    the entrywise Hessian bound: 4 b (sum_j |phi'_j|)^2.
+
+    Otherwise u is a function of one point and the result the list of
+    the Richardson-combined 5-point Laplacians (4 L_{h/2} - L_h)/3 with
+    h = 1e-3 at each disc sample; the stencil must stay inside the unit
+    disc.  phi maps the stencil points of all samples in one call, and
+    u is evaluated once on their images (a kernels.ClosedFormKernel in
+    one array call).
     """
+    if dphi is not None:
+        zetas = np.asarray(samples, dtype=complex)
+        matrices, bounds = _jets.hessians(u, phi(zetas))
+        v = dphi(zetas)
+        laplacians = 4.0 * np.einsum("kj,kjl,kl->k", v, matrices, np.conj(v)).real
+        return np.abs(laplacians).tolist(), 4.0 * bounds * np.sum(np.abs(v), axis=-1) ** 2
     h = 1e-3
     samples = [complex(zeta) for zeta in samples]
     if any(abs(zeta) + 1.5 * h >= 1.0 for zeta in samples):
@@ -185,7 +212,8 @@ def _geodesic_laplacians(u, phi, samples) -> list:
 
 
 def _geodesic_family(dom: Domain, xi: BoundaryPoint):
-    """Catalogued geodesic discs ending at xi, as (map, normal derivative).
+    """Catalogued geodesic discs ending at xi, as (map, derivative,
+    normal derivative).
 
     On an egg with xi on the z0 axis: egg_geodesic(m, a) for a in
     (0, 0.5, 0.25j), rotated to xi.  On the disc and the ball: the
@@ -198,8 +226,8 @@ def _geodesic_family(dom: Domain, xi: BoundaryPoint):
             raise UnsupportedDomainError("curve family needs an axis boundary point of the egg")
         rot = np.array([phase, 1.0], dtype=complex)
         discs = [geodesics_metrics.egg_geodesic(dom.m[0], a) for a in (0.0, 0.5, 0.25j)]
-        return [(lambda t, phi=phi: phi(t) * rot, phi.normal_derivative)
-                for phi in discs]
+        return [(lambda t, phi=phi: phi(t) * rot, lambda t, phi=phi: phi.derivative(t) * rot,
+                 phi.normal_derivative) for phi in discs]
     if dom.kind in ("disc", "ball"):
         bases = [np.zeros(dom.n, dtype=complex), 0.4 * xi.position]
         if dom.n >= 2:
@@ -207,7 +235,7 @@ def _geodesic_family(dom: Domain, xi: BoundaryPoint):
         else:
             bases.append(-0.3 * xi.position)
         discs = [geodesics_metrics.ball_geodesic(base, xi) for base in bases]
-        return [(phi, phi.normal_derivative) for phi in discs]
+        return [(phi, phi.derivative, phi.normal_derivative) for phi in discs]
     raise UnsupportedDomainError(f"no catalogued curve family for {dom.label}")
 
 
@@ -218,11 +246,12 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     along each certified curve; (b) domination, u <= Omega_xi on the
     samples.  The kernel is the greatest member of its family, so
     membership must imply domination; the verdict reports that
-    implication, with both signals in the details.
+    implication, with both signals in the details, and carries the
+    largest Aitken uncertainty of the curve limits as its uncertainty.
     """
     xi = domain_core.boundary_point(dom, xi)
     if curves is None:
-        curves = _geodesic_family(dom, xi)
+        curves = [(phi, normal) for phi, _, normal in _geodesic_family(dom, xi)]
         if dom.n >= 2:
             # A slanted-normal segment; its velocity has normal component 1.
             vel = xi.normal + 0.3 * xi.tangent_frame[0]
@@ -231,15 +260,16 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     # The kernel values of each curve, and of all the samples, are one
     # call each of u and of Omega_xi when these are closed forms.
     values = _on_stack(u)
-    member_viol = 0.0
+    member_viol = member_unc = 0.0
     curve_limits = []
     ts = 1.0 - 10.0 ** (-np.arange(1, 7, dtype=float))
     for curve, gamma_n in curves:
         vals = (values(np.array([curve(t) for t in ts])) * (1.0 - ts)).tolist()
-        est, _ = extrapolate(vals, "membership curve")
+        est, unc = extrapolate(vals, "membership curve")
         bound = -2.0 / gamma_n
         curve_limits.append({"limit": float(est), "bound": float(bound)})
         member_viol = _worst(member_viol, float(est) - bound)
+        member_unc = _worst(member_unc, float(unc))
     member = member_viol <= tol
 
     samples = np.asarray(samples, dtype=complex).reshape(-1, dom.n)
@@ -261,6 +291,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
             "domination_violation": dom_viol,
             "curve_limits": curve_limits,
         },
+        uncertainty=member_unc,
     )
 
 

@@ -14,8 +14,10 @@ the exact egg distance of one pair route by route, which the stacked
 egg distances must match bit for bit, the ellipsoid nearest-point
 Newton run in Python floats per (row, seed), which the array Newton must
 match bit for bit, the gauge of one point by one brentq, which the
-lockstep gauge must match bit for bit, and log tanh(k/2) in multiple
-precision.  Besides these, a few readings
+lockstep gauge must match bit for bit, log tanh(k/2) in multiple
+precision, and at 50 digits the complex Hessian of the kernel at e1 of
+a ball or egg by the quotient rule and the boundary density of a ball
+or egg in C^2 by its closed form.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
 """
@@ -552,3 +554,47 @@ def gauge_one_point(dom: Domain, z) -> float:
     while excess(hi) > 0.0:
         hi *= 2.0
     return domain_core.brentq(excess, lo, hi, xtol=1e-300)
+
+
+def kernel_hessian_mp(m, z):
+    """Complex Hessian of Omega_{e1}(z) = -N / D at 50 digits, by the
+    quotient rule on N = 1 - |z_0|^2 - sum_{j>=1} |z_j|^{m_j} and
+    D = |1 - z_0|^2; m = (2,) * (n - 1) is the ball of C^n.  A list of
+    rows of mpmath.mpc."""
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(complex(c)) for c in z]
+        n = len(z)
+        N = 1 - abs(z[0]) ** 2 - sum(abs(z[j]) ** m[j - 1] for j in range(1, n))
+        D = abs(1 - z[0]) ** 2
+        # d/dz_j of N and D; their dzbar derivatives are the conjugates.
+        Nj = [-mpmath.conj(z[0])] + [-(mpmath.mpf(m[j - 1]) / 2) * abs(z[j]) ** (m[j - 1] - 2)
+                                     * mpmath.conj(z[j]) for j in range(1, n)]
+        Dj = [-(1 - mpmath.conj(z[0]))] + [mpmath.mpc(0)] * (n - 1)
+        Njk = [-1] + [-(mpmath.mpf(m[j - 1]) / 2) ** 2 * abs(z[j]) ** (m[j - 1] - 2) for j in range(1, n)]
+        rows = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                # d^2 (N / D) / dz_j dzbar_k; only D_{0 0bar} = 1 of D's is not 0.
+                f = (2 * N * Dj[j] * mpmath.conj(Dj[k]) / D ** 3
+                     - (Nj[j] * mpmath.conj(Dj[k]) + Dj[j] * mpmath.conj(Nj[k])) / D ** 2)
+                if j == k:
+                    f += Njk[j] / D
+                if j == k == 0:
+                    f -= N / D ** 2
+                row.append(-f)
+            rows.append(row)
+        return rows
+
+
+def egg_density_mp(m, xi) -> float:
+    """Boundary density of the egg |z_0|^2 + |z_1|^m < 1 (the ball for
+    m = 2) at a boundary point xi of C^2, from the gradient g and the
+    tangential Levi form at 50 digits:
+    4 (|g_1|^2 + (m^2/4) |z_1|^(m-2) |g_0|^2) / |g|^3."""
+    with mpmath.workdps(50):
+        z0, z1 = (mpmath.mpc(complex(c)) for c in xi)
+        g0, g1 = 2 * z0, m * abs(z1) ** (m - 2) * z1
+        gn2 = abs(g0) ** 2 + abs(g1) ** 2
+        h11 = mpmath.mpf(m) ** 2 / 4 * abs(z1) ** (m - 2)
+        return float(4 * (abs(g1) ** 2 + h11 * abs(g0) ** 2) / gn2 ** mpmath.mpf(1.5))

@@ -4,6 +4,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 
 from pluripot import (
     boundary_form_density,
@@ -13,11 +14,12 @@ from pluripot import (
     egg_geodesic,
     green_normal_derivative,
     make_domain,
+    minkowski_gauge,
     poisson_kernel,
     reproduce_pluriharmonic,
 )
 
-from oracles import montecarlo_surface_measure, quadrature_csv, total_weight
+from oracles import egg_density_mp, montecarlo_surface_measure, quadrature_csv, total_weight
 
 
 def test_density_reference_values():
@@ -34,6 +36,52 @@ def test_density_reference_values():
     # n = 1: the density convention is identically 1
     assert boundary_form_density(make_domain("ball1"), [1.0]) == 1.0
     assert boundary_form_density(make_domain("half_plane"), [0.0]) == 1.0
+
+
+def _boundary_points(dom, count, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, 2 * dom.n))
+    v = raw[:, :dom.n] + 1j * raw[:, dom.n:]
+    return v / minkowski_gauge(dom, v)[:, None]
+
+
+@pytest.mark.parametrize("label, m", [("ball2", 2), ("egg4", 4), ("egg6", 6)])
+def test_exact_levi_density_is_the_analytic_density(label, m):
+    # The jet Levi form against build_quadrature's closed form, on 200
+    # boundary points, among them the near-degenerate ones of egg6.
+    from pluripot.boundary_measure import _egg_density_analytic
+
+    dom = make_domain(label)
+    pts = _boundary_points(dom, 200, 11)
+    analytic = _egg_density_analytic(dom, pts)
+    exact = np.array([boundary_form_density(dom, xi) for xi in pts])
+    assert np.all(np.abs(exact - analytic) <= 1e-14 * np.abs(analytic))
+
+
+@pytest.mark.parametrize("label, m", [("ball2", 2), ("egg4", 4), ("egg6", 6)])
+def test_density_uncertainty_covers_the_50_digit_density(label, m):
+    dom = make_domain(label)
+    for xi in list(_boundary_points(dom, 100, 3)) + [np.array([1.0, 0.0]), np.array([0.0, 1.0])]:
+        value, unc = boundary_form_density(dom, xi, uncertainty=True)
+        assert 0.0 < unc < 1e-13 * max(1.0, abs(value))
+        assert abs(value - egg_density_mp(m, xi)) <= unc
+
+
+def test_density_uncertainty_on_every_kind():
+    # ball3: 4^2 2! det(I) / 2^2 = 8.  A general_convex egg4 takes the
+    # stencil, whose error estimate must cover the exact density.  In
+    # one variable the density is exactly 1.
+    value, unc = boundary_form_density(make_domain("ball3"), [0.6, 0.0, 0.8j], uncertainty=True)
+    assert 0.0 < unc < 1e-13 and abs(value - 8.0) <= unc
+    rho = lambda z: np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** 4 - 1.0
+    general = make_domain("general_convex", n=2, rho=rho)
+    for xi in _boundary_points(make_domain("egg4"), 20, 5):
+        value, unc = boundary_form_density(general, xi, uncertainty=True)
+        assert 0.0 < unc < 1e-6 * max(1.0, value)
+        assert abs(value - egg_density_mp(4, xi)) <= unc
+    for dom, xi in ((make_domain("disc"), [1.0]), (make_domain("half_plane"), [0.0]),
+                    (make_domain("annulus", r=0.5), [1.0])):
+        assert boundary_form_density(dom, xi, uncertainty=True) == (1.0, 0.0)
 
 
 def test_density_defining_function_invariance():

@@ -116,6 +116,24 @@ def test_verify_main2_estimate_disc_passes(capsys):
     assert list(report["details"]["residuals"]) == ["normal"]
 
 
+def test_verify_monge_ampere_egg6_passes_on_exact_hessians(capsys):
+    # The stencil read 1.6e-5 against tol 1e-5 here (exit 3); the exact
+    # Hessians read rounding.
+    rc = main(["verify", "monge_ampere", "--domain", "egg6"])
+    bundle = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    [psh, ma, harmonic] = bundle["reports"]
+    assert ma["check"] == "monge_ampere[egg6]" and ma["max_residual"] <= 1e-10
+    assert all(r["details"]["rounding_bound"] > 0.0 for r in (psh, ma, harmonic))
+
+
+def test_eval_density_reports_its_rounding_bound(capsys):
+    rc = main(["eval", "density", "--domain", "egg4", "--xi", "0.6,0.8944271909999159"])
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 0 and row["method"] == "levi_form"
+    assert 0.0 < row["uncertainty"] < 1e-14 * row["value"]
+
+
 def test_verify_monge_ampere_disc_is_config_error(capsys):
     rc = main(["verify", "monge_ampere", "--domain", "disc"])
     captured = capsys.readouterr()

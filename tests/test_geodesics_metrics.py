@@ -481,3 +481,18 @@ def test_ball_distance_between_distinct_points_near_the_origin(spec):
         want_green = log_tanh_half(kobayashi_distance(dom, z, w).value)
         assert abs(green.value - want_green) <= 4 * _EPS * abs(want_green)
         assert green.value > -40.0
+
+
+@pytest.mark.parametrize("phi", [egg_geodesic(4, 0.5), egg_geodesic(6, 0.25j), egg_geodesic(2, 0.0),
+                                 ball_geodesic(np.array([0.2, 0.3j]), np.array([1.0, 0.0])),
+                                 ball_geodesic(np.array([0.1, 0.0, -0.4]), np.array([0.0, 0.6, 0.8j]))])
+def test_geodesic_derivative_is_the_difference_quotient(phi):
+    # The closed-form phi' against the central difference of phi, whose
+    # error is O(h^2) + O(eps / h); on a stack and at one point alike.
+    zetas = np.array([0.0, 0.3, -0.2 + 0.4j, 0.7j, -0.65])
+    h = 1e-5
+    numeric = (phi(zetas + h) - phi(zetas - h)) / (2.0 * h)
+    exact = phi.derivative(zetas)
+    assert exact.shape == numeric.shape
+    assert np.max(np.abs(exact - numeric)) < 1e-8
+    assert np.array_equal(phi.derivative(zetas[2]), exact[2])

@@ -211,6 +211,29 @@ def test_stacked_kernel_comparisons_match_the_one_point_calls(spec, scale):
     assert (stacked.max_residual, stacked.details) == (one_point.max_residual, one_point.details)
 
 
+def test_phragmen_carries_the_worst_membership_uncertainty(monkeypatch):
+    # The Aitken uncertainty of each curve limit was dropped; the report
+    # now carries the largest, and still writes no uncertainty.
+    from pluripot import pluripotential_verify
+
+    dom = make_domain("egg4")
+    xi = boundary_point(dom, [1.0, 0.0])
+    samples = [_random_interior(dom, np.random.default_rng(73)) for _ in range(5)]
+    seen = []
+    extrapolate = pluripotential_verify.extrapolate
+
+    def recording(values, what):
+        est, unc = extrapolate(values, what)
+        seen.append(unc)
+        return est, unc
+
+    monkeypatch.setattr(pluripotential_verify, "extrapolate", recording)
+    rep = phragmen_lindelof_compare(ClosedFormKernel(dom, xi, 1.0), dom, xi, samples)
+    assert len(seen) == 4
+    assert rep.uncertainty == max(seen) > 0.0
+    assert rep.verdict == "pass" and "uncertainty" not in rep.to_json()
+
+
 def test_laplacian_1d_references():
     assert abs(laplacian_1d(lambda z: (z ** 2).real, 0.2 + 0.1j, 1e-3)) < 1e-9
     assert abs(laplacian_1d(lambda z: abs(z) ** 2, 0.2 + 0.1j, 1e-3) - 4.0) < 1e-8
@@ -318,53 +341,45 @@ def test_verdict_fails_closed_on_non_finite():
 
 
 def test_monge_ampere_suite_work_count(monkeypatch):
-    # One stacked boundary distance call, hence one stacked projection,
-    # and one stacked Hessian call per domain serve both the psh and the
-    # Monge-Ampere report of a domain; no point is projected alone.
-    from pluripot import _suites, domain_core, pluripotential_verify
+    # Per domain one jet evaluation on the 200 samples serves both the
+    # psh and the Monge-Ampere report, and one per curve on its 25 disc
+    # samples the harmonicity report.  The exact Hessians need no step:
+    # no boundary projection or distance, and no stencil.
+    from pluripot import _jets, _stencils, _suites, domain_core
 
-    projected = []
-    distances = []
-    hessians = []
-    project = domain_core.boundary_project
-    distance = domain_core.boundary_distance
-    hessian = pluripotential_verify.complex_hessian
+    jets = []
+    hessians = _jets.hessians
 
-    def counting_project(dom, z):
-        projected.append((dom.label, np.shape(z)))
-        return project(dom, z)
+    def counting(f, points):
+        jets.append(len(points))
+        return hessians(f, points)
 
-    def counting_distance(dom, z):
-        distances.append((dom.label, np.shape(z)))
-        return distance(dom, z)
+    def refused(*args, **kwargs):
+        raise AssertionError("a boundary projection or a stencil")
 
-    def counting_hessian(u, z, h):
-        hessians.append(len(z))
-        return hessian(u, z, h)
-
-    monkeypatch.setattr(domain_core, "boundary_project", counting_project)
-    monkeypatch.setattr(_suites, "boundary_distance", counting_distance)
-    monkeypatch.setattr(pluripotential_verify, "complex_hessian", counting_hessian)
-    monkeypatch.setattr(_suites, "complex_hessian", counting_hessian, raising=False)
+    monkeypatch.setattr(_jets, "hessians", counting)
+    for name in ("boundary_project", "boundary_distance"):
+        monkeypatch.setattr(domain_core, name, refused)
+    monkeypatch.setattr(_suites, "boundary_distance", refused)
+    monkeypatch.setattr(_stencils, "hessian_richardson", refused)
+    monkeypatch.setattr(_stencils, "laplacian_5pt", refused)
     reports = _suites.suite_monge_ampere({})
-    assert [rep.samples for rep in reports[:2]] == [200, 200]
-    assert projected == [("ball2", (200, 2)), ("egg4", (200, 2))]
-    assert distances == [("ball2", (200, 2)), ("egg4", (200, 2))]
-    assert hessians == [200, 200]
+    assert [rep.samples for rep in reports] == [200, 200, 75] * 2
+    assert jets == [200, 25, 25, 25] * 2
 
 
 def test_harmonic_on_geodesics_work_count(monkeypatch):
-    # One stacked kernel call per curve (the 10 stencil images of each of
-    # its 25 disc samples), none per point: 2 domains x 3 curves = 6
-    # calls of 250 points, beside one call per domain for its 200
-    # Hessians of 49 points each.
-    from pluripot import _suites, kernels
+    # Every kernel call is a jet evaluation, none a stencil's stack of
+    # values or a one-point call: per domain one on the 200 samples, then
+    # one per curve on the images of its 25 disc samples.
+    from pluripot import _jets, _suites, kernels
 
     sizes = []
     many = kernels.ClosedFormKernel.many
 
     def counting_many(self, pts):
-        sizes.append(len(pts))
+        assert isinstance(pts, _jets.JetPoint)
+        sizes.append(len(pts.points))
         return many(self, pts)
 
     def one_point(self, z):
@@ -375,7 +390,7 @@ def test_harmonic_on_geodesics_work_count(monkeypatch):
     reports = _suites.suite_monge_ampere({})
     assert [rep.check for rep in reports][2::3] == ["harmonic_on_geodesics[ball2]",
                                                     "harmonic_on_geodesics[egg4]"]
-    assert sizes == [9800, 250, 250, 250, 9800, 250, 250, 250]
+    assert sizes == [200, 25, 25, 25, 200, 25, 25, 25]
 
 
 def test_phragmen_lindelof_suite_work_count(monkeypatch):

@@ -8,6 +8,9 @@ pairs, and the side that runs first alternates from pair to pair.  OUT
 gets, per workload and side, the median and quartiles of each
 end-to-end metric, the operations attempted and failed, and every run's
 metrics; per workload and metric, the number of pairs the change won.
+Before the pairs, the Tier-1 test command runs once in each checkout;
+OUT gets its wall seconds, exit code and counts of passed and failed
+tests per side.
 """
 
 import argparse
@@ -15,9 +18,14 @@ import json
 import os
 import pathlib
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
+
+# The Tier-1 command of ROADMAP.md, run in the checkout with its src first on PYTHONPATH.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def revision(checkout):
@@ -43,6 +51,20 @@ def run(checkout, workload, seed, seconds):
         sys.stderr.write(f"{checkout} {workload}: exit {proc.returncode}, no result\n"
                          f"{proc.stderr[-2000:]}\n")
         return None
+
+
+def tier1(checkout):
+    """Wall seconds, exit code and outcome counts of one Tier-1 run in checkout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src") + (os.pathsep + path if path else ""))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    last = lines[-1] if lines else ""
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (passed|failed|error)s?\b", last)}
+    return {"wall_s": wall, "exit": proc.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0), "summary": last}
 
 
 def summary(results, metrics):
@@ -87,8 +109,11 @@ def main(argv=None):
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
+        "tier1": {"command": "python " + " ".join(TIER1),
+                  "parent": tier1(args.parent), "change": tier1(args.change)},
         "workloads": {},
     }
+    sys.stderr.write("tier-1 runs done\n")
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for i in range(args.pairs):
