@@ -129,13 +129,14 @@ def hessians(f, points):
     f maps a stack of points to their real values and also takes a
     JetPoint.  Returns (matrices, bounds): the Hessians (k, n, n) of
     entries d^2 f / dz_j dzbar_k, in the convention where |z|^2 has the
-    identity, and per point the bound ROUNDING * eps * S on the error of
-    every entry.
+    identity, and per point a bound on the spectral norm of the error of
+    its matrix: n times the entrywise bound ROUNDING * eps * S.  By
+    Weyl's inequality it bounds the error of every eigenvalue too.
     """
     n = points.shape[-1]
     R = f(JetPoint(points)).h
     xx, yy, xy, yx = R[:, :n, :n], R[:, n:, n:], R[:, :n, n:], R[:, n:, :n]
     # d/dz = (d/dx - i d/dy) / 2 and d/dzbar = (d/dx + i d/dy) / 2.
     matrices = ((xx + yy) + 1j * (xy - yx)) / 4.0
-    return matrices, ROUNDING * _EPS * np.max(np.abs(R), axis=(1, 2))
+    return matrices, n * ROUNDING * _EPS * np.max(np.abs(R), axis=(1, 2))
 

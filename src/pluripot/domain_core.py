@@ -820,13 +820,13 @@ def levi_data(domain: Domain, xi, error=False):
 
     Returns (L, grad_norm) with L of shape (n-1, n-1); with error=True
     (L, grad_norm, err), err bounding the spectral norm of the error of
-    L.  A built-in rho has its exact complex Hessian, from jets.  A
-    general_convex rho has the stencils of step 1e-4 and 5e-5 with
-    Richardson extrapolation; a relative discrepancy above 1e-4 between
-    the two raw estimates raises ConvergenceError.  err is n times the
-    entrywise error bound of the Hessian (jets: rounding; stencil: its
-    error_bound), since L is the Hessian pressed onto a
-    Hermitian-orthonormal frame.
+    L, which is at most that of the complex Hessian pressed onto the
+    Hermitian-orthonormal frame.  A built-in rho has its exact complex
+    Hessian, from jets, with their rounding bound.  A general_convex rho
+    has the stencils of step 1e-4 and 5e-5 with Richardson
+    extrapolation, whose entrywise error_bound n times bounds the
+    spectral norm; a relative discrepancy above 1e-4 between the two raw
+    estimates raises ConvergenceError.
     """
     bp = boundary_point(domain, xi)
     gn = float(np.linalg.norm(gradient(domain, bp.position)))
@@ -841,14 +841,15 @@ def levi_data(domain: Domain, xi, error=False):
             raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {sample.richardson_gap:.3e}")
         H = sample.matrix
         # The stencil reads rho within sqrt(2) h of xi, where |rho| <= |rho(xi)| + 2 h |grad rho|.
-        err = _stencils.error_bound(H, sample.richardson_gap, abs(float(rho(bp.position))) + 2.0 * h * gn, h)
+        err = domain.n * _stencils.error_bound(H, sample.richardson_gap,
+                                               abs(float(rho(bp.position))) + 2.0 * h * gn, h)
     else:
         Hs, bounds = _jets.hessians(rho, bp.position[None])
         H, err = Hs[0], float(bounds[0])
     frame = bp.tangent_frame
     L = frame @ H @ frame.conj().T
     L = (L + L.conj().T) / 2.0
-    return (L, gn, domain.n * err) if error else (L, gn)
+    return (L, gn, err) if error else (L, gn)
 
 
 def line_type(domain: Domain, xi) -> int:

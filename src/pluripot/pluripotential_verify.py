@@ -101,9 +101,8 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
 class _ExactHessians:
     """Exact complex Hessians of a stack of points (k, n), from jets.
 
-    bounds holds per point a bound on the error of every eigenvalue: by
-    Weyl's inequality the spectral norm of the matrix error, at most n
-    times the entrywise bound of _jets.hessians.
+    bounds holds per point the bound of _jets.hessians on the error of
+    every eigenvalue.
     """
 
     points: np.ndarray
@@ -115,8 +114,7 @@ def _exact_hessians(u, points) -> _ExactHessians:
     """The Hessians of u, a function of a stack that takes a
     _jets.JetPoint, at a stack of points (k, n): one jet evaluation."""
     matrices, bounds = _jets.hessians(u, points)
-    return _ExactHessians(points=points, eigenvalues=np.linalg.eigvalsh(matrices),
-                          bounds=points.shape[-1] * bounds)
+    return _ExactHessians(points=points, eigenvalues=np.linalg.eigvalsh(matrices), bounds=bounds)
 
 
 def _monge_ampere_residual(hessians):
@@ -180,8 +178,8 @@ def _geodesic_laplacians(u, phi, samples, dphi=None):
     takes a _jets.JetPoint, and the Laplacian is exact:
     4 sum_{j,k} u_{j kbar}(phi) phi'_j conj(phi'_k), from one jet
     evaluation on the images of all samples.  The result is then
-    (laplacians, bounds), each bound that of its Laplacian's error from
-    the entrywise Hessian bound: 4 b (sum_j |phi'_j|)^2.
+    (laplacians, bounds), each bound 4 b |phi'|^2 from the bound b of
+    _jets.hessians on the spectral norm of the Hessian's error.
 
     Otherwise u is a function of one point and the result the list of
     the Richardson-combined 5-point Laplacians (4 L_{h/2} - L_h)/3 with
@@ -195,7 +193,7 @@ def _geodesic_laplacians(u, phi, samples, dphi=None):
         matrices, bounds = _jets.hessians(u, phi(zetas))
         v = dphi(zetas)
         laplacians = 4.0 * np.einsum("kj,kjl,kl->k", v, matrices, np.conj(v)).real
-        return np.abs(laplacians).tolist(), 4.0 * bounds * np.sum(np.abs(v), axis=-1) ** 2
+        return np.abs(laplacians).tolist(), 4.0 * bounds * np.sum(np.abs(v) ** 2, axis=-1)
     h = 1e-3
     samples = [complex(zeta) for zeta in samples]
     if any(abs(zeta) + 1.5 * h >= 1.0 for zeta in samples):

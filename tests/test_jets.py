@@ -77,7 +77,7 @@ def test_jet_rounding_constant_against_mpmath(label):
     wide = np.array(_suites._interior_samples(dom, 200, np.random.default_rng(5), gauge_lo=0.01, gauge_hi=0.99))
     pts = np.concatenate([_suite_samples(dom), curves, wide])
     matrices, bounds = _jets.hessians(u.many, pts)
-    scale = bounds / (_jets.ROUNDING * _EPS)
+    scale = bounds / (dom.n * _jets.ROUNDING * _EPS)
     worst = 0.0
     for H, S, z in zip(matrices, scale, pts):
         exact = np.array(kernel_hessian_mp(_EXPONENTS[label], z), dtype=complex)
