@@ -17,8 +17,6 @@ and a stack of complex points alike.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
@@ -87,11 +85,13 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
-class Coord(NamedTuple):
+class Coord:
     """One complex coordinate of a JetPoint: the jets of its real and imaginary parts."""
 
-    real: Jet
-    imag: Jet
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
 
 
 class JetPoint:
