@@ -97,17 +97,15 @@ def _verdict(residual: float, tol: float, uncertainty: float) -> str:
     return "fail"
 
 
-@dataclass(frozen=True, eq=False)
 class _ExactHessians:
-    """Exact complex Hessians of a stack of points (k, n), from jets.
+    """Exact complex Hessians of a stack of points (k, n), from jets:
+    their eigenvalues, and per point the bound of _jets.hessians on the
+    error of every eigenvalue."""
 
-    bounds holds per point the bound of _jets.hessians on the error of
-    every eigenvalue.
-    """
+    __slots__ = ("points", "eigenvalues", "bounds")
 
-    points: np.ndarray
-    eigenvalues: np.ndarray
-    bounds: np.ndarray
+    def __init__(self, points, eigenvalues, bounds):
+        self.points, self.eigenvalues, self.bounds = points, eigenvalues, bounds
 
 
 def _exact_hessians(u, points) -> _ExactHessians:
