@@ -39,25 +39,32 @@ class BoundaryQuadrature:
     densities: np.ndarray
 
 
-def boundary_form_density(dom: Domain, xi, uncertainty=False):
+def boundary_form_density(dom: Domain, xi) -> float:
     """Boundary form density at xi from the Levi form (domain_core.levi_data).
 
-    In one variable the determinant is empty and the density is exactly
-    1.  With uncertainty=True returns (density, uncertainty): with every
+    In one variable the determinant is empty and the density is exactly 1.
+    """
+    L, gn = domain_core.levi_data(dom, xi)
+    if dom.n == 1:
+        return 1.0
+    return _density_scale(dom.n, gn) * float(np.linalg.det(L).real)
+
+
+def _density_uncertainty(dom: Domain, xi) -> float:
+    """The uncertainty of boundary_form_density at xi.  With every
     eigenvalue of the Levi form L within the bound E of its error, |det
     L| lies below prod(|lambda_i| + E), and the uncertainty is that
-    excess, scaled as the density is.
-    """
-    L, gn, err = domain_core.levi_data(dom, xi, error=True)
-    n = dom.n
-    if n == 1:
-        return (1.0, 0.0) if uncertainty else 1.0
-    scale = 4.0 ** (n - 1) * math.factorial(n - 1) / gn ** (n - 1)
-    density = scale * float(np.linalg.det(L).real)
-    if not uncertainty:
-        return density
+    excess, scaled as the density is."""
+    L, gn, err = domain_core._levi(dom, xi)
+    if dom.n == 1:
+        return 0.0
     lam = np.abs(np.linalg.eigvalsh(L))
-    return density, scale * float(np.prod(lam + err) - np.prod(lam))
+    return _density_scale(dom.n, gn) * float(np.prod(lam + err) - np.prod(lam))
+
+
+def _density_scale(n, gn):
+    """The factor 4^(n-1) (n-1)! / |grad rho|^(n-1) of det L in the density."""
+    return 4.0 ** (n - 1) * math.factorial(n - 1) / gn ** (n - 1)
 
 
 def _egg_density_analytic(dom: Domain, points) -> np.ndarray:

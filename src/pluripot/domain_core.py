@@ -815,41 +815,44 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
     return pt + t * direction
 
 
-def levi_data(domain: Domain, xi, error=False):
+def levi_data(domain: Domain, xi):
     """Levi form of rho at a boundary point, restricted to the tangent frame.
 
-    Returns (L, grad_norm) with L of shape (n-1, n-1); with error=True
-    (L, grad_norm, err), err bounding the spectral norm of the error of
-    L, which is at most that of the complex Hessian pressed onto the
-    Hermitian-orthonormal frame.  A built-in rho has its exact complex
-    Hessian, from jets, with their rounding bound.  A general_convex rho
-    has the stencils of step 1e-4 and 5e-5 with Richardson
-    extrapolation, whose entrywise error_bound n times bounds the
-    spectral norm; a relative discrepancy above 1e-4 between the two raw
-    estimates raises ConvergenceError.
+    Returns (L, grad_norm) with L of shape (n-1, n-1).  A built-in rho
+    has its exact complex Hessian, from jets.  A general_convex rho has
+    the stencils of step 1e-4 and 5e-5 with Richardson extrapolation; a
+    relative discrepancy above 1e-4 between the two raw estimates raises
+    ConvergenceError.
     """
+    L, gn, _ = _levi(domain, xi)
+    return L, gn
+
+
+def _levi(domain: Domain, xi):
+    """levi_data as (L, grad_norm, err), err bounding the spectral norm
+    of the error of L, which is at most that of the complex Hessian
+    pressed onto the Hermitian-orthonormal frame: the rounding bound of
+    the jets, or n times the entrywise _stencils.error_bound of the
+    Richardson Hessian of a general_convex rho."""
     bp = boundary_point(domain, xi)
     gn = float(np.linalg.norm(gradient(domain, bp.position)))
     if domain.n == 1:
-        L, err = np.zeros((0, 0), dtype=complex), 0.0
-        return (L, gn, err) if error else (L, gn)
+        return np.zeros((0, 0), dtype=complex), gn, 0.0
     rho = functools.partial(defining_function, domain)
     if domain.kind == "general_convex":
         h = 1e-4
         sample = _stencils.complex_hessian(rho, bp.position, h)
-        if sample.richardson_gap > 1e-4:
-            raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {sample.richardson_gap:.3e}")
-        H = sample.matrix
+        H, gap = sample.matrix, sample.richardson_gap
+        if gap > 1e-4:
+            raise ConvergenceError(f"Levi form stencil unstable: step-halving gap {gap:.3e}")
         # The stencil reads rho within sqrt(2) h of xi, where |rho| <= |rho(xi)| + 2 h |grad rho|.
-        err = domain.n * _stencils.error_bound(H, sample.richardson_gap,
-                                               abs(float(rho(bp.position))) + 2.0 * h * gn, h)
+        err = domain.n * _stencils.error_bound(H, gap, abs(float(rho(bp.position))) + 2.0 * h * gn, h)
     else:
         Hs, bounds = _jets.hessians(rho, bp.position[None])
         H, err = Hs[0], float(bounds[0])
     frame = bp.tangent_frame
     L = frame @ H @ frame.conj().T
-    L = (L + L.conj().T) / 2.0
-    return (L, gn, err) if error else (L, gn)
+    return (L + L.conj().T) / 2.0, gn, err
 
 
 def line_type(domain: Domain, xi) -> int:
