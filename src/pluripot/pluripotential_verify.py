@@ -242,8 +242,10 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     along each certified curve; (b) domination, u <= Omega_xi on the
     samples.  The kernel is the greatest member of its family, so
     membership must imply domination; the verdict reports that
-    implication, with both signals in the details, and carries the
-    largest Aitken uncertainty of the curve limits as its uncertainty.
+    implication, with both signals in the details.  Membership within
+    the largest Aitken uncertainty of the curve limits of its bound is
+    undecided: a failing domination then leaves the verdict to
+    membership, and the report carries that uncertainty.
     """
     xi = domain_core.boundary_point(dom, xi)
     if curves is None:
@@ -273,8 +275,15 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     dominated = dom_viol <= tol
 
     # A non-member passes vacuously; a NaN membership violation is no
-    # evidence of non-membership and stays the residual.
+    # evidence of non-membership and stays the residual.  The kernel
+    # differences carry no extrapolation error.
     residual = dom_viol if member else (0.0 if member_viol > tol else member_viol)
+    uncertainty = 0.0
+    if abs(member_viol - tol) <= member_unc and not dominated:
+        # The implication fails by min(dom_viol - tol, tol - member_viol)
+        # past tol; the second term, and so the minimum, is uncertain by
+        # member_unc.
+        residual, uncertainty = min(dom_viol, 2.0 * tol - member_viol), member_unc
     return VerificationReport(
         check="phragmen_lindelof",
         samples=len(samples),
@@ -287,7 +296,7 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
             "domination_violation": dom_viol,
             "curve_limits": curve_limits,
         },
-        uncertainty=member_unc,
+        uncertainty=uncertainty,
     )
 
 

@@ -211,27 +211,49 @@ def test_stacked_kernel_comparisons_match_the_one_point_calls(spec, scale):
     assert (stacked.max_residual, stacked.details) == (one_point.max_residual, one_point.details)
 
 
-def test_phragmen_carries_the_worst_membership_uncertainty(monkeypatch):
-    # The Aitken uncertainty of each curve limit was dropped; the report
-    # now carries the largest, and still writes no uncertainty.
+def test_phragmen_undecided_membership_is_inconclusive(monkeypatch):
+    # The Aitken uncertainty of each curve limit was dropped.  Widened
+    # here past the margin of membership to tol, it leaves membership
+    # undecided: a dominated u still passes, and a failing domination is
+    # inconclusive, carrying the largest uncertainty; the report still
+    # writes no uncertainty.
     from pluripot import pluripotential_verify
 
     dom = make_domain("egg4")
     xi = boundary_point(dom, [1.0, 0.0])
     samples = [_random_interior(dom, np.random.default_rng(73)) for _ in range(5)]
+    u = ClosedFormKernel(dom, xi, 1.0)
     seen = []
     extrapolate = pluripotential_verify.extrapolate
 
-    def recording(values, what):
+    def widened(values, what):
         est, unc = extrapolate(values, what)
-        seen.append(unc)
-        return est, unc
+        seen.append(unc + 1e-3)
+        return est, unc + 1e-3
 
-    monkeypatch.setattr(pluripotential_verify, "extrapolate", recording)
-    rep = phragmen_lindelof_compare(ClosedFormKernel(dom, xi, 1.0), dom, xi, samples)
+    monkeypatch.setattr(pluripotential_verify, "extrapolate", widened)
+    rep = phragmen_lindelof_compare(u, dom, xi, samples)
+    assert rep.verdict == "pass" and rep.uncertainty == 0.0
+    seen.clear()
+    rep = phragmen_lindelof_compare(lambda z: u(z) + 0.01, dom, xi, samples)
     assert len(seen) == 4
-    assert rep.uncertainty == max(seen) > 0.0
-    assert rep.verdict == "pass" and "uncertainty" not in rep.to_json()
+    assert rep.details["member"] and not rep.details["dominated"]
+    assert rep.uncertainty == max(seen)
+    assert rep.verdict == "inconclusive" and "uncertainty" not in rep.to_json()
+
+
+def test_phragmen_domination_just_past_tol_fails():
+    # Membership is decided (its violation is far below tol against an
+    # Aitken uncertainty near 1e-6), so a domination violation 1e-9 past
+    # tol is a plain kernel difference with no uncertainty: fail.
+    dom = make_domain("egg4")
+    xi = boundary_point(dom, [1.0, 0.0])
+    samples = [_random_interior(dom, np.random.default_rng(73)) for _ in range(5)]
+    u = ClosedFormKernel(dom, xi, 1.0)
+    rep = phragmen_lindelof_compare(lambda z: u(z) + 1e-3 + 1e-9, dom, xi, samples, tol=1e-3)
+    assert rep.details["member"] and not rep.details["dominated"]
+    assert rep.uncertainty == 0.0 and rep.max_residual > 1e-3
+    assert rep.verdict == "fail"
 
 
 def test_laplacian_1d_references():
