@@ -23,10 +23,11 @@ _EPS = float(np.finfo(float).eps)
 
 # Each entry of a complex Hessian from hessians() is taken to be within
 # ROUNDING * eps * S of the exact one, S being the largest real second
-# derivative at the point.  Against 50-digit re-evaluations of the ball2,
-# egg4 and egg6 kernels (the monge_ampere suite's samples, its curve
-# points and random points of gauge 0.01 to 0.99) the largest ratio
-# |error| / (eps S) is 1.29; this is the next integer above it.
+# derivative at the point.  This is a calibration against mpmath, not a
+# proof: against 50-digit re-evaluations of the ball2, egg4 and egg6
+# kernels (the monge_ampere suite's samples, its curve points and random
+# points of gauge 0.01 to 0.99) the largest ratio |error| / (eps S) is
+# 1.29, and this is the next integer above it.
 ROUNDING = 2.0
 
 

@@ -63,11 +63,11 @@ def test_jet_values_are_the_stacked_values():
 
 @pytest.mark.parametrize("label", ["ball2", "ball3", "egg4", "egg6"])
 def test_jet_rounding_constant_against_mpmath(label):
-    # _jets.ROUNDING is the next integer above the worst ratio
-    # |H - H_exact| / (eps S) measured on these points: the suite's
-    # samples, the images of its curve samples, and points of gauge
-    # 0.01 to 0.99.  The 50-digit Hessian is the quotient rule, an
-    # independent route.
+    # _jets.ROUNDING is calibrated, not proved: it is the next integer
+    # above the worst ratio |H - H_exact| / (eps S) measured on these
+    # points: the suite's samples, the images of its curve samples, and
+    # points of gauge 0.01 to 0.99.  The 50-digit Hessian is the
+    # quotient rule, an independent route.
     dom, u = _kernel(label)
     xi = _suites._axis_boundary(dom)
     curves = np.concatenate([phi(np.array(_ZETAS)) for phi, _, _ in _geodesic_family(dom, xi)])
@@ -80,9 +80,10 @@ def test_jet_rounding_constant_against_mpmath(label):
         exact = np.array(kernel_hessian_mp(_EXPONENTS[label], z), dtype=complex)
         worst = max(worst, float(np.max(np.abs(H - exact))) / (_EPS * S))
     assert worst <= _jets.ROUNDING
-    if label == "ball2":
-        # Where the worst ratio, 1.29, was measured.
-        assert _jets.ROUNDING - 1.0 < worst
+    # The ratios read 0.97 to 1.29 here, but they follow the rounding of
+    # the numpy build (SIMD, fused multiply-add), so only a loose floor
+    # is checked: the bound is not more than 4 times the worst error.
+    assert worst > _jets.ROUNDING / 4.0
 
 
 def test_exact_route_reports_carry_their_rounding_bounds():
