@@ -478,31 +478,46 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
     """Certified radii of round discs inside the slices through centers.
 
     centers is a stack (k, n) of slice centres, all in one direction.
-    The k * _N_RAYS rays march at once, one stack (k * _N_RAYS, n) per
+    The k * _N_RAYS rays march at once, one stack of points per
     evaluation of rho: each ray doubles until it leaves the domain, then
-    bisects.  The bisection ends after 64 steps, or earlier once every
-    midpoint rounds to an end of its bracket: from then on no inside end
-    moves.  Each radius is the centre's minimal certified inside radius
+    bisects.  Each radius is the centre's minimal certified inside radius
     shrunk by cos(pi / _N_RAYS), the inradius factor of the inscribed
-    polygon of a convex slice.  Rays are independent, so each radius is
-    bit for bit what the centre's own march gives.
+    polygon of a convex slice.
+
+    Only that minimum counts, so each bisection step first drops every
+    ray whose inside end lo has reached its centre's smallest outside
+    end (lo >= min(hi) over the centre's rays), and stacks only the
+    remaining rays.  The bisection ends after 64 steps, or earlier once
+    every remaining midpoint rounds to an end of its bracket: from then
+    on no inside end moves.
+
+    The radii are bit for bit those of the march without drops, in
+    which every ray bisects on its own, as in each centre's own march.
+    A ray's lo only grows, its hi only shrinks, and lo < hi throughout.
+    So when a ray r drops, with s the ray of smallest hi at that step,
+    r ends on either march with lo(r) >= hi(s) > the final lo(s): the
+    final minimum is never a dropped ray's, and the rays that never
+    drop take exactly the steps they would take alone.
     """
     k, n = centers.shape
     thetas = np.exp(2j * np.pi * np.arange(_N_RAYS) / _N_RAYS)
-    offsets = np.ascontiguousarray(np.broadcast_to(thetas[:, None] * direction, (k, _N_RAYS, n)))
-    base = np.ascontiguousarray(np.broadcast_to(centers[:, None, :], (k, _N_RAYS, n)))
+    offsets = np.tile(thetas[:, None] * direction, (k, 1))
+    base = np.repeat(centers, _N_RAYS, axis=0)
+    # The stack holds each centre's remaining rays in a run of counts[i];
+    # a centre keeps its ray of smallest hi, so no run is ever empty.
+    counts = np.full(k, _N_RAYS)
 
     def inside(t):
         # t is real, so every loop of numpy's complex multiply, fused or
         # not, rounds t * offset as the real products t Re and t Im do.
-        pts = np.empty((k, _N_RAYS, n), dtype=complex)
-        pts.real, pts.imag = t[:, :, None], 0.0
+        pts = np.empty(base.shape, dtype=complex)
+        pts.real, pts.imag = t[:, None], 0.0
         pts *= offsets
         pts += base
-        return defining_function(dom, pts.reshape(-1, n)).reshape(k, _N_RAYS) < 0.0
+        return defining_function(dom, pts) < 0.0
 
-    lo = np.zeros((k, _N_RAYS))
-    hi = np.full((k, _N_RAYS), 0.5)
+    lo = np.zeros(k * _N_RAYS)
+    hi = np.full(k * _N_RAYS, 0.5)
     for _ in range(16):
         mask = inside(hi)
         if not mask.any():
@@ -512,22 +527,30 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
         if np.max(hi) > 64.0:
             raise UnsupportedDomainError("slice bound needs a bounded domain")
     for _ in range(64):
+        first = np.cumsum(counts) - counts
+        keep = lo < np.repeat(np.minimum.reduceat(hi, first), counts)
+        if not keep.all():
+            lo, hi, offsets, base = lo[keep], hi[keep], offsets[keep], base[keep]
+            counts = np.add.reduceat(keep, first, dtype=np.intp)
         mid = 0.5 * (lo + hi)
         if ((mid == lo) | (mid == hi)).all():
             break
         mask = inside(mid)
         lo = np.where(mask, mid, lo)
         hi = np.where(mask, hi, mid)
-    return np.min(lo, axis=1) * math.cos(math.pi / _N_RAYS) - 1e-12
+    first = np.cumsum(counts) - counts
+    return np.minimum.reduceat(lo, first) * math.cos(math.pi / _N_RAYS) - 1e-12
 
 
 def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
     """Upper distance bound from a round disc inside a complex slice.
 
     Tries inscribed discs centered at _N_CENTERS points along the
-    segment [z, w], all found by one march (_inscribed_disc_radius);
-    when no center captures both points the segment is split and the
-    bound chained by the triangle inequality.  Convex kinds only.
+    segment [z, w], all found by one march (_inscribed_disc_radius)
+    that bisects only the rays still able to set a centre's radius, and
+    gives the radii of the full march bit for bit; when no center
+    captures both points the segment is split and the bound chained by
+    the triangle inequality.  Convex kinds only.
     """
     if dom.kind == "annulus":
         raise UnsupportedDomainError("slice bound requires a convex domain")

@@ -151,7 +151,8 @@ class ClosedFormKernel:
     it returns a float; many() takes a stack of points (..., n) and
     returns their values in one array evaluation, bit for bit the same
     as point by point.  On a ball or egg many() also takes a
-    _jets.JetPoint and returns the jet, whose Hessians are exact.  Both
+    _jets.JetPoint and returns the jet, whose Hessians are exact; on the
+    disc and half-plane it raises UnsupportedDomainError on one.  Both
     raise DomainError unless every point lies inside the domain, as
     require_interior decides for the point alone.
     """
@@ -168,6 +169,8 @@ class ClosedFormKernel:
 
     def many(self, pts):
         if isinstance(pts, _jets.JetPoint):
+            if self.dom.kind not in ("ball", "ellipsoid"):
+                raise UnsupportedDomainError(f"no jet of the closed-form kernel on {self.dom.label}")
             rows = pts.points
         else:
             pts = rows = np.asarray(pts, dtype=complex)

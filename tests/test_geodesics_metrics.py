@@ -240,6 +240,56 @@ def test_stacked_slice_march_is_the_per_centre_march(label, data):
     assert _same_bits(_inscribed_disc_radius(dom, centers, direction), want)
 
 
+def test_pruned_march_on_a_thin_slice_is_the_per_centre_march():
+    # In the thin direction of this ellipsoid the first centre's rays
+    # differ about tenfold in length, so most of them drop out early.
+    dom = make_domain({"kind": "general_convex", "n": 2},
+                      rho=lambda z: np.abs(z[..., 0]) ** 2 / 0.01 + np.abs(z[..., 1]) ** 2 - 1.0)
+    z, w = np.array([0.08, -0.3]), np.array([-0.05, 0.5j])
+    direction = (w - z) / np.linalg.norm(w - z)
+    centers = z + np.linspace(0.0, 1.0, _N_CENTERS)[:, None] * (w - z)
+    want = [inscribed_disc_radius(dom, center, direction) for center in centers]
+    assert _same_bits(_inscribed_disc_radius(dom, centers, direction), want)
+    assert _same_bits([slice_upper_bound(dom, z, w)], [slice_upper_bound_per_centre(dom, z, w)])
+
+
+@pytest.mark.parametrize("direction", [np.array([1.0, 0.0]), np.array([0.6, 0.8j]),
+                                       np.array([1.0, 1.0j]) / math.sqrt(2.0)])
+def test_pruned_march_keeps_tied_rays(direction):
+    # Through the centre of the ball every ray reaches the unit circle,
+    # so the rays tie up to the rounding of |theta|, and a tied ray's
+    # inside end never reaches the smallest outside end: tied rays all
+    # march on together.
+    ball = make_domain("ball2")
+    centers = np.zeros((1, 2), dtype=complex)
+    want = [inscribed_disc_radius(ball, centers[0], direction)]
+    assert _same_bits(_inscribed_disc_radius(ball, centers, direction), want)
+
+
+def test_pruned_march_near_the_egg6_boundary_is_the_per_centre_march(monkeypatch):
+    # Pairs at gauge 0.97 rarely share a disc, so most split into
+    # segments, each with its own march; every bound is the per-centre
+    # reference's, bit for bit.
+    egg = make_domain("egg6")
+    rng = np.random.default_rng(5)
+    pairs = [(_random_interior(egg, rng, 0.97, 0.97), _random_interior(egg, rng, 0.97, 0.97))
+             for _ in range(24)]
+    depths = []
+    bound = geodesics_metrics.slice_upper_bound
+
+    def spy(dom, z, w, _depth=0):
+        depths.append(_depth)
+        return bound(dom, z, w, _depth)
+    monkeypatch.setattr(geodesics_metrics, "slice_upper_bound", spy)
+    got, split = [], 0
+    for z, w in pairs:
+        depths.clear()
+        got.append(geodesics_metrics.slice_upper_bound(egg, z, w))
+        split += max(depths) > 0
+    assert split >= 20
+    assert _same_bits(got, [slice_upper_bound_per_centre(egg, z, w) for z, w in pairs])
+
+
 def test_lattice_support_cached_and_read_only():
     pts, normals = _lattice_support("ellipsoid", 2, (4,))
     assert _lattice_support("ellipsoid", 2, (4,))[0] is pts
@@ -282,16 +332,25 @@ def test_caratheodory_bound_projects_only_the_pair(monkeypatch):
 
 
 def test_one_slice_march_per_segment(monkeypatch):
-    def whole_stack(dom, pts):
-        assert pts.shape == (_N_CENTERS * _N_RAYS, dom.n)
+    # One march: the first rho call takes every ray of every centre at
+    # once, later calls only the rays that can still set a radius.
+    whole = _N_CENTERS * _N_RAYS
+    rows = []
+
+    def stacked(dom, pts):
+        assert pts.ndim == 2 and pts.shape[1] == dom.n
+        rows.append(pts.shape[0])
 
     egg = make_domain("egg4")
     calls = {}
-    _counted(monkeypatch, calls, geodesics_metrics, "defining_function", whole_stack)
+    _counted(monkeypatch, calls, geodesics_metrics, "defining_function", stacked)
     _counted(monkeypatch, calls, geodesics_metrics, "slice_upper_bound")
     geodesics_metrics.slice_upper_bound(egg, np.array([0.3, 0.2j]), np.array([-0.1, 0.4]))
     assert calls["slice_upper_bound"] == 1
     assert calls["defining_function"] <= 80
+    assert rows[0] == whole
+    assert max(rows) <= whole
+    assert sum(rows) <= 0.25 * len(rows) * whole
 
 
 def test_caratheodory_bound_cases():

@@ -28,7 +28,7 @@ from pluripot import (
     minkowski_gauge,
     poisson_kernel,
 )
-from pluripot import kernels
+from pluripot import _jets, kernels
 from pluripot.kernels import _closed_form, _log_tanh_half
 
 from oracles import egg_distance_one_pair, log_tanh_half, poisson_disc, poisson_halfplane
@@ -480,6 +480,20 @@ def test_closed_form_kernel_refuses_points_outside():
         u(np.array([0.0, 1.1]))
     with pytest.raises(UnsupportedDomainError):
         ClosedFormKernel(egg, [0.6, 0.64 ** 0.25], 1.0)
+
+
+@pytest.mark.parametrize("spec, xi, z", [("disc", [1.0], [[0.3]]), ("half_plane", [0.0], [[-1.0]])])
+def test_closed_form_kernel_refuses_jets_without_a_jet_form(monkeypatch, spec, xi, z):
+    # Only the ball and egg forms take jets; elsewhere many() refuses a
+    # JetPoint before it checks or evaluates any point.
+    def refuse(*args):
+        raise AssertionError("many() evaluated a point")
+
+    u = ClosedFormKernel(make_domain(spec), xi, 1.0)
+    u._form = refuse
+    monkeypatch.setattr(kernels, "_inside_rows", refuse)
+    with pytest.raises(UnsupportedDomainError, match="jet"):
+        u.many(_jets.JetPoint(np.array(z, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
