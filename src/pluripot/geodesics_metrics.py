@@ -503,9 +503,11 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
     thetas = np.exp(2j * np.pi * np.arange(_N_RAYS) / _N_RAYS)
     offsets = np.tile(thetas[:, None] * direction, (k, 1))
     base = np.repeat(centers, _N_RAYS, axis=0)
-    # The stack holds each centre's remaining rays in a run of counts[i];
-    # a centre keeps its ray of smallest hi, so no run is ever empty.
+    # Centre i's remaining rays are the run of counts[i] rows from
+    # first[i]; a centre keeps its ray of smallest hi, so no run is ever
+    # empty, as reduceat needs.
     counts = np.full(k, _N_RAYS)
+    first = np.arange(0, k * _N_RAYS, _N_RAYS)
 
     def inside(t):
         # t is real, so every loop of numpy's complex multiply, fused or
@@ -527,18 +529,17 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
         if np.max(hi) > 64.0:
             raise UnsupportedDomainError("slice bound needs a bounded domain")
     for _ in range(64):
-        first = np.cumsum(counts) - counts
         keep = lo < np.repeat(np.minimum.reduceat(hi, first), counts)
         if not keep.all():
             lo, hi, offsets, base = lo[keep], hi[keep], offsets[keep], base[keep]
             counts = np.add.reduceat(keep, first, dtype=np.intp)
+            first = np.cumsum(counts) - counts
         mid = 0.5 * (lo + hi)
         if ((mid == lo) | (mid == hi)).all():
             break
         mask = inside(mid)
         lo = np.where(mask, mid, lo)
         hi = np.where(mask, hi, mid)
-    first = np.cumsum(counts) - counts
     return np.minimum.reduceat(lo, first) * math.cos(math.pi / _N_RAYS) - 1e-12
 
 
