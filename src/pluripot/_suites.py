@@ -16,7 +16,7 @@ import numpy as np
 from . import boundary_measure, dilation_jwc, geodesics_metrics, kernels
 from .domain_core import (Domain, _brentq_rows, boundary_distance, boundary_point, make_domain,
                           minkowski_gauge)
-from .errors import DomainError, UnsupportedDomainError
+from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 from .hyperbolic_models import annulus_horofunction, horofunction_disc
 from .pluripotential_verify import (VerificationReport, _exact_hessians, _geodesic_family,
                                     _geodesic_laplacians, _monge_ampere_bounds, _monge_ampere_residual,
@@ -166,6 +166,8 @@ def _points_at_delta(dom: Domain, curves, delta: float) -> np.ndarray:
 
     k = len(curves)
     t_star = _brentq_rows(f, np.full(k, 0.5), np.full(k, 1.0 - 1e-9), xtol=1e-15)
+    if np.isnan(t_star).any():
+        raise ConvergenceError("root finder: no point at the boundary distance on a curve")
     return np.array([curve(t) for curve, t in zip(curves, t_star.tolist())])
 
 

@@ -275,16 +275,20 @@ def gradient(domain: Domain, z):
 
 
 def _fd_gradient(domain: Domain, pts):
+    """Central differences of step 1e-7, each point's 4n stencil points
+    taken by one rho call: a row of a stack is the point alone, bit for
+    bit (one call over the whole stack would tie a row to the rounding
+    of its stack)."""
     h = 1e-7
-    flat = pts.reshape(-1, domain.n)
+    n = domain.n
+    eye = h * np.eye(n)
+    steps = np.concatenate([eye, -eye, 1j * eye, -1j * eye])
+    flat = pts.reshape(-1, n)
     out = np.empty_like(flat)
     for i, z in enumerate(flat):
-        for j in range(domain.n):
-            e = np.zeros(domain.n, dtype=complex)
-            e[j] = 1.0
-            dx = (defining_function(domain, z + h * e) - defining_function(domain, z - h * e)) / (2 * h)
-            dy = (defining_function(domain, z + 1j * h * e) - defining_function(domain, z - 1j * h * e)) / (2 * h)
-            out[i, j] = complex(dx) + 1j * complex(dy)
+        vals = defining_function(domain, z + steps)
+        out.real[i] = (vals[:n] - vals[n:2 * n]) / (2 * h)
+        out.imag[i] = (vals[2 * n:3 * n] - vals[3 * n:]) / (2 * h)
     return out.reshape(pts.shape)
 
 
@@ -365,10 +369,6 @@ def _brent(a, b, xtol):
     raise ConvergenceError(f"root finder: no convergence in {_BRENT_MAXITER} steps")
 
 
-def _nan_error(x):
-    return ConvergenceError(f"root finder: f({x!r}) is NaN")
-
-
 def brentq(f, a, b, xtol) -> float:
     """Root of the scalar function f in [a, b] by Brent's method.
 
@@ -385,7 +385,7 @@ def brentq(f, a, b, xtol) -> float:
     while True:
         fx = float(f(x))
         if math.isnan(fx):
-            raise _nan_error(x)
+            raise ConvergenceError(f"root finder: f({x!r}) is NaN")
         try:
             x = steps.send(fx)
         except StopIteration as done:
@@ -397,23 +397,27 @@ def _brentq_rows(f, a, b, xtol) -> np.ndarray:
 
     Problem i brackets its root in [a[i], b[i]].  f(x, rows) evaluates
     the problems whose indices are the array rows at the array x, in one
-    call per Brent step for all problems still open.
+    call per Brent step for all problems still open.  A problem fails
+    where brentq would raise (f is NaN, a bracket with one sign, no
+    convergence): its root is NaN and the others go on.
     """
     solvers = [_brent(ai, bi, xtol) for ai, bi in zip(a.tolist(), b.tolist())]
     rows = list(range(len(solvers)))
     xs = [next(s) for s in solvers]
-    roots = np.empty(len(solvers))
+    roots = np.full(len(solvers), math.nan)
     while rows:
         fxs = f(np.array(xs), np.array(rows, dtype=np.intp)).tolist()
         open_rows, open_xs = [], []
         for i, x, fx in zip(rows, xs, fxs):
             if math.isnan(fx):
-                raise _nan_error(x)
+                continue
             try:
                 open_xs.append(solvers[i].send(fx))
                 open_rows.append(i)
             except StopIteration as done:
                 roots[i] = done.value
+            except ConvergenceError:
+                pass
         rows, xs = open_rows, open_xs
     return roots
 
@@ -474,6 +478,8 @@ def _stacked_gauge(domain: Domain, pts):
         hi[high] *= 2.0
         high[high] = excess(hi[high], every[high]) > 0.0
     gauges[live] = _brentq_rows(excess, lo, hi, xtol=1e-300)
+    if np.isnan(gauges).any():
+        raise ConvergenceError("gauge: the root finder failed on a row")
     return gauges
 
 
@@ -483,6 +489,17 @@ def unit_normal(domain: Domain, position) -> np.ndarray:
     if norm == 0.0:
         raise DomainError("vanishing gradient; not a smooth boundary point")
     return g / norm
+
+
+def _unit_normals(domain: Domain, pts) -> np.ndarray:
+    """Outward unit normals of a stack (k, n) of boundary points, from one
+    gradient call; each row is bit for bit unit_normal's.  A vanishing
+    gradient raises DomainError, as there."""
+    g = gradient(domain, pts)
+    norms = _row_norm(g)
+    if (norms == 0.0).any():
+        raise DomainError("vanishing gradient; not a smooth boundary point")
+    return g / norms[:, None]
 
 
 def _tangent_frame(normal: np.ndarray) -> np.ndarray:
@@ -799,7 +816,11 @@ def _any_outward_seed(domain: Domain, pt):
 
 
 def _shoot_to_boundary(domain: Domain, pt, direction):
-    """Root of rho along pt + t * direction, t > 0."""
+    """Root of rho along pt + t * direction, t > 0.
+
+    One ray: the sequential shots of _shooting_foot take it, since a fan
+    of one (_shoot_fan) costs about 140 us against its 95 us.
+    """
 
     def f(t):
         return float(defining_function(domain, pt + t * direction))
@@ -813,6 +834,37 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
         raise ConvergenceError("could not bracket the boundary along the ray")
     t = brentq(f, 0.0, hi, xtol=1e-15)
     return pt + t * direction
+
+
+def _shoot_fan(domain: Domain, pt, directions):
+    """The boundary points pt + t_i * directions[i] of a fan of rays
+    (k, n) from pt, as a stack, dropping each ray that finds none.
+
+    Each ray brackets its root as _shoot_to_boundary does (t = 1,
+    doubled at most 60 times until rho > 0), and the bracketed rays take
+    one lockstep _brentq_rows, one rho call per step for the fan; so a
+    ray is its own _shoot_to_boundary wherever rho rounds a point of a
+    stack as it rounds the point alone.  A ray that cannot be bracketed,
+    or whose run meets NaN or fails, is dropped alone.  128 rays cost
+    about 1.5 ms against 6.8 ms one at a time.
+    """
+
+    def rho(t, rows):
+        return defining_function(domain, pt + t[:, None] * directions[rows])
+
+    hi = np.ones(len(directions))
+    rows = np.arange(len(directions))
+    for _ in range(60):
+        rows = rows[~(rho(hi[rows], rows) > 0.0)]
+        if not rows.size:
+            break
+        hi[rows] *= 2.0
+    shot = np.ones(len(directions), dtype=bool)
+    shot[rows] = False
+    rows = np.flatnonzero(shot)
+    t = _brentq_rows(lambda x, i: rho(x, rows[i]), np.zeros(rows.size), hi[rows], xtol=1e-15)
+    hit = ~np.isnan(t)
+    return pt + t[hit, None] * directions[rows[hit]]
 
 
 def levi_data(domain: Domain, xi):

@@ -328,7 +328,7 @@ def _exact_distances(dom: Domain, z, w) -> list:
     if k == "ellipsoid":
         vals = _egg_distance_exact(dom, zs, ws)
     elif k == "half_plane":
-        vals = [hyperbolic_models.halfplane_distance(a[0], b[0]) for a, b in zip(zs, ws)]
+        vals = hyperbolic_models.halfplane_distance(zs[:, 0], ws[:, 0]).tolist()
     elif k == "annulus":
         vals = [hyperbolic_models.annulus_distance(dom.r, a[0], b[0]) for a, b in zip(zs, ws)]
     else:
@@ -405,8 +405,7 @@ def _lattice_support(kind: str, n: int, m: tuple):
     dom = Domain(kind=kind, n=n, m=m)
     dirs = _lattice_directions(n, 64 * n)
     pts = dirs / minkowski_gauge(dom, dirs)[:, None]
-    g = domain_core.gradient(dom, pts)
-    normals = g / _row_norm(g)[:, None]
+    normals = domain_core._unit_normals(dom, pts)
     pts.flags.writeable = False
     normals.flags.writeable = False
     return pts, normals
@@ -420,26 +419,19 @@ def _supporting_points(dom: Domain, z, w):
     The balanced kinds take the lattice points from _lattice_support
     beside the two feet; the annulus takes 64 points of the outer circle
     and the feet that lie on it; general_convex shoots the lattice
-    directions from z.
+    directions from z as one fan (domain_core._shoot_fan).  The normals
+    of the last two come from one gradient call.
     """
     feet = domain_core.boundary_project(dom, np.array([z, w]))[0]
     if dom.kind in ("disc", "ball", "ellipsoid"):
         pts, normals = _lattice_support(dom.kind, dom.n, dom.m)
-        g = domain_core.gradient(dom, feet)
-        return np.concatenate([pts, feet]), np.concatenate([normals, g / _row_norm(g)[:, None]])
-    pts = []
+        return np.concatenate([pts, feet]), np.concatenate([normals, domain_core._unit_normals(dom, feet)])
     if dom.kind == "annulus":
         thetas = np.exp(2j * np.pi * np.arange(64) / 64.0)
-        pts.extend(np.array([t]) for t in thetas)
-        pts.extend(xi for xi in feet if abs(xi[0]) >= (1.0 + dom.r) / 2.0)
+        pts = np.concatenate([thetas[:, None], feet[np.abs(feet[:, 0]) >= (1.0 + dom.r) / 2.0]])
     else:
-        for v in _lattice_directions(dom.n, 64 * dom.n):
-            try:
-                pts.append(domain_core._shoot_to_boundary(dom, z, v))
-            except ConvergenceError:
-                continue
-        pts.extend(feet)
-    return np.array(pts), np.array([domain_core.unit_normal(dom, eta) for eta in pts])
+        pts = np.concatenate([domain_core._shoot_fan(dom, z, _lattice_directions(dom.n, 64 * dom.n)), feet])
+    return pts, domain_core._unit_normals(dom, pts)
 
 
 def caratheodory_lower_bound(dom: Domain, z, w) -> float:
@@ -460,13 +452,13 @@ def caratheodory_lower_bound(dom: Domain, z, w) -> float:
         return 0.0
     pts, normals = _supporting_points(dom, z, w)
     conj_n = np.conj(normals)
-    pzs = np.sum((z - pts) * conj_n, axis=-1).tolist()
-    pws = np.sum((w - pts) * conj_n, axis=-1).tolist()
+    pz = np.sum((z - pts) * conj_n, axis=-1)
+    pw = np.sum((w - pts) * conj_n, axis=-1)
+    inside = (pz.real < 0.0) & (pw.real < 0.0)
     best = 0.0
-    for pz, pw in zip(pzs, pws):
-        if pz.real >= 0.0 or pw.real >= 0.0:
-            continue
-        best = max(best, hyperbolic_models.halfplane_distance(pz, pw))
+    # Python's max, which a NaN never wins (np.max would return it).
+    for dist in hyperbolic_models.halfplane_distance(pz[inside], pw[inside]).tolist():
+        best = max(best, dist)
     return best
 
 
@@ -557,6 +549,10 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
         raise UnsupportedDomainError("slice bound requires a convex domain")
     if dom.kind == "half_plane":
         raise UnsupportedDomainError("slice bound requires a bounded domain")
+    if _depth == 0:
+        # The split points of [z, w] lie inside by convexity.
+        z = require_interior(dom, z, "z")
+        w = require_interior(dom, w, "w")
     z = as_point(dom, z)
     w = as_point(dom, w)
     sep = float(np.linalg.norm(z - w))

@@ -84,12 +84,29 @@ def _upper_distance(u1, u2) -> float:
     return _k_from_rho(rho, s)
 
 
-def halfplane_distance(w1, w2) -> float:
-    """Hyperbolic distance on {Re w < 0}."""
-    w1, w2 = complex(w1), complex(w2)
-    if w1.real >= 0 or w2.real >= 0:
+def halfplane_distance(w1, w2):
+    """Hyperbolic distance on {Re w < 0}.
+
+    w1 and w2 may also be arrays (broadcast together), as for
+    disc_distance: each pair's distance is bit for bit the pair's alone.
+    The upper half-plane point u = -i w = (Im w, -Re w) is written in
+    reals, and each pair is first scaled by the power of two of its
+    largest coordinate, which is exact and keeps |u1 - conj(u2)|^2 clear
+    of overflow and underflow at any common magnitude from 1e-300 to
+    1e300.  Returns a float for scalars, else an array.
+    """
+    w1 = np.asarray(w1, dtype=complex)
+    w2 = np.asarray(w2, dtype=complex)
+    if (w1.real >= 0).any() or (w2.real >= 0).any():
         raise DomainError("points must satisfy Re w < 0")
-    return _upper_distance(-1j * w1, -1j * w2)
+    x1, y1, x2, y2 = np.broadcast_arrays(w1.imag, -w1.real, w2.imag, -w2.real)
+    top = np.maximum(np.maximum(np.abs(x1), y1), np.maximum(np.abs(x2), y2))
+    shift = -np.frexp(top)[1]
+    x1, y1, x2, y2 = (np.ldexp(c, shift) for c in (x1, y1, x2, y2))
+    den = _hypot_sq(x1 - x2, y1 + y2)
+    rho = np.hypot(x1 - x2, y1 - y2) / np.sqrt(den)
+    s = 4.0 * y1 * y2 / den
+    return _k_from_rho_many(rho, s)
 
 
 def horofunction_disc(xi, p, zeta) -> float:

@@ -4,8 +4,8 @@ Each is an independent route to a quantity the package computes
 another way: the disc and half-plane kernels and the Cayley transform in
 closed form, the strip distance on one lift, a radial angular-derivative
 ladder with its own cut rules, a Monte-Carlo boundary measure, and the
-one-pair disc and ball distance formulas in Python's scalar arithmetic,
-which the package's stacked distances must match bit for bit, the
+one-pair disc, ball and half-plane distance formulas in Python's scalar
+arithmetic, which the package's stacked distances must match bit for bit, the
 nearest boundary point of one point kind by kind, which the package's
 stacked projection must match bit for bit, the two
 distance bounds centre by centre and point by point, which the stacked
@@ -80,6 +80,22 @@ def disc_distance_formula(z1, z2) -> float:
     den = abs(1.0 - np.conj(z2) * z1) ** 2
     rho = abs(z1 - z2) / math.sqrt(den)
     s = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2) / den
+    return _k_from_rho(rho, s)
+
+
+def halfplane_distance_formula(w1, w2) -> float:
+    """Hyperbolic distance on {Re w < 0}, one pair in scalar arithmetic:
+    the upper half-plane distance of u = -i w, after scaling both points
+    by the power of two of the pair's largest coordinate."""
+    w1, w2 = complex(w1), complex(w2)
+    if w1.real >= 0 or w2.real >= 0:
+        raise DomainError("points must satisfy Re w < 0")
+    u1, u2 = -1j * w1, -1j * w2
+    scale = math.ldexp(1.0, -math.frexp(max(abs(u1.real), u1.imag, abs(u2.real), u2.imag))[1])
+    u1, u2 = u1 * scale, u2 * scale
+    den = abs(u1 - u2.conjugate()) ** 2
+    rho = abs(u1 - u2) / math.sqrt(den)
+    s = 4.0 * u1.imag * u2.imag / den
     return _k_from_rho(rho, s)
 
 
@@ -230,7 +246,7 @@ def caratheodory_lower_bound_per_pair(dom: Domain, z, w) -> float:
         pw = complex(np.sum((w - eta) * np.conj(nrm)))
         if pz.real >= 0.0 or pw.real >= 0.0:
             continue
-        best = max(best, hyperbolic_models.halfplane_distance(pz, pw))
+        best = max(best, halfplane_distance_formula(pz, pw))
     return best
 
 

@@ -24,7 +24,7 @@ from pluripot import (
     unit_normal,
 )
 
-from pluripot.domain_core import gradient
+from pluripot.domain_core import _row_norm, gradient
 
 from oracles import (boundary_project_one_point, closed_form_poisson, ellipsoid_nearest_per_pair,
                      gauge_one_point)
@@ -739,6 +739,75 @@ def test_brentq_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(domain_core, "_BRENT_MAXITER", 3)
     with pytest.raises(ConvergenceError, match="3 steps"):
         domain_core.brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15)
+
+
+def test_failed_lockstep_row_is_nan_and_the_others_go_on():
+    # Row 1 brackets with one sign, row 2 meets NaN: each ends as NaN,
+    # where brentq raises; rows 0 and 3 are brentq's roots.
+    consts = [2.0, -1.0, 0.5, 0.1]
+
+    def f(x, rows):
+        return np.array([math.nan if i == 2 and xi > 0.3 else xi ** 3 - consts[i]
+                         for i, xi in zip(rows.tolist(), x.tolist())])
+
+    roots = domain_core._brentq_rows(f, np.zeros(4), np.full(4, 2.0), xtol=1e-15)
+    assert np.isnan(roots[1]) and np.isnan(roots[2])
+    for i, c in ((0, 2.0), (3, 0.1)):
+        assert roots[i] == domain_core.brentq(lambda x: x ** 3 - c, 0.0, 2.0, xtol=1e-15)
+
+
+_FAN_SPECS = ["egg4", "egg6", "ball2", {"kind": "ellipsoid", "m": [4, 6]}]
+
+
+@pytest.mark.parametrize("spec", _FAN_SPECS)
+def test_fan_rays_are_the_one_ray_shots(spec):
+    from pluripot.geodesics_metrics import _lattice_directions
+    dom = make_domain(spec)
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal((8, 2 * dom.n))
+    dirs = np.concatenate([_lattice_directions(dom.n, 64 * dom.n), raw[:, :dom.n] + 1j * raw[:, dom.n:]])
+    for _ in range(4):
+        v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+        pt = v / minkowski_gauge(dom, v) * rng.uniform(0.0, 0.95)
+        fan = domain_core._shoot_fan(dom, pt, dirs)
+        alone = np.array([domain_core._shoot_to_boundary(dom, pt, d) for d in dirs])
+        assert fan.tobytes() == alone.tobytes()
+
+
+def test_fan_drops_a_ray_where_rho_is_nan():
+    # rho is the ball's, but NaN on one lattice ray: beyond the point
+    # (no bracket), or only inside the ball (the Brent run meets NaN).
+    from pluripot.geodesics_metrics import _lattice_directions
+    dirs = _lattice_directions(2, 128)
+    k = 17
+    for pt, inside_only in ((np.array([0.2, -0.1j]), False), (np.zeros(2, dtype=complex), True)):
+        def rho(z, pt=pt, inside_only=inside_only):
+            val = np.sum(np.abs(z) ** 2, axis=-1) - 1.0
+            off = z - pt
+            t = np.sum(off * np.conj(dirs[k]), axis=-1).real
+            on_ray = (_row_norm(off - t[..., None] * dirs[k]) < 1e-12) & (t > 0.0)
+            if inside_only:
+                on_ray &= val < 0.0
+            return np.where(on_ray, math.nan, val)
+
+        dom = make_domain({"kind": "general_convex", "n": 2}, rho=rho)
+        fan = domain_core._shoot_fan(dom, pt, dirs)
+        assert fan.tobytes() == domain_core._shoot_fan(_GC_BALL, pt, np.delete(dirs, k, axis=0)).tobytes()
+
+
+def test_general_convex_gradient_and_normal_rows_are_the_point_alone():
+    egg = make_domain({"kind": "general_convex", "n": 2},
+                      rho=lambda z: np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** 4 - 1.0)
+    rng = np.random.default_rng(5)
+    for dom in (_GC_BALL, egg):
+        pts = 0.5 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        stacked = gradient(dom, pts)
+        assert stacked.tobytes() == np.array([gradient(dom, p) for p in pts]).tobytes()
+        assert gradient(dom, pts.reshape(2, 3, 2)).tobytes() == stacked.tobytes()
+        normals = domain_core._unit_normals(dom, pts)
+        assert normals.tobytes() == np.array([unit_normal(dom, p) for p in pts]).tobytes()
+    with pytest.raises(DomainError, match="vanishing gradient"):
+        unit_normal(_GC_BALL, np.zeros(2))
 
 
 def test_levi_data_ball():

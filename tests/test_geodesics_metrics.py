@@ -1,13 +1,14 @@
 """Catalogued geodesics, the distance engine, and asymptoticity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pluripot import domain_core, geodesics_metrics
+from pluripot import DomainError, defining_function, domain_core, geodesics_metrics
 from pluripot import (
     asymptoticity_gap,
     ball_geodesic,
@@ -24,6 +25,7 @@ from pluripot import (
     slice_upper_bound,
 )
 
+from pluripot.domain_core import _row_norm
 from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _distance_form, _inscribed_disc_radius,
                                         _lattice_support)
 from pluripot.kernels import _green_form
@@ -365,6 +367,53 @@ def test_caratheodory_bound_cases():
     for t1, t2 in ((0.0, 0.5), (-0.3, 0.7)):
         lb = caratheodory_lower_bound(disc, [t1], [t2])
         assert lb <= disc_distance(t1, t2) + 1e-9
+
+
+_GC_EGG4 = make_domain({"kind": "general_convex", "n": 2},
+                       rho=lambda z: np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** 4 - 1.0)
+
+
+@pytest.mark.parametrize("spec", ["ball2", "egg4"])
+def test_general_convex_support_half_spaces_contain_the_domain(spec):
+    # The fan's boundary points and the feet, with their normals from
+    # one gradient call: every sampled interior point lies in each
+    # tangent half-space Re <x - eta, n> < 0.
+    dom = make_domain(spec)
+    gen = _MARCH_DOMAINS["general_convex ball2"] if spec == "ball2" else _GC_EGG4
+    rng = np.random.default_rng(41)
+    samples = np.array([_random_interior(dom, rng, lo=0.0, hi=0.99) for _ in range(300)])
+    for _ in range(4):
+        z, w = _random_interior(dom, rng, lo=0.3), _random_interior(dom, rng, lo=0.3)
+        pts, normals = geodesics_metrics._supporting_points(gen, z, w)
+        assert pts.shape == normals.shape == (130, 2)
+        assert np.abs(defining_function(gen, pts)).max() < 1e-12
+        assert np.abs(_row_norm(normals) - 1.0).max() < 1e-15
+        pairing = np.sum((samples[:, None, :] - pts[None]) * np.conj(normals[None]), axis=-1)
+        assert (pairing.real < 0.0).all()
+
+
+def test_general_convex_ball_lower_bound_below_the_ball_distance():
+    ball = make_domain("ball2")
+    gen = _MARCH_DOMAINS["general_convex ball2"]
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        z, w = _random_interior(ball, rng, lo=0.3, hi=0.95), _random_interior(ball, rng, lo=0.3, hi=0.95)
+        assert 0.0 < caratheodory_lower_bound(gen, z, w) <= kobayashi_distance(ball, z, w).value
+
+
+@pytest.mark.parametrize("dom", [make_domain("egg4"), _GC_EGG4], ids=["egg4", "general_convex egg4"])
+def test_slice_upper_bound_refuses_exterior_and_nan_points(dom):
+    # As kobayashi_distance and caratheodory_lower_bound do, at once and
+    # without a warning, rather than after marching the subdivisions.
+    inside = np.array([0.3, 0.2j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.array([1.2, 0.0]), np.array([math.nan, 0.1])):
+            for z, w, name in ((bad, inside, "z"), (inside, bad, "w"), (bad, bad, "z")):
+                with pytest.raises(DomainError, match=f"{name} must lie inside"):
+                    slice_upper_bound(dom, z, w)
+            with pytest.raises(DomainError):
+                caratheodory_lower_bound(dom, bad, inside)
 
 
 def test_slice_upper_bound_cases():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import (
     DomainError,
@@ -17,8 +19,8 @@ from pluripot import (
 )
 from pluripot._extrap import aitken
 
-from oracles import (AngularApproach, angular_derivative, cayley, cayley_inverse, poisson_disc,
-                     poisson_halfplane, strip_distance)
+from oracles import (AngularApproach, angular_derivative, cayley, cayley_inverse,
+                     halfplane_distance_formula, poisson_disc, poisson_halfplane, strip_distance)
 
 
 def _mobius(a, theta):
@@ -97,6 +99,46 @@ def test_poisson_disc_matches_horofunction_ladder():
 def test_halfplane_distance_against_disc():
     z, w = 0.2 + 0.1j, -0.3 + 0.4j
     assert abs(halfplane_distance(cayley(z), cayley(w)) - disc_distance(z, w)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exponent=st.integers(-300, 300), shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
+       bad=st.sampled_from([None, 0.0, -0.0, 1e-300, 2.5]), data=st.data())
+def test_stacked_halfplane_distance_is_the_one_pair_formula(exponent, shape, bad, data):
+    # Pairs at a common magnitude 10^exponent, Im w possibly a signed
+    # zero; with bad set, one Re w of the stack is >= 0.
+    scale = 10.0 ** exponent
+    size = math.prod(shape)
+    mantissa = st.floats(1e-6, 1e6)
+    ims = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(lambda x, sign: sign * x * scale, mantissa,
+                                                            st.sampled_from([1.0, -1.0])))
+    pts = [complex(-data.draw(mantissa) * scale, data.draw(ims)) for _ in range(2 * size)]
+    if bad is not None:
+        i = data.draw(st.integers(0, 2 * size - 1))
+        pts[i] = complex(bad, pts[i].imag)
+    w1, w2 = np.array(pts[:size]).reshape(shape), np.array(pts[size:]).reshape(shape)
+    if bad is not None:
+        with pytest.raises(DomainError):
+            halfplane_distance(w1, w2)
+        with pytest.raises(DomainError):
+            [halfplane_distance_formula(a, b) for a, b in zip(w1.ravel(), w2.ravel())]
+        return
+    got = halfplane_distance(w1, w2)
+    want = np.array([halfplane_distance_formula(a, b) for a, b in zip(w1.ravel(), w2.ravel())])
+    assert type(got) is (float if shape == () else np.ndarray)
+    assert np.array(got).tobytes() == want.reshape(shape).tobytes()
+    assert np.isfinite(want).all()
+
+
+def test_halfplane_distance_at_extreme_common_magnitudes():
+    # The distance is invariant under w -> t w (t > 0): exactly so for
+    # powers of two, to rounding for powers of ten.
+    w1, w2 = -1.0 + 0.5j, -0.25 - 2.0j
+    base = halfplane_distance(w1, w2)
+    for k in (-996, -500, 500, 996):
+        assert halfplane_distance(w1 * 2.0 ** k, w2 * 2.0 ** k) == base
+    for e in (-300, 300):
+        assert abs(halfplane_distance(w1 * 10.0 ** e, w2 * 10.0 ** e) - base) < 1e-14 * base
 
 
 def test_annulus_distance_basics():
