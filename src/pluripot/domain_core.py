@@ -819,7 +819,8 @@ def _shoot_to_boundary(domain: Domain, pt, direction):
     """Root of rho along pt + t * direction, t > 0.
 
     One ray: the sequential shots of _shooting_foot take it, since a fan
-    of one (_shoot_fan) costs about 140 us against its 95 us.
+    of one (_shoot_fan) costs more (about 235 us against 70 us on a
+    general_convex egg4, 2-core x86_64).
     """
 
     def f(t):
@@ -846,7 +847,8 @@ def _shoot_fan(domain: Domain, pt, directions):
     ray is its own _shoot_to_boundary wherever rho rounds a point of a
     stack as it rounds the point alone.  A ray that cannot be bracketed,
     or whose run meets NaN or fails, is dropped alone.  128 rays cost
-    about 1.5 ms against 6.8 ms one at a time.
+    about 1.9 ms against 9 ms one at a time (general_convex egg4, 2-core
+    x86_64).
     """
 
     def rho(t, rows):
