@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import domain_core, hyperbolic_models
-from .domain_core import (Domain, BoundaryPoint, _row_norm, as_point, defining_function,
+from .domain_core import (Domain, BoundaryPoint, _inside_rows, _row_norm, as_point, defining_function,
                           minkowski_gauge, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
@@ -444,10 +444,14 @@ def caratheodory_lower_bound(dom: Domain, z, w) -> float:
     kinds and for the annulus through its outer circle.  On the disc,
     the ball and the ellipsoids the 64 n lattice points and their
     normals are built once per (kind, n, m); only the nearest boundary
-    points of z and w are found per pair.
+    points of z and w are found per pair.  DomainError names z or w
+    unless it lies inside (rho < 0; NaN fails), as in slice_upper_bound.
     """
     z = as_point(dom, z)
     w = as_point(dom, w)
+    for name, ok in zip("zw", _inside_rows(dom, np.stack([z, w])).tolist()):
+        if not ok:
+            raise DomainError(f"{name} must lie inside the domain")
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
     pts, normals = _supporting_points(dom, z, w)

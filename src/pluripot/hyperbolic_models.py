@@ -84,6 +84,10 @@ def _upper_distance(u1, u2) -> float:
     return _k_from_rho(rho, s)
 
 
+_TINY = float(np.finfo(float).tiny)
+_LN2 = math.log(2.0)
+
+
 def halfplane_distance(w1, w2):
     """Hyperbolic distance on {Re w < 0}.
 
@@ -93,7 +97,10 @@ def halfplane_distance(w1, w2):
     reals, and each pair is first scaled by the power of two of its
     largest coordinate, which is exact and keeps |u1 - conj(u2)|^2 clear
     of overflow and underflow at any common magnitude from 1e-300 to
-    1e300.  Returns a float for scalars, else an array.
+    1e300.  Where 1 - rho^2 = 4 y1 y2 / den still underflows (to 0 or a
+    subnormal), at magnitudes further apart, k = log((1 + rho)^2) - log of
+    it, the log taken factor by factor on the unscaled y.  Returns a
+    float for scalars, else an array.
     """
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
@@ -102,11 +109,18 @@ def halfplane_distance(w1, w2):
     x1, y1, x2, y2 = np.broadcast_arrays(w1.imag, -w1.real, w2.imag, -w2.real)
     top = np.maximum(np.maximum(np.abs(x1), y1), np.maximum(np.abs(x2), y2))
     shift = -np.frexp(top)[1]
-    x1, y1, x2, y2 = (np.ldexp(c, shift) for c in (x1, y1, x2, y2))
-    den = _hypot_sq(x1 - x2, y1 + y2)
-    rho = np.hypot(x1 - x2, y1 - y2) / np.sqrt(den)
-    s = 4.0 * y1 * y2 / den
-    return _k_from_rho_many(rho, s)
+    sx1, sy1, sx2, sy2 = (np.ldexp(c, shift) for c in (x1, y1, x2, y2))
+    den = _hypot_sq(sx1 - sx2, sy1 + sy2)
+    rho = np.hypot(sx1 - sx2, sy1 - sy2) / np.sqrt(den)
+    s = 4.0 * sy1 * sy2 / den
+    tiny = s < _TINY
+    if not tiny.any():
+        return _k_from_rho_many(rho, s)
+    # log s = log 4 + log y1 + log y2 - log den: the scaled y are y 2^shift.
+    rows = zip(*(np.ravel(a).tolist() for a in (rho, s, y1, y2, shift, den)))
+    vals = [math.log((1.0 + r) ** 2) - (math.log(a) + math.log(b) + 2 * (e + 1) * _LN2 - math.log(d))
+            if t < _TINY else _k_from_rho(r, t) for r, t, a, b, e, d in rows]
+    return vals[0] if rho.ndim == 0 else np.array(vals).reshape(rho.shape)
 
 
 def horofunction_disc(xi, p, zeta) -> float:

@@ -292,17 +292,72 @@ def _kernel_rows(dom: Domain, xi, z, p=None) -> np.ndarray:
 
     Where xi has a closed form the stack (with p) is one
     ClosedFormKernel.many call, which checks every point inside;
-    elsewhere each row is a one-point call.
+    elsewhere the kernel is a one-point call per row and the
+    horofunction one _horofunction_rows call.
     """
     try:
         omega = ClosedFormKernel(dom, xi, 1.0).many
     except UnsupportedDomainError:
         if p is None:
             return np.array([poisson_kernel(dom, xi, row).value for row in z])
-        return np.array([horofunction(dom, xi, p, row).value for row in z])
+        return np.array([kv.value for kv in _horofunction_rows(dom, xi, [p], z)])
     if p is None:
         return omega(z)
     return _horofunction_many(omega, np.broadcast_to(p, z.shape), z)
+
+
+def _interior_stack(dom: Domain, pts, name) -> np.ndarray:
+    """pts, a stack (k, n) (or (k,) in one variable), as a complex array;
+    DomainError naming it for a row of the wrong shape, or unless every
+    row lies inside (_inside_rows), as require_interior raises it for one
+    point."""
+    stack = np.asarray(pts, dtype=complex)
+    if stack.ndim == 1:
+        stack = stack[:, None]
+    if stack.ndim != 2 or stack.shape[1] != dom.n:
+        raise DomainError(f"expected a point of C^{dom.n}, got shape {stack.shape[1:]}")
+    if not _inside_rows(dom, stack).all():
+        raise DomainError(f"{name} must lie inside the domain")
+    return stack
+
+
+def _horofunction_rows(dom: Domain, xi, p, z, method="auto") -> list:
+    """horofunction at each row of stacks p and z (k, n), p possibly one
+    row for all: a KernelValue per row, bit for bit the row's own.
+
+    The kernel form is one _horofunction_many call.  The ladder takes
+    the rungs once and the distances of all rows in one _distance_rows
+    call, row by row the pairs (z, w_j), then (w_j, p), so a stack of
+    one makes the pairs of one point.  An error is one row's: every p,
+    then every z, is checked inside first, and a failing distance of
+    any row raises before the extrapolation of the first.
+    """
+    xi = boundary_point(dom, xi)
+    p, z = np.broadcast_arrays(_interior_stack(dom, p, "p"), _interior_stack(dom, z, "z"))
+    if method not in ("auto", "kernel", "ladder"):
+        raise DomainError(f"unknown horofunction method {method!r}")
+
+    form = None if method == "ladder" else _closed_form(dom, xi)
+    if form is not None:
+        return [KernelValue(v, "closed_form", 0.0) for v in _horofunction_many(form, p, z).tolist()]
+    if method == "kernel":
+        raise _no_closed_form(dom)
+
+    js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
+    ws = np.array(normal_ladder(dom, xi, js))
+    r = len(ws)
+    rungs = np.broadcast_to(ws, (len(z), r, dom.n))
+    zs = np.concatenate([np.broadcast_to(z[:, None], rungs.shape), rungs], axis=1)
+    ps = np.concatenate([rungs, np.broadcast_to(p[:, None], rungs.shape)], axis=1)
+    dist, width = geodesics_metrics._distance_rows(dom, zs.reshape(-1, dom.n), ps.reshape(-1, dom.n))
+    out = []
+    for i in range(0, len(dist), 2 * r):
+        d, w = dist[i:i + 2 * r], width[i:i + 2 * r]
+        vals = [a - b for a, b in zip(d[:r], d[r:])]
+        widths = max([0.0] + [a + b for a, b in zip(w[:r], w[r:])])
+        est, unc = extrapolate(vals, "horofunction")
+        out.append(KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths)))
+    return out
 
 
 def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
@@ -314,29 +369,9 @@ def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     w_j = xi - 10^-j n_xi; the exact distances of all rungs are one
     stacked call, and a pair without one is sandwiched alone.  "auto"
     is the kernel form where the closed form exists, else the ladder.
+    One point is a stack of one (_horofunction_rows).
     """
-    xi = boundary_point(dom, xi)
-    p = require_interior(dom, p, "p")
-    z = require_interior(dom, z, "z")
-    if method not in ("auto", "kernel", "ladder"):
-        raise DomainError(f"unknown horofunction method {method!r}")
-
-    form = None if method == "ladder" else _closed_form(dom, xi)
-    if form is not None:
-        return KernelValue(float(_horofunction_many(form, p[None], z[None])[0]), "closed_form", 0.0)
-    if method == "kernel":
-        raise _no_closed_form(dom)
-
-    js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
-    ws = np.array(normal_ladder(dom, xi, js))
-    k = len(ws)
-    # The pairs (z, w_j), then (w_j, p).
-    zs = np.concatenate([np.broadcast_to(z, ws.shape), ws])
-    dist, width = geodesics_metrics._distance_rows(dom, zs, np.concatenate([ws, np.broadcast_to(p, ws.shape)]))
-    vals = [a - b for a, b in zip(dist[:k], dist[k:])]
-    widths = max([0.0] + [a + b for a, b in zip(width[:k], width[k:])])
-    est, unc = extrapolate(vals, "horofunction")
-    return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
+    return _horofunction_rows(dom, xi, [p], [z], method)[0]
 
 
 def green_normal_derivative(dom: Domain, xi, z) -> KernelValue:

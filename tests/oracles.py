@@ -14,7 +14,9 @@ the exact egg distance of one pair route by route, which the stacked
 egg distances must match bit for bit, the ellipsoid nearest-point
 Newton run in Python floats per (row, seed), which the array Newton must
 match bit for bit, the gauge of one point by one brentq, which the
-lockstep gauge must match bit for bit, log tanh(k/2) in multiple
+lockstep gauge must match bit for bit, the horofunction of one point
+pair with its own ladder, which the stacked horofunction rows must
+match bit for bit, log tanh(k/2) in multiple
 precision, and at 50 digits the complex Hessian of the kernel at e1 of
 a ball or egg by the quotient rule and the boundary density of a ball
 or egg in C^2 by its closed form.  Besides these, a few readings
@@ -32,13 +34,14 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from pluripot import domain_core, hyperbolic_models
-from pluripot._extrap import extrapolate
-from pluripot.domain_core import Domain, as_point, defining_function
+from pluripot import domain_core, geodesics_metrics, hyperbolic_models
+from pluripot._extrap import extrapolate, normal_ladder
+from pluripot.domain_core import Domain, as_point, boundary_point, defining_function, require_interior
 from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainError
 from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _lattice_directions, egg_geodesic,
                                         egg_invert)
 from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
+from pluripot.kernels import KernelValue, _closed_form, _horofunction_many, _no_closed_form
 
 
 def cayley(zeta) -> complex:
@@ -570,6 +573,35 @@ def gauge_one_point(dom: Domain, z) -> float:
     while excess(hi) > 0.0:
         hi *= 2.0
     return domain_core.brentq(excess, lo, hi, xtol=1e-300)
+
+
+def horofunction_one_point(dom: Domain, xi, p, z, method="auto") -> KernelValue:
+    """kernels.horofunction of one pair (p, z) by its own ladder: the
+    kernel form, or the limit of k(z, w_j) - k(w_j, p) from one
+    _distance_rows call on the pairs (z, w_j), then (w_j, p).  The
+    stacked horofunction rows must give each row these bits."""
+    xi = boundary_point(dom, xi)
+    p = require_interior(dom, p, "p")
+    z = require_interior(dom, z, "z")
+    if method not in ("auto", "kernel", "ladder"):
+        raise DomainError(f"unknown horofunction method {method!r}")
+
+    form = None if method == "ladder" else _closed_form(dom, xi)
+    if form is not None:
+        return KernelValue(float(_horofunction_many(form, p[None], z[None])[0]), "closed_form", 0.0)
+    if method == "kernel":
+        raise _no_closed_form(dom)
+
+    js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
+    ws = np.array(normal_ladder(dom, xi, js))
+    k = len(ws)
+    # The pairs (z, w_j), then (w_j, p).
+    zs = np.concatenate([np.broadcast_to(z, ws.shape), ws])
+    dist, width = geodesics_metrics._distance_rows(dom, zs, np.concatenate([ws, np.broadcast_to(p, ws.shape)]))
+    vals = [a - b for a, b in zip(dist[:k], dist[k:])]
+    widths = max([0.0] + [a + b for a, b in zip(width[:k], width[k:])])
+    est, unc = extrapolate(vals, "horofunction")
+    return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
 
 
 def kernel_hessian_mp(m, z):

@@ -416,6 +416,20 @@ def test_slice_upper_bound_refuses_exterior_and_nan_points(dom):
                 caratheodory_lower_bound(dom, bad, inside)
 
 
+@pytest.mark.parametrize("dom", [make_domain("egg4"), _GC_EGG4], ids=["egg4", "general_convex egg4"])
+def test_caratheodory_lower_bound_refuses_points_not_inside(dom):
+    # Exterior, boundary and NaN points raise before any work, also as
+    # the pair (z, z), whose bound is 0 for an interior z.
+    inside = np.array([0.3, 0.2j])
+    assert caratheodory_lower_bound(dom, inside, inside) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.array([1.2, 0.0]), np.array([1.0, 0.0]), np.array([math.nan, 0.1])):
+            for z, w, name in ((bad, bad, "z"), (bad, inside, "z"), (inside, bad, "w")):
+                with pytest.raises(DomainError, match=f"{name} must lie inside"):
+                    caratheodory_lower_bound(dom, z, w)
+
+
 def test_slice_upper_bound_cases():
     # diameter slices of the ball are totally geodesic; the numerically
     # detected slice region makes the bound accurate only to the ray

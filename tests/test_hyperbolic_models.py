@@ -141,6 +141,31 @@ def test_halfplane_distance_at_extreme_common_magnitudes():
         assert abs(halfplane_distance(w1 * 10.0 ** e, w2 * 10.0 ** e) - base) < 1e-14 * base
 
 
+def test_halfplane_distance_where_one_minus_rho_sq_underflows():
+    # At magnitudes far apart 1 - rho^2 = 4 y1 y2 / den underflows: to 0
+    # (the first pair once raised ZeroDivisionError) or to a subnormal.
+    # The log form gives the 50-digit distance arccosh(1 + |u1 - u2|^2 /
+    # (2 y1 y2)) of u = -i w; in a stack the other pairs keep their bits.
+    import mpmath
+
+    def reference(w1, w2):
+        with mpmath.workdps(50):
+            u1, u2 = -1j * mpmath.mpc(w1), -1j * mpmath.mpc(w2)
+            return float(mpmath.acosh(1 + abs(u1 - u2) ** 2 / (2 * u1.imag * u2.imag)))
+
+    pairs = [(-1e-200, -1e-200 + 1j), (-1e-310, -1.0), (-1e-300, -1e10), (-1e-320, -1e10 + 3e9j),
+             (-1e-300, -1e300 + 5j)]
+    for w1, w2 in pairs:
+        want = reference(w1, w2)
+        assert abs(halfplane_distance(w1, w2) - want) <= 1e-12 * want
+        assert abs(halfplane_distance(w2, w1) - want) <= 1e-12 * want
+    w1 = np.array([-1e-200, -1.0 + 0.5j, -1e-310])
+    w2 = np.array([-1e-200 + 1j, -0.25 - 2.0j, -1.0])
+    got = halfplane_distance(w1, w2)
+    assert got[1] == halfplane_distance(w1[1], w2[1])
+    assert got[0] == halfplane_distance(w1[0], w2[0]) and got[2] == halfplane_distance(w1[2], w2[2])
+
+
 def test_annulus_distance_basics():
     assert annulus_distance(0.5, 0.7, 0.7) == 0.0
     d1 = annulus_distance(0.5, 0.7, 0.8)

@@ -12,6 +12,7 @@ from pluripot import (
     ClosedFormKernel,
     ConvergenceError,
     DomainError,
+    PluripotError,
     UnsupportedDomainError,
     boundary_distance_asymptotic,
     boundary_point,
@@ -31,7 +32,8 @@ from pluripot import (
 from pluripot import _jets, kernels
 from pluripot.kernels import _closed_form, _log_tanh_half
 
-from oracles import egg_distance_one_pair, log_tanh_half, poisson_disc, poisson_halfplane
+from oracles import (egg_distance_one_pair, horofunction_one_point, log_tanh_half, poisson_disc,
+                     poisson_halfplane)
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -560,6 +562,129 @@ def test_horofunction_kernel_form_without_closed_form_raises_at_once(monkeypatch
     monkeypatch.setattr(kernels, "green_normal_derivative", no_ladder)
     with pytest.raises(UnsupportedDomainError, match="no closed-form kernel"):
         horofunction(gc, [1.0, 0.0], [0.0, 0.0], [0.3, 0.2], method="kernel")
+
+
+def _one_point_outcome(fn, *args):
+    """(value, uncertainty, method) of fn's KernelValue, or (type, message) of its error."""
+    try:
+        kv = fn(*args)
+    except PluripotError as exc:
+        return type(exc), str(exc)
+    return kv.value, kv.uncertainty, kv.method
+
+
+def _rows_outcome(dom, xi, p, z, method):
+    """_one_point_outcome of each row of _horofunction_rows, or of its error."""
+    try:
+        rows = kernels._horofunction_rows(dom, xi, p, z, method)
+    except PluripotError as exc:
+        return type(exc), str(exc)
+    return [(kv.value, kv.uncertainty, kv.method) for kv in rows]
+
+
+def _check_stacked_horofunction(dom, xi, ps, zs, methods=("ladder", "auto")):
+    """The stacked horofunction against the moved one-point ladder
+    (oracles.horofunction_one_point), row by row: each row alone (the
+    public horofunction) gives the oracle's bits or error, a stack gives
+    every row's bits when all rows pass, else one failing row's error;
+    one p broadcasts over the stack as it does per point."""
+    for method in methods:
+        want = [_one_point_outcome(horofunction_one_point, dom, xi, p, z, method) for p, z in zip(ps, zs)]
+        assert [_one_point_outcome(horofunction, dom, xi, p, z, method) for p, z in zip(ps, zs)] == want
+        errors = [w for w in want if isinstance(w[0], type)]
+        got = _rows_outcome(dom, xi, ps, zs, method)
+        if errors:
+            assert got in errors
+        else:
+            assert got == want
+        broadcast = [_one_point_outcome(horofunction_one_point, dom, xi, ps[0], z, method) for z in zs]
+        if not any(isinstance(w[0], type) for w in broadcast):
+            assert _rows_outcome(dom, xi, [ps[0]], zs, method) == broadcast
+
+
+_E1 = [1.0, 0.0]
+
+
+@pytest.mark.parametrize("spec", ["ball2", "egg4", "egg6"])
+def test_stacked_horofunction_is_the_one_point_ladder_at_e1(spec):
+    dom = make_domain(spec)
+    rng = np.random.default_rng(7)
+    ps = np.array([_random_interior(dom, rng) for _ in range(6)])
+    zs = np.array([_random_interior(dom, rng) for _ in range(6)])
+    # An axis pair, and a row whose p and z coincide.
+    ps[0], zs[0] = [0.3, 0.0], [-0.2j, 0.0]
+    zs[1] = ps[1]
+    _check_stacked_horofunction(dom, boundary_point(dom, _E1), ps, zs, ("ladder", "auto", "kernel"))
+
+
+def test_stacked_horofunction_is_the_one_point_ladder_on_the_annulus():
+    # Rungs j = 4 ... 11, each pair through annulus_distance.
+    dom = make_domain({"kind": "annulus", "r": 0.5})
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.55, 0.95, 10) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 10))
+    _check_stacked_horofunction(dom, [1.0], pts[:5, None], pts[5:, None])
+
+
+def test_stacked_horofunction_off_axis_xi():
+    # At an off-axis egg4 boundary point the axis pairs are exact, and
+    # the pairs of an off-axis z are sandwiched, where the slice bound
+    # fails to capture the rungs near xi.
+    dom = make_domain("egg4")
+    xi = boundary_point(dom, [0.6, 0.8944271909999159])
+    axis = np.array([[0.1, 0.0], [-0.3, 0.0], [0.2j, 0.0], [0.5, 0.0]])
+    _check_stacked_horofunction(dom, xi, axis[:2], axis[2:])
+    off = np.array([[0.2, 0.1j], [0.1, 0.2]])
+    _check_stacked_horofunction(dom, xi, np.concatenate([axis[:2], axis[:1]]),
+                                np.concatenate([axis[2:], off[:1]]), ("ladder",))
+    _check_stacked_horofunction(dom, xi, axis[:1], off[1:], ("ladder",))
+
+
+_GC_EGG4 = make_domain({"kind": "general_convex", "n": 2},
+                       rho=lambda z: np.abs(z[..., 0]) ** 2 + np.abs(z[..., 1]) ** 4 - 1.0)
+
+
+def test_stacked_horofunction_general_convex_sandwich_rungs(monkeypatch):
+    # Every rung pair of a general_convex domain is sandwiched.  The
+    # slice bound fails this close to the boundary, on both routes alike;
+    # with a sandwich of a width that varies from pair to pair (the exact
+    # egg4 distance +- e), each row gets its own widths.
+    from pluripot import geodesics_metrics
+    from pluripot.geodesics_metrics import DistanceBound
+
+    xi = boundary_point(_GC_EGG4, _E1)
+    _check_stacked_horofunction(_GC_EGG4, xi, np.array([[0.1, 0.0]]), np.array([[0.2, 0.1j]]), ("ladder",))
+
+    egg4 = make_domain("egg4")
+    exact = geodesics_metrics.kobayashi_distance
+
+    def sandwich(dom, z, w):
+        assert dom is _GC_EGG4
+        d = exact(egg4, z, w)
+        assert d.exact
+        e = 1e-9 * (1.0 + abs(complex(z[0] - w[0])) + abs(complex(z[1] - w[1])))
+        return DistanceBound(d.value - e, d.value + e, False)
+
+    monkeypatch.setattr(geodesics_metrics, "kobayashi_distance", sandwich)
+    rng = np.random.default_rng(9)
+    ps = np.array([_random_interior(egg4, rng) for _ in range(4)])
+    zs = np.array([_random_interior(egg4, rng) for _ in range(4)])
+    _check_stacked_horofunction(_GC_EGG4, xi, ps, zs, ("ladder",))
+    widths = [kv.uncertainty for kv in kernels._horofunction_rows(_GC_EGG4, xi, ps, zs, "ladder")]
+    assert min(widths) > 1e-9 and len(set(widths)) == 4
+
+
+def test_stacked_horofunction_refuses_a_point_not_inside():
+    # Every p, then every z, as require_interior names them one at a time.
+    dom = make_domain("egg4")
+    inside = np.array([[0.1, 0.2j], [0.3, 0.0]])
+    bad = np.array([[0.1, 0.2j], [1.2, 0.0]])
+    for p, z, name in ((bad, inside, "p"), (inside, bad, "z"), (bad, bad, "p")):
+        with pytest.raises(DomainError, match=f"{name} must lie inside"):
+            kernels._horofunction_rows(dom, _E1, p, z)
+    with pytest.raises(DomainError, match=r"expected a point of C\^2, got shape \(3,\)"):
+        horofunction(dom, _E1, [0.1, 0.0, 0.0], [0.1, 0.0])
+    with pytest.raises(DomainError, match=r"got shape \(2, 2\)"):
+        horofunction(dom, _E1, [0.1, 0.0], inside)
 
 
 _EPS = float(np.finfo(float).eps)

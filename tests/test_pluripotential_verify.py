@@ -341,13 +341,46 @@ def test_suite_reports_nan_ladder_uncertainty(monkeypatch):
     calls = []
 
     def fake(dom, xi, p, z, method):
+        # NaN in the first row of the first ladder only.
         calls.append(method)
-        unc = math.nan if calls == ["ladder"] else 0.0
-        return SimpleNamespace(value=0.0, uncertainty=unc)
+        uncs = [math.nan if calls == ["ladder"] and i == 0 else 0.0 for i in range(len(z))]
+        return [SimpleNamespace(value=0.0, uncertainty=unc) for unc in uncs]
 
-    monkeypatch.setattr(kernels, "horofunction", fake)
+    monkeypatch.setattr(kernels, "_horofunction_rows", fake)
     first = run_suite("poisson_horofunction")[0]
     assert math.isnan(first.details["ladder_uncertainty_max"])
+
+
+def test_poisson_horofunction_suite_stacks_each_domains_ladder(monkeypatch):
+    # One _distance_rows call per domain takes all 20 pairs' 16 rung
+    # pairs, and one kernel-form call all their closed forms.
+    from pluripot import geodesics_metrics, kernels, run_suite
+
+    ladders, forms = [], []
+    rows, many = geodesics_metrics._distance_rows, kernels._horofunction_many
+
+    def counting_rows(dom, z, w):
+        ladders.append((dom.label, len(z)))
+        return rows(dom, z, w)
+
+    def counting_many(form, p, z):
+        forms.append(len(z))
+        return many(form, p, z)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-point call")
+
+    monkeypatch.setattr(geodesics_metrics, "_distance_rows", counting_rows)
+    monkeypatch.setattr(kernels, "_horofunction_many", counting_many)
+    monkeypatch.setattr(kernels, "horofunction", refused)
+    monkeypatch.setattr(geodesics_metrics, "kobayashi_distance", refused)
+    for config, labels in (({}, ["ball2", "egg4"]), ({"domain": "egg6"}, ["egg6"])):
+        ladders.clear()
+        forms.clear()
+        reports = run_suite("poisson_horofunction", config)
+        assert [rep.verdict for rep in reports] == ["pass"] * len(labels)
+        assert ladders == [(label, 320) for label in labels]
+        assert forms == [20] * len(labels)
 
 
 def test_verdict_fails_closed_on_non_finite():

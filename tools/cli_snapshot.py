@@ -112,6 +112,11 @@ sweep green --domain egg4 --w 0.2,0.3 --z 0.5*t,0.3*s --grid-t=-0.9:0.9:3 --grid
     + [line.split() for line in """\
 sweep poisson --domain egg4 --xi e1 --z t,0 --grid-t=-1:1:5
 sweep poisson --domain egg4 --xi e1 --z log(t),0.5*s --grid-t=-0.95:0.95:9 --grid-s=-1:1:5""".splitlines()]
+    # The horofunction ladder's error path at an off-axis egg4 xi, where
+    # a sandwiched rung pair fails: eval exits 3, each sweep row is an error.
+    + [line.split() for line in """\
+eval horofunction --domain egg4 --xi 0.6,0.8944271909999159 --p 0.1,0 --z 0.2,0.1j
+sweep horofunction --domain egg4 --xi 0.6,0.8944271909999159 --p 0.1,0 --z 0.2*t,0.1j --grid-t=0:1:3""".splitlines()]
 )
 
 
