@@ -26,8 +26,8 @@ from .pluripotential_verify import (HessianSample, VerificationReport, complex_h
 from .boundary_measure import (BoundaryQuadrature, boundary_form_density, build_quadrature,
                                reproduce_pluriharmonic, calibrate_quadrature)
 from .dilation_jwc import (MapUnderTest, map_from_spec, dilation, normalized_dilation,
-                           julia_checks, jwc_derivative_limit, delta_ratio_limit,
-                           omega_preserving_residual, gamma_lambda, special_curve_limit)
+                           julia_checks, omega_preserving_residual, gamma_lambda,
+                           special_curve_limit)
 from ._suites import SUITES, run_suite
 
 __version__ = "0.1.0"
@@ -50,8 +50,7 @@ __all__ = [
     "BoundaryQuadrature", "boundary_form_density", "build_quadrature",
     "reproduce_pluriharmonic", "calibrate_quadrature",
     "MapUnderTest", "map_from_spec", "dilation", "normalized_dilation", "julia_checks",
-    "jwc_derivative_limit", "delta_ratio_limit", "omega_preserving_residual",
-    "gamma_lambda", "special_curve_limit",
+    "omega_preserving_residual", "gamma_lambda", "special_curve_limit",
     "SUITES", "run_suite",
     "__version__",
 ]

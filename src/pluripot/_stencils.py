@@ -4,8 +4,8 @@ All stencils act on real-valued functions u of a point z in C^n (numpy
 complex vector).  The complex Hessian entries are u_{j kbar} =
 d^2 u / dz_j dzbar_k in the convention where u(z) = ||z||^2 has Hessian
 equal to the identity matrix.  They serve the functions that jets
-cannot evaluate: any callable u, a general_convex rho, and the
-Laplacians of the annulus suite.
+cannot evaluate: complex_hessian of any callable u, the Levi form of
+a general_convex rho, and the 5-point Laplacians of the annulus suite.
 """
 
 from __future__ import annotations
@@ -153,12 +153,8 @@ def hessian_richardson(values, z, h):
     return (4.0 * H2 - H1) / 3.0, gaps
 
 
-def five_points(zeta, h):
-    """zeta, zeta + h, zeta - h, zeta + ih, zeta - ih: laplacian_5pt's points, in its order."""
-    return [zeta, zeta + h, zeta - h, zeta + 1j * h, zeta - 1j * h]
-
-
 def laplacian_5pt(u, zeta, h):
     """5-point Laplacian of u at a point of C (full Delta, not 1/4)."""
-    u0, east, west, north, south = [u(w) for w in five_points(complex(zeta), h)]
+    zeta = complex(zeta)
+    u0, east, west, north, south = [u(w) for w in (zeta, zeta + h, zeta - h, zeta + 1j * h, zeta - 1j * h)]
     return (east + west + north + south - 4.0 * u0) / (h * h)

@@ -236,7 +236,7 @@ def suite_monge_ampere(config) -> list:
         curves = _geodesic_family(dom, xi)
         laplacians, lap_bound = [], 0.0
         for phi, dphi, _ in curves:
-            laps, bounds = _geodesic_laplacians(u, phi, zetas, dphi=dphi)
+            laps, bounds = _geodesic_laplacians(u, phi, dphi, zetas)
             laplacians += laps
             lap_bound = _worst(lap_bound, *bounds.tolist())
         reports += [

@@ -179,37 +179,6 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples) -> dict:
     }
 
 
-def jwc_derivative_limit(mp: MapUnderTest, xi, xi_target):
-    """Limit of the normal-component difference quotient at xi.
-
-    Computes <f(z_j) - xi', n'> / <z_j - xi, n> along the inward ladder
-    and extrapolates.  Returns (complex value, uncertainty).
-    """
-    _check_map(mp)
-    bs = boundary_point(mp.source, xi)
-    bt = boundary_point(mp.target, xi_target)
-    quotients = []
-    for z in normal_ladder(mp.source, bs, _JS):
-        w = mp(z)
-        num = complex(np.sum((w - bt.position) * np.conj(bt.normal)))
-        den = complex(np.sum((z - bs.position) * np.conj(bs.normal)))
-        quotients.append(num / den)
-    re, ru = extrapolate([q.real for q in quotients], "JWC quotient (real part)")
-    im, iu = extrapolate([q.imag for q in quotients], "JWC quotient (imaginary part)")
-    return complex(re, im), float(ru + iu)
-
-
-def delta_ratio_limit(mp: MapUnderTest, xi):
-    """Limit of boundary-distance ratios delta'(f(z_j)) / delta(z_j)."""
-    _check_map(mp)
-    vals = []
-    for z in normal_ladder(mp.source, xi, _JS):
-        w = mp(z)
-        vals.append(boundary_distance(mp.target, w) / boundary_distance(mp.source, z))
-    est, unc = extrapolate(vals, "delta ratio")
-    return float(est), float(unc)
-
-
 def _samples(mp: MapUnderTest, samples) -> np.ndarray:
     """The samples, points of the source domain, as one stack (k, n)."""
     return np.reshape([as_point(mp.source, z) for z in samples], (-1, mp.source.n))

@@ -68,12 +68,11 @@ class BoundaryPoint:
 
     tangent_frame has shape (n-1, n); its rows complete the normal to a
     Hermitian-orthonormal basis of C^n.  It is built on first use: few
-    callers read it.  line_type is filled in lazily.
+    callers read it.
     """
 
     position: np.ndarray
     normal: np.ndarray
-    line_type: Optional[int] = None
 
     @functools.cached_property
     def tangent_frame(self) -> np.ndarray:
@@ -512,27 +511,21 @@ def _tangent_frame(normal: np.ndarray) -> np.ndarray:
     return q[:, 1:n].T.copy()
 
 
-def boundary_point(domain: Domain, position, compute_line_type=False) -> BoundaryPoint:
+def boundary_point(domain: Domain, position) -> BoundaryPoint:
     """Package a boundary position with its normal (the frame follows on use).
 
     The position must be finite and satisfy |rho| <= _BOUNDARY_TOL.  A
-    BoundaryPoint is returned unchanged unless its line type is asked for.
+    BoundaryPoint is returned unchanged.
     """
     if isinstance(position, BoundaryPoint):
-        if not compute_line_type:
-            return position
-        position = position.position
+        return position
     pos = as_point(domain, position)
     if not np.all(np.isfinite(pos)):
         raise DomainError("a boundary point must have finite coordinates")
     resid = float(abs(defining_function(domain, pos)))
     if resid > _BOUNDARY_TOL:
         raise DomainError(f"not a boundary point: |rho| = {resid:.3e} exceeds {_BOUNDARY_TOL:g}")
-    nrm = unit_normal(domain, pos)
-    bp = BoundaryPoint(position=pos, normal=nrm)
-    if compute_line_type:
-        bp = BoundaryPoint(position=pos, normal=nrm, line_type=line_type(domain, bp))
-    return bp
+    return BoundaryPoint(position=pos, normal=unit_normal(domain, pos))
 
 
 def boundary_distance(domain: Domain, z):

@@ -1,14 +1,14 @@
 """Plurisubharmonicity, Monge-Ampere, and extremal-family verification.
 
-The psh, Monge-Ampere and harmonicity checks of a function that takes
-jets (the ball and egg-axis closed-form kernels) read its exact
-Hessians, from _jets, with their rounding bounds as the uncertainty.
-Any other callable takes the finite-difference stencils of _stencils,
-with the Richardson gap as the uncertainty.  Every check reports a
-VerificationReport whose verdict is "pass" exactly when the worst
-residual meets the tolerance and it and the uncertainty are finite;
-"inconclusive" appears only when the uncertainty exceeds the failure
-margin.
+The psh, Monge-Ampere and harmonicity checks take a function that
+takes jets (the ball and egg-axis closed-form kernels) and read its
+exact Hessians, from _jets, with their rounding bounds as the
+uncertainty.  The finite-difference stencils of _stencils serve
+complex_hessian and laplacian_1d, which take any callable.  Every check
+reports a VerificationReport whose verdict is "pass" exactly when the
+worst residual meets the tolerance and it and the uncertainty are
+finite; "inconclusive" appears only when the uncertainty exceeds the
+failure margin.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import _jets, _stencils, domain_core, geodesics_metrics, kernels
 from ._stencils import HessianSample, _on_stack, complex_hessian
 from ._extrap import extrapolate
 from .domain_core import Domain, BoundaryPoint
-from .errors import DomainError, UnsupportedDomainError
+from .errors import UnsupportedDomainError
 
 __all__ = ["HessianSample", "VerificationReport", "complex_hessian", "laplacian_1d",
            "laplacian_noise_floor", "phragmen_lindelof_compare"]
@@ -115,19 +115,17 @@ def _exact_hessians(u, points) -> _ExactHessians:
     return _ExactHessians(points=points, eigenvalues=np.linalg.eigvalsh(matrices), bounds=bounds)
 
 
-def _monge_ampere_residual(hessians):
-    """Scale-free Monge-Ampere residual |det H| / lambda_max^n.
+def _monge_ampere_residual(hessians: _ExactHessians):
+    """Scale-free Monge-Ampere residual |det H| / lambda_max^n, one per point.
 
-    Of one HessianSample a float, of an _ExactHessians stack an array
-    with one residual per point.  It vanishes (up to the error of H)
-    exactly when the complex Hessian is degenerate, as it is for
-    maximal plurisubharmonic functions; 0 where H is 0.
+    It vanishes (up to the error of H) exactly when the complex Hessian
+    is degenerate, as it is for maximal plurisubharmonic functions; 0
+    where H is 0.
     """
     eigs = hessians.eigenvalues
     lam = np.max(np.abs(eigs), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        residual = np.where(lam == 0.0, 0.0, np.abs(np.prod(eigs, axis=-1)) / lam ** eigs.shape[-1])
-    return float(residual) if residual.ndim == 0 else residual
+        return np.where(lam == 0.0, 0.0, np.abs(np.prod(eigs, axis=-1)) / lam ** eigs.shape[-1])
 
 
 def _monge_ampere_bounds(hessians: _ExactHessians):
@@ -143,68 +141,38 @@ def _monge_ampere_bounds(hessians: _ExactHessians):
     return np.maximum(high - residual, residual - low)
 
 
-def _psh_report(hessians, tol) -> VerificationReport:
-    """Plurisubharmonicity over a set of Hessians via their eigenvalues.
+def _psh_report(hessians: _ExactHessians, tol) -> VerificationReport:
+    """Plurisubharmonicity over a stack of exact Hessians via their eigenvalues.
 
-    hessians is a list of stencil HessianSamples, whose uncertainty is
-    the largest Richardson gap, or an _ExactHessians stack, whose
-    uncertainty is its largest eigenvalue bound.  The residual is the
-    worst negative eigenvalue excursion, clipped at 0.
+    The residual is the worst negative eigenvalue excursion, clipped at
+    0; the uncertainty is the largest eigenvalue bound.
     """
-    if isinstance(hessians, _ExactHessians):
-        points = hessians.points
-        excursions = (-hessians.eigenvalues[:, 0]).tolist()
-        uncertainty = _worst(0.0, *hessians.bounds.tolist())
-        details = {"rounding_bound": uncertainty}
-    else:
-        points = [sample.point for sample in hessians]
-        excursions = [-float(sample.eigenvalues.min()) for sample in hessians]
-        uncertainty = _worst(0.0, *[sample.richardson_gap for sample in hessians])
-        details = {"richardson_gap_max": uncertainty}
+    excursions = (-hessians.eigenvalues[:, 0]).tolist()
+    uncertainty = _worst(0.0, *hessians.bounds.tolist())
+    details = {"rounding_bound": uncertainty}
     worst = _worst(0.0, *excursions)
     if not worst <= 0.0:
         # The first NaN excursion, else the first that attains the maximum.
         at = next(i for i, e in enumerate(excursions) if e != e or e == worst)
-        details["worst_point"] = [complex(c) for c in points[at]]
+        details["worst_point"] = [complex(c) for c in hessians.points[at]]
     return _report("plurisubharmonic", excursions, tol, details=details, uncertainty=uncertainty)
 
 
-def _geodesic_laplacians(u, phi, samples, dphi=None):
-    """|Laplacian of u composed with phi| at each disc sample.
+def _geodesic_laplacians(u, phi, dphi, samples):
+    """|Laplacian of u composed with phi| at each disc sample, with bounds.
 
-    Given dphi, the derivative of phi, u is a function of a stack that
-    takes a _jets.JetPoint, and the Laplacian is exact:
+    u is a function of a stack that takes a _jets.JetPoint and dphi the
+    derivative of phi.  The Laplacian is exact:
     4 sum_{j,k} u_{j kbar}(phi) phi'_j conj(phi'_k), from one jet
-    evaluation on the images of all samples.  The result is then
-    (laplacians, bounds), each bound 4 b |phi'|^2 from the bound b of
-    _jets.hessians on the spectral norm of the Hessian's error.
-
-    Otherwise u is a function of one point and the result the list of
-    the Richardson-combined 5-point Laplacians (4 L_{h/2} - L_h)/3 with
-    h = 1e-3 at each disc sample; the stencil must stay inside the unit
-    disc.  phi maps the stencil points of all samples in one call, and
-    u is evaluated once on their images (a kernels.ClosedFormKernel in
-    one array call).
+    evaluation on the images of all samples.  Returns (laplacians,
+    bounds), each bound 4 b |phi'|^2 from the bound b of _jets.hessians
+    on the spectral norm of the Hessian's error.
     """
-    if dphi is not None:
-        zetas = np.asarray(samples, dtype=complex)
-        matrices, bounds = _jets.hessians(u, phi(zetas))
-        v = dphi(zetas)
-        laplacians = 4.0 * np.einsum("kj,kjl,kl->k", v, matrices, np.conj(v)).real
-        return np.abs(laplacians).tolist(), 4.0 * bounds * np.sum(np.abs(v) ** 2, axis=-1)
-    h = 1e-3
-    samples = [complex(zeta) for zeta in samples]
-    if any(abs(zeta) + 1.5 * h >= 1.0 for zeta in samples):
-        raise DomainError("stencil leaves the unit disc; sample too close to the boundary")
-    stencils = [_stencils.five_points(zeta, h) + _stencils.five_points(zeta, h / 2.0) for zeta in samples]
-    flat = _on_stack(u)(phi(np.array(stencils).ravel())).tolist()
-    out = []
-    for i, (zeta, stencil) in enumerate(zip(samples, stencils)):
-        # laplacian_1d reads the values back, so they are summed in its order.
-        at = dict(zip(stencil, flat[i * len(stencil):(i + 1) * len(stencil)]))
-        lap, _ = laplacian_1d(at.__getitem__, zeta, h, richardson=True)
-        out.append(abs(lap))
-    return out
+    zetas = np.asarray(samples, dtype=complex)
+    matrices, bounds = _jets.hessians(u, phi(zetas))
+    v = dphi(zetas)
+    laplacians = 4.0 * np.einsum("kj,kjl,kl->k", v, matrices, np.conj(v)).real
+    return np.abs(laplacians).tolist(), 4.0 * bounds * np.sum(np.abs(v) ** 2, axis=-1)
 
 
 def _geodesic_family(dom: Domain, xi: BoundaryPoint):

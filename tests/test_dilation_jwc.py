@@ -7,11 +7,9 @@ import pytest
 
 from pluripot import (
     PluripotError,
-    delta_ratio_limit,
     dilation,
     gamma_lambda,
     julia_checks,
-    jwc_derivative_limit,
     map_from_spec,
     normalized_dilation,
     omega_preserving_residual,
@@ -115,22 +113,6 @@ def test_julia_checks_egg_to_ball():
     assert out["mj_holds"] and out["pj_holds"]
     assert abs(out["alpha"] - 1.0) < 1e-8
     assert out["sup_attained_gap"] < 1e-6
-
-
-def test_jwc_derivative_limits():
-    for name, tgt in (("identity", E1), ("coordinate_projection", np.array([1.0])),
-                      ("egg_to_ball", E1)):
-        mp = map_from_spec(name)
-        val, unc = jwc_derivative_limit(mp, E1, tgt)
-        assert abs(val - 1.0) < 1e-6, name
-        assert unc < 1e-5
-
-
-def test_delta_ratio_limit_radial():
-    mp = map_from_spec("egg_to_ball", m=4)
-    val, unc = delta_ratio_limit(mp, E1)
-    assert abs(val - 1.0) < 1e-6
-    assert unc < 1e-5
 
 
 def test_omega_preserving_residual():

@@ -69,6 +69,3 @@ def test_boundary_point_returns_boundary_point_unchanged():
     bp = boundary_point(egg4, E1)
     assert isinstance(bp, BoundaryPoint)
     assert boundary_point(egg4, bp) is bp
-    with_type = boundary_point(egg4, bp, compute_line_type=True)
-    assert with_type.line_type == 4
-    assert np.array_equal(with_type.position, bp.position)

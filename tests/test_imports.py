@@ -1,10 +1,12 @@
 """What the package imports and offers: every imported name is used, no
 scipy, no keyword default that no caller changes, and no definition that
-the command line does not reach unless it is named library-only."""
+the command line does not reach unless it is named library-only, in this
+file and in README."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -102,14 +104,23 @@ _LIBRARY_ONLY = {
     ("kernels", "horosphere_contains"),
     ("kernels", "k_region_contains"),
     ("kernels", "boundary_distance_asymptotic"),
-    ("dilation_jwc", "jwc_derivative_limit"),
-    ("dilation_jwc", "delta_ratio_limit"),
+    ("domain_core", "line_type"),
+    ("domain_core", "_MAX_LINE_TYPE"),
 }
 
 
 def test_every_definition_is_reached_from_the_command_line():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert _unreached(modules, {"cli", "_suites", "__main__"}) == _LIBRARY_ONLY
+
+
+def test_readme_names_the_library_only_definitions():
+    # The bullet list after README's "library-only API" paragraph; each
+    # bullet names its definitions in backticks before its first colon.
+    text = (TESTS.parent / "README.md").read_text()
+    bullets = text.split("except this library-only API", 1)[1].split("\n\n")[1]
+    named = re.findall(r"`(\w+)`", "".join(re.findall(r"^- ([^:]*):", bullets, flags=re.M)))
+    assert sorted(named) == sorted(name for _, name in _LIBRARY_ONLY)
 
 
 def test_unreached_definition_is_found():

@@ -25,9 +25,9 @@ from pluripot import (
     phragmen_lindelof_compare,
     poisson_kernel,
 )
-from pluripot import _stencils
-from pluripot.pluripotential_verify import (_geodesic_laplacians, _monge_ampere_residual,
-                                          _psh_report, _report)
+from pluripot import _jets, _stencils
+from pluripot.pluripotential_verify import (_exact_hessians, _geodesic_laplacians,
+                                          _monge_ampere_residual, _psh_report, _report)
 
 from oracles import interior_samples_one_at_a_time
 
@@ -40,6 +40,16 @@ def _random_interior(dom, rng, lo=0.15, hi=0.6):
 
 def _kernel(dom, xi):
     return lambda z: poisson_kernel(dom, xi, z).value
+
+
+def _norm_sq(z):
+    """|z|^2 on a stack of points or a _jets.JetPoint."""
+    return sum(c.real * c.real + c.imag * c.imag for c in _jets.coords(z))
+
+
+def _re_z0(z):
+    """Re z0 on a stack of points or a _jets.JetPoint: its Hessian is 0."""
+    return _jets.coords(z)[0].real
 
 
 def test_complex_hessian_norm_squared():
@@ -94,49 +104,49 @@ def test_hessian_null_direction_follows_geodesic():
 
 
 def test_monge_ampere_residual_reference_values():
-    u = lambda z: float(np.sum(np.abs(z) ** 2))
+    pts = np.array([[0.2, 0.1], [0.3j, -0.4]])
     # strictly psh reference: relative residual 1
-    assert abs(_monge_ampere_residual(complex_hessian(u, np.array([0.2, 0.1]), 1e-4)) - 1.0) < 1e-6
+    assert np.allclose(_monge_ampere_residual(_exact_hessians(_norm_sq, pts)), 1.0, rtol=0.0, atol=1e-12)
+    # where the Hessian is 0 the residual is 0
+    assert _monge_ampere_residual(_exact_hessians(_re_z0, pts)).tolist() == [0.0, 0.0]
 
+    # the Green function is maximal off its pole: a degenerate Hessian
     dom = make_domain("ball2")
     g0 = lambda z: green_function(dom, np.zeros(2), z).value
-    assert _monge_ampere_residual(complex_hessian(g0, np.array([0.4, 0.1]), 1e-4)) < 1e-6
+    eigs = complex_hessian(g0, np.array([0.4, 0.1]), 1e-4).eigenvalues
+    assert abs(np.prod(eigs)) / np.max(np.abs(eigs)) ** 2 < 1e-6
 
 
 def test_monge_ampere_residual_egg_kernel():
     dom = make_domain("egg4")
     xi = boundary_point(dom, [1.0, 0.0])
-    u = _kernel(dom, xi)
     rng = np.random.default_rng(67)
-    worst = 0.0
-    n = 0
-    while n < 20:
+    samples = []
+    while len(samples) < 20:
         z = _random_interior(dom, rng)
         # the kernel Hessian degenerates entirely on the z1-axis disc
         if abs(1.0 - z[0]) < 0.3 or abs(z[1]) < 0.05:
             continue
-        worst = max(worst, _monge_ampere_residual(complex_hessian(u, z, 1e-3 * boundary_distance(dom, z))))
-        n += 1
-    assert worst < 1e-5
+        samples.append(z)
+    residuals = _monge_ampere_residual(_exact_hessians(ClosedFormKernel(dom, xi, 1.0).many, np.array(samples)))
+    assert residuals.max() < 1e-5
 
 
 def test_psh_check_verdicts():
     dom = make_domain("ball2")
     xi = boundary_point(dom, [1.0, 0.0])
     rng = np.random.default_rng(71)
-    samples = [_random_interior(dom, rng) for _ in range(100)]
-    step = lambda z: 1e-3 * boundary_distance(dom, z)
+    samples = np.array([_random_interior(dom, rng) for _ in range(100)])
 
-    rep = _psh_report([complex_hessian(_kernel(dom, xi), z, step(z)) for z in samples], 1e-6)
+    rep = _psh_report(_exact_hessians(ClosedFormKernel(dom, xi, 1.0).many, samples), 1e-6)
     assert rep.verdict == "pass"
     assert rep.samples == 100
 
-    rep = _psh_report([complex_hessian(lambda z: -float(np.sum(np.abs(z) ** 2)), z, 1e-4)
-                       for z in samples[:10]], 1e-6)
+    rep = _psh_report(_exact_hessians(lambda z: -_norm_sq(z), samples[:10]), 1e-6)
     assert rep.verdict == "fail"
     assert rep.max_residual > 0.9
 
-    rep = _psh_report([complex_hessian(lambda z: float(z[0].real), z, 1e-4) for z in samples[:10]], 1e-6)
+    rep = _psh_report(_exact_hessians(_re_z0, samples[:10]), 1e-6)
     assert rep.verdict == "pass"
 
 
@@ -145,20 +155,24 @@ def test_harmonic_along_geodesic():
     xi = boundary_point(dom, [1.0, 0.0])
     phi = egg_geodesic(4, 0.5)
     zetas = [0.0, 0.3, -0.2 + 0.4j, 0.5j]
-    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(_kernel(dom, xi), phi, zetas), 1e-5)
-    assert rep.verdict == "pass"
+    laps, _ = _geodesic_laplacians(ClosedFormKernel(dom, xi, 1.0).many, phi, phi.derivative, zetas)
+    assert _report("harmonic_along_geodesic", laps, 1e-5).verdict == "pass"
 
     # Green function pulled back along a geodesic through its pole is
     # harmonic away from the pole
     w = phi(0.3)
     gw = lambda z: green_function(dom, w, z).value
-    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(gw, phi, [0.0, -0.4, 0.6j]), 1e-4)
-    assert rep.verdict == "pass"
+    laps = [abs(laplacian_1d(lambda t: gw(phi(t)), zeta, 1e-3, richardson=True)[0])
+            for zeta in (0.0, -0.4, 0.6j)]
+    assert _report("harmonic_along_geodesic", laps, 1e-4).verdict == "pass"
 
-    # non-harmonic reference must fail
-    bad = lambda z: float(np.abs(z[1]) ** 2)
-    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(bad, phi, [0.3, 0.5j]), 1e-5)
-    assert rep.verdict == "fail"
+    # non-harmonic reference |z1|^2 must fail
+    def bad(z):
+        z1 = _jets.coords(z)[1]
+        return z1.real * z1.real + z1.imag * z1.imag
+
+    laps, _ = _geodesic_laplacians(bad, phi, phi.derivative, [0.3, 0.5j])
+    assert _report("harmonic_along_geodesic", laps, 1e-5).verdict == "fail"
 
 
 def test_phragmen_lindelof_flags():
@@ -285,18 +299,19 @@ def test_laplacian_noise_floor_positive():
 
 
 def test_nan_residuals_fail_closed():
-    nan_u = lambda z: math.nan
-    rep = _psh_report([complex_hessian(nan_u, z, 1e-3) for z in [np.array([0.1, 0.2j]), np.array([0.3, 0.0])]],
-                      1e-6)
+    nan_u = lambda z: _re_z0(z) * math.nan
+    rep = _psh_report(_exact_hessians(nan_u, np.array([[0.1, 0.2j], [0.3, 0.0]])), 1e-6)
     assert math.isnan(rep.max_residual)
-    assert math.isnan(rep.details["richardson_gap_max"])
+    assert math.isnan(rep.details["rounding_bound"])
     assert rep.verdict == "fail"
 
-    # NaN only around the first sample: a later finite residual must not
-    # replace it.
+    # NaN only at the first sample (0 / 0 where Re z0 = 0): the later
+    # finite residual must not replace it.
     phi = ball_geodesic(np.zeros(2), np.array([1.0, 0.0]))
-    u = lambda z: math.nan if abs(z[0]) < 0.1 else float(z[0].real)
-    rep = _report("harmonic_along_geodesic", _geodesic_laplacians(u, phi, [0.0, 0.5]), 1e-5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        laps, _ = _geodesic_laplacians(lambda z: _re_z0(z) / _re_z0(z), phi, phi.derivative, [0.0, 0.5])
+    assert math.isnan(laps[0]) and math.isfinite(laps[1])
+    rep = _report("harmonic_along_geodesic", laps, 1e-5)
     assert math.isnan(rep.max_residual)
     assert rep.verdict == "fail"
 
@@ -550,22 +565,6 @@ def test_main2_estimate_points_are_each_curves_own_root(label, monkeypatch):
     assert report.verdict == "pass"
     assert shapes[0] == shapes[-1] == (len(curves), dom.n)
     assert all(len(shape) == 2 and shape[0] <= len(curves) for shape in shapes)
-
-
-@pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
-                                         ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
-def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
-    # The stacked stencil reads the same values in laplacian_1d's order
-    # as the kernel taken one point at a time.
-    dom = make_domain(spec)
-    xi = boundary_point(dom, [1.0, 0.0])
-    phi = curve(xi)
-    u = ClosedFormKernel(dom, xi, 1.0)
-    zetas = [0.0, 0.3, -0.2 + 0.4j, 0.65j]
-    want = [abs(laplacian_1d(lambda w: float(u(phi(w))), zeta, 1e-3, richardson=True)[0])
-            for zeta in zetas]
-    assert _geodesic_laplacians(u, phi, zetas) == want
-    assert _geodesic_laplacians(_kernel(dom, xi), phi, zetas) == want
 
 
 def test_report_verdict_is_derived_from_its_numbers():
