@@ -35,8 +35,8 @@ class VerificationReport:
     """Outcome of one verification check over a sample set.
 
     The verdict is not stored: it is computed from max_residual,
-    tolerance and uncertainty (the stencil or ladder uncertainty of the
-    residual, which is not serialized), so it cannot disagree with them.
+    tolerance and uncertainty (the rounding bound or ladder uncertainty
+    of the residual, which is not serialized), so it cannot disagree with them.
     """
 
     check: str
