@@ -567,6 +567,40 @@ def test_main2_estimate_points_are_each_curves_own_root(label, monkeypatch):
     assert all(len(shape) == 2 and shape[0] <= len(curves) for shape in shapes)
 
 
+@pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
+                                         ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
+def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
+    # The exact Laplacians agree with laplacian_1d's Richardson stencil,
+    # taken one point at a time, to within the stencil's step-halving gap
+    # and the jet bound: on the kernel (harmonic, 0) and on |z|^2 (not).
+    dom = make_domain(spec)
+    xi = boundary_point(dom, [1.0, 0.0])
+    phi = curve(xi)
+    u = ClosedFormKernel(dom, xi, 1.0)
+    zetas = [0.0, 0.3, -0.2 + 0.4j, 0.65j]
+    for stacked, one in ((u.many, lambda z: float(u(z))),
+                         (_norm_sq, lambda z: float(np.sum(np.abs(z) ** 2)))):
+        laps, bounds = _geodesic_laplacians(stacked, phi, phi.derivative, zetas)
+        for zeta, lap, bound in zip(zetas, laps, bounds):
+            want, gap = laplacian_1d(lambda w: one(phi(w)), zeta, 1e-3, richardson=True)
+            assert abs(lap - abs(want)) <= gap + bound
+    assert min(laps) > 3.0
+
+
+@pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
+                                         ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
+def test_geodesic_laplacian_bounds_cover_a_known_laplacian(spec, curve):
+    # |z|^2 has Hessian the identity, so its Laplacian along phi is
+    # 4 |phi'|^2; each returned bound covers the distance to it.
+    dom = make_domain(spec)
+    phi = curve(boundary_point(dom, [1.0, 0.0]))
+    zetas = np.array([0.0, 0.3, -0.2 + 0.4j, 0.65j])
+    laps, bounds = _geodesic_laplacians(_norm_sq, phi, phi.derivative, zetas)
+    want = 4.0 * np.sum(np.abs(phi.derivative(zetas)) ** 2, axis=-1)
+    assert np.all(np.abs(np.array(laps) - want) <= bounds)
+    assert np.all((bounds > 0.0) & (bounds < 1e-12))
+
+
 def test_report_verdict_is_derived_from_its_numbers():
     import dataclasses
 
