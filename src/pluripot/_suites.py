@@ -100,26 +100,28 @@ def _interior_samples(dom: Domain, count, rng, gauge_lo=0.15, gauge_hi=0.7,
 
     Each round draws only the candidates still needed, in the order of
     drawing them one at a time (v, then its scale unless v = 0), and
-    gauges them as one stack, so the points and the generator's state
-    are those of gauging each candidate as it is drawn.
+    builds, gauges, scales and rejects them as one stack, each element
+    by the arithmetic of one candidate, so the points and the
+    generator's state are those of taking each candidate as it is drawn.
     """
+    n = dom.n
     out = []
     while len(out) < count:
-        vs, scales = [], []
+        raws, scales = [], []
         for _ in range(count - len(out)):
-            raw = rng.standard_normal(2 * dom.n)
-            v = raw[:dom.n] + 1j * raw[dom.n:]
-            if v.any():
-                vs.append(v)
+            raw = rng.standard_normal(2 * n)
+            if any(raw.tolist()):  # v != 0; cheaper than raw.any()
+                raws.append(raw)
                 scales.append(rng.uniform(gauge_lo, gauge_hi))
-        gauges = minkowski_gauge(dom, np.reshape(vs, (-1, dom.n))).tolist()
-        for v, g, scale in zip(vs, gauges, scales):
-            z = v / g * scale
-            if min_axis_gap and abs(1.0 - z[0]) < min_axis_gap:
-                continue
-            if min_tangential and dom.n >= 2 and min(abs(c) for c in z[1:]) < min_tangential:
-                continue
-            out.append(z)
+        raws = np.reshape(raws, (-1, 2 * n))
+        v = raws[:, :n] + 1j * raws[:, n:]
+        z = v / minkowski_gauge(dom, v)[:, None] * np.array(scales)[:, None]
+        keep = np.ones(len(z), dtype=bool)
+        if min_axis_gap:
+            keep &= np.abs(1.0 - z[:, 0]) >= min_axis_gap
+        if min_tangential and n >= 2:
+            keep &= np.abs(z[:, 1:]).min(axis=1) >= min_tangential
+        out.extend(z[keep])
     return out
 
 

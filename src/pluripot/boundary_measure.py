@@ -114,18 +114,13 @@ def build_quadrature(dom: Domain, resolution: int) -> BoundaryQuadrature:
 
         th = 2.0 * np.pi * np.arange(resolution) / resolution
         e0 = np.exp(1j * th)
+        # Node (latitude i, angle a of z0, angle b of z1), in that order.
         K = resolution
-        pts = np.empty((resolution * K * K, 2), dtype=complex)
-        weights = np.empty(resolution * K * K)
-        idx = 0
-        ang_w = (2.0 * np.pi / K) ** 2
-        for i in range(resolution):
-            block = np.empty((K, K, 2), dtype=complex)
-            block[..., 0] = cu[i] * e0[:, None]
-            block[..., 1] = radial1[i] * e0[None, :]
-            pts[idx:idx + K * K] = block.reshape(-1, 2)
-            weights[idx:idx + K * K] = wu[i] * sigma[i] * ang_w
-            idx += K * K
+        pts = np.empty((K, K, K, 2), dtype=complex)
+        pts[..., 0] = (cu[:, None] * e0)[:, :, None]
+        pts[..., 1] = (radial1[:, None] * e0)[:, None, :]
+        pts = pts.reshape(-1, 2)
+        weights = np.repeat(wu * sigma * (2.0 * np.pi / K) ** 2, K * K)
         grad = domain_core.gradient(dom, pts)
         normals = grad / np.linalg.norm(grad, axis=1, keepdims=True)
         densities = _egg_density_analytic(dom, pts)

@@ -166,29 +166,32 @@ def _template(text, params):
     constant too large for a float raises _TemplateError.
     """
     tree = ast.parse(f"lambda {','.join(params)}: ()", mode="eval")
-    for tok in text.split(","):
-        tok = tok.strip()
-        try:
+    # The parser raises MemoryError, and the checks and compile() raise
+    # RecursionError, on too deeply nested arithmetic.
+    try:
+        for tok in (part.strip() for part in text.split(",")):
             comp = ast.parse(tok, mode="eval")
             bad = _disallowed(comp, params)
-            if bad is None:
-                for node in ast.walk(comp):
-                    if isinstance(node, ast.Constant) and type(node.value) is int:
-                        node.value = float(node.value)
-        except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
-            raise _TemplateError(f"cannot parse component {tok!r}: {exc}")
-        if bad is not None:
-            raise _TemplateError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
-        tree.body.body.elts.append(comp.body)
-    code = compile(ast.fix_missing_locations(tree), "<template>", "eval")
+            if bad is not None:
+                raise _TemplateError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
+            for node in ast.walk(comp):
+                if isinstance(node, ast.Constant) and type(node.value) is int:
+                    node.value = float(node.value)
+            tree.body.body.elts.append(comp.body)
+        code = compile(ast.fix_missing_locations(tree), "<template>", "eval")
+    except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
+        raise _TemplateError(f"cannot parse component {tok!r}: {exc}")
     return eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), len(tree.body.body.elts)
 
 
 def _parse_point(text, n):
     """Parse a comma-separated complex vector, e.g. '0.5,0' or 'e1'."""
     text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
-        k = int(text[1:])
+    if text.startswith("e") and text[1:].isdecimal():
+        try:
+            k = int(text[1:])
+        except ValueError:  # more digits than int() reads
+            k = 0
         if k < 1 or k > n:
             raise DomainError(f"unit vector {text!r} out of range for dimension {n}")
         v = np.zeros(n, dtype=complex)
@@ -241,7 +244,7 @@ def _sweep_point(dom, key, text, params, grid):
     so that every row reports it.
     """
     text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
+    if text.startswith("e") and text[1:].isdecimal():
         pt = _parse_point(text, dom.n)
     else:
         try:
@@ -261,8 +264,12 @@ def _sweep_point(dom, key, text, params, grid):
     return pt
 
 
-def _parse_grid(text):
-    """start:stop:count -> linspace."""
+# The most rows a sweep may have (README gives the memory per row).
+_MAX_GRID_ROWS = 10 ** 6
+
+
+def _parse_grid(text, rows=1):
+    """start:stop:count -> linspace, as the axis of a grid of rows * count rows."""
     parts = text.split(":") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise DomainError(f"grid spec must be start:stop:count, got {text!r}")
@@ -274,6 +281,8 @@ def _parse_grid(text):
         raise DomainError(f"grid ends must be finite, got {text!r}")
     if count < 1:
         raise DomainError("grid count must be positive")
+    if rows * count > _MAX_GRID_ROWS:
+        raise DomainError(f"a sweep grid may have at most {_MAX_GRID_ROWS} rows, got {rows * count}")
     return np.linspace(lo, hi, count)
 
 
@@ -506,7 +515,7 @@ def cmd_sweep(config) -> int:
         raise DomainError("sweep requires --grid-t start:stop:count")
     columns = {"t": _parse_grid(config["grid_t"]).tolist()}
     if config.get("grid_s") not in (None, ""):
-        ss = _parse_grid(config["grid_s"]).tolist()
+        ss = _parse_grid(config["grid_s"], len(columns["t"])).tolist()
         columns = {"t": [t for t in columns["t"] for _ in ss], "s": ss * len(columns["t"])}
     grid = list(zip(*columns.values()))
     points = _points(quantity, dom, config,

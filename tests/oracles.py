@@ -389,6 +389,30 @@ def total_weight(quad) -> float:
     return float(np.sum(quad.weights))
 
 
+def polar_chart_nodes_per_latitude(dom: Domain, resolution):
+    """build_quadrature's points and weights on ball2 or a 2-D egg, one
+    latitude block of resolution^2 nodes at a time (z0 angle, then z1
+    angle); the package builds all blocks in one broadcast."""
+    m = dom.m[0] if dom.kind == "ellipsoid" else 2
+    xg, wg = np.polynomial.legendre.leggauss(resolution)
+    u = 0.25 * np.pi * (xg + 1.0)
+    wu = wg * 0.25 * np.pi
+    su, cu = np.sin(u), np.cos(u)
+    radial1 = su ** (2.0 / m)
+    guu = su ** 2 + (2.0 / m) ** 2 * su ** (4.0 / m - 2.0) * cu ** 2
+    sigma = cu * radial1 * np.sqrt(guu)
+    e0 = np.exp(1j * (2.0 * np.pi * np.arange(resolution) / resolution))
+    K = resolution
+    pts, weights = [], []
+    for i in range(resolution):
+        block = np.empty((K, K, 2), dtype=complex)
+        block[..., 0] = cu[i] * e0[:, None]
+        block[..., 1] = radial1[i] * e0[None, :]
+        pts.append(block.reshape(-1, 2))
+        weights.append(np.full(K * K, wu[i] * sigma[i] * (2.0 * np.pi / K) ** 2))
+    return np.concatenate(pts), np.concatenate(weights)
+
+
 def quadrature_csv(quad, target) -> None:
     """Write a BoundaryQuadrature's nodes as CSV: 2n position columns, weight, density."""
     n = quad.domain.n

@@ -20,7 +20,8 @@ from pluripot import (
 )
 
 from pluripot.boundary_measure import _density_uncertainty
-from oracles import egg_density_mp, montecarlo_surface_measure, quadrature_csv, total_weight
+from oracles import (egg_density_mp, montecarlo_surface_measure, polar_chart_nodes_per_latitude,
+                     quadrature_csv, total_weight)
 
 
 def test_density_reference_values():
@@ -104,6 +105,17 @@ def test_quadrature_total_ball():
     quad = build_quadrature(make_domain("ball2"), 64)
     assert abs(total_weight(quad) - 2.0 * math.pi ** 2) < 1e-3 * 2.0 * math.pi ** 2
     assert np.all(quad.weights > 0.0)
+
+
+@pytest.mark.parametrize("label", ["ball2", "egg4", "egg6"])
+@pytest.mark.parametrize("resolution", [4, 8, 16, 24])
+def test_quadrature_nodes_are_the_per_latitude_nodes(label, resolution):
+    # One broadcast over all latitudes gives each node and weight the
+    # bits of building them one latitude block at a time.
+    quad = build_quadrature(make_domain(label), resolution)
+    pts, weights = polar_chart_nodes_per_latitude(make_domain(label), resolution)
+    assert quad.points.tobytes() == pts.tobytes() and quad.points.shape == pts.shape
+    assert quad.weights.tobytes() == weights.tobytes()
 
 
 def test_quadrature_total_disc():

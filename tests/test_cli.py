@@ -1,11 +1,14 @@
 """End-to-end command-line interface tests."""
 
+import importlib.util
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pluripot.cli import main
@@ -465,15 +468,29 @@ def test_sweep_builds_a_fixed_xi_once(monkeypatch, capsys):
     assert len(packed) == 1 + 12
 
 
-def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
-    import hashlib
-    import importlib.util
-    import pathlib
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("cli_snapshot", root / "tools" / "cli_snapshot.py")
+
+def _cli_snapshot():
+    """tools/cli_snapshot.py as a module."""
+    spec = importlib.util.spec_from_file_location("cli_snapshot", _ROOT / "tools" / "cli_snapshot.py")
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
+    return snapshot
+
+
+def test_readme_counts_the_snapshot_commands():
+    # README's "prints ... of N fixed CLI commands" sentence.
+    text = (_ROOT / "README.md").read_text()
+    [count] = re.findall(r"stdout and stderr of (\d+) fixed CLI commands", text)
+    assert int(count) == len(_cli_snapshot().COMMANDS)
+
+
+def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
+    import hashlib
+
+    root = _ROOT
+    snapshot = _cli_snapshot()
     verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
     assert len(verify) == 28 and {c[1] for c in verify} == set(snapshot.SUITES)
 
@@ -609,6 +626,99 @@ def test_sweep_grid_must_be_a_finite_spec(grids, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("grids, rows", [
+    (["--grid-t", "0:0.5:7"], 7),
+    (["--grid-t", "0:0.5:3", "--grid-s", "0:1:3"], 9),
+    (["--grid-t", "0:0.5:1", "--grid-s", "0:1:10000000000000000000000"], 10 ** 22),
+    (["--grid-t", "0:0.5:6"], None),
+    (["--grid-t", "0:0.5:3", "--grid-s", "0:1:2"], None),
+])
+def test_sweep_refuses_a_grid_over_the_row_limit(grids, rows, monkeypatch, capsys):
+    # A small limit stands in for the real one, so no large grid is built;
+    # an oversized grid is refused before any row is evaluated.
+    from pluripot import cli
+
+    assert f"more than {cli._MAX_GRID_ROWS:,} rows" in (_ROOT / "README.md").read_text()
+    monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 6)
+    if rows is not None:
+        monkeypatch.setattr(cli, "_points", None)
+    rc = main(["sweep", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.1,0", *grids])
+    captured = capsys.readouterr()
+    if rows is None:
+        assert rc == 0 and captured.err == ""
+    else:
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"configuration error: a sweep grid may have at most 6 rows, got {rows}\n"
+
+
+def _returns_or_domain_error(parse, *args):
+    """parse(*args), or None when it raises DomainError; anything else propagates."""
+    from pluripot import DomainError
+
+    try:
+        return parse(*args)
+    except DomainError:
+        return None
+
+
+_GRID_TEXT = st.one_of(
+    st.text(),
+    st.builds(":".join, st.lists(st.one_of(st.text(max_size=6), st.floats().map(repr),
+                                           st.integers(-10, 10 ** 9).map(str)), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_GRID_TEXT, rows=st.integers(1, 10 ** 6))
+def test_parse_grid_returns_a_bounded_grid_or_refuses(text, rows):
+    from unittest import mock
+
+    from pluripot import cli
+
+    with mock.patch.object(cli, "_MAX_GRID_ROWS", 1000):
+        grid = _returns_or_domain_error(cli._parse_grid, text, rows)
+    if grid is not None:
+        assert grid.ndim == 1 and 1 <= len(grid) and rows * len(grid) <= 1000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(), st.text(alphabet="e0123456789²١,.+-jJ infa").map(str.strip)),
+       n=st.integers(1, 3))
+@example(text="e²", n=2)
+@example(text="e" + "1" * 5000, n=2)
+def test_parse_point_returns_a_complex_vector_or_refuses(text, n):
+    from pluripot.cli import _parse_point
+
+    point = _returns_or_domain_error(_parse_point, text, n)
+    assert point is None or (point.ndim == 1 and point.dtype == complex)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(), st.text(alphabet="ts()*+-/., 0123456789ejpi_[]:cosabqrtlg")),
+       params=st.sampled_from([(), ("t",), ("t", "s")]))
+@example(text="-" * 100_000 + "t", params=("t",))
+@example(text="x[" + "t+" * 990 + "t]", params=("t",))
+def test_template_compiles_or_refuses(text, params):
+    from pluripot.cli import _template
+
+    compiled = _returns_or_domain_error(_template.__wrapped__, text, params)
+    if compiled is not None:
+        function, count = compiled
+        assert callable(function) and count == len(text.split(","))
+
+
+def test_template_compiles_or_refuses_at_the_recursion_limit():
+    # Near the recursion limit the grammar check can pass and compiling
+    # still fail; either way the answer is a template or its refusal.
+    import sys
+
+    from pluripot.cli import _template
+
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10):
+        for text in ("t+" * depth + "t", "-" * depth + "t"):
+            _returns_or_domain_error(_template.__wrapped__, text, ("t",))
 
 
 def _one_point_errors(dom, key, stack):
@@ -798,15 +908,11 @@ def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):
     # drops a flag that the one before it set; every call must write the
     # bytes of a fresh interpreter running it alone.
     import hashlib
-    import importlib.util
-    import pathlib
 
     from pluripot import cli
 
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("cli_snapshot", root / "tools" / "cli_snapshot.py")
-    snapshot = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snapshot)
+    root = _ROOT
+    snapshot = _cli_snapshot()
     sweep = ["sweep", "green", "--domain", "ball2", "--w", "0,0", "--z", "0.5*t,0", "--grid-t=-0.95:0.95:5"]
     commands = [
         ["eval", "poisson", "--domain", "egg4", "--xi", "e1", "--z", "0.2,0.3", "--format", "csv"],

@@ -619,3 +619,100 @@ def test_geodesic_derivative_is_the_difference_quotient(phi):
     assert exact.shape == numeric.shape
     assert np.max(np.abs(exact - numeric)) < 1e-8
     assert np.array_equal(phi.derivative(zetas[2]), exact[2])
+
+
+# ---------------------------------------------------------------------------
+# Properties of the distance: symmetry, the triangle inequality,
+# invariance under automorphisms, and lower <= upper off the catalogue.
+# ---------------------------------------------------------------------------
+
+_PROPERTY_DOMAINS = {spec: make_domain(spec) for spec in ("disc", "ball2", "ball3", "egg4")}
+
+
+def _gauged_point(dom, data, hi, axis=False):
+    """A point of dom at gauge at most hi, on the z0 axis when axis is
+    set; a drawn point of gauge below 1e-3 is kept as it is."""
+    v = np.zeros(dom.n, dtype=complex)
+    for j in range(1 if axis else dom.n):
+        v[j] = complex(data.draw(_UNIT), data.draw(_UNIT))
+    gauge = minkowski_gauge(dom, v)
+    return v if gauge < 1e-3 else v / gauge * data.draw(st.floats(0.0, hi))
+
+
+def _exact_distance(dom, z, w):
+    bound = kobayashi_distance(dom, z, w)
+    assert bound.exact
+    return bound.value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(label=st.sampled_from(sorted(_PROPERTY_DOMAINS)), data=st.data())
+def test_exact_distances_are_symmetric_and_satisfy_the_triangle_inequality(label, data):
+    # An egg4 pair is exact when one point lies on the z0 axis, so two of
+    # the three points do there.
+    dom = _PROPERTY_DOMAINS[label]
+    axis = label == "egg4"
+    pts = [_gauged_point(dom, data, 0.95, axis), _gauged_point(dom, data, 0.95, axis),
+           _gauged_point(dom, data, 0.95)]
+    d = {(i, j): _exact_distance(dom, pts[i], pts[j]) for i in range(3) for j in range(3) if i != j}
+    for (i, j), dij in d.items():
+        assert abs(dij - d[j, i]) <= 1e-12 * dij
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        assert d[i, k] <= (d[i, j] + d[j, k]) * (1.0 + 1e-12)
+
+
+def _ball_automorphism(a, z):
+    """The ball automorphism exchanging a and 0, at z (a, z of shape (n,))."""
+    aa = float(np.vdot(a, a).real)
+    za = complex(np.vdot(a, z))
+    if aa == 0.0:
+        return -z
+    pz = za / aa * a
+    return (a - pz - math.sqrt(1.0 - aa) * (z - pz)) / (1.0 - za)
+
+
+def _unitary(n, data):
+    """A unitary n x n matrix: the Q of a drawn complex matrix."""
+    raw = np.array([[complex(data.draw(_UNIT), data.draw(_UNIT)) for _ in range(n)] for _ in range(n)])
+    assume(abs(np.linalg.det(raw)) > 1e-3)
+    return np.linalg.qr(raw)[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(label=st.sampled_from(["ball2", "ball3"]), data=st.data())
+def test_ball_distance_is_invariant_under_automorphisms(label, data):
+    dom = _PROPERTY_DOMAINS[label]
+    z, w, a = (_gauged_point(dom, data, 0.7) for _ in range(3))
+    u = _unitary(dom.n, data)
+    image = lambda p: u @ _ball_automorphism(a, p)
+    before = _exact_distance(dom, z, w)
+    assert abs(_exact_distance(dom, image(z), image(w)) - before) <= 1e-10 * max(before, 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_egg_axis_distance_is_invariant_under_egg_automorphisms(data):
+    # _egg_automorphism keeps the z0 axis, so the image pair is again on
+    # the axis route; rotating each coordinate is an automorphism too.
+    from pluripot.geodesics_metrics import _egg_automorphism
+
+    dom = _PROPERTY_DOMAINS["egg4"]
+    p, z = _gauged_point(dom, data, 0.7, axis=True), _gauged_point(dom, data, 0.7)
+    alpha = _gauged_point(make_domain("disc"), data, 0.7)[0]
+    turn = np.exp(1j * np.array([data.draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2)]))
+    image = lambda q: turn * _egg_automorphism(dom, alpha, q)
+    before = _exact_distance(dom, p, z)
+    assert abs(_exact_distance(dom, image(p), image(z)) - before) <= 1e-10 * max(before, 1.0)
+    assert abs(_exact_distance(dom, image(z), image(p)) - before) <= 1e-10 * max(before, 1.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_egg_sandwich_lower_bound_is_below_its_upper_bound(data):
+    dom = _PROPERTY_DOMAINS["egg4"]
+    z, w = _gauged_point(dom, data, 0.8), _gauged_point(dom, data, 0.8)
+    assume(min(abs(z[1]), abs(w[1])) > 1e-3)
+    bound = kobayashi_distance(dom, z, w)
+    assume(not bound.exact)
+    assert caratheodory_lower_bound(dom, z, w) <= slice_upper_bound(dom, z, w)
+    assert bound.lower <= bound.upper

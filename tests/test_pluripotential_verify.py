@@ -841,6 +841,43 @@ def test_interior_samples_keep_the_one_at_a_time_points_and_stream(label, count,
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+class _ZeroDraw:
+    """A generator whose standard_normal draw number `at` (from 0) comes
+    back all zero; it still takes that draw from the stream."""
+
+    def __init__(self, seed, at):
+        self.rng, self.at, self.draws = np.random.default_rng(seed), at, 0
+        self.bit_generator = self.rng.bit_generator
+
+    def standard_normal(self, size):
+        raw = self.rng.standard_normal(size)
+        self.draws += 1
+        return np.zeros_like(raw) if self.draws == self.at + 1 else raw
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+@pytest.mark.parametrize("label", ["ball2", "egg4", "disc"])
+@pytest.mark.parametrize("count, at", [(1, 0), (5, 0), (5, 3)])
+def test_interior_samples_skip_an_all_zero_draw_without_a_scale(label, count, at):
+    # No Gaussian draw is all zero, so a stub supplies one: it is skipped
+    # with no uniform draw, as one candidate at a time skips it.  With
+    # count 1 and the zero first, the first round has no candidate at all.
+    from pluripot import _suites
+
+    dom = make_domain(label)
+    ours, theirs = _ZeroDraw(7, at), _ZeroDraw(7, at)
+    samples = _suites._interior_samples(dom, count, ours, min_axis_gap=0.3)
+    reference = interior_samples_one_at_a_time(dom, count, theirs, min_axis_gap=0.3)
+    assert ours.draws > at and ours.draws == theirs.draws
+    assert len(samples) == count
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(samples, reference))
+    assert all(isinstance(a, np.ndarray) and a.dtype == complex and a.shape == (dom.n,)
+               for a in samples)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_monge_ampere_suite_gauges_only_stacks(monkeypatch):
     from pluripot import _suites, domain_core, geodesics_metrics
 
