@@ -489,7 +489,6 @@ def test_readme_counts_the_snapshot_commands():
 def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     import hashlib
 
-    root = _ROOT
     snapshot = _cli_snapshot()
     verify = [c for c in snapshot.COMMANDS if c[0] == "verify"]
     assert len(verify) == 28 and {c[1] for c in verify} == set(snapshot.SUITES)
@@ -500,7 +499,7 @@ def test_cli_snapshot_fingerprints_a_command(tmp_path, capsys):
     capsys.readouterr()
     written = hashlib.sha256(out.read_bytes()).hexdigest()
     empty = hashlib.sha256(b"").hexdigest()
-    assert snapshot.fingerprint(argv, root / "src") == f"0 {written} {empty} {empty}  " + " ".join(argv)
+    assert snapshot.fingerprint(argv, _ROOT / "src") == f"0 {written} {empty} {empty}  " + " ".join(argv)
 
 
 def test_eval_refuses_a_nan_boundary_point(capsys):
@@ -911,7 +910,6 @@ def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):
 
     from pluripot import cli
 
-    root = _ROOT
     snapshot = _cli_snapshot()
     sweep = ["sweep", "green", "--domain", "ball2", "--w", "0,0", "--z", "0.5*t,0", "--grid-t=-0.95:0.95:5"]
     commands = [
@@ -931,5 +929,5 @@ def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):
         written = digest(out.read_bytes()) if out.exists() else "-"
         line = (f"{rc} {written} {digest(captured.out.encode())} {digest(captured.err.encode())}  "
                 + " ".join(argv))
-        assert line == snapshot.fingerprint(argv, root / "src")
+        assert line == snapshot.fingerprint(argv, _ROOT / "src")
     assert cli._build_parser() is cli._build_parser()
