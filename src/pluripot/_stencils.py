@@ -24,8 +24,6 @@ _EPS = float(np.finfo(float).eps)
 class HessianSample:
     """A complex Hessian estimate at one point, with its eigenvalues."""
 
-    point: np.ndarray
-    step: float
     matrix: np.ndarray
     richardson_gap: float
     eigenvalues: np.ndarray
@@ -41,27 +39,17 @@ def _on_stack(u):
 
 
 def complex_hessian(u, z, h):
-    """Complex Hessian of u at z with step-halving Richardson control.
+    """Complex Hessian of u at the point z with step-halving Richardson control.
 
-    u is a function of one point.  z is one point and h its step, or z
-    is a stack of points (k, n) and h their steps (k,); a stack gives a
-    list of k samples, each bit for bit the sample of its point alone.
-    The function is evaluated once, on every stencil point as one stack:
-    a kernels.ClosedFormKernel in one array call.  A matrix is the
-    extrapolated combination of the h and h/2 stencils; richardson_gap
-    records their relative discrepancy.  The eigenvalues of all the
-    matrices come from one eigvalsh call.
+    u is a function of one point.  It is evaluated once, on every
+    stencil point as one stack: a kernels.ClosedFormKernel in one array
+    call.  The matrix is the extrapolated combination of the h and h/2
+    stencils; richardson_gap records their relative discrepancy.
     """
-    z = np.asarray(z, dtype=complex)
-    pts = z.reshape(-1, z.shape[-1])
-    steps = np.broadcast_to(np.asarray(h, dtype=float), pts.shape[:1])
-    if not np.all(steps > 0):
+    if not h > 0:
         raise DomainError("stencil step must be positive")
-    matrices, gaps = hessian_richardson(_on_stack(u), pts, steps)
-    eigs = np.linalg.eigvalsh(matrices)
-    samples = [HessianSample(point=p, step=float(s), matrix=H, richardson_gap=float(g), eigenvalues=e)
-               for p, s, H, g, e in zip(pts, steps, matrices, gaps, eigs)]
-    return samples[0] if z.ndim == 1 else samples
+    matrix, gap = hessian_richardson(_on_stack(u), np.asarray(z, dtype=complex), float(h))
+    return HessianSample(matrix=matrix, richardson_gap=gap, eigenvalues=np.linalg.eigvalsh(matrix))
 
 
 def error_bound(matrix, gap, magnitude, h):
@@ -118,39 +106,32 @@ def _assemble(lap, n):
 
 
 def hessian_richardson(values, z, h):
-    """Step-halved complex Hessians with Richardson extrapolation.
+    """Step-halved complex Hessian at the point z with Richardson extrapolation.
 
-    z is a stack of points (k, n) and h their steps (k,).  values maps
-    a stack of points to their real values; it is called once, on the
-    points z and the 4-point stencils of steps h and h/2 along every
-    direction of _directions(n) about each of them.  The quarter
-    Laplacian along v is (sum of the 4 values - 4 u(z)) / (4 h^2), which
-    approximates sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2).
+    values maps a stack of points to their real values; it is called
+    once, on z and the 4-point stencils of steps h and h/2 along every
+    direction of _directions(n) about it.  The quarter Laplacian along v
+    is (sum of the 4 values - 4 u(z)) / (4 h^2), which approximates
+    sum_{j,k} u_{j kbar} v_j conj(v_k) up to O(h^2).
 
-    Returns (matrices, gaps) of shapes (k, n, n) and (k,).  A matrix is
-    the h^2-error-cancelling combination (4 H(h/2) - H(h)) / 3; its gap
-    is the relative discrepancy between the two raw estimates and serves
-    as the truncation diagnostic.  Each point's results are bit for bit
-    those of the point alone.
+    Returns (matrix, gap).  The matrix is the h^2-error-cancelling
+    combination (4 H(h/2) - H(h)) / 3; the gap is the relative
+    discrepancy between the two raw estimates and serves as the
+    truncation diagnostic.
     """
-    z = np.asarray(z, dtype=complex)
-    k, n = z.shape
+    n = len(z)
     table = _directions(n)
-    hs = np.stack([h, h / 2.0], axis=-1)
-    hv = hs[:, :, None, None] * table
-    ihv = (1j * hs)[:, :, None, None] * table
-    zs = z[:, None, None, :]
-    # Axis 2 runs over z + h v, z - h v, z + i h v, z - i h v.
-    pts = np.stack([zs + hv, zs - hv, zs + ihv, zs - ihv], axis=2)
-    vals = values(np.concatenate([z, pts.reshape(-1, n)]))
-    u0 = vals[:k, None, None]
-    s = vals[k:].reshape(k, 2, 4, len(table))
-    lap = (s[:, :, 0] + s[:, :, 1] + s[:, :, 2] + s[:, :, 3] - 4.0 * u0) / (4.0 * hs * hs)[:, :, None]
-    H = _assemble(lap, n)
-    H1, H2 = H[:, 0], H[:, 1]
-    scale = np.maximum(1.0, np.max(np.abs(H2), axis=(1, 2)))
-    gaps = np.max(np.abs(H1 - H2), axis=(1, 2)) / scale
-    return (4.0 * H2 - H1) / 3.0, gaps
+    hs = np.array([h, h / 2.0])
+    hv = hs[:, None, None] * table
+    ihv = (1j * hs)[:, None, None] * table
+    # Axis 1 runs over z + h v, z - h v, z + i h v, z - i h v.
+    pts = np.stack([z + hv, z - hv, z + ihv, z - ihv], axis=1)
+    vals = values(np.concatenate([z[None], pts.reshape(-1, n)]))
+    s = vals[1:].reshape(2, 4, len(table))
+    lap = (s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3] - 4.0 * vals[0]) / (4.0 * hs * hs)[:, None]
+    H1, H2 = _assemble(lap, n)
+    gap = np.max(np.abs(H1 - H2)) / np.maximum(1.0, np.max(np.abs(H2)))
+    return (4.0 * H2 - H1) / 3.0, float(gap)
 
 
 def laplacian_5pt(u, zeta, h):

@@ -27,12 +27,12 @@ _DEFAULT_SEED = 20240519
 
 
 def _seed(config) -> int:
-    return int(config.get("seed", _DEFAULT_SEED))
+    return config.get("seed", _DEFAULT_SEED)
 
 
 def _tol(config, default: float) -> float:
     if config.get("tol") is not None:
-        t = float(config["tol"])
+        t = config["tol"]
         if not t > 0:
             raise DomainError("tolerance must be positive")
         return t
@@ -59,8 +59,7 @@ def domain_from_config(config) -> Domain:
     if isinstance(spec, Domain):
         return spec
     if isinstance(spec, str):
-        return make_domain(spec, m=_parse_m(config.get("m")),
-                           r=float(config["r"]) if config.get("r") is not None else None)
+        return make_domain(spec, m=_parse_m(config.get("m")), r=config.get("r"))
     return make_domain(spec)
 
 
@@ -268,7 +267,7 @@ def suite_reproducing(config) -> list:
     tol = _tol(config, 1e-3)
     doms = _domains(config, ("ball2",), "reproducing",
                     ((lambda dom: dom.label == "ball2", "ball2; got {dom.label}"),))
-    resolution = int(config["resolution"]) if config.get("resolution") is not None else 24
+    resolution = config.get("resolution", 24)
     points = [np.array([0.0, 0.0], dtype=complex),
               np.array([0.3, 0.0], dtype=complex),
               np.array([0.0, 0.4], dtype=complex),
@@ -377,7 +376,7 @@ def suite_dilation(config) -> list:
 # ---------------------------------------------------------------------------
 
 def suite_annulus(config) -> list:
-    r = float(config["r"]) if config.get("r") is not None else 0.5
+    r = config.get("r", 0.5)
     p = 0.7
     if not r < p:
         # The checks sample the circle |z| = p, which must lie in the annulus.

@@ -26,45 +26,36 @@ _MAX_DOUBLINGS = 4
 class BoundaryQuadrature:
     """Quadrature nodes on a domain boundary.
 
-    points, normals: (K, n) complex arrays; weights: surface measure
-    weights summing to the boundary volume; densities: the boundary
-    form density at each node.
+    points: (K, n) complex array; weights: surface measure weights
+    summing to the boundary volume; densities: the boundary form
+    density at each node.
     """
 
     domain: Domain
-    resolution: int
     points: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
     densities: np.ndarray
 
 
 def boundary_form_density(dom: Domain, xi) -> float:
-    """Boundary form density at xi from the Levi form (domain_core.levi_data).
+    """Boundary form density at xi from the Levi form.
 
     In one variable the determinant is empty and the density is exactly 1.
     """
-    L, gn = domain_core.levi_data(dom, xi)
-    if dom.n == 1:
-        return 1.0
-    return _density_scale(dom.n, gn) * float(np.linalg.det(L).real)
+    return _density(dom, xi)[0]
 
 
-def _density_uncertainty(dom: Domain, xi) -> float:
-    """The uncertainty of boundary_form_density at xi.  With every
-    eigenvalue of the Levi form L within the bound E of its error, |det
-    L| lies below prod(|lambda_i| + E), and the uncertainty is that
-    excess, scaled as the density is."""
+def _density(dom: Domain, xi):
+    """(boundary_form_density, its uncertainty) at xi from one Levi form
+    (domain_core._levi).  With every eigenvalue of the Levi form L within
+    the bound E of its error, |det L| lies below prod(|lambda_i| + E),
+    and the uncertainty is that excess, scaled as the density is."""
     L, gn, err = domain_core._levi(dom, xi)
     if dom.n == 1:
-        return 0.0
+        return 1.0, 0.0
+    scale = 4.0 ** (dom.n - 1) * math.factorial(dom.n - 1) / gn ** (dom.n - 1)
     lam = np.abs(np.linalg.eigvalsh(L))
-    return _density_scale(dom.n, gn) * float(np.prod(lam + err) - np.prod(lam))
-
-
-def _density_scale(n, gn):
-    """The factor 4^(n-1) (n-1)! / |grad rho|^(n-1) of det L in the density."""
-    return 4.0 ** (n - 1) * math.factorial(n - 1) / gn ** (n - 1)
+    return scale * float(np.linalg.det(L).real), scale * float(np.prod(lam + err) - np.prod(lam))
 
 
 def _egg_density_analytic(dom: Domain, points) -> np.ndarray:
@@ -95,9 +86,7 @@ def build_quadrature(dom: Domain, resolution: int) -> BoundaryQuadrature:
         theta = 2.0 * np.pi * np.arange(resolution) / resolution
         pts = np.exp(1j * theta)[:, None]
         weights = np.full(resolution, 2.0 * np.pi / resolution)
-        return BoundaryQuadrature(domain=dom, resolution=resolution,
-                                  points=pts, normals=pts.copy(),
-                                  weights=weights,
+        return BoundaryQuadrature(domain=dom, points=pts, weights=weights,
                                   densities=np.ones(resolution))
 
     if (dom.kind == "ball" and dom.n == 2) or (dom.kind == "ellipsoid" and dom.n == 2):
@@ -121,12 +110,8 @@ def build_quadrature(dom: Domain, resolution: int) -> BoundaryQuadrature:
         pts[..., 1] = (radial1[:, None] * e0)[:, None, :]
         pts = pts.reshape(-1, 2)
         weights = np.repeat(wu * sigma * (2.0 * np.pi / K) ** 2, K * K)
-        grad = domain_core.gradient(dom, pts)
-        normals = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-        densities = _egg_density_analytic(dom, pts)
-        return BoundaryQuadrature(domain=dom, resolution=resolution,
-                                  points=pts, normals=normals,
-                                  weights=weights, densities=densities)
+        return BoundaryQuadrature(domain=dom, points=pts, weights=weights,
+                                  densities=_egg_density_analytic(dom, pts))
 
     raise UnsupportedDomainError(f"no quadrature chart for {dom.label}")
 

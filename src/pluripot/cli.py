@@ -29,9 +29,39 @@ from .errors import ConvergenceError, DomainError, PluripotError, UnsupportedDom
 _QUANTITIES = ("green", "poisson", "horofunction", "distance", "density")
 _FORMATS = ("csv", "json")
 
-_CONFIG_KEYS = {"command", "quantity", "suite", "domain", "xi", "z", "w", "p",
-                "r", "m", "tol", "resolution", "out", "format", "seed", "u",
-                "grid_t", "grid_s"}
+# The add_argument options of every argument, by destination; a flag is
+# --destination with dashes for underscores.
+_ARGUMENTS = {
+    "quantity": {"choices": _QUANTITIES},
+    "suite": {"nargs": "?", "help": f"one of {sorted(SUITES)}"},
+    "domain": {"help": "disc | ballN | eggM | ellipsoid | annulus | half_plane"},
+    "r": {"type": float, "help": "annulus inner radius"},
+    "m": {"help": "ellipsoid exponents, comma separated"},
+    "xi": {"help": "boundary point, e.g. e1 or 1,0"},
+    "z": {"help": "interior point"},
+    "w": {"help": "interior point"},
+    "p": {"help": "interior base point"},
+    "grid_t": {"help": "t grid as start:stop:count"},
+    "grid_s": {"help": "optional s grid as start:stop:count"},
+    "u": {"help": "test function name (monge_ampere suite)"},
+    "tol": {"type": float, "help": "tolerance override"},
+    "resolution": {"type": int, "help": "quadrature resolution (reproducing suite)"},
+    "seed": {"type": int, "help": "sampling seed override"},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": _FORMATS, "help": "output format"},
+    "config": {"help": "JSON config file; flags override its keys"},
+}
+
+# Each command's help, its positional argument and the flags it reads.
+_DOMAIN = ("domain", "r", "m")
+_POINT = ("xi", "z", "w", "p")
+_COMMANDS = {
+    "eval": ("evaluate one quantity", "quantity", _DOMAIN + _POINT + ("out", "format", "config")),
+    "verify": ("run a named verification suite", "suite",
+               _DOMAIN + ("u", "tol", "resolution", "seed", "out", "config")),
+    "sweep": ("sweep a quantity over a parameter grid", "quantity",
+              _DOMAIN + _POINT + ("grid_t", "grid_s", "out", "format", "config")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +309,8 @@ def _parse_grid(text, rows=1):
         raise DomainError(f"cannot parse grid spec {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid ends must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"grid span must be finite, got {text!r}")
     if count < 1:
         raise DomainError("grid count must be positive")
     if rows * count > _MAX_GRID_ROWS:
@@ -292,25 +324,49 @@ def _build_domain(config):
     return domain_from_config(config)
 
 
+def _config_value(key, value):
+    """A config file's value of key, read as its flag reads it.
+
+    A typed key's value is a string that the flag's type reads, or a
+    number (not a bool) that the type keeps as it is; a key with choices
+    takes one of them.  Other values pass through.
+    """
+    options = _ARGUMENTS[key]
+    kind = options.get("type")
+    if kind is not None:
+        try:
+            typed = kind(value) if type(value) in (str, int, float) else None
+        except (ValueError, OverflowError):
+            typed = None
+        if typed is None or (type(value) is not str and typed != value):
+            raise DomainError(f"config key {key!r} must read as {kind.__name__}, got {value!r}")
+        value = typed
+    if "choices" in options and value not in options["choices"]:
+        raise DomainError(f"{key} must be one of {options['choices']}, got {value!r}")
+    return value
+
+
 def _load_config(args) -> dict:
+    """The settings of the command: its config file's keys, which must be
+    destinations of the command's own arguments, then the flags given."""
+    _, positional, flags = _COMMANDS[args.command]
+    keys = {positional, *flags} - {"config"}
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - keys
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+        # A null value leaves its key unset.
+        config.update((key, _config_value(key, value)) for key, value in loaded.items()
+                      if value is not None)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             config[key] = val
-    if config.get("tol") is not None and not float(config["tol"]) > 0:
-        raise DomainError("tolerance must be positive")
-    if config.get("format") not in (None, *_FORMATS):
-        raise DomainError(f"format must be one of {_FORMATS}, got {config['format']!r}")
     return config
 
 
@@ -367,9 +423,8 @@ def _scalar(quantity, dom, pts):
         bound = geodesics_metrics.kobayashi_distance(dom, *pts)
         return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
     if quantity == "density":
-        # The value and its bound each read the Levi form, about 0.2 ms.
-        return (boundary_measure.boundary_form_density(dom, *pts), "levi_form",
-                boundary_measure._density_uncertainty(dom, *pts))
+        value, unc = boundary_measure._density(dom, *pts)
+        return value, "levi_form", unc
     if quantity == "poisson":
         kv = kernels.poisson_kernel(dom, *pts)
     elif quantity == "green":
@@ -544,38 +599,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boundary kernels, invariant distances, and theorem verification "
                     "for convex domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_points=True):
-        p.add_argument("--domain", help="disc | ballN | eggM | ellipsoid | annulus | half_plane")
-        p.add_argument("--r", type=float, help="annulus inner radius")
-        p.add_argument("--m", help="ellipsoid exponents, comma separated")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--resolution", type=int, help="quadrature resolution")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=_FORMATS, help="output format")
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help="sampling seed override")
-        if with_points:
-            p.add_argument("--xi", help="boundary point, e.g. e1 or 1,0")
-            p.add_argument("--z", help="interior point")
-            p.add_argument("--w", help="interior point")
-            p.add_argument("--p", help="interior base point")
-
-    pe = sub.add_parser("eval", help="evaluate one quantity")
-    pe.add_argument("quantity", choices=_QUANTITIES)
-    common(pe)
-
-    pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("suite", nargs="?", help=f"one of {sorted(SUITES)}")
-    pv.add_argument("--u", help="test function name (monge_ampere suite)")
-    common(pv, with_points=False)
-
-    ps = sub.add_parser("sweep", help="sweep a quantity over a parameter grid")
-    ps.add_argument("quantity", choices=_QUANTITIES)
-    ps.add_argument("--grid-t", dest="grid_t", help="t grid as start:stop:count")
-    ps.add_argument("--grid-s", dest="grid_s", help="optional s grid as start:stop:count")
-    common(ps)
-
+    for command, (text, positional, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument(positional, **_ARGUMENTS[positional])
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **_ARGUMENTS[dest])
     return parser
 
 
@@ -597,8 +625,16 @@ def _attach_signed_values(argv):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    args, extra = parser.parse_known_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    dests = {dest for _, _, flags in _COMMANDS.values() for dest in flags}
+    unread = [flag for flag in (tok.split("=", 1)[0] for tok in extra)
+              if flag.startswith("--") and flag[2:].replace("-", "_") in dests]
+    if extra and not unread:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        if unread:
+            # A flag of another command is a setting this one ignores.
+            raise DomainError(f"{args.command} does not read {', '.join(unread)}")
         config = _load_config(args)
         if args.command == "eval":
             return cmd_eval(config)

@@ -38,7 +38,6 @@ _JULIA_SLACK = 1e-8
 class MapUnderTest:
     """A holomorphic map between domains with chosen base points."""
 
-    name: str
     source: Domain
     target: Domain
     fn: Callable
@@ -49,8 +48,8 @@ class MapUnderTest:
         return np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex)
 
 
-def map_from_spec(name: str, *, m=4, n=2, base=None) -> MapUnderTest:
-    """Build one of the catalogued maps.
+def map_from_spec(name: str, *, m=4, n=2) -> MapUnderTest:
+    """Build one of the catalogued maps, each based at the origin.
 
     identity: the identity of the n-ball.  coordinate_projection: the
     first coordinate, n-ball to disc.  egg_to_ball: (z0, z1) ->
@@ -59,16 +58,14 @@ def map_from_spec(name: str, *, m=4, n=2, base=None) -> MapUnderTest:
     """
     if name == "identity":
         dom = make_domain("ball", n=n) if n > 1 else make_domain("disc")
-        p = as_point(dom, np.zeros(dom.n) if base is None else base)
-        return MapUnderTest(name=name, source=dom, target=dom,
-                            fn=lambda z: z, source_base=p, target_base=p)
+        p = np.zeros(dom.n, dtype=complex)
+        return MapUnderTest(source=dom, target=dom, fn=lambda z: z, source_base=p, target_base=p)
     if name == "coordinate_projection":
         src = make_domain("ball", n=n)
         tgt = make_domain("disc")
-        p = as_point(src, np.zeros(n) if base is None else base)
+        p = np.zeros(n, dtype=complex)
         fn = lambda z: np.asarray(z, dtype=complex)[..., :1]
-        return MapUnderTest(name=name, source=src, target=tgt,
-                            fn=fn, source_base=p, target_base=fn(p))
+        return MapUnderTest(source=src, target=tgt, fn=fn, source_base=p, target_base=fn(p))
     if name == "egg_to_ball":
         if m % 2 != 0 or m < 2:
             raise DomainError("egg exponent must be a positive even integer")
@@ -83,9 +80,8 @@ def map_from_spec(name: str, *, m=4, n=2, base=None) -> MapUnderTest:
             out[..., 1] = z[..., 1] ** half
             return out
 
-        p = as_point(src, np.zeros(2) if base is None else base)
-        return MapUnderTest(name=name, source=src, target=tgt,
-                            fn=fn, source_base=p, target_base=fn(p))
+        p = np.zeros(2, dtype=complex)
+        return MapUnderTest(source=src, target=tgt, fn=fn, source_base=p, target_base=fn(p))
     raise UnsupportedDomainError(f"unknown map name {name!r}")
 
 
@@ -96,25 +92,30 @@ def _check_map(mp: MapUnderTest) -> None:
         raise DomainError("target base point must be interior")
 
 
-def dilation(mp: MapUnderTest, xi, xi_target, js=_JS):
+def dilation(mp: MapUnderTest, xi, xi_target):
     """Boundary dilation lambda of the map at xi -> xi'.
 
     Returns (lam, uncertainty).  The log-dilation is the limit of
     k(z_j, p) - k'(f(z_j), p') along the inward normal ladder at xi;
     the liminf is realized as the extrapolated ladder limit.  The rungs
     are one stack: one interior check of their images and one distance
-    call per side.
+    call per side.  The uncertainty of the log-dilation is the
+    extrapolation's plus half the widest rung's two sandwich widths
+    together, as for the horofunction ladder.
     """
     _check_map(mp)
-    zs = np.array(normal_ladder(mp.source, xi, js))
+    zs = np.array(normal_ladder(mp.source, xi, _JS))
     ws = mp(zs)
     if not _inside_rows(mp.target, ws).all():
         raise DomainError("map sent a ladder point outside the target")
-    ks, _ = geodesics_metrics._distance_rows(mp.source, zs, np.broadcast_to(mp.source_base, zs.shape))
-    kt, _ = geodesics_metrics._distance_rows(mp.target, ws, np.broadcast_to(mp.target_base, ws.shape))
+    ks, source_widths = geodesics_metrics._distance_rows(
+        mp.source, zs, np.broadcast_to(mp.source_base, zs.shape))
+    kt, target_widths = geodesics_metrics._distance_rows(
+        mp.target, ws, np.broadcast_to(mp.target_base, ws.shape))
     est, unc = extrapolate([a - b for a, b in zip(ks, kt)], "dilation")
+    widths = max([0.0] + [a + b for a, b in zip(source_widths, target_widths)])
     lam = float(np.exp(est))
-    return lam, float(lam * unc)
+    return lam, float(lam * (unc + 0.5 * widths))
 
 
 def _base_kernels(mp: MapUnderTest, xi, xi_target):

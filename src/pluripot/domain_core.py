@@ -89,10 +89,13 @@ def _shorthand(text: str) -> dict:
         return {"kind": "disc"}
     if t == "half_plane":
         return {"kind": "half_plane"}
-    if t.startswith("ball") and t[4:].isdigit():
-        return {"kind": "ball", "n": int(t[4:])}
-    if t.startswith("egg") and t[3:].isdigit():
-        return {"kind": "ellipsoid", "m": [int(t[3:])]}
+    try:
+        if t.startswith("ball") and t[4:].isdecimal():
+            return {"kind": "ball", "n": int(t[4:])}
+        if t.startswith("egg") and t[3:].isdecimal():
+            return {"kind": "ellipsoid", "m": [int(t[3:])]}
+    except ValueError:  # more digits than int() reads
+        pass
     if t in ("ellipsoid", "annulus", "ball", "general_convex"):
         return {"kind": t}
     raise DomainError(f"unrecognized domain shorthand: {text!r}")

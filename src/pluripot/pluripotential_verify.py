@@ -203,11 +203,12 @@ def _geodesic_family(dom: Domain, xi: BoundaryPoint):
     raise UnsupportedDomainError(f"no catalogued curve family for {dom.label}")
 
 
-def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3) -> VerificationReport:
+def phragmen_lindelof_compare(u, dom: Domain, xi, samples, tol=1e-3) -> VerificationReport:
     """Consistency of u with the extremality of the boundary kernel.
 
     Two signals: (a) membership, limsup u(gamma(t)) (1-t) <= -2/gamma'_N
-    along each certified curve; (b) domination, u <= Omega_xi on the
+    along each catalogued geodesic ending at xi and, for n >= 2, a
+    slanted-normal segment; (b) domination, u <= Omega_xi on the
     samples.  The kernel is the greatest member of its family, so
     membership must imply domination; the verdict reports that
     implication, with both signals in the details.  Membership within
@@ -216,12 +217,11 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     membership, and the report carries that uncertainty.
     """
     xi = domain_core.boundary_point(dom, xi)
-    if curves is None:
-        curves = [(phi, normal) for phi, _, normal in _geodesic_family(dom, xi)]
-        if dom.n >= 2:
-            # A slanted-normal segment; its velocity has normal component 1.
-            vel = xi.normal + 0.3 * xi.tangent_frame[0]
-            curves.append((lambda t: xi.position - (1.0 - complex(t)) * vel, 1.0))
+    curves = [(phi, normal) for phi, _, normal in _geodesic_family(dom, xi)]
+    if dom.n >= 2:
+        # A slanted-normal segment; its velocity has normal component 1.
+        vel = xi.normal + 0.3 * xi.tangent_frame[0]
+        curves.append((lambda t: xi.position - (1.0 - complex(t)) * vel, 1.0))
 
     # The kernel values of each curve, and of all the samples, are one
     # call each of u and of Omega_xi when these are closed forms.
@@ -268,17 +268,9 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, curves=None, tol=1e-3
     )
 
 
-def laplacian_1d(u, zeta, h, richardson=False):
-    """5-point Laplacian of u at a point of C.
-
-    With richardson=True returns (refined, gap): the step-halved
-    extrapolation and the raw discrepancy diagnostic.
-    """
-    plain = _stencils.laplacian_5pt(u, zeta, h)
-    if not richardson:
-        return plain
-    half = _stencils.laplacian_5pt(u, zeta, h / 2.0)
-    return (4.0 * half - plain) / 3.0, abs(half - plain)
+def laplacian_1d(u, zeta, h):
+    """5-point Laplacian of u at a point of C."""
+    return _stencils.laplacian_5pt(u, zeta, h)
 
 
 def laplacian_noise_floor(zeta, h, amplitude=1.0) -> float:

@@ -17,9 +17,10 @@ match bit for bit, the gauge of one point by one brentq, which the
 lockstep gauge must match bit for bit, the horofunction of one point
 pair with its own ladder, which the stacked horofunction rows must
 match bit for bit, log tanh(k/2) in multiple
-precision, and at 50 digits the complex Hessian of the kernel at e1 of
+precision, at 50 digits the complex Hessian of the kernel at e1 of
 a ball or egg by the quotient rule and the boundary density of a ball
-or egg in C^2 by its closed form.  Besides these, a few readings
+or egg in C^2 by its closed form, and the step-halved Richardson
+5-point Laplacian.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from pluripot import domain_core, geodesics_metrics, hyperbolic_models
+from pluripot import domain_core, geodesics_metrics, hyperbolic_models, laplacian_1d
 from pluripot._extrap import extrapolate, normal_ladder
 from pluripot.domain_core import Domain, as_point, boundary_point, defining_function, require_interior
 from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainError
@@ -670,3 +671,12 @@ def egg_density_mp(m, xi) -> float:
         gn2 = abs(g0) ** 2 + abs(g1) ** 2
         h11 = mpmath.mpf(m) ** 2 / 4 * abs(z1) ** (m - 2)
         return float(4 * (abs(g1) ** 2 + h11 * abs(g0) ** 2) / gn2 ** mpmath.mpf(1.5))
+
+
+def laplacian_richardson(u, zeta, h):
+    """(refined, gap) of the 5-point Laplacian of u at a point of C: the
+    step-halved extrapolation (4 L(h/2) - L(h)) / 3 and the raw
+    discrepancy |L(h/2) - L(h)|."""
+    plain = laplacian_1d(u, zeta, h)
+    half = laplacian_1d(u, zeta, h / 2.0)
+    return (4.0 * half - plain) / 3.0, abs(half - plain)

@@ -201,6 +201,26 @@ def test_sweep_density_weak_circle(capsys):
         assert abs(float(r["value"])) < 1e-6
 
 
+def test_density_rows_read_one_levi_form_each(monkeypatch, capsys):
+    # The value and its uncertainty come from the same Levi form.
+    from pluripot import domain_core
+
+    calls = []
+    levi = domain_core._levi
+
+    def counted(dom, xi):
+        calls.append(1)
+        return levi(dom, xi)
+
+    monkeypatch.setattr(domain_core, "_levi", counted)
+    assert main(["eval", "density", "--domain", "egg4", "--xi", "0.6,0.8944271909999159"]) == 0
+    assert len(calls) == 1
+    assert main(["sweep", "density", "--domain", "egg4",
+                 "--xi", "cos(t)+j*sin(t),0", "--grid-t", "0:6.28:12"]) == 0
+    assert len(calls) == 1 + 12
+    capsys.readouterr()
+
+
 def test_sweep_marks_exterior_rows(capsys):
     rc = main(["sweep", "poisson", "--domain", "disc", "--xi", "e1",
                "--z", "t", "--grid-t", "0.5:1.5:3"])
@@ -617,6 +637,7 @@ def test_config_file_format_is_validated(command, tmp_path, capsys):
     ({"grid_t": "nan:0.5:3"}, "grid ends must be finite, got 'nan:0.5:3'"),
     ({"grid_t": "0:inf:3"}, "grid ends must be finite, got '0:inf:3'"),
     ({"grid_t": "0:0.5:3", "grid_s": "-inf:0:3"}, "grid ends must be finite, got '-inf:0:3'"),
+    ({"grid_t": "-1e308:1e308:3"}, "grid span must be finite, got '-1e308:1e308:3'"),
 ])
 def test_sweep_grid_must_be_a_finite_spec(grids, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -670,6 +691,7 @@ _GRID_TEXT = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=_GRID_TEXT, rows=st.integers(1, 10 ** 6))
+@example(text="-1e308:1e308:3", rows=1)
 def test_parse_grid_returns_a_bounded_grid_or_refuses(text, rows):
     from unittest import mock
 
@@ -679,6 +701,7 @@ def test_parse_grid_returns_a_bounded_grid_or_refuses(text, rows):
         grid = _returns_or_domain_error(cli._parse_grid, text, rows)
     if grid is not None:
         assert grid.ndim == 1 and 1 <= len(grid) and rows * len(grid) <= 1000
+        assert np.isfinite(grid).all()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -931,3 +954,118 @@ def test_one_parser_serves_every_call_without_leaking_flags(tmp_path, capsys):
                 + " ".join(argv))
         assert line == snapshot.fingerprint(argv, _ROOT / "src")
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0", "--seed", "1"], "--seed"),
+    (["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0", "--seed", "7", "--tol", "5",
+      "--resolution", "99"], "--seed, --tol, --resolution"),
+    (["sweep", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "t,0", "--grid-t", "0:0.5:3",
+      "--tol", "1e-3"], "--tol"),
+    (["verify", "annulus", "--format", "csv"], "--format"),
+    (["verify", "annulus", "--z=-0.5"], "--z"),
+])
+def test_flag_of_another_command_is_config_error(argv, flags, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: {argv[0]} does not read {flags}\n"
+
+
+def _run_config(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([*argv, "--config", str(cfg)])
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0"], {"seed": 1}),
+    (["sweep", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "t,0", "--grid-t", "0:0.5:3"],
+     {"tol": 1e-3}),
+    (["verify", "annulus"], {"format": "csv"}),
+    (["verify", "annulus"], {"command": "verify"}),
+    (["verify", "annulus"], {"config": "other.json"}),
+])
+def test_config_key_the_command_does_not_read_is_config_error(argv, config, tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, argv, config)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: unknown config keys: {sorted(config)}\n"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["verify", "asymptoticity"], {"tol": "abc"}, "config key 'tol' must read as float, got 'abc'"),
+    (["verify", "asymptoticity"], {"tol": [1]}, "config key 'tol' must read as float, got [1]"),
+    (["verify", "asymptoticity"], {"tol": True}, "config key 'tol' must read as float, got True"),
+    (["eval", "poisson", "--xi", "1", "--z", "0.6"], {"domain": "annulus", "r": "abc"},
+     "config key 'r' must read as float, got 'abc'"),
+    (["verify", "reproducing"], {"resolution": "x"}, "config key 'resolution' must read as int, got 'x'"),
+    (["verify", "reproducing"], {"resolution": 24.5},
+     "config key 'resolution' must read as int, got 24.5"),
+    (["verify", "dilation"], {"seed": "x"}, "config key 'seed' must read as int, got 'x'"),
+    (["verify", "dilation"], {"seed": 1.5}, "config key 'seed' must read as int, got 1.5"),
+    (["verify", "dilation"], {"seed": False}, "config key 'seed' must read as int, got False"),
+    (["verify", "dilation"], {"seed": {"a": 1}}, "config key 'seed' must read as int, got {'a': 1}"),
+    (["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0"], {"quantity": "flux"},
+     "quantity must be one of ('green', 'poisson', 'horofunction', 'distance', 'density'), got 'flux'"),
+    (["verify", "asymptoticity"], {"tol": 0}, "tolerance must be positive"),
+])
+def test_config_value_its_flag_would_not_take_is_config_error(argv, config, message, tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, argv, config)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["verify", "dilation"], {"seed": 1}, ["--seed", "1"]),
+    (["verify", "dilation"], {"seed": "1"}, ["--seed", "1"]),
+    (["verify", "dilation"], {"seed": 1.0}, ["--seed", "1"]),
+    (["verify", "annulus"], {"r": "0.3", "tol": 1}, ["--r", "0.3"]),
+    (["verify", "annulus"], {"r": 0.3, "seed": None}, ["--r", "0.3"]),
+    (["verify", "reproducing"], {"resolution": 16, "tol": "1e-3"}, ["--resolution", "16", "--tol", "1e-3"]),
+    (["eval", "distance", "--z", "0.7", "--w", "0.71"], {"domain": "annulus", "r": 0.5},
+     ["--domain", "annulus", "--r", "0.5"]),
+    (["sweep", "poisson", "--xi", "e1", "--z", "t,0"], {"domain": "ball2", "grid_t": "0:0.5:3",
+                                                        "format": "json"},
+     ["--domain", "ball2", "--grid-t", "0:0.5:3", "--format", "json"]),
+])
+def test_config_value_reads_as_its_flag(argv, config, flags, tmp_path, capsys):
+    rc, by_config = _run_config(tmp_path, capsys, argv, config)
+    assert main([*argv, *flags]) == rc
+    by_flags = capsys.readouterr()
+    assert rc in (0, 3)
+    assert (by_config.out, by_config.err) == (by_flags.out, by_flags.err)
+
+
+@pytest.mark.parametrize("domain", ["ball²", "egg²", "ball" + "1" * 5000])
+def test_domain_name_with_digits_int_cannot_read_is_config_error(domain, capsys):
+    rc = main(["eval", "poisson", "--domain", domain, "--xi", "e1", "--z", "0.1,0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: unrecognized domain shorthand: {domain!r}\n"
+
+
+def _subcommand_flags():
+    """{subcommand: sorted flags} that _build_parser registers, -h aside."""
+    import argparse
+
+    from pluripot import cli
+
+    [commands] = [action.choices for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, sub in commands.items()}
+
+
+def test_readme_lists_the_flags_of_each_subcommand():
+    # The bullet list after README's "checks these flags" paragraph: one
+    # bullet per subcommand, named in backticks before the colon, and its
+    # flags in backticks after it.
+    text = (_ROOT / "README.md").read_text()
+    bullets = text.split("checks these flags of each subcommand", 1)[1].split("\n\n")[1]
+    listed = {}
+    for bullet in bullets.split("\n- "):
+        name, flags = bullet.lstrip("- ").split(":", 1)
+        listed[name.strip("`")] = sorted(re.findall(r"`([^`]+)`", flags))
+    assert listed == _subcommand_flags()

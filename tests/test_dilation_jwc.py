@@ -1,6 +1,7 @@
 """Boundary dilation, Julia inequalities, and special-curve limits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ def test_dilation_identity_is_one():
     assert unc < 1e-6
 
 
+def test_dilation_uncertainty_carries_the_rung_sandwich_widths(monkeypatch):
+    # A sandwiched rung distance is only known to within its width: the
+    # uncertainty takes half the widest rung's source and target widths
+    # together, on top of the extrapolation's, scaled by lambda.
+    from pluripot import geodesics_metrics
+
+    mp = map_from_spec("identity")
+    lam, unc = dilation(mp, E1, E1)
+    assert (lam, unc) == (1.0, 0.0)
+    exact_rows = geodesics_metrics._distance_rows
+    widths = iter([[0.1, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0],
+                   [0.5, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+    def sandwiched(dom, z, w):
+        return exact_rows(dom, z, w)[0], next(widths)
+
+    monkeypatch.setattr(geodesics_metrics, "_distance_rows", sandwiched)
+    assert dilation(mp, E1, E1) == (1.0, 0.5 * (0.3 + 0.4))
+
+
 def test_normalized_dilation_alpha_one():
     # kernel-preserving maps have alpha = 1 at the matched boundary point
     mp = map_from_spec("egg_to_ball", m=4)
@@ -63,10 +84,11 @@ def test_normalized_dilation_alpha_one():
 def test_alpha_base_point_independence():
     # alpha depends on the map and the boundary points, not on the bases
     rng = np.random.default_rng(97)
+    projection = map_from_spec("coordinate_projection")
     vals = []
     for _ in range(5):
         base = rng.standard_normal(2) * 0.3
-        mp = map_from_spec("coordinate_projection", base=base)
+        mp = replace(projection, source_base=base, target_base=projection(base))
         vals.append(normalized_dilation(mp, E1, np.array([1.0])))
     assert max(vals) - min(vals) < 1e-6
 

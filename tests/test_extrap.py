@@ -10,9 +10,7 @@ from pluripot import (
     ConvergenceError,
     DomainError,
     boundary_point,
-    dilation,
     make_domain,
-    map_from_spec,
 )
 from pluripot._extrap import aitken, extrapolate, normal_ladder
 
@@ -59,9 +57,6 @@ def test_normal_ladder_refuses_rung_outside_domain():
     # j = -1 steps 10 units inward from e1, through the ball and out.
     with pytest.raises(DomainError, match="left the domain"):
         normal_ladder(ball2, E1, range(-1, 3))
-    # The dilation ladder used to drop that rung and extrapolate the rest.
-    with pytest.raises(DomainError, match="left the domain"):
-        dilation(map_from_spec("identity", n=2), E1, E1, js=range(-1, 9))
 
 
 def test_boundary_point_returns_boundary_point_unchanged():

@@ -1,7 +1,7 @@
 """What the package imports and offers: every imported name is used, no
-scipy, no keyword default that no caller changes, and no definition that
-the command line does not reach unless it is named library-only, in this
-file and in README."""
+scipy, no keyword default that only tests change, no class member that
+the package never reads, and no definition that the command line does
+not reach unless it is named library-only, in this file and in README."""
 
 import ast
 import os
@@ -14,6 +14,7 @@ import pluripot
 
 SRC = pathlib.Path(pluripot.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+ROOT = TESTS.parent
 
 
 def _unused_imports(tree):
@@ -98,14 +99,17 @@ def _unreached(modules, roots):
             if name not in reached}
 
 
-# Tested paper-claim helpers that no verify suite calls yet; README lists
-# them with the ROADMAP item that will give each a check.
+# Tested paper-claim helpers that no verify suite calls yet, and the
+# one-value forms of what `eval density` reads from one Levi form; README
+# lists them, the helpers with the ROADMAP item that will give each a check.
 _LIBRARY_ONLY = {
     ("kernels", "horosphere_contains"),
     ("kernels", "k_region_contains"),
     ("kernels", "boundary_distance_asymptotic"),
     ("domain_core", "line_type"),
     ("domain_core", "_MAX_LINE_TYPE"),
+    ("boundary_measure", "boundary_form_density"),
+    ("domain_core", "levi_data"),
 }
 
 
@@ -117,7 +121,7 @@ def test_every_definition_is_reached_from_the_command_line():
 def test_readme_names_the_library_only_definitions():
     # The bullet list after README's "library-only API" paragraph; each
     # bullet names its definitions in backticks before its first colon.
-    text = (TESTS.parent / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     bullets = text.split("except this library-only API", 1)[1].split("\n\n")[1]
     named = re.findall(r"`(\w+)`", "".join(re.findall(r"^- ([^:]*):", bullets, flags=re.M)))
     assert sorted(named) == sorted(name for _, name in _LIBRARY_ONLY)
@@ -167,14 +171,23 @@ def _unset_defaults(defs_tree, call_trees):
     return found
 
 
+# Keyword defaults that no call in the repository's code changes, kept
+# with their reason: the console script calls main() with no argv, and
+# perfbench's call_cli passes its argv through a timing wrapper.
+_CALLED_INDIRECTLY = {("cli.py", "main", "argv")}
+
+
 def test_every_keyword_default_is_overridden_somewhere():
-    # A keyword default that no caller changes is a setting with one value
-    # in use: it belongs in the function body or a module constant.
-    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
-    call_trees = [ast.parse(path.read_text()) for path in paths]
-    unset = {path.name: _unset_defaults(tree, call_trees)
-             for path, tree in zip(paths, call_trees) if path.parent == SRC}
-    assert {name: found for name, found in unset.items() if found} == {}
+    # A keyword default that only tests change, or none, is a setting with
+    # one value in use: it belongs in the function body or a module
+    # constant.  The callers are the package, perfbench and tools.
+    callers = [path for folder in (SRC, ROOT / "perfbench", ROOT / "tools")
+               for path in sorted(folder.glob("*.py"))]
+    call_trees = [ast.parse(path.read_text()) for path in callers]
+    unset = {(path.name, name, param)
+             for path, tree in zip(callers, call_trees) if path.parent == SRC
+             for _, name, param in _unset_defaults(tree, call_trees)}
+    assert unset == _CALLED_INDIRECTLY
 
 
 def test_unset_default_is_found():
@@ -182,6 +195,59 @@ def test_unset_default_is_found():
                      "def g(a=0):\n    pass\n")
     calls = ast.parse("f(0, 5)\nf(0, d=4)\nm.g(*xs)\n")
     assert _unset_defaults(defs, [defs, calls]) == [(1, "f", "c")]
+
+
+def _members(tree):
+    """(class, name) of each dataclass field, slot, method and property of
+    the classes in tree, dunders aside."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            names = []
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                                      for t in node.targets):
+                names = list(ast.literal_eval(node.value))
+            found += [(cls.name, name) for name in names if not name.startswith("__")]
+    return found
+
+
+def _unread_members(trees):
+    """Sorted (class, name) of each member of a class in trees that no
+    tree reads by name: as obj.name in a load, or getattr(obj, "name")."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(member for tree in trees for member in _members(tree) if member[1] not in read)
+
+
+def test_every_class_member_is_read_somewhere():
+    # A field or method that the package never reads is kept only for
+    # its tests, or for no one.
+    assert _unread_members([ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]) == []
+
+
+def test_unread_member_is_found():
+    tree = ast.parse("@dataclass\nclass A:\n    kept: int\n    dropped: int\n"
+                     "    def used(self):\n        return self.kept\n"
+                     "    def unused(self):\n        pass\n"
+                     "    @property\n    def prop(self):\n        return 1\n"
+                     "    def __call__(self):\n        pass\n"
+                     "class B:\n    __slots__ = ('read', 'written')\n"
+                     "    def __init__(self):\n        self.read, self.written = 1, 2\n"
+                     "def f(a, b):\n    return a.used(), a.prop, getattr(b, 'read'), A(kept=1, dropped=2)\n")
+    assert _unread_members([tree]) == [("A", "dropped"), ("A", "unused"), ("B", "written")]
 
 
 def test_import_loads_no_scipy():

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pluripot import (
     ClosedFormKernel,
@@ -25,11 +23,11 @@ from pluripot import (
     phragmen_lindelof_compare,
     poisson_kernel,
 )
-from pluripot import _jets, _stencils
+from pluripot import _jets
 from pluripot.pluripotential_verify import (_exact_hessians, _geodesic_laplacians,
                                           _monge_ampere_residual, _psh_report, _report)
 
-from oracles import interior_samples_one_at_a_time
+from oracles import interior_samples_one_at_a_time, laplacian_richardson
 
 
 def _random_interior(dom, rng, lo=0.15, hi=0.6):
@@ -162,7 +160,7 @@ def test_harmonic_along_geodesic():
     # harmonic away from the pole
     w = phi(0.3)
     gw = lambda z: green_function(dom, w, z).value
-    laps = [abs(laplacian_1d(lambda t: gw(phi(t)), zeta, 1e-3, richardson=True)[0])
+    laps = [abs(laplacian_richardson(lambda t: gw(phi(t)), zeta, 1e-3)[0])
             for zeta in (0.0, -0.4, 0.6j)]
     assert _report("harmonic_along_geodesic", laps, 1e-4).verdict == "pass"
 
@@ -316,7 +314,7 @@ def test_nan_residuals_fail_closed():
     assert rep.verdict == "fail"
 
 
-def test_phragmen_nan_domination_fails_closed():
+def test_phragmen_nan_domination_fails_closed(monkeypatch):
     ball2 = make_domain("ball2")
     xi = boundary_point(ball2, [1.0, 0.0])
     kernel = _kernel(ball2, xi)
@@ -330,8 +328,11 @@ def test_phragmen_nan_domination_fails_closed():
     assert rep.verdict == "fail"
 
     # A curve whose normal derivative is NaN leaves membership undecided.
-    curves = [(lambda t: np.array([complex(t), 0.0]), math.nan)]
-    rep = phragmen_lindelof_compare(kernel, ball2, xi, samples, curves=curves)
+    from pluripot import pluripotential_verify
+
+    monkeypatch.setattr(pluripotential_verify, "_geodesic_family",
+                        lambda dom, xi: [(lambda t: np.array([complex(t), 0.0]), None, math.nan)])
+    rep = phragmen_lindelof_compare(kernel, ball2, xi, samples)
     assert math.isnan(rep.details["membership_violation"])
     assert rep.verdict == "fail"
 
@@ -570,7 +571,7 @@ def test_main2_estimate_points_are_each_curves_own_root(label, monkeypatch):
 @pytest.mark.parametrize("spec, curve", [("egg4", lambda xi: egg_geodesic(4, 0.25j)),
                                          ("ball2", lambda xi: ball_geodesic([0.2, 0.3j], xi))])
 def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
-    # The exact Laplacians agree with laplacian_1d's Richardson stencil,
+    # The exact Laplacians agree with the Richardson 5-point stencil,
     # taken one point at a time, to within the stencil's step-halving gap
     # and the jet bound: on the kernel (harmonic, 0) and on |z|^2 (not).
     dom = make_domain(spec)
@@ -582,7 +583,7 @@ def test_geodesic_laplacians_match_the_one_point_stencil(spec, curve):
                          (_norm_sq, lambda z: float(np.sum(np.abs(z) ** 2)))):
         laps, bounds = _geodesic_laplacians(stacked, phi, phi.derivative, zetas)
         for zeta, lap, bound in zip(zetas, laps, bounds):
-            want, gap = laplacian_1d(lambda w: one(phi(w)), zeta, 1e-3, richardson=True)
+            want, gap = laplacian_richardson(lambda w: one(phi(w)), zeta, 1e-3)
             assert abs(lap - abs(want)) <= gap + bound
     assert min(laps) > 3.0
 
@@ -707,88 +708,13 @@ def test_hessian_stencil_leaving_the_domain_raises_on_both_paths():
     for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
         with pytest.raises(DomainError, match="inside the domain"):
             complex_hessian(u, z, 0.2)
-    # One such point spoils the whole stack.
-    stack = np.array([[0.1, 0.2j], [0.0, 0.9], [-0.3, 0.1]])
-    for u in (ClosedFormKernel(egg, xi, 1.0), _kernel(egg, xi)):
-        with pytest.raises(DomainError, match="inside the domain"):
-            complex_hessian(u, stack, np.array([1e-3, 0.2, 1e-3]))
 
 
-def test_stacked_hessian_rejects_a_step_that_is_not_positive():
+def test_hessian_rejects_a_step_that_is_not_positive():
     u = ClosedFormKernel(make_domain("ball2"), [1.0, 0.0], 1.0)
-    stack = np.array([[0.1, 0.2j], [0.3, 0.0], [-0.3, 0.1]])
     for bad in (0.0, -1e-3, math.nan):
         with pytest.raises(DomainError, match="step must be positive"):
-            complex_hessian(u, stack, np.array([1e-3, bad, 1e-3]))
-    with pytest.raises(DomainError, match="step must be positive"):
-        complex_hessian(u, stack[0], math.nan)
-
-
-def _same_sample(a, b):
-    return (a.point.tobytes() == b.point.tobytes() and a.step == b.step
-            and a.matrix.tobytes() == b.matrix.tobytes() and a.richardson_gap == b.richardson_gap
-            and a.eigenvalues.tobytes() == b.eigenvalues.tobytes())
-
-
-_STACK_DOMAINS = ("ball2", "ball3", "egg4", "egg6")
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(spec=st.sampled_from(_STACK_DOMAINS + ("plain",)), count=st.integers(1, 12),
-       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_stacked_hessian_matches_one_point_bit_for_bit(spec, count, seed, data):
-    # hessian_richardson on a stack gives each point's matrix and gap as
-    # the stack of that point alone does; complex_hessian adds the same
-    # eigenvalues.  Kernels go through ClosedFormKernel.many, a plain
-    # function of one point through one call per row.
-    from pluripot import _suites, pluripotential_verify
-
-    rng = np.random.default_rng(seed)
-    if spec == "plain":
-        n = data.draw(st.integers(1, 3))
-        u = lambda z: float(np.sum(np.abs(z) ** 4)) + float((z[0] * np.conj(z[-1])).real) ** 3
-        values = pluripotential_verify._on_stack(u)
-        pts = 0.5 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
-        steps = rng.uniform(1e-5, 1e-2, count)
-    else:
-        dom = make_domain(spec)
-        u = ClosedFormKernel(dom, _suites._axis_boundary(dom), 1.0)
-        values = pluripotential_verify._on_stack(u)
-        assert values == u.many
-        pts = np.array(_suites._interior_samples(dom, count, rng, gauge_hi=0.6, min_axis_gap=0.3))
-        steps = np.array([1e-3 * boundary_distance(dom, z) for z in pts])
-    matrices, gaps = _stencils.hessian_richardson(values, pts, steps)
-    stacked = complex_hessian(u, pts, steps)
-    assert len(stacked) == count
-    for i in range(count):
-        one_h, one_gap = _stencils.hessian_richardson(values, pts[i:i + 1], steps[i:i + 1])
-        assert matrices[i].tobytes() == one_h[0].tobytes()
-        assert gaps[i] == one_gap[0]
-        assert _same_sample(stacked[i], complex_hessian(u, pts[i], steps[i]))
-
-
-@pytest.mark.parametrize("spec", _STACK_DOMAINS)
-def test_suite_hessian_stack_matches_one_point_calls(spec):
-    # The monge_ampere suite's 200 samples as one stack, against the
-    # oracle stencil one point at a time.
-    from pluripot import _suites
-
-    dom = make_domain(spec)
-    xi = _suites._axis_boundary(dom)
-    u = ClosedFormKernel(dom, xi, 1.0)
-    scalar = lambda z: poisson_kernel(dom, xi, z, method="closed_form").value
-    rng = np.random.default_rng(20240519)
-    samples = _suites._interior_samples(dom, 200, rng, gauge_lo=0.15, gauge_hi=0.6,
-                                        min_axis_gap=0.3, min_tangential=0.05)
-    steps = [1e-3 * boundary_distance(dom, z) for z in samples]
-    stacked = complex_hessian(u, np.array(samples), np.array(steps))
-    for i in range(0, 200, 10):
-        matrix, gap = _hessian_oracle(scalar, samples[i], steps[i])
-        assert stacked[i].matrix.tobytes() == matrix.tobytes()
-        assert stacked[i].richardson_gap == gap
-        assert stacked[i].eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
-    for i in range(200):
-        assert _same_sample(stacked[i], complex_hessian(u, samples[i], steps[i]))
+            complex_hessian(u, np.array([0.3, 0.0]), bad)
 
 
 def test_report_reduces_residuals_to_the_worst():
