@@ -15,6 +15,7 @@ import argparse
 import ast
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -68,12 +69,12 @@ _COMMANDS = {
 # Serialization: floats at 17 significant digits, deterministic layout.
 # ---------------------------------------------------------------------------
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return _NONFINITE.get(text, text)
 
 
 def _dumps(obj, indent=0) -> str:
@@ -111,30 +112,36 @@ def _point_str(pt) -> str:
     return ";".join(parts)
 
 
-_FLOATS = (float, np.floating)
+def _float_texts(floats):
+    """_fmt_float of each of a list of floats."""
+    texts = list(map(format, floats, itertools.repeat(".17g")))
+    return list(map(_NONFINITE.get, texts, texts))
 
 
-def _cells(column):
-    """The CSV cells of one column: floats at 17 significant digits, the rest by str.
-
-    In a column of floats each distinct float is formatted once (grid
-    values repeat, and so do uncertainty 0 and NaN).  Floats are told
-    apart by their bit patterns, not their values: 0.0 == -0.0, but they
-    print as 0 and -0.
-    """
-    if not all(isinstance(v, _FLOATS) for v in column):
-        return [_fmt_float(float(v)) if isinstance(v, _FLOATS) else str(v) for v in column]
-    floats = np.array(column, dtype=float)
-    bits = floats.view(np.int64).tolist()
-    texts = {b: _fmt_float(x) for b, x in dict(zip(bits, floats.tolist())).items()}
-    return [texts[b] for b in bits]
+def _distinct_texts(floats):
+    """_float_texts(floats), each distinct bit pattern formatted once (0.0
+    == -0.0, but they print as 0 and -0)."""
+    bits = np.array(floats, dtype=float).view(np.int64).tolist()
+    distinct = dict(zip(bits, floats))
+    texts = dict(zip(distinct, _float_texts(list(distinct.values()))))
+    return list(map(texts.__getitem__, bits))
 
 
 def _write_csv(columns, out):
-    """Write columns, a dict of header -> cells of equal length, as CSV."""
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, zip(*[_cells(column) for column in columns.values()])))
-    out.write("\n".join(lines) + "\n")
+    """Write columns, a dict of header -> cells of equal length, as CSV: a
+    float at 17 significant digits, anything else by str."""
+    out.write(_table("csv", columns, ([_fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                                       for v in row] for row in zip(*columns.values()))))
+
+
+def _table(fmt, header, rows) -> str:
+    """rows (at least one) of cell texts under header, as CSV or as the JSON
+    of _dumps({"schema": 1, "rows": [a dict per row]}): then a row is a
+    tuple, and a string cell's text is its JSON string."""
+    if fmt == "json":
+        row = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in header) + "\n    }"
+        return '{\n  "schema": 1,\n  "rows": [\n' + ",\n".join(map(row.__mod__, rows)) + "\n  ]\n}\n"
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _emit(text: str, path) -> None:
@@ -262,7 +269,7 @@ def _template_rows(text, n, params, grid):
         except (ArithmeticError, ValueError, TypeError) as exc:
             values.append((math.nan,) * n)
             errors[row] = DomainError(f"cannot evaluate {text!r}: {exc}")
-    return _Rows(np.array(values, dtype=complex), errors)
+    return _Rows(np.fromiter(itertools.chain.from_iterable(values), complex).reshape(-1, n), errors)
 
 
 def _sweep_point(dom, key, text, params, grid):
@@ -300,7 +307,7 @@ _MAX_GRID_ROWS = 10 ** 6
 
 def _parse_grid(text, rows=1):
     """start:stop:count -> linspace, as the axis of a grid of rows * count rows."""
-    parts = text.split(":") if isinstance(text, str) else ()
+    parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be start:stop:count, got {text!r}")
     try:
@@ -329,7 +336,8 @@ def _config_value(key, value):
 
     A typed key's value is a string that the flag's type reads, or a
     number (not a bool) that the type keeps as it is; a key with choices
-    takes one of them.  Other values pass through.
+    takes one of them.  Any other key takes a string, and m and the
+    points also a list of numbers.
     """
     options = _ARGUMENTS[key]
     kind = options.get("type")
@@ -340,9 +348,14 @@ def _config_value(key, value):
             typed = None
         if typed is None or (type(value) is not str and typed != value):
             raise DomainError(f"config key {key!r} must read as {kind.__name__}, got {value!r}")
-        value = typed
+        return typed
     if "choices" in options and value not in options["choices"]:
         raise DomainError(f"{key} must be one of {options['choices']}, got {value!r}")
+    if key in ("m", *_POINT):
+        if type(value) is not str and not (type(value) is list and all(type(v) in (int, float) for v in value)):
+            raise DomainError(f"{key} must be a string or a list of numbers, got {value!r}")
+    elif type(value) is not str:
+        raise DomainError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -353,8 +366,11 @@ def _load_config(args) -> dict:
     keys = {positional, *flags} - {"config"}
     config = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read config file {args.config!r}: {exc}")
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
         unknown = set(loaded) - keys
@@ -398,8 +414,8 @@ def _detached(exc):
 def _points(quantity, dom, config, parse):
     """Each point the quantity reads, by key, in the order it reads them.
 
-    A string is parse(key, text); a BoundaryPoint stays as it is;
-    anything else becomes a complex array.
+    A string is parse(key, text); a list of numbers becomes a complex
+    array.
     """
     if quantity not in _POINTS:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
@@ -408,12 +424,7 @@ def _points(quantity, dom, config, parse):
         raw = config.get(key)
         if raw is None:
             raise DomainError(f"quantity {quantity!r} requires --{key}")
-        if isinstance(raw, str):
-            points[key] = parse(key, raw)
-        elif isinstance(raw, BoundaryPoint):
-            points[key] = raw
-        else:
-            points[key] = np.asarray(raw, dtype=complex)
+        points[key] = parse(key, raw) if isinstance(raw, str) else np.asarray(raw, dtype=complex)
     return points
 
 
@@ -493,23 +504,22 @@ def _evaluate(quantity, dom, points, k):
     route = _stacked(quantity, dom, points.get("xi"))
     if route is not None:
         keys = [key for key in keys if key != "xi"]
-        rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
+        rows = np.flatnonzero([outcome is None for outcome in outcomes])
         for key in keys:
             pt = points[key]
-            if isinstance(pt, _Rows):
-                errors = _interior_errors(dom, key, pt.stack[rows])
-            else:
-                errors = [_inside(dom, pt, key)] * len(rows)
-            for row, exc in zip(rows, errors):
-                outcomes[row] = exc
-            rows = [row for row, exc in zip(rows, errors) if exc is None]
+            errors = (_interior_errors(dom, key, pt.stack[rows]) if isinstance(pt, _Rows)
+                      else [_inside(dom, pt, key)] * len(rows))
+            outside = np.flatnonzero([exc is not None for exc in errors])
+            for i in outside.tolist():
+                outcomes[rows[i]] = errors[i]
+            rows = np.delete(rows, outside)
         stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
                   else np.tile(points[key], (len(rows), 1)) for key in keys]
         try:
-            values = route(*stacks).tolist() if rows else []
+            values = route(*stacks).tolist() if len(rows) else []
         except (PluripotError, ArithmeticError, ValueError):
             values = []
-        for row, value in zip(rows, values):
+        for row, value in zip(rows.tolist(), values):
             outcomes[row] = (value, "closed_form", 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
@@ -529,27 +539,21 @@ def cmd_eval(config) -> int:
     [outcome] = _evaluate(quantity, dom, points, 1)
     if isinstance(outcome, Exception):
         raise outcome
-    value, method, unc = outcome
     row = {"quantity": quantity, "domain": dom.label}
-    for key in ("xi", "z", "w", "p"):
-        if config.get(key) is not None:
-            raw = config[key]
-            pt = _parse_point(raw, n=dom.n) if isinstance(raw, str) else np.asarray(raw, dtype=complex)
-            row[key] = _point_str(pt)
-    row.update({"value": value, "method": method, "uncertainty": unc})
+    for key in _POINT:
+        raw = config.get(key)
+        if raw is not None:
+            row[key] = _point_str(_parse_point(raw, dom.n) if isinstance(raw, str) else raw)
+    row.update(zip(("value", "method", "uncertainty"), outcome))
 
     fmt = config.get("format") or "json"
     if fmt == "json":
         _emit(_dumps({"schema": 1, "rows": [row]}) + "\n", config.get("out"))
     else:
-        _write_csv_to(config, {key: [cell] for key, cell in row.items()})
+        buf = io.StringIO()
+        _write_csv({key: [cell] for key, cell in row.items()}, buf)
+        _emit(buf.getvalue(), config.get("out"))
     return 0
-
-
-def _write_csv_to(config, columns):
-    buf = io.StringIO()
-    _write_csv(columns, buf)
-    _emit(buf.getvalue(), config.get("out"))
 
 
 def cmd_verify(config) -> int:
@@ -568,23 +572,24 @@ def cmd_sweep(config) -> int:
     quantity = config.get("quantity")
     if not config.get("grid_t"):
         raise DomainError("sweep requires --grid-t start:stop:count")
-    columns = {"t": _parse_grid(config["grid_t"]).tolist()}
+    axes = {"t": _parse_grid(config["grid_t"]).tolist()}
     if config.get("grid_s") not in (None, ""):
-        ss = _parse_grid(config["grid_s"], len(columns["t"])).tolist()
-        columns = {"t": [t for t in columns["t"] for _ in ss], "s": ss * len(columns["t"])}
-    grid = list(zip(*columns.values()))
+        axes["s"] = _parse_grid(config["grid_s"], len(axes["t"])).tolist()
+    grid = list(itertools.product(*axes.values()))
     points = _points(quantity, dom, config,
-                     lambda key, text: _sweep_point(dom, key, text, tuple(columns), grid))
-    nan = math.nan
-    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
-             else (nan, "", nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
+                     lambda key, text: _sweep_point(dom, key, text, tuple(axes), grid))
+    cells = [outcome + ("ok",) if type(outcome) is tuple
+             else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
              for outcome in _evaluate(quantity, dom, points, len(grid))]
-    columns.update(zip(("value", "method", "uncertainty", "status"), map(list, zip(*cells))))
-    if config.get("format") == "json":
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        _emit(_dumps({"schema": 1, "rows": rows}) + "\n", config.get("out"))
-    else:
-        _write_csv_to(config, columns)
+    values, methods, uncertainties, statuses = zip(*cells)
+    fmt = config.get("format") or "csv"
+    if fmt == "json":
+        quote = functools.cache(json.dumps)
+        methods, statuses = map(quote, methods), map(quote, statuses)
+    texts = zip(_float_texts(values), methods, _distinct_texts(uncertainties), statuses)
+    # Each axis value is formatted once, and its text repeated along the grid.
+    rows = map(tuple.__add__, itertools.product(*map(_float_texts, axes.values())), texts)
+    _emit(_table(fmt, [*axes, "value", "method", "uncertainty", "status"], rows), config.get("out"))
     return 0
 
 

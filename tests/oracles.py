@@ -23,6 +23,8 @@ or egg in C^2 by its closed form, and the step-halved Richardson
 5-point Laplacian.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
+Last, the CLI's output writers one row and one cell at a time: CSV with
+its own float formatting, and JSON by cli._dumps on one dict per row.
 """
 
 from __future__ import annotations
@@ -436,6 +438,35 @@ def quadrature_csv(quad, target) -> None:
     else:
         with open(target, "w") as fh:
             fh.write(buf.getvalue())
+
+
+def _float_text(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def per_cell_csv(columns) -> str:
+    """CSV of columns (a dict of header -> cells), one row and one cell at a
+    time: a float at 17 significant digits, anything else by str."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        cells = []
+        for v in row:
+            cells.append(_float_text(float(v)) if isinstance(v, (float, np.floating)) else str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_row_json(columns) -> str:
+    """JSON of columns (a dict of header -> cells): cli._dumps of
+    {"schema": 1, "rows": [...]} with one dict per row."""
+    from pluripot.cli import _dumps
+
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return _dumps({"schema": 1, "rows": rows}) + "\n"
 
 
 def ellipsoid_nearest_per_pair(m, a):

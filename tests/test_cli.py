@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import per_cell_csv, per_row_json
 from pluripot.cli import main
 
 
@@ -630,10 +631,10 @@ def test_config_file_format_is_validated(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grids, message", [
-    ({"grid_t": 5}, "grid spec must be start:stop:count, got 5"),
-    ({"grid_t": "0:0.5:3", "grid_s": 5}, "grid spec must be start:stop:count, got 5"),
-    ({"grid_t": "0:0.5:3", "grid_s": ["0", "1", "3"]},
-     "grid spec must be start:stop:count, got ['0', '1', '3']"),
+    ({"grid_t": 5}, "grid_t must be a string, got 5"),
+    ({"grid_t": "0:0.5:3", "grid_s": 5}, "grid_s must be a string, got 5"),
+    ({"grid_t": "0:0.5:3", "grid_s": ["0", "1", "3"]}, "grid_s must be a string, got ['0', '1', '3']"),
+    ({"grid_t": "0:0.5"}, "grid spec must be start:stop:count, got '0:0.5'"),
     ({"grid_t": "nan:0.5:3"}, "grid ends must be finite, got 'nan:0.5:3'"),
     ({"grid_t": "0:inf:3"}, "grid ends must be finite, got '0:inf:3'"),
     ({"grid_t": "0:0.5:3", "grid_s": "-inf:0:3"}, "grid ends must be finite, got '-inf:0:3'"),
@@ -847,18 +848,12 @@ def test_stacked_interior_check_keeps_the_one_point_verdict_where_signs_differ(n
     assert err == ("" if inside else "configuration error: z must lie inside the domain\n")
 
 
-def _per_cell_csv(columns):
-    # The CSV writer before it formatted by column: one row dict at a time.
-    from pluripot.cli import _fmt_float
+def test_distinct_texts_tell_floats_apart_by_bit_pattern():
+    from pluripot.cli import _distinct_texts
 
-    names = list(columns)
-    lines = [",".join(names)]
-    for row in zip(*columns.values()):
-        cells = []
-        for v in row:
-            cells.append(_fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    floats = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, 0.0, -0.0, np.float64(-0.0)]
+    assert _distinct_texts(floats) == ["0", "-0", "NaN", "NaN", "Infinity", "-Infinity",
+                                       "0.10000000000000001", "0", "-0", "-0"]
 
 
 def _column_csv(columns):
@@ -879,7 +874,7 @@ def test_write_csv_matches_per_cell_formatting():
     columns = {"t": floats, "value": mixed, "status": ["ok", "outside"] * 7,
                "s": [np.float64(x) for x in floats[::-1]]}
     text = _column_csv(columns)
-    assert text == _per_cell_csv(columns)
+    assert text == per_cell_csv(columns)
     assert text.splitlines()[1:3] == ["0,0,ok,0", "-0,x,outside,-1.0000000000000001e+300"]
 
 
@@ -887,7 +882,68 @@ def test_write_csv_matches_per_cell_formatting():
 @given(st.lists(st.tuples(st.floats(), st.one_of(st.floats(), st.text(max_size=3))), min_size=1))
 def test_write_csv_columns_match_per_cell_formatting_on_any_cells(rows):
     columns = {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
-    assert _column_csv(columns) == _per_cell_csv(columns)
+    assert _column_csv(columns) == per_cell_csv(columns)
+
+
+def _axis(spec):
+    lo, hi, count = spec.split(":")
+    return np.linspace(float(lo), float(hi), int(count)).tolist()
+
+
+# Each sweep with the features it covers.
+_REFERENCE_SWEEPS = [
+    # A 2-D grid with outside rows.
+    ["poisson", "--domain", "egg4", "--xi", "e1", "--z", "t,0.5*s", "--grid-t=0:1.2:4",
+     "--grid-s=-1:1:3"],
+    # A template-arithmetic error (log of a negative number), an outside
+    # row and an ok row.
+    ["green", "--domain", "ball2", "--w", "0.1,0", "--z", "log(t),0.2", "--grid-t=-0.5:0.9:3"],
+    # A -0.0 axis value (linspace ends on the stop as given), on the
+    # sandwich route, one row at a time with a nonzero uncertainty.
+    ["distance", "--domain", "egg4", "--z", "0.3*t+0.1j,0.2", "--w", "0.1,0.2j", "--grid-t=-1:-0:3"],
+    # Rows whose kernel ladder ends in ConvergenceError.
+    ["poisson", "--domain", "egg4", "--xi", "0.6,0.8944271909999159", "--z", "0.1*t,0.1",
+     "--grid-t=0:1:2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _REFERENCE_SWEEPS)
+def test_sweep_output_matches_the_per_row_reference_writers(argv, fmt, monkeypatch, capsys):
+    # The whole output of a sweep against the writers of oracles.py, fed
+    # the cells the sweep is made of: its grid axes and the outcome of
+    # each row by cli._evaluate.
+    from pluripot import cli
+    from pluripot.errors import ConvergenceError
+
+    evaluated = []
+    evaluate = cli._evaluate
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.extend(evaluate(*args)) or evaluated)
+    assert main(["sweep", *argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    axes = [_axis(arg.split("=", 1)[1]) for arg in argv if arg.startswith("--grid-")]
+    columns = {"t": [t for t in axes[0] for _ in axes[-1]] if len(axes) == 2 else axes[0]}
+    if len(axes) == 2:
+        columns["s"] = axes[1] * len(axes[0])
+    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
+             else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
+             for outcome in evaluated]
+    columns.update(zip(["value", "method", "uncertainty", "status"], map(list, zip(*cells))))
+    assert out == (per_row_json(columns) if fmt == "json" else per_cell_csv(columns))
+
+
+def test_reference_sweeps_cover_what_they_claim(capsys):
+    outputs = []
+    for argv in _REFERENCE_SWEEPS:
+        assert main(["sweep", *argv]) == 0
+        outputs.append(_csv_rows(capsys.readouterr().out)[0])
+    grid, template, sandwich, ladder = outputs
+    assert [r["status"] for r in grid].count("outside") == 3
+    assert [r["status"] for r in template] == ["outside", "outside", "ok"]
+    assert [r["t"] for r in sandwich][-1] == "-0"
+    assert {r["method"] for r in sandwich} == {"sandwich_bounds"}
+    assert all(float(r["uncertainty"]) > 0 for r in sandwich)
+    assert [r["status"] for r in ladder] == ["error", "error"]
 
 
 def test_sweep_checks_only_rows_near_the_boundary_one_at_a_time(monkeypatch, capsys):
@@ -1016,6 +1072,38 @@ def test_config_value_its_flag_would_not_take_is_config_error(argv, config, mess
     assert captured.err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("text", [None, "{bad"])
+def test_config_file_that_cannot_be_read_is_config_error(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    rc = main(["eval", "poisson", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot read config file {str(cfg)!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["verify"], {"suite": ["x"]}, "suite must be a string, got ['x']"),
+    (["verify", "monge_ampere"], {"u": ["x"]}, "u must be a string, got ['x']"),
+    (["eval", "poisson"], {"domain": "ball2", "xi": {"a": 1}, "z": "0,0"},
+     "xi must be a string or a list of numbers, got {'a': 1}"),
+    (["eval", "poisson"], {"out": 1, "domain": "ball2", "xi": "e1", "z": "0,0"},
+     "out must be a string, got 1"),
+    (["eval", "poisson"], {"domain": "ball2", "xi": "e1", "z": [0.1, True]},
+     "z must be a string or a list of numbers, got [0.1, True]"),
+    (["eval", "poisson"], {"domain": "ellipsoid", "m": 4, "xi": "e1", "z": "0,0,0"},
+     "m must be a string or a list of numbers, got 4"),
+    (["sweep", "poisson", "--grid-t", "0:1:2"], {"domain": ["ball2"], "xi": "e1", "z": "t,0"},
+     "domain must be a string, got ['ball2']"),
+])
+def test_config_value_of_another_json_type_is_config_error(argv, config, message, tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, argv, config)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, config, flags", [
     (["verify", "dilation"], {"seed": 1}, ["--seed", "1"]),
     (["verify", "dilation"], {"seed": "1"}, ["--seed", "1"]),
@@ -1025,6 +1113,8 @@ def test_config_value_its_flag_would_not_take_is_config_error(argv, config, mess
     (["verify", "reproducing"], {"resolution": 16, "tol": "1e-3"}, ["--resolution", "16", "--tol", "1e-3"]),
     (["eval", "distance", "--z", "0.7", "--w", "0.71"], {"domain": "annulus", "r": 0.5},
      ["--domain", "annulus", "--r", "0.5"]),
+    (["eval", "poisson", "--domain", "ball2"], {"xi": [1, 0], "z": [0.1, -0.25]},
+     ["--xi", "1,0", "--z", "0.1,-0.25"]),
     (["sweep", "poisson", "--xi", "e1", "--z", "t,0"], {"domain": "ball2", "grid_t": "0:0.5:3",
                                                         "format": "json"},
      ["--domain", "ball2", "--grid-t", "0:0.5:3", "--format", "json"]),
