@@ -504,22 +504,23 @@ def _evaluate(quantity, dom, points, k):
     route = _stacked(quantity, dom, points.get("xi"))
     if route is not None:
         keys = [key for key in keys if key != "xi"]
-        rows = np.flatnonzero([outcome is None for outcome in outcomes])
+        rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
         for key in keys:
             pt = points[key]
-            errors = (_interior_errors(dom, key, pt.stack[rows]) if isinstance(pt, _Rows)
-                      else [_inside(dom, pt, key)] * len(rows))
-            outside = np.flatnonzero([exc is not None for exc in errors])
-            for i in outside.tolist():
-                outcomes[rows[i]] = errors[i]
-            rows = np.delete(rows, outside)
+            if isinstance(pt, _Rows):
+                errors = _interior_errors(dom, key, pt.stack[rows])
+            else:
+                errors = [_inside(dom, pt, key)] * len(rows)
+            for row, exc in zip(rows, errors):
+                outcomes[row] = exc
+            rows = [row for row, exc in zip(rows, errors) if exc is None]
         stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
                   else np.tile(points[key], (len(rows), 1)) for key in keys]
         try:
-            values = route(*stacks).tolist() if len(rows) else []
+            values = route(*stacks).tolist() if rows else []
         except (PluripotError, ArithmeticError, ValueError):
             values = []
-        for row, value in zip(rows.tolist(), values):
+        for row, value in zip(rows, values):
             outcomes[row] = (value, "closed_form", 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
@@ -578,7 +579,7 @@ def cmd_sweep(config) -> int:
     grid = list(itertools.product(*axes.values()))
     points = _points(quantity, dom, config,
                      lambda key, text: _sweep_point(dom, key, text, tuple(axes), grid))
-    cells = [outcome + ("ok",) if type(outcome) is tuple
+    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
              else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
              for outcome in _evaluate(quantity, dom, points, len(grid))]
     values, methods, uncertainties, statuses = zip(*cells)

@@ -1065,6 +1065,18 @@ def test_config_key_the_command_does_not_read_is_config_error(argv, config, tmp_
     (["eval", "poisson", "--domain", "ball2", "--xi", "e1", "--z", "0.5,0"], {"quantity": "flux"},
      "quantity must be one of ('green', 'poisson', 'horofunction', 'distance', 'density'), got 'flux'"),
     (["verify", "asymptoticity"], {"tol": 0}, "tolerance must be positive"),
+    (["verify"], {"suite": ["x"]}, "suite must be a string, got ['x']"),
+    (["verify", "monge_ampere"], {"u": ["x"]}, "u must be a string, got ['x']"),
+    (["eval", "poisson"], {"domain": "ball2", "xi": {"a": 1}, "z": "0,0"},
+     "xi must be a string or a list of numbers, got {'a': 1}"),
+    (["eval", "poisson"], {"out": 1, "domain": "ball2", "xi": "e1", "z": "0,0"},
+     "out must be a string, got 1"),
+    (["eval", "poisson"], {"domain": "ball2", "xi": "e1", "z": [0.1, True]},
+     "z must be a string or a list of numbers, got [0.1, True]"),
+    (["eval", "poisson"], {"domain": "ellipsoid", "m": 4, "xi": "e1", "z": "0,0,0"},
+     "m must be a string or a list of numbers, got 4"),
+    (["sweep", "poisson", "--grid-t", "0:1:2"], {"domain": ["ball2"], "xi": "e1", "z": "t,0"},
+     "domain must be a string, got ['ball2']"),
 ])
 def test_config_value_its_flag_would_not_take_is_config_error(argv, config, message, tmp_path, capsys):
     rc, captured = _run_config(tmp_path, capsys, argv, config)
@@ -1082,26 +1094,6 @@ def test_config_file_that_cannot_be_read_is_config_error(text, tmp_path, capsys)
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(f"configuration error: cannot read config file {str(cfg)!r}: ")
     assert captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, config, message", [
-    (["verify"], {"suite": ["x"]}, "suite must be a string, got ['x']"),
-    (["verify", "monge_ampere"], {"u": ["x"]}, "u must be a string, got ['x']"),
-    (["eval", "poisson"], {"domain": "ball2", "xi": {"a": 1}, "z": "0,0"},
-     "xi must be a string or a list of numbers, got {'a': 1}"),
-    (["eval", "poisson"], {"out": 1, "domain": "ball2", "xi": "e1", "z": "0,0"},
-     "out must be a string, got 1"),
-    (["eval", "poisson"], {"domain": "ball2", "xi": "e1", "z": [0.1, True]},
-     "z must be a string or a list of numbers, got [0.1, True]"),
-    (["eval", "poisson"], {"domain": "ellipsoid", "m": 4, "xi": "e1", "z": "0,0,0"},
-     "m must be a string or a list of numbers, got 4"),
-    (["sweep", "poisson", "--grid-t", "0:1:2"], {"domain": ["ball2"], "xi": "e1", "z": "t,0"},
-     "domain must be a string, got ['ball2']"),
-])
-def test_config_value_of_another_json_type_is_config_error(argv, config, message, tmp_path, capsys):
-    rc, captured = _run_config(tmp_path, capsys, argv, config)
-    assert rc == 2 and captured.out == ""
-    assert captured.err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, config, flags", [
