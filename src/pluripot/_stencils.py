@@ -134,7 +134,7 @@ def hessian_richardson(values, z, h):
     return (4.0 * H2 - H1) / 3.0, float(gap)
 
 
-def laplacian_5pt(u, zeta, h):
+def laplacian_1d(u, zeta, h):
     """5-point Laplacian of u at a point of C (full Delta, not 1/4)."""
     zeta = complex(zeta)
     u0, east, west, north, south = [u(w) for w in (zeta, zeta + h, zeta - h, zeta + 1j * h, zeta - 1j * h)]

@@ -205,21 +205,20 @@ def suite_main2_estimate(config) -> list:
 # Suite: Monge-Ampere degeneracy of the kernel.
 # ---------------------------------------------------------------------------
 
-# The catalogued test functions of the monge_ampere suite by --u name,
-# each made from (domain, xi) as a function of a stack of points that
-# also takes a _jets.JetPoint, so that its Hessians are exact.
-_TEST_FUNCTIONS = {"poisson": lambda dom, xi: kernels.ClosedFormKernel(dom, xi, 1.0).many}
+def _test_function(dom: Domain, xi):
+    """The monge_ampere suite's function u of a stack of points: Omega_xi
+    by its closed form, which also takes a _jets.JetPoint, so that its
+    Hessians are exact.  The suite's one seam for another u, such as a
+    known-wrong one that its checks must fail."""
+    return kernels.ClosedFormKernel(dom, xi, 1.0).many
 
 
 def suite_monge_ampere(config) -> list:
-    uname = config.get("u", "poisson")
-    if uname not in _TEST_FUNCTIONS:
-        raise UnsupportedDomainError(f"no catalogued test function named {uname!r}")
     reports = []
     needs = ((lambda dom: dom.n >= 2, "n >= 2; {dom.label} has n = {dom.n}"), _ELLIPSOID_IN_C2)
     for dom in _domains(config, ("ball2", "egg4"), "monge_ampere", needs):
         xi = _axis_boundary(dom)
-        u = _TEST_FUNCTIONS[uname](dom, xi)
+        u = _test_function(dom, xi)
         rng = np.random.default_rng(_seed(config))
         # min_tangential: on the z1-axis disc of the ellipsoid the kernel
         # restricts to a harmonic function of z0 alone, so the full Hessian

@@ -44,7 +44,6 @@ _ARGUMENTS = {
     "p": {"help": "interior base point"},
     "grid_t": {"help": "t grid as start:stop:count"},
     "grid_s": {"help": "optional s grid as start:stop:count"},
-    "u": {"help": "test function name (monge_ampere suite)"},
     "tol": {"type": float, "help": "tolerance override"},
     "resolution": {"type": int, "help": "quadrature resolution (reproducing suite)"},
     "seed": {"type": int, "help": "sampling seed override"},
@@ -59,7 +58,7 @@ _POINT = ("xi", "z", "w", "p")
 _COMMANDS = {
     "eval": ("evaluate one quantity", "quantity", _DOMAIN + _POINT + ("out", "format", "config")),
     "verify": ("run a named verification suite", "suite",
-               _DOMAIN + ("u", "tol", "resolution", "seed", "out", "config")),
+               _DOMAIN + ("tol", "resolution", "seed", "out", "config")),
     "sweep": ("sweep a quantity over a parameter grid", "quantity",
               _DOMAIN + _POINT + ("grid_t", "grid_s", "out", "format", "config")),
 }
@@ -390,11 +389,6 @@ def _load_config(args) -> dict:
 # Commands.
 # ---------------------------------------------------------------------------
 
-# The points each quantity reads, in the order its function takes and
-# checks them.
-_POINTS = {"poisson": ("xi", "z"), "green": ("w", "z"), "horofunction": ("xi", "p", "z"),
-           "distance": ("z", "w"), "density": ("xi",)}
-
 # The errors that rule out one row: eval reports them, a sweep marks the
 # row and goes on.
 _ROW_ERRORS = (DomainError, UnsupportedDomainError, ConvergenceError)
@@ -411,59 +405,71 @@ def _detached(exc):
     return exc
 
 
-def _points(quantity, dom, config, parse):
+def _kernel_row(kv):
+    """(value, method, uncertainty) of a KernelValue."""
+    return kv.value, kv.method, kv.uncertainty
+
+
+def _distance_row(dom, pts):
+    bound = geodesics_metrics.kobayashi_distance(dom, pts["z"], pts["w"])
+    return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
+
+
+def _density_row(dom, pts):
+    value, unc = boundary_measure._density(dom, pts["xi"])
+    return value, "levi_form", unc
+
+
+def _closed_form_route(values):
+    """The exact route of a kernel quantity: values(form, pts) as a list,
+    with form the closed form of Omega at the BoundaryPoint pts["xi"], or
+    None for every row where xi has no closed form."""
+    def route(dom, pts):
+        form = kernels._closed_form(dom, pts["xi"])
+        return [None] * len(pts["z"]) if form is None else values(form, pts).tolist()
+    return route
+
+
+# Each quantity: the points it reads, in the order its function takes and
+# checks them; its stacked exact route, or None; and its one-point
+# function.  Both take the domain and the points by key, all but xi as
+# stacks (k, n) for the route.  The route gives each row the closed_form
+# value that the one-point function gives the row alone, bit for bit, or
+# None where it has none; the one-point function gives (value, method,
+# uncertainty).
+_ROUTES = {
+    "green": (("w", "z"), lambda dom, pts: kernels._green_rows(dom, pts["w"], pts["z"]),
+              lambda dom, pts: _kernel_row(kernels.green_function(dom, pts["w"], pts["z"]))),
+    "poisson": (("xi", "z"), _closed_form_route(lambda form, pts: form(pts["z"])),
+                lambda dom, pts: _kernel_row(kernels.poisson_kernel(dom, pts["xi"], pts["z"]))),
+    "horofunction": (("xi", "p", "z"),
+                     _closed_form_route(lambda form, pts: kernels._horofunction_many(form, pts["p"], pts["z"])),
+                     lambda dom, pts: _kernel_row(kernels.horofunction(dom, pts["xi"], pts["p"], pts["z"]))),
+    "distance": (("z", "w"), lambda dom, pts: geodesics_metrics._exact_distances(dom, pts["z"], pts["w"]),
+                 _distance_row),
+    "density": (("xi",), None, _density_row),
+}
+
+
+def _points(quantity, config, parse):
     """Each point the quantity reads, by key, in the order it reads them.
 
     A string is parse(key, text); a list of numbers becomes a complex
-    array.
+    array.  A point the quantity does not read is a DomainError.
     """
-    if quantity not in _POINTS:
+    if quantity not in _ROUTES:
         raise DomainError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    keys = _ROUTES[quantity][0]
+    unread = [f"--{key}" for key in _POINT if key not in keys and config.get(key) is not None]
+    if unread:
+        raise DomainError(f"{quantity} does not read {', '.join(unread)}")
     points = {}
-    for key in _POINTS[quantity]:
+    for key in keys:
         raw = config.get(key)
         if raw is None:
             raise DomainError(f"quantity {quantity!r} requires --{key}")
         points[key] = parse(key, raw) if isinstance(raw, str) else np.asarray(raw, dtype=complex)
     return points
-
-
-def _scalar(quantity, dom, pts):
-    """(value, method, uncertainty) of one row by the quantity's function."""
-    if quantity == "distance":
-        bound = geodesics_metrics.kobayashi_distance(dom, *pts)
-        return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
-    if quantity == "density":
-        value, unc = boundary_measure._density(dom, *pts)
-        return value, "levi_form", unc
-    if quantity == "poisson":
-        kv = kernels.poisson_kernel(dom, *pts)
-    elif quantity == "green":
-        kv = kernels.green_function(dom, *pts)
-    else:
-        kv = kernels.horofunction(dom, *pts)
-    return kv.value, kv.method, kv.uncertainty
-
-
-def _stacked(quantity, dom, xi):
-    """The quantity's exact route as a function of stacked points, or None.
-
-    The function takes the interior points of k rows (all but xi), as
-    stacks (k, n) in the order the quantity reads them, and returns the
-    k closed_form values that the quantity's function gives them one at
-    a time, bit for bit.  The kernel routes need one BoundaryPoint xi for
-    all rows.
-    """
-    if quantity == "green":
-        return kernels._green_form(dom)
-    if quantity == "distance":
-        return geodesics_metrics._distance_form(dom)
-    if quantity not in ("poisson", "horofunction") or not isinstance(xi, BoundaryPoint):
-        return None
-    form = kernels._closed_form(dom, xi)
-    if form is None or quantity == "poisson":
-        return form
-    return functools.partial(kernels._horofunction_many, form)
 
 
 def _inside(dom, pt, key):
@@ -487,25 +493,25 @@ def _evaluate(quantity, dom, points, k):
     points maps each key the quantity reads to one point for all rows
     (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1.
     A row is ruled out by the first of its points, in the order the
-    quantity reads them, whose template arithmetic failed.  On an exact
-    route (_stacked) the interior points of the other rows are then
-    checked in that order, as the quantity's function does
+    quantity reads them, whose template arithmetic failed.  Where the
+    quantity has an exact route (_ROUTES), and xi, if it reads one, is
+    one BoundaryPoint, the interior points of the other rows are then
+    checked in that order, as the one-point function does
     (require_interior), a fixed point once; the first that is not inside
     rules its row out, and the rows that pass are evaluated in one call
     of the route.  The rows left (all of them if that call fails) call
-    the quantity's function one row at a time, in row order.
+    the one-point function one row at a time, in row order.
     """
-    keys = _POINTS[quantity]
+    keys, route, one = _ROUTES[quantity]
     outcomes = [None] * k
     for key in reversed(keys):  # so that the first failing point's error stays
         if isinstance(points[key], _Rows):
             for row, exc in points[key].errors.items():
                 outcomes[row] = exc
-    route = _stacked(quantity, dom, points.get("xi"))
-    if route is not None:
-        keys = [key for key in keys if key != "xi"]
+    if route is not None and isinstance(points.get("xi"), (BoundaryPoint, type(None))):
+        interior = [key for key in keys if key != "xi"]
         rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
-        for key in keys:
+        for key in interior:
             pt = points[key]
             if isinstance(pt, _Rows):
                 errors = _interior_errors(dom, key, pt.stack[rows])
@@ -514,20 +520,23 @@ def _evaluate(quantity, dom, points, k):
             for row, exc in zip(rows, errors):
                 outcomes[row] = exc
             rows = [row for row, exc in zip(rows, errors) if exc is None]
-        stacks = [points[key].stack[rows] if isinstance(points[key], _Rows)
-                  else np.tile(points[key], (len(rows), 1)) for key in keys]
+        stacks = dict(points)
+        for key in interior:
+            pt = points[key]
+            stacks[key] = pt.stack[rows] if isinstance(pt, _Rows) else np.tile(pt, (len(rows), 1))
         try:
-            values = route(*stacks).tolist() if rows else []
+            values = route(dom, stacks) if rows else []
         except (PluripotError, ArithmeticError, ValueError):
             values = []
         for row, value in zip(rows, values):
-            outcomes[row] = (value, "closed_form", 0.0)
+            if value is not None:
+                outcomes[row] = (value, "closed_form", 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
-            pts = [points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
-                   for key in _POINTS[quantity]]
+            pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
+                   for key in keys}
             try:
-                outcomes[row] = _scalar(quantity, dom, pts)
+                outcomes[row] = one(dom, pts)
             except _ROW_ERRORS as exc:
                 outcomes[row] = _detached(exc)
     return outcomes
@@ -536,15 +545,12 @@ def _evaluate(quantity, dom, points, k):
 def cmd_eval(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
-    points = _points(quantity, dom, config, lambda key, text: _parse_point(text, dom.n))
+    points = _points(quantity, config, lambda key, text: _parse_point(text, dom.n))
     [outcome] = _evaluate(quantity, dom, points, 1)
     if isinstance(outcome, Exception):
         raise outcome
     row = {"quantity": quantity, "domain": dom.label}
-    for key in _POINT:
-        raw = config.get(key)
-        if raw is not None:
-            row[key] = _point_str(_parse_point(raw, dom.n) if isinstance(raw, str) else raw)
+    row.update((key, _point_str(points[key])) for key in _POINT if key in points)
     row.update(zip(("value", "method", "uncertainty"), outcome))
 
     fmt = config.get("format") or "json"
@@ -577,8 +583,7 @@ def cmd_sweep(config) -> int:
     if config.get("grid_s") not in (None, ""):
         axes["s"] = _parse_grid(config["grid_s"], len(axes["t"])).tolist()
     grid = list(itertools.product(*axes.values()))
-    points = _points(quantity, dom, config,
-                     lambda key, text: _sweep_point(dom, key, text, tuple(axes), grid))
+    points = _points(quantity, config, lambda key, text: _sweep_point(dom, key, text, tuple(axes), grid))
     cells = [outcome + ("ok",) if isinstance(outcome, tuple)
              else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
              for outcome in _evaluate(quantity, dom, points, len(grid))]

@@ -152,8 +152,9 @@ def julia_checks(mp: MapUnderTest, xi, xi_target, samples) -> dict:
     # points into the sample set before comparing.
     pts = np.concatenate([zs, normal_ladder(mp.source, xi, _JS)])
     images = mp(pts)
-    gaps = (kernels._kernel_rows(mp.target, xi_target, images, mp.target_base)
-            - kernels._kernel_rows(mp.source, xi, pts, mp.source_base)).tolist()
+    gaps = [a.value - b.value for a, b in zip(
+        kernels._horofunction_rows(mp.target, xi_target, [mp.target_base], images),
+        kernels._horofunction_rows(mp.source, xi, [mp.source_base], pts))]
     mj_gaps, ladder_gaps = gaps[:k], gaps[k:]
     pj_ratios = (kernels._kernel_rows(mp.source, xi, zs)
                  / kernels._kernel_rows(mp.target, xi_target, images[:k])).tolist()

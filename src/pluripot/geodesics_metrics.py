@@ -205,31 +205,6 @@ def _ball_distance(z, w):
     return hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
 
 
-def _distance_form(dom: Domain):
-    """kobayashi_distance's values as a function of (z, w), or None.
-
-    On the disc and the ball the function takes interior points or
-    stacks (..., n) of them, broadcast together, and gives each pair's
-    value bit for bit as the pair alone does.  Pairs closer than 1e-15
-    get 0 without evaluating the formula, as in kobayashi_distance.
-    Other kinds have no such function.
-    """
-    if dom.kind not in ("disc", "ball"):
-        return None
-
-    def distances(z, w):
-        z, w = np.broadcast_arrays(z, w)
-        apart = ~(_row_norm(z - w) < 1e-15)
-        zs, ws = z[apart], w[apart]
-        out = np.zeros(apart.shape)
-        if dom.kind == "disc":
-            out[apart] = hyperbolic_models.disc_distance(zs[:, 0], ws[:, 0])
-        else:
-            out[apart] = _ball_distance(zs, ws)
-        return out
-    return distances
-
-
 def egg_invert(m: int, z):
     """Parameters (a, zeta) of the catalogued egg geodesic through z.
 
@@ -314,18 +289,20 @@ def _egg_distance_exact(dom: Domain, z, w) -> list:
 
 def _exact_distances(dom: Domain, z, w) -> list:
     """The exact distances of the pairs of stacks z and w (k, n) of
-    interior points, each as kobayashi_distance finds it for the pair
-    alone: a float, or None where no exact route applies.  Pairs closer
-    than 1e-15 are at distance 0.
+    interior points, each bit for bit as kobayashi_distance finds it for
+    the pair alone: a float, or None where no exact route applies.
+    Pairs closer than 1e-15 are at distance 0 without evaluating any
+    route.
     """
-    exact = _distance_form(dom)
-    if exact is not None:
-        return exact(z, w).tolist()
     out = [0.0] * len(z)
     apart = np.flatnonzero(~(_row_norm(z - w) < 1e-15))
     zs, ws = z[apart], w[apart]
     k = dom.kind
-    if k == "ellipsoid":
+    if k == "disc":
+        vals = hyperbolic_models.disc_distance(zs[:, 0], ws[:, 0]).tolist()
+    elif k == "ball":
+        vals = _ball_distance(zs, ws).tolist()
+    elif k == "ellipsoid":
         vals = _egg_distance_exact(dom, zs, ws)
     elif k == "half_plane":
         vals = hyperbolic_models.halfplane_distance(zs[:, 0], ws[:, 0]).tolist()
@@ -338,6 +315,18 @@ def _exact_distances(dom: Domain, z, w) -> list:
     return out
 
 
+def _sandwich(dom: Domain, z, w) -> DistanceBound:
+    """The supporting-function lower and inscribed-slice upper bounds of
+    a pair of interior points, for a pair that no exact route takes."""
+    lo = caratheodory_lower_bound(dom, z, w)
+    hi = slice_upper_bound(dom, z, w)
+    if hi < lo:
+        # Both bounds carry conservative safety margins; inversion
+        # signals a genuine failure.
+        raise ConvergenceError(f"distance bounds crossed: [{lo}, {hi}]")
+    return DistanceBound(lo, hi, False)
+
+
 def _distance_rows(dom: Domain, z, w):
     """Values and widths of kobayashi_distance for the pairs of the
     stacks z and w (k, n) of interior points, as two lists: the exact
@@ -347,7 +336,7 @@ def _distance_rows(dom: Domain, z, w):
     values = _exact_distances(dom, z, w)
     widths = [0.0] * len(values)
     for i in [i for i, val in enumerate(values) if val is None]:
-        bound = kobayashi_distance(dom, z[i], w[i])
+        bound = _sandwich(dom, z[i], w[i])
         values[i], widths[i] = bound.value, bound.width
     return values, widths
 
@@ -365,13 +354,7 @@ def kobayashi_distance(dom: Domain, z, w) -> DistanceBound:
     [val] = _exact_distances(dom, z[None], w[None])
     if val is not None:
         return DistanceBound(val, val, True)
-    lo = caratheodory_lower_bound(dom, z, w)
-    hi = slice_upper_bound(dom, z, w)
-    if hi < lo:
-        # Both bounds carry conservative safety margins; inversion
-        # signals a genuine failure.
-        raise ConvergenceError(f"distance bounds crossed: [{lo}, {hi}]")
-    return DistanceBound(lo, hi, False)
+    return _sandwich(dom, z, w)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
 
-_METHODS = ("closed_form", "geodesic_formula", "limit_ladder")
+_METHODS = ("closed_form", "limit_ladder")
 
 
 @dataclass(frozen=True)
@@ -179,51 +179,14 @@ class ClosedFormKernel:
         return self.scale * self._form(pts)
 
 
-def _poisson_geodesic(dom: Domain, xi: BoundaryPoint, z):
-    k = dom.kind
-    if k in ("disc", "ball"):
-        phi = geodesics_metrics.ball_geodesic(z, xi)
-        return -1.0 / phi.normal_derivative
-    if k == "ellipsoid" and dom.n == 2:
-        phase = _egg_axis_phase(dom, xi)
-        if phase is None:
-            return None
-        m = dom.m[0]
-        zr = np.array([z[0] * np.conj(phase), z[1]])
-        a, zeta = geodesics_metrics.egg_invert(m, zr)
-        phi = geodesics_metrics.egg_geodesic(m, a)
-        if np.linalg.norm(phi(zeta) - zr) > 1e-9 * (1.0 + np.linalg.norm(zr)):
-            raise ConvergenceError("egg geodesic inversion failed to reconstruct the point")
-        disc_val = -(1.0 - abs(zeta) ** 2) / abs(1.0 - zeta) ** 2
-        return disc_val / phi.normal_derivative
-    return None
-
-
-def poisson_kernel(dom: Domain, xi, z, method="auto") -> KernelValue:
-    """Boundary kernel Omega_xi(z).
-
-    method picks the evaluation route: "closed_form", the catalogued
-    geodesic through z ("geodesic_formula"), or the normal-derivative
-    ladder of the Green function ("limit_ladder").  "auto" is the
-    closed form where one exists at xi, else the ladder.  The geodesic
-    route is an independent reference for the closed form, which the
-    tests compare it against; "auto" never takes it.
-    """
+def poisson_kernel(dom: Domain, xi, z) -> KernelValue:
+    """Boundary kernel Omega_xi(z): the closed form where xi has one,
+    else the normal-derivative ladder of the Green function."""
     xi = boundary_point(dom, xi)
     z = require_interior(dom, z, "z")
-    if method not in _METHODS + ("auto",):
-        raise DomainError(f"unknown kernel method {method!r}")
-
-    if method == "geodesic_formula":
-        geo = _poisson_geodesic(dom, xi, z)
-        if geo is None:
-            raise UnsupportedDomainError(f"no catalogued geodesic kernel for {dom.label} here")
-        return KernelValue(float(geo), "geodesic_formula", 0.0)
-    form = None if method == "limit_ladder" else _closed_form(dom, xi)
+    form = _closed_form(dom, xi)
     if form is not None:
         return KernelValue(float(form(z)), "closed_form", 0.0)
-    if method == "closed_form":
-        raise _no_closed_form(dom)
     gnd = green_normal_derivative(dom, xi, z)
     return KernelValue(-gnd.value, "limit_ladder", gnd.uncertainty)
 
@@ -235,18 +198,12 @@ def green_function(dom: Domain, w, z) -> KernelValue:
     distance bounds the value is the midpoint and the uncertainty half
     the induced width.
     """
-    if dom.kind == "annulus":
-        raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
     w = require_interior(dom, w, "w")
     z = require_interior(dom, z, "z")
-    form = _green_form(dom)
-    if form is not None:
-        return KernelValue(float(form(w, z)), "closed_form", 0.0)
-    if float(np.linalg.norm(z - w)) < 1e-15:
-        return KernelValue(GREEN_POLE, "closed_form", 0.0)
-    bound = geodesics_metrics.kobayashi_distance(dom, z, w)
-    if bound.exact:
-        return KernelValue(_log_tanh_half(bound.value), "closed_form", 0.0)
+    [value] = _green_rows(dom, w[None], z[None])
+    if value is not None:
+        return KernelValue(value, "closed_form", 0.0)
+    bound = geodesics_metrics._sandwich(dom, z, w)
     glo = _log_tanh_half(bound.lower) if bound.lower > 0 else GREEN_POLE
     ghi = _log_tanh_half(bound.upper)
     if glo == GREEN_POLE:
@@ -254,56 +211,42 @@ def green_function(dom: Domain, w, z) -> KernelValue:
     return KernelValue(0.5 * (glo + ghi), "limit_ladder", 0.5 * (ghi - glo))
 
 
-def _green_form(dom: Domain):
-    """green_function's values as a function of (w, z), or None.
-
-    Defined on the disc and the ball, where geodesics_metrics has an
-    exact distance form, with the same stacking (..., n) and bit for bit
-    contract.
+def _green_rows(dom: Domain, w, z) -> list:
+    """green_function's exact values at the pairs of stacks w and z (k, n)
+    of interior points, each bit for bit its pair's: GREEN_POLE for a
+    pair closer than 1e-15, log tanh(k/2) of an exact distance k, and
+    None where the distance has no exact route.  UnsupportedDomainError
+    on the annulus, which is not convex.
     """
-    distances = geodesics_metrics._distance_form(dom)
-    if distances is None:
-        return None
-
-    def green(w, z):
-        k = distances(z, w)
-        pole = _row_norm(z - w) < 1e-15
-        vals = [GREEN_POLE if at_pole else _log_tanh_half(d)
-                for at_pole, d in zip(pole.ravel().tolist(), k.ravel().tolist())]
-        return np.array(vals).reshape(k.shape)
-    return green
+    if dom.kind == "annulus":
+        raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
+    poles = (_row_norm(z - w) < 1e-15).tolist()
+    return [GREEN_POLE if pole else None if k is None else _log_tanh_half(k)
+            for pole, k in zip(poles, geodesics_metrics._exact_distances(dom, z, w))]
 
 
 def _horofunction_many(form, p, z):
-    """log|Omega(p)| - log|Omega(z)| per row of stacks p and z (k, n).
-
-    form evaluates Omega_xi on a stack (a _closed_form, or the many of a
-    ClosedFormKernel of scale 1), once on all 2k points.
+    """log|Omega(p)| - log|Omega(z)| per row of stacks p and z (k, n),
+    with form, a _closed_form of Omega_xi, evaluated once on all 2k points.
     """
     om = form(np.concatenate([p, z])).tolist()
     k = len(z)
     return np.array([math.log(-a) - math.log(-b) for a, b in zip(om[:k], om[k:])])
 
 
-def _kernel_rows(dom: Domain, xi, z, p=None) -> np.ndarray:
-    """Omega_xi, or h_{xi, p} given a base point p, at each point of a
-    stack z (k, n), each bit for bit the point's poisson_kernel or
-    horofunction value.
+def _kernel_rows(dom: Domain, xi, z) -> np.ndarray:
+    """Omega_xi at each point of a stack z (k, n), each bit for bit the
+    point's poisson_kernel value.
 
-    Where xi has a closed form the stack (with p) is one
-    ClosedFormKernel.many call, which checks every point inside;
-    elsewhere the kernel is a one-point call per row and the
-    horofunction one _horofunction_rows call.
+    Where xi has a closed form the stack is one ClosedFormKernel.many
+    call, which checks every point inside; elsewhere each row is a
+    one-point call.
     """
     try:
         omega = ClosedFormKernel(dom, xi, 1.0).many
     except UnsupportedDomainError:
-        if p is None:
-            return np.array([poisson_kernel(dom, xi, row).value for row in z])
-        return np.array([kv.value for kv in _horofunction_rows(dom, xi, [p], z)])
-    if p is None:
-        return omega(z)
-    return _horofunction_many(omega, np.broadcast_to(p, z.shape), z)
+        return np.array([poisson_kernel(dom, xi, row).value for row in z])
+    return omega(z)
 
 
 def _interior_stack(dom: Domain, pts, name) -> np.ndarray:
@@ -360,18 +303,16 @@ def _horofunction_rows(dom: Domain, xi, p, z, method="auto") -> list:
     return out
 
 
-def horofunction(dom: Domain, xi, p, z, method="auto") -> KernelValue:
-    """Horofunction h_{xi, p}(z), the kernel-form or ladder limit.
+def horofunction(dom: Domain, xi, p, z) -> KernelValue:
+    """Horofunction h_{xi, p}(z).
 
-    Kernel form: log|Omega_xi(p)| - log|Omega_xi(z)| by the closed form
-    of Omega_xi; "kernel" raises UnsupportedDomainError where xi has
-    none.  Ladder: extrapolate k(z, w_j) - k(w_j, p) along
-    w_j = xi - 10^-j n_xi; the exact distances of all rungs are one
-    stacked call, and a pair without one is sandwiched alone.  "auto"
-    is the kernel form where the closed form exists, else the ladder.
-    One point is a stack of one (_horofunction_rows).
+    Where xi has a closed-form kernel it is log|Omega_xi(p)| -
+    log|Omega_xi(z)|; elsewhere the extrapolated limit of
+    k(z, w_j) - k(w_j, p) along w_j = xi - 10^-j n_xi, whose exact rung
+    distances are one stacked call and whose other pairs are each
+    sandwiched alone.  One point is a stack of one (_horofunction_rows).
     """
-    return _horofunction_rows(dom, xi, [p], [z], method)[0]
+    return _horofunction_rows(dom, xi, [p], [z])[0]
 
 
 def green_normal_derivative(dom: Domain, xi, z) -> KernelValue:

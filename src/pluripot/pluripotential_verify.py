@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _jets, _stencils, domain_core, geodesics_metrics, kernels
-from ._stencils import HessianSample, _on_stack, complex_hessian
+from . import _jets, domain_core, geodesics_metrics, kernels
+from ._stencils import HessianSample, _on_stack, complex_hessian, laplacian_1d
 from ._extrap import extrapolate
 from .domain_core import Domain, BoundaryPoint
 from .errors import UnsupportedDomainError
@@ -268,11 +268,6 @@ def phragmen_lindelof_compare(u, dom: Domain, xi, samples, tol=1e-3) -> Verifica
     )
 
 
-def laplacian_1d(u, zeta, h):
-    """5-point Laplacian of u at a point of C."""
-    return _stencils.laplacian_5pt(u, zeta, h)
-
-
 def laplacian_noise_floor(zeta, h, amplitude=1.0) -> float:
     """Detection floor for the 5-point Laplacian at comparable amplitude.
 
@@ -287,5 +282,5 @@ def laplacian_noise_floor(zeta, h, amplitude=1.0) -> float:
     def control(w):
         return A * ((w - zeta) ** 4).real
 
-    measured = abs(_stencils.laplacian_5pt(control, zeta, h))
+    measured = abs(laplacian_1d(control, zeta, h))
     return measured + 8.0 * _EPS * A / (h * h)

@@ -2,7 +2,7 @@
 
 Each is an independent route to a quantity the package computes
 another way: the disc and half-plane kernels and the Cayley transform in
-closed form, the strip distance on one lift, a radial angular-derivative
+closed form, the kernel pulled back along a catalogued geodesic, the strip distance on one lift, a radial angular-derivative
 ladder with its own cut rules, a Monte-Carlo boundary measure, and the
 one-pair disc, ball and half-plane distance formulas in Python's scalar
 arithmetic, which the package's stacked distances must match bit for bit, the
@@ -44,7 +44,7 @@ from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainErro
 from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _lattice_directions, egg_geodesic,
                                         egg_invert)
 from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
-from pluripot.kernels import KernelValue, _closed_form, _horofunction_many, _no_closed_form
+from pluripot.kernels import KernelValue, _closed_form, _egg_axis_phase, _horofunction_many, _no_closed_form
 
 
 def cayley(zeta) -> complex:
@@ -77,6 +77,28 @@ def poisson_halfplane(zeta) -> float:
     if zeta.real >= 0:
         raise DomainError("point must satisfy Re w < 0")
     return 2.0 * (1.0 / zeta).real
+
+
+def poisson_geodesic(dom: Domain, xi, z) -> float:
+    """Omega_xi(z) as the disc kernel pulled back along the catalogued
+    geodesic through z ending at xi, divided by its boundary normal
+    derivative: on the disc and the ball, and on an egg of C^2 at a
+    z0-axis xi (UnsupportedDomainError elsewhere).  The independent
+    reference for the closed-form kernel."""
+    xi = boundary_point(dom, xi)
+    z = require_interior(dom, z, "z")
+    if dom.kind in ("disc", "ball"):
+        return -1.0 / geodesics_metrics.ball_geodesic(z, xi).normal_derivative
+    phase = _egg_axis_phase(dom, xi) if dom.kind == "ellipsoid" and dom.n == 2 else None
+    if phase is None:
+        raise UnsupportedDomainError(f"no catalogued geodesic kernel for {dom.label} here")
+    m = dom.m[0]
+    zr = np.array([z[0] * np.conj(phase), z[1]])
+    a, zeta = egg_invert(m, zr)
+    phi = egg_geodesic(m, a)
+    if np.linalg.norm(phi(zeta) - zr) > 1e-9 * (1.0 + np.linalg.norm(zr)):
+        raise ConvergenceError("egg geodesic inversion failed to reconstruct the point")
+    return -(1.0 - abs(zeta) ** 2) / abs(1.0 - zeta) ** 2 / phi.normal_derivative
 
 
 def disc_distance_formula(z1, z2) -> float:

@@ -1028,6 +1028,19 @@ def test_flag_of_another_command_is_config_error(argv, flags, capsys):
     assert captured.err == f"configuration error: {argv[0]} does not read {flags}\n"
 
 
+@pytest.mark.parametrize("argv, config, flags", [
+    (["eval", "poisson", "--z", "0.5,0", "--w", "abc"], {}, "--w"),
+    (["eval", "poisson", "--z", "0.5,0", "--w", "0,0", "--p", "0,0"], {}, "--w, --p"),
+    (["sweep", "poisson", "--z", "0.5*t,0", "--grid-t", "0:0.5:2", "--w", "abc"], {}, "--w"),
+    (["sweep", "poisson", "--z", "0.5*t,0", "--grid-t", "0:0.5:2"], {"p": [0, 0]}, "--p"),
+])
+def test_point_the_quantity_does_not_read_is_config_error(argv, config, flags, tmp_path, capsys):
+    # eval and sweep alike, for a flag or a config key, before any point is parsed.
+    rc, captured = _run_config(tmp_path, capsys, argv + ["--domain", "ball2", "--xi", "e1"], config)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"configuration error: poisson does not read {flags}\n"
+
+
 def _run_config(tmp_path, capsys, argv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -1066,7 +1079,7 @@ def test_config_key_the_command_does_not_read_is_config_error(argv, config, tmp_
      "quantity must be one of ('green', 'poisson', 'horofunction', 'distance', 'density'), got 'flux'"),
     (["verify", "asymptoticity"], {"tol": 0}, "tolerance must be positive"),
     (["verify"], {"suite": ["x"]}, "suite must be a string, got ['x']"),
-    (["verify", "monge_ampere"], {"u": ["x"]}, "u must be a string, got ['x']"),
+    (["verify", "monge_ampere"], {"u": ["x"]}, "unknown config keys: ['u']"),
     (["eval", "poisson"], {"domain": "ball2", "xi": {"a": 1}, "z": "0,0"},
      "xi must be a string or a list of numbers, got {'a': 1}"),
     (["eval", "poisson"], {"out": 1, "domain": "ball2", "xi": "e1", "z": "0,0"},

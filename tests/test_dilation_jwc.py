@@ -181,7 +181,7 @@ def test_omega_preserving_residual_keeps_nan(monkeypatch):
 
     mp = map_from_spec("identity", n=2)
     # Kernel values on the stack: NaN at the first sample, 0 elsewhere.
-    fake = lambda dom, xi, z, p=None: np.where(z[:, 0].real < 0.2, math.nan, 0.0)
+    fake = lambda dom, xi, z: np.where(z[:, 0].real < 0.2, math.nan, 0.0)
     monkeypatch.setattr(kernels, "_kernel_rows", fake)
     worst = omega_preserving_residual(mp, E1, E1, [np.array([0.1, 0.0]), np.array([0.5, 0.0])])
     assert math.isnan(worst)
@@ -190,17 +190,15 @@ def test_omega_preserving_residual_keeps_nan(monkeypatch):
 def test_julia_checks_nan_sample_fails(monkeypatch):
     from pluripot import kernels
 
-    real = kernels._kernel_rows
+    real = kernels._horofunction_rows
     marker = np.array([0.3, 0.1j])
 
-    def fake(dom, xi, z, p=None):
+    def fake(dom, xi, p, z):
         # The horofunction is NaN at the marker sample.
-        vals = real(dom, xi, z, p)
-        if p is not None:
-            vals[np.all(z == marker, axis=1)] = math.nan
-        return vals
+        return [kernels.KernelValue(math.nan, kv.method, kv.uncertainty) if np.all(row == marker) else kv
+                for row, kv in zip(z, real(dom, xi, p, z))]
 
-    monkeypatch.setattr(kernels, "_kernel_rows", fake)
+    monkeypatch.setattr(kernels, "_horofunction_rows", fake)
     out = julia_checks(map_from_spec("identity"), E1, E1, [np.array([0.2, 0.0]), marker])
     assert math.isnan(out["mj_sup"])
     assert not out["mj_holds"]

@@ -206,7 +206,7 @@ def test_annulus_horofunction_base_and_ladder():
     assert abs(annulus_horofunction(r, 1.0, p, p)) < 1e-12
     for z in (0.6, 0.8 * np.exp(0.7j), 0.55 - 0.3j):
         closed = annulus_horofunction(r, 1.0, p, z)
-        ladder = horofunction(dom, [1.0], [p], [z], method="ladder").value
+        ladder = horofunction(dom, [1.0], [p], [z]).value
         assert abs(closed - ladder) < 1e-6
 
 

@@ -144,7 +144,7 @@ def _unset_defaults(defs_tree, call_trees):
 
     Calls are matched by the called name alone, so a call of another
     function of the same name counts too; a call with *args or **kwargs
-    counts as overriding everything.
+    overrides nothing, since which parameters it sets is not visible.
     """
     calls = {}
     for tree in call_trees:
@@ -162,11 +162,13 @@ def _unset_defaults(defs_tree, call_trees):
         first = len(positional) - len(args.defaults)
         params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
         params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        explicit = [call for call in calls.get(node.name, [])
+                    if not any(isinstance(a, ast.Starred) for a in call.args)
+                    and all(k.arg is not None for k in call.keywords)]
         for index, param in params:
-            if not any(any(k.arg in (param, None) for k in call.keywords)
+            if not any(any(k.arg == param for k in call.keywords)
                        or (index is not None and len(call.args) > index)
-                       or any(isinstance(a, ast.Starred) for a in call.args)
-                       for call in calls.get(node.name, [])):
+                       for call in explicit):
                 found.append((node.lineno, node.name, param))
     return found
 
@@ -193,8 +195,8 @@ def test_every_keyword_default_is_overridden_somewhere():
 def test_unset_default_is_found():
     defs = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
                      "def g(a=0):\n    pass\n")
-    calls = ast.parse("f(0, 5)\nf(0, d=4)\nm.g(*xs)\n")
-    assert _unset_defaults(defs, [defs, calls]) == [(1, "f", "c")]
+    calls = ast.parse("f(0, 5)\nf(0, d=4)\nm.g(*xs)\nf(**kw)\n")
+    assert _unset_defaults(defs, [defs, calls]) == [(1, "f", "c"), (3, "g", "a")]
 
 
 def _members(tree):

@@ -108,7 +108,7 @@ def test_exact_route_residuals():
 
 
 def _perturbed(c, coordinates):
-    """A --u catalogue entry: Omega_xi + c sum_{j in coordinates} |z_j|^2."""
+    """A monge_ampere test function: Omega_xi + c sum_{j in coordinates} |z_j|^2."""
     def make(dom, xi):
         omega = ClosedFormKernel(dom, xi, 1.0).many
 
@@ -120,8 +120,8 @@ def _perturbed(c, coordinates):
 
 
 def _control(monkeypatch, label, c, coordinates):
-    monkeypatch.setitem(_suites._TEST_FUNCTIONS, "control", _perturbed(c, coordinates))
-    return {rep.check.split("[")[0]: rep for rep in run_suite("monge_ampere", {"domain": label, "u": "control"})}
+    monkeypatch.setattr(_suites, "_test_function", _perturbed(c, coordinates))
+    return {rep.check.split("[")[0]: rep for rep in run_suite("monge_ampere", {"domain": label})}
 
 
 @pytest.mark.parametrize("label", ["egg4", "egg6"])

@@ -33,7 +33,7 @@ from pluripot import _jets, kernels
 from pluripot.kernels import _closed_form, _log_tanh_half
 
 from oracles import (egg_distance_one_pair, horofunction_one_point, log_tanh_half, poisson_disc,
-                     poisson_halfplane)
+                     poisson_geodesic, poisson_halfplane)
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -105,8 +105,8 @@ def test_poisson_kernel_methods_agree():
     rng = np.random.default_rng(47)
     for _ in range(20):
         z = _random_interior(egg, rng)
-        closed = poisson_kernel(egg, xi, z, method="closed_form").value
-        geo = poisson_kernel(egg, xi, z, method="geodesic_formula").value
+        closed = ClosedFormKernel(egg, xi, 1.0)(z)
+        geo = poisson_geodesic(egg, xi, z)
         assert abs(closed - geo) < 1e-8 * (1.0 + abs(closed))
 
 
@@ -161,8 +161,8 @@ def test_horofunction_ladder_matches_closed_form():
     xi = boundary_point(dom, [1.0, 0.0])
     p = np.array([0.1, 0.2j])
     z = np.array([-0.3, 0.25])
-    closed = horofunction(dom, xi, p, z, method="kernel")
-    ladder = horofunction(dom, xi, p, z, method="ladder")
+    closed = horofunction(dom, xi, p, z)
+    ladder = kernels._horofunction_rows(dom, xi, [p], [z], "ladder")[0]
     assert closed.method == "closed_form"
     assert ladder.method == "limit_ladder"
     assert abs(closed.value - ladder.value) < 1e-5
@@ -212,9 +212,9 @@ def test_stacked_ladder_matches_the_per_rung_distances(spec, data):
         est, unc = extrapolate(vals, "horofunction")
     except ConvergenceError:
         with pytest.raises(ConvergenceError):
-            horofunction(dom, xi, p, z, method="ladder")
+            kernels._horofunction_rows(dom, xi, [p], [z], "ladder")
         return
-    got = horofunction(dom, xi, p, z, method="ladder")
+    [got] = kernels._horofunction_rows(dom, xi, [p], [z], "ladder")
     assert (got.value, got.uncertainty) == (float(est), float(unc))
 
 
@@ -465,7 +465,8 @@ def test_poisson_closed_on_stacks_matches_scalar_formulas(spec, count, data):
         assert want < 0.0
         assert _bits(got) == _bits(want) == _bits(again)
         assert _bits(_closed_form(dom, xi)(z)) == _bits(want)
-        assert _bits(poisson_kernel(dom, xi, z, method="closed_form").value) == _bits(want)
+        kv = poisson_kernel(dom, xi, z)
+        assert kv.method == "closed_form" and _bits(kv.value) == _bits(want)
     # Any stack shape (..., n) gives the same values.
     assert np.array_equal(_closed_form(dom, xi)(pts[:, None, :])[:, 0], stacked)
 
@@ -499,7 +500,7 @@ def test_closed_form_kernel_refuses_jets_without_a_jet_form(monkeypatch, spec, x
 
 
 # ---------------------------------------------------------------------------
-# The geodesic route is the reference for the closed form; auto never takes it.
+# The geodesic route (oracles.poisson_geodesic) is the reference for the closed form.
 # ---------------------------------------------------------------------------
 
 _ROTATED = np.exp(0.7j)
@@ -528,16 +529,12 @@ def test_closed_form_matches_geodesic_route(spec, pos):
     dom = make_domain(spec)
     xi = boundary_point(dom, np.array(pos, dtype=complex))
     for z in _route_points(dom, xi):
-        closed = poisson_kernel(dom, xi, z, method="closed_form").value
-        geo = poisson_kernel(dom, xi, z, method="geodesic_formula").value
+        closed = ClosedFormKernel(dom, xi, 1.0)(z)
+        geo = poisson_geodesic(dom, xi, z)
         assert abs(closed - geo) <= 1e-7 * (1.0 + abs(closed)), (z, closed, geo)
 
 
-def test_auto_never_takes_the_geodesic_route(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("auto evaluated the geodesic route")
-
-    monkeypatch.setattr(kernels, "_poisson_geodesic", refuse)
+def test_kernel_and_horofunction_take_the_closed_form_where_xi_has_one():
     cases = (("disc", [1.0], [0.0], [0.4j]),
              ("half_plane", [0.0], [-1.0], [-0.5]),
              ("ball2", [0.6, 0.8j], [0.0, 0.0], [0.1, 0.2]),
@@ -548,8 +545,6 @@ def test_auto_never_takes_the_geodesic_route(monkeypatch):
         dom = make_domain(spec)
         assert poisson_kernel(dom, xi, z).method == "closed_form"
         assert horofunction(dom, xi, p, z).method == "closed_form"
-    with pytest.raises(AssertionError, match="geodesic route"):
-        poisson_kernel(make_domain("ball2"), [1.0, 0.0], [0.1, 0.2], method="geodesic_formula")
 
 
 def test_horofunction_kernel_form_without_closed_form_raises_at_once(monkeypatch):
@@ -561,7 +556,7 @@ def test_horofunction_kernel_form_without_closed_form_raises_at_once(monkeypatch
 
     monkeypatch.setattr(kernels, "green_normal_derivative", no_ladder)
     with pytest.raises(UnsupportedDomainError, match="no closed-form kernel"):
-        horofunction(gc, [1.0, 0.0], [0.0, 0.0], [0.3, 0.2], method="kernel")
+        kernels._horofunction_rows(gc, [1.0, 0.0], [[0.0, 0.0]], [[0.3, 0.2]], "kernel")
 
 
 def _one_point_outcome(fn, *args):
@@ -582,15 +577,23 @@ def _rows_outcome(dom, xi, p, z, method):
     return [(kv.value, kv.uncertainty, kv.method) for kv in rows]
 
 
+def _one_row(dom, xi, p, z, method):
+    """The public horofunction for method "auto", else the rows route on a stack of one."""
+    if method == "auto":
+        return horofunction(dom, xi, p, z)
+    return kernels._horofunction_rows(dom, xi, [p], [z], method)[0]
+
+
 def _check_stacked_horofunction(dom, xi, ps, zs, methods=("ladder", "auto")):
     """The stacked horofunction against the moved one-point ladder
     (oracles.horofunction_one_point), row by row: each row alone (the
-    public horofunction) gives the oracle's bits or error, a stack gives
-    every row's bits when all rows pass, else one failing row's error;
-    one p broadcasts over the stack as it does per point."""
+    public horofunction, or a stack of one for a set method) gives the
+    oracle's bits or error, a stack gives every row's bits when all rows
+    pass, else one failing row's error; one p broadcasts over the stack
+    as it does per point."""
     for method in methods:
         want = [_one_point_outcome(horofunction_one_point, dom, xi, p, z, method) for p, z in zip(ps, zs)]
-        assert [_one_point_outcome(horofunction, dom, xi, p, z, method) for p, z in zip(ps, zs)] == want
+        assert [_one_point_outcome(_one_row, dom, xi, p, z, method) for p, z in zip(ps, zs)] == want
         errors = [w for w in want if isinstance(w[0], type)]
         got = _rows_outcome(dom, xi, ps, zs, method)
         if errors:
@@ -664,7 +667,7 @@ def test_stacked_horofunction_general_convex_sandwich_rungs(monkeypatch):
         e = 1e-9 * (1.0 + abs(complex(z[0] - w[0])) + abs(complex(z[1] - w[1])))
         return DistanceBound(d.value - e, d.value + e, False)
 
-    monkeypatch.setattr(geodesics_metrics, "kobayashi_distance", sandwich)
+    monkeypatch.setattr(geodesics_metrics, "_sandwich", sandwich)
     rng = np.random.default_rng(9)
     ps = np.array([_random_interior(egg4, rng) for _ in range(4)])
     zs = np.array([_random_interior(egg4, rng) for _ in range(4)])

@@ -433,7 +433,7 @@ def test_monge_ampere_suite_work_count(monkeypatch):
         monkeypatch.setattr(domain_core, name, refused)
     monkeypatch.setattr(_suites, "boundary_distance", refused)
     monkeypatch.setattr(_stencils, "hessian_richardson", refused)
-    monkeypatch.setattr(_stencils, "laplacian_5pt", refused)
+    monkeypatch.setattr(_suites, "laplacian_1d", refused)
     reports = _suites.suite_monge_ampere({})
     assert [rep.samples for rep in reports] == [200, 200, 75] * 2
     assert jets == [200, 25, 25, 25] * 2
@@ -497,7 +497,7 @@ def test_dilation_suite_work_count(monkeypatch):
     from pluripot import _suites, geodesics_metrics, kernels
 
     sizes, base_points, ladders = [], [], []
-    many = kernels.ClosedFormKernel.many
+    many, horofunctions = kernels.ClosedFormKernel.many, kernels._horofunction_many
     poisson = kernels.poisson_kernel
     rows = geodesics_metrics._distance_rows
 
@@ -505,9 +505,13 @@ def test_dilation_suite_work_count(monkeypatch):
         sizes.append(len(pts))
         return many(self, pts)
 
-    def counting_poisson(dom, xi, z, method="auto"):
+    def counting_horofunctions(form, p, z):
+        sizes.append(len(p) + len(z))
+        return horofunctions(form, p, z)
+
+    def counting_poisson(dom, xi, z):
         base_points.append(not np.any(z))
-        return poisson(dom, xi, z, method)
+        return poisson(dom, xi, z)
 
     def counting_rows(dom, z, w):
         ladders.append((dom.label, len(z)))
@@ -517,6 +521,7 @@ def test_dilation_suite_work_count(monkeypatch):
         raise AssertionError("a one-point call")
 
     monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
+    monkeypatch.setattr(kernels, "_horofunction_many", counting_horofunctions)
     monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", refused)
     monkeypatch.setattr(kernels, "poisson_kernel", counting_poisson)
     monkeypatch.setattr(kernels, "horofunction", refused)
@@ -676,7 +681,7 @@ def test_kernel_hessian_stack_matches_pointwise_bit_for_bit(label):
     dom = make_domain(label)
     xi = _suites._axis_boundary(dom)
     kernel = ClosedFormKernel(dom, xi, 1.0)
-    scalar = lambda z: poisson_kernel(dom, xi, z, method="closed_form").value
+    scalar = lambda z: poisson_kernel(dom, xi, z).value
     rng = np.random.default_rng(20240519)
     samples = _suites._interior_samples(dom, 50, rng, gauge_lo=0.15, gauge_hi=0.6,
                                         min_axis_gap=0.3, min_tangential=0.05)

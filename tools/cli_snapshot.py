@@ -117,6 +117,17 @@ sweep poisson --domain egg4 --xi e1 --z log(t),0.5*s --grid-t=-0.95:0.95:9 --gri
     + [line.split() for line in """\
 eval horofunction --domain egg4 --xi 0.6,0.8944271909999159 --p 0.1,0 --z 0.2,0.1j
 sweep horofunction --domain egg4 --xi 0.6,0.8944271909999159 --p 0.1,0 --z 0.2*t,0.1j --grid-t=0:1:3""".splitlines()]
+    # The stacked exact distances of the other kinds: egg4 rows on the
+    # axis and catalogue routes, the sandwich and outside the domain, the
+    # half-plane, the annulus (where every Green row is outside) and an
+    # ellipsoid in C^3 with an axis point.
+    + [line.split() for line in """\
+sweep distance --domain egg4 --w 0.3,0.4*s --z 1.1*t,0.2 --grid-t=-1:1:7 --grid-s=-1:1:3
+sweep distance --domain half_plane --w -0.5+0.2j --z -1.2+t+j*s --grid-t=-1:1:9 --grid-s=-1:1:5
+sweep green --domain half_plane --w -0.5 --z -1.2+t+j*s --grid-t=-1:1:5 --grid-s=-1:1:3
+sweep distance --domain annulus --r 0.5 --w 0.7 --z 0.75*cos(t)+0.75*j*sin(t) --grid-t=0:6:9
+sweep green --domain annulus --r 0.5 --w 0.7 --z 0.75*cos(t)+0.75*j*sin(t) --grid-t=0:6:3
+sweep distance --domain ellipsoid --m 4,4 --w 0.1,0,0 --z 0.5*t,0.3*s,0.2j --grid-t=-1:1:7 --grid-s=-1:1:3""".splitlines()]
 )
 
 
