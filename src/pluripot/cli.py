@@ -410,8 +410,8 @@ def _kernel_row(kv):
     return kv.value, kv.method, kv.uncertainty
 
 
-def _distance_row(dom, pts):
-    bound = geodesics_metrics.kobayashi_distance(dom, pts["z"], pts["w"])
+def _bound_row(bound):
+    """(value, method, uncertainty) of a DistanceBound."""
     return bound.value, "closed_form" if bound.exact else "sandwich_bounds", 0.5 * bound.width
 
 
@@ -421,33 +421,40 @@ def _density_row(dom, pts):
 
 
 def _closed_form_route(values):
-    """The exact route of a kernel quantity: values(form, pts) as a list,
-    with form the closed form of Omega at the BoundaryPoint pts["xi"], or
-    None for every row where xi has no closed form."""
-    def route(dom, pts):
-        form = kernels._closed_form(dom, pts["xi"])
-        return [None] * len(pts["z"]) if form is None else values(form, pts).tolist()
+    """The exact route of a kernel quantity where xi is a BoundaryPoint
+    with a closed form of Omega_xi: values(form, pts) as a list."""
+    def route(dom, xi):
+        form = kernels._closed_form(dom, xi) if isinstance(xi, BoundaryPoint) else None
+        return None if form is None else lambda pts: values(form, pts).tolist()
     return route
 
 
+def _green_route(dom, xi):
+    # green_function refuses the annulus before it checks its points.
+    return None if dom.kind == "annulus" else lambda pts: kernels._green_rows(dom, pts["w"], pts["z"])
+
+
 # Each quantity: the points it reads, in the order its function takes and
-# checks them; its stacked exact route, or None; and its one-point
-# function.  Both take the domain and the points by key, all but xi as
-# stacks (k, n) for the route.  The route gives each row the closed_form
-# value that the one-point function gives the row alone, bit for bit, or
-# None where it has none; the one-point function gives (value, method,
-# uncertainty).
+# checks them; route(dom, xi), its stacked exact route on the domain at
+# xi or None; the function of the rows that route leaves None; and its
+# one-point function.  The route takes the interior points by key as
+# stacks (k, n) and gives each row the closed_form value that the
+# one-point function gives the row alone, bit for bit, or None where it
+# has none.  The other two take the domain and one row's points by key
+# and give (value, method, uncertainty).
 _ROUTES = {
-    "green": (("w", "z"), lambda dom, pts: kernels._green_rows(dom, pts["w"], pts["z"]),
+    "green": (("w", "z"), _green_route,
+              lambda dom, pts: _kernel_row(kernels._green_sandwich(dom, pts["w"], pts["z"])),
               lambda dom, pts: _kernel_row(kernels.green_function(dom, pts["w"], pts["z"]))),
-    "poisson": (("xi", "z"), _closed_form_route(lambda form, pts: form(pts["z"])),
+    "poisson": (("xi", "z"), _closed_form_route(lambda form, pts: form(pts["z"])), None,
                 lambda dom, pts: _kernel_row(kernels.poisson_kernel(dom, pts["xi"], pts["z"]))),
     "horofunction": (("xi", "p", "z"),
                      _closed_form_route(lambda form, pts: kernels._horofunction_many(form, pts["p"], pts["z"])),
-                     lambda dom, pts: _kernel_row(kernels.horofunction(dom, pts["xi"], pts["p"], pts["z"]))),
-    "distance": (("z", "w"), lambda dom, pts: geodesics_metrics._exact_distances(dom, pts["z"], pts["w"]),
-                 _distance_row),
-    "density": (("xi",), None, _density_row),
+                     None, lambda dom, pts: _kernel_row(kernels.horofunction(dom, pts["xi"], pts["p"], pts["z"]))),
+    "distance": (("z", "w"), lambda dom, xi: lambda pts: geodesics_metrics._exact_distances(dom, pts["z"], pts["w"]),
+                 lambda dom, pts: _bound_row(geodesics_metrics._sandwich(dom, pts["z"], pts["w"])),
+                 lambda dom, pts: _bound_row(geodesics_metrics.kobayashi_distance(dom, pts["z"], pts["w"]))),
+    "density": (("xi",), lambda dom, xi: None, None, _density_row),
 }
 
 
@@ -487,6 +494,14 @@ def _interior_errors(dom, key, stack):
     return [None if ok else outside for ok in _inside_rows(dom, stack).tolist()]
 
 
+def _outcome(function, dom, pts):
+    """function(dom, pts), or the error that rules its row out."""
+    try:
+        return function(dom, pts)
+    except _ROW_ERRORS as exc:
+        return _detached(exc)
+
+
 def _evaluate(quantity, dom, points, k):
     """Per row of k, (value, method, uncertainty) or the error that rules the row out.
 
@@ -494,21 +509,24 @@ def _evaluate(quantity, dom, points, k):
     (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1.
     A row is ruled out by the first of its points, in the order the
     quantity reads them, whose template arithmetic failed.  Where the
-    quantity has an exact route (_ROUTES), and xi, if it reads one, is
-    one BoundaryPoint, the interior points of the other rows are then
-    checked in that order, as the one-point function does
-    (require_interior), a fixed point once; the first that is not inside
-    rules its row out, and the rows that pass are evaluated in one call
-    of the route.  The rows left (all of them if that call fails) call
-    the one-point function one row at a time, in row order.
+    quantity has an exact route on the domain at xi (_ROUTES), the
+    interior points of the other rows are then checked in that order, as
+    the one-point function does (require_interior), a fixed point once;
+    the first that is not inside rules its row out, and the rows that
+    pass are evaluated in one call of the route.  A row the route leaves
+    None goes to the quantity's function of such rows (the sandwich), so
+    that no row tries the exact route twice.  The rows left (all of them
+    if the route call fails) call the one-point function one row at a
+    time, in row order.
     """
-    keys, route, one = _ROUTES[quantity]
+    keys, route_at, rest, one = _ROUTES[quantity]
     outcomes = [None] * k
     for key in reversed(keys):  # so that the first failing point's error stays
         if isinstance(points[key], _Rows):
             for row, exc in points[key].errors.items():
                 outcomes[row] = exc
-    if route is not None and isinstance(points.get("xi"), (BoundaryPoint, type(None))):
+    route = route_at(dom, points.get("xi"))
+    if route is not None:
         interior = [key for key in keys if key != "xi"]
         rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
         for key in interior:
@@ -520,25 +538,19 @@ def _evaluate(quantity, dom, points, k):
             for row, exc in zip(rows, errors):
                 outcomes[row] = exc
             rows = [row for row, exc in zip(rows, errors) if exc is None]
-        stacks = dict(points)
-        for key in interior:
-            pt = points[key]
-            stacks[key] = pt.stack[rows] if isinstance(pt, _Rows) else np.tile(pt, (len(rows), 1))
+        stacks = {key: points[key].stack[rows] if isinstance(points[key], _Rows)
+                  else np.tile(points[key], (len(rows), 1)) for key in interior}
         try:
-            values = route(dom, stacks) if rows else []
+            values = route(stacks) if rows else []
         except (PluripotError, ArithmeticError, ValueError):
             values = []
-        for row, value in zip(rows, values):
-            if value is not None:
-                outcomes[row] = (value, "closed_form", 0.0)
+        for i, (row, value) in enumerate(zip(rows, values)):
+            outcomes[row] = ((value, "closed_form", 0.0) if value is not None
+                             else _outcome(rest, dom, {key: stacks[key][i] for key in interior}))
     for row, outcome in enumerate(outcomes):
         if outcome is None:
-            pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
-                   for key in keys}
-            try:
-                outcomes[row] = one(dom, pts)
-            except _ROW_ERRORS as exc:
-                outcomes[row] = _detached(exc)
+            outcomes[row] = _outcome(one, dom, {key: points[key].stack[row] if isinstance(points[key], _Rows)
+                                                else points[key] for key in keys})
     return outcomes
 
 

@@ -198,11 +198,19 @@ def green_function(dom: Domain, w, z) -> KernelValue:
     distance bounds the value is the midpoint and the uncertainty half
     the induced width.
     """
+    if dom.kind == "annulus":
+        raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
     w = require_interior(dom, w, "w")
     z = require_interior(dom, z, "z")
     [value] = _green_rows(dom, w[None], z[None])
     if value is not None:
         return KernelValue(value, "closed_form", 0.0)
+    return _green_sandwich(dom, w, z)
+
+
+def _green_sandwich(dom: Domain, w, z) -> KernelValue:
+    """green_function's value at a pair of interior points that no exact
+    route takes, from the distance sandwich (geodesics_metrics._sandwich)."""
     bound = geodesics_metrics._sandwich(dom, z, w)
     glo = _log_tanh_half(bound.lower) if bound.lower > 0 else GREEN_POLE
     ghi = _log_tanh_half(bound.upper)

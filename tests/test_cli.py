@@ -589,6 +589,40 @@ def test_sweep_evaluates_each_benchmark_grid_as_one_stack(monkeypatch, capsys):
     assert {r["status"] for r in green} == {"ok"}
 
 
+@pytest.mark.parametrize("quantity", ["distance", "green"])
+def test_sandwiched_sweep_rows_try_the_exact_route_once(monkeypatch, capsys, quantity):
+    # 5 exact rows, 10 sandwiched and 6 outside: one exact egg call takes
+    # the 15 interior rows, and each of the 10 goes to the sandwich alone,
+    # not to the one-point function, which would try the exact route again.
+    from pluripot import geodesics_metrics, kernels
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, len(args[1]) if name == "exact" else 1))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geodesics_metrics, "_egg_distance_exact",
+                        counted("exact", geodesics_metrics._egg_distance_exact))
+    monkeypatch.setattr(geodesics_metrics, "_sandwich", counted("sandwich", geodesics_metrics._sandwich))
+    for module, name in ((kernels, "green_function"), (geodesics_metrics, "kobayashi_distance")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["sweep", quantity, "--domain", "egg4", "--w", "0.3,0.4*s", "--z", "1.1*t,0.2",
+                 "--grid-t=-1:1:7", "--grid-s=-1:1:3"]) == 0
+    rows, _ = _csv_rows(capsys.readouterr().out)
+    assert calls == [("exact", 15)] + [("sandwich", 1)] * 10
+    assert sorted(r["status"] for r in rows).count("outside") == 6
+
+
+def test_green_refuses_the_annulus_before_its_points(capsys):
+    rc = main(["eval", "green", "--domain", "annulus", "--r", "0.5", "--w", "2", "--z", "0.6"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "configuration error: the Green-from-distance formula needs a convex domain\n"
+
+
 def test_verify_annulus_refuses_radius_beyond_its_circle(capsys):
     # The suite samples the circle |z| = 0.7, so it supports 0 < r < 0.7.
     rc = main(["verify", "annulus", "--r", "0.75"])

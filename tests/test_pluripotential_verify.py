@@ -416,7 +416,7 @@ def test_monge_ampere_suite_work_count(monkeypatch):
     # psh and the Monge-Ampere report, and one per curve on its 25 disc
     # samples the harmonicity report.  The exact Hessians need no step:
     # no boundary projection or distance, and no stencil.
-    from pluripot import _jets, _stencils, _suites, domain_core
+    from pluripot import _jets, _stencils, _suites, domain_core, pluripotential_verify
 
     jets = []
     hessians = _jets.hessians
@@ -433,7 +433,8 @@ def test_monge_ampere_suite_work_count(monkeypatch):
         monkeypatch.setattr(domain_core, name, refused)
     monkeypatch.setattr(_suites, "boundary_distance", refused)
     monkeypatch.setattr(_stencils, "hessian_richardson", refused)
-    monkeypatch.setattr(_suites, "laplacian_1d", refused)
+    for module in (_stencils, _suites, pluripotential_verify):
+        monkeypatch.setattr(module, "laplacian_1d", refused)
     reports = _suites.suite_monge_ampere({})
     assert [rep.samples for rep in reports] == [200, 200, 75] * 2
     assert jets == [200, 25, 25, 25] * 2
