@@ -436,8 +436,8 @@ def _green_route(dom, xi):
 
 # Each quantity: the points it reads, in the order its function takes and
 # checks them; route(dom, xi), its stacked exact route on the domain at
-# xi or None; the function of the rows that route leaves None; and its
-# one-point function.  The route takes the interior points by key as
+# xi or None; the function of the rows that route leaves None, or None
+# for the one-point function; and its one-point function.  The route takes the interior points by key as
 # stacks (k, n) and gives each row the closed_form value that the
 # one-point function gives the row alone, bit for bit, or None where it
 # has none.  The other two take the domain and one row's points by key
@@ -494,14 +494,6 @@ def _interior_errors(dom, key, stack):
     return [None if ok else outside for ok in _inside_rows(dom, stack).tolist()]
 
 
-def _outcome(function, dom, pts):
-    """function(dom, pts), or the error that rules its row out."""
-    try:
-        return function(dom, pts)
-    except _ROW_ERRORS as exc:
-        return _detached(exc)
-
-
 def _evaluate(quantity, dom, points, k):
     """Per row of k, (value, method, uncertainty) or the error that rules the row out.
 
@@ -513,11 +505,11 @@ def _evaluate(quantity, dom, points, k):
     interior points of the other rows are then checked in that order, as
     the one-point function does (require_interior), a fixed point once;
     the first that is not inside rules its row out, and the rows that
-    pass are evaluated in one call of the route.  A row the route leaves
-    None goes to the quantity's function of such rows (the sandwich), so
-    that no row tries the exact route twice.  The rows left (all of them
-    if the route call fails) call the one-point function one row at a
-    time, in row order.
+    pass are evaluated in one call of the route.  The rows left call,
+    one row at a time in row order, the quantity's function of the rows
+    its route leaves None (the sandwich, so that no row tries the exact
+    routes twice), or the one-point function where there is no route,
+    that function is None, or the route call fails.
     """
     keys, route_at, rest, one = _ROUTES[quantity]
     outcomes = [None] * k
@@ -544,13 +536,19 @@ def _evaluate(quantity, dom, points, k):
             values = route(stacks) if rows else []
         except (PluripotError, ArithmeticError, ValueError):
             values = []
-        for i, (row, value) in enumerate(zip(rows, values)):
-            outcomes[row] = ((value, "closed_form", 0.0) if value is not None
-                             else _outcome(rest, dom, {key: stacks[key][i] for key in interior}))
+        else:  # every row left is one the route left None
+            one = rest or one
+        for row, value in zip(rows, values):
+            if value is not None:
+                outcomes[row] = (value, "closed_form", 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
-            outcomes[row] = _outcome(one, dom, {key: points[key].stack[row] if isinstance(points[key], _Rows)
-                                                else points[key] for key in keys})
+            pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
+                   for key in keys}
+            try:
+                outcomes[row] = one(dom, pts)
+            except _ROW_ERRORS as exc:
+                outcomes[row] = _detached(exc)
     return outcomes
 
 

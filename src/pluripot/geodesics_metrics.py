@@ -294,8 +294,7 @@ def _exact_distances(dom: Domain, z, w) -> list:
     Pairs closer than 1e-15 are at distance 0 without evaluating any
     route.
     """
-    out = [0.0] * len(z)
-    apart = np.flatnonzero(~(_row_norm(z - w) < 1e-15))
+    apart = ~(_row_norm(z - w) < 1e-15)
     zs, ws = z[apart], w[apart]
     k = dom.kind
     if k == "disc":
@@ -309,8 +308,11 @@ def _exact_distances(dom: Domain, z, w) -> list:
     elif k == "annulus":
         vals = [hyperbolic_models.annulus_distance(dom.r, a[0], b[0]) for a, b in zip(zs, ws)]
     else:
-        vals = [None] * len(apart)
-    for i, val in zip(apart.tolist(), vals):
+        vals = [None] * len(zs)
+    if apart.all():
+        return vals
+    out = [0.0] * len(z)
+    for i, val in zip(np.flatnonzero(apart).tolist(), vals):
         out[i] = val
     return out
 
