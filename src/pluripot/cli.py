@@ -420,38 +420,44 @@ def _density_row(dom, pts):
     return value, "levi_form", unc
 
 
-def _closed_form_route(values):
-    """The exact route of a kernel quantity where xi is a BoundaryPoint
-    with a closed form of Omega_xi: values(form, pts) as a list."""
+def _kernel_route(values):
+    """The exact route of a kernel quantity where xi is a BoundaryPoint:
+    values(dom, xi, pts), a (method, values) pair."""
     def route(dom, xi):
-        form = kernels._closed_form(dom, xi) if isinstance(xi, BoundaryPoint) else None
-        return None if form is None else lambda pts: values(form, pts).tolist()
+        return (lambda pts: values(dom, xi, pts)) if isinstance(xi, BoundaryPoint) else None
     return route
 
 
 def _green_route(dom, xi):
     # green_function refuses the annulus before it checks its points.
-    return None if dom.kind == "annulus" else lambda pts: kernels._green_rows(dom, pts["w"], pts["z"])
+    return None if dom.kind == "annulus" else lambda pts: ("closed_form", kernels._green_rows(dom, pts["w"], pts["z"]))
+
+
+def _no_kernel(dom, pts):
+    raise kernels._no_certified_kernel(dom)
 
 
 # Each quantity: the points it reads, in the order its function takes and
 # checks them; route(dom, xi), its stacked exact route on the domain at
 # xi or None; the function of the rows that route leaves None, or None
 # for the one-point function; and its one-point function.  The route takes the interior points by key as
-# stacks (k, n) and gives each row the closed_form value that the
-# one-point function gives the row alone, bit for bit, or None where it
-# has none.  The other two take the domain and one row's points by key
+# stacks (k, n) and gives (method, values): each row the value that the
+# one-point function gives the row alone, bit for bit, with that method
+# and uncertainty 0, or None where it has none.  The other two take the domain and one row's points by key
 # and give (value, method, uncertainty).
 _ROUTES = {
     "green": (("w", "z"), _green_route,
               lambda dom, pts: _kernel_row(kernels._green_sandwich(dom, pts["w"], pts["z"])),
               lambda dom, pts: _kernel_row(kernels.green_function(dom, pts["w"], pts["z"]))),
-    "poisson": (("xi", "z"), _closed_form_route(lambda form, pts: form(pts["z"])), None,
-                lambda dom, pts: _kernel_row(kernels.poisson_kernel(dom, pts["xi"], pts["z"]))),
+    "poisson": (("xi", "z"), _kernel_route(lambda dom, xi, pts: kernels._exact_kernels(dom, xi, pts["z"])),
+                _no_kernel, lambda dom, pts: _kernel_row(kernels.poisson_kernel(dom, pts["xi"], pts["z"]))),
     "horofunction": (("xi", "p", "z"),
-                     _closed_form_route(lambda form, pts: kernels._horofunction_many(form, pts["p"], pts["z"])),
-                     None, lambda dom, pts: _kernel_row(kernels.horofunction(dom, pts["xi"], pts["p"], pts["z"]))),
-    "distance": (("z", "w"), lambda dom, xi: lambda pts: geodesics_metrics._exact_distances(dom, pts["z"], pts["w"]),
+                     _kernel_route(lambda dom, xi, pts: kernels._exact_horofunctions(dom, xi, pts["p"], pts["z"])),
+                     lambda dom, pts: _kernel_row(
+                         kernels._horofunction_rows(dom, pts["xi"], [pts["p"]], [pts["z"]], "ladder")[0]),
+                     lambda dom, pts: _kernel_row(kernels.horofunction(dom, pts["xi"], pts["p"], pts["z"]))),
+    "distance": (("z", "w"), lambda dom, xi: lambda pts: (
+                     "closed_form", geodesics_metrics._exact_distances(dom, pts["z"], pts["w"])),
                  lambda dom, pts: _bound_row(geodesics_metrics._sandwich(dom, pts["z"], pts["w"])),
                  lambda dom, pts: _bound_row(geodesics_metrics.kobayashi_distance(dom, pts["z"], pts["w"]))),
     "density": (("xi",), lambda dom, xi: None, None, _density_row),
@@ -507,9 +513,10 @@ def _evaluate(quantity, dom, points, k):
     the first that is not inside rules its row out, and the rows that
     pass are evaluated in one call of the route.  The rows left call,
     one row at a time in row order, the quantity's function of the rows
-    its route leaves None (the sandwich, so that no row tries the exact
-    routes twice), or the one-point function where there is no route,
-    that function is None, or the route call fails.
+    its route leaves None (the sandwich, the kernel refusal or the
+    horofunction ladder, so that no row tries the exact routes twice),
+    or the one-point function where there is no route, that function is
+    None, or the route call fails.
     """
     keys, route_at, rest, one = _ROUTES[quantity]
     outcomes = [None] * k
@@ -533,14 +540,14 @@ def _evaluate(quantity, dom, points, k):
         stacks = {key: points[key].stack[rows] if isinstance(points[key], _Rows)
                   else np.tile(points[key], (len(rows), 1)) for key in interior}
         try:
-            values = route(stacks) if rows else []
+            method, values = route(stacks) if rows else (None, [])
         except (PluripotError, ArithmeticError, ValueError):
             values = []
         else:  # every row left is one the route left None
             one = rest or one
         for row, value in zip(rows, values):
             if value is not None:
-                outcomes[row] = (value, "closed_form", 0.0)
+                outcomes[row] = (value, method, 0.0)
     for row, outcome in enumerate(outcomes):
         if outcome is None:
             pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]

@@ -319,9 +319,11 @@ def _exact_distances(dom: Domain, z, w) -> list:
 
 def _sandwich(dom: Domain, z, w) -> DistanceBound:
     """The supporting-function lower and inscribed-slice upper bounds of
-    a pair of interior points, for a pair that no exact route takes."""
-    lo = caratheodory_lower_bound(dom, z, w)
-    hi = slice_upper_bound(dom, z, w)
+    a pair of interior points (n,), for a pair that no exact route
+    takes: the bounds' unchecked cores, since the callers have checked
+    both points inside."""
+    lo = _caratheodory_bound(dom, z, w)
+    hi = _slice_bound(dom, z, w, 0)
     if hi < lo:
         # Both bounds carry conservative safety margins; inversion
         # signals a genuine failure.
@@ -437,6 +439,11 @@ def caratheodory_lower_bound(dom: Domain, z, w) -> float:
     for name, ok in zip("zw", _inside_rows(dom, np.stack([z, w])).tolist()):
         if not ok:
             raise DomainError(f"{name} must lie inside the domain")
+    return _caratheodory_bound(dom, z, w)
+
+
+def _caratheodory_bound(dom: Domain, z, w) -> float:
+    """caratheodory_lower_bound of two points (n,) inside, unchecked."""
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
     pts, normals = _supporting_points(dom, z, w)
@@ -524,7 +531,7 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
     return np.minimum.reduceat(lo, first) * math.cos(math.pi / _N_RAYS) - 1e-12
 
 
-def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
+def slice_upper_bound(dom: Domain, z, w) -> float:
     """Upper distance bound from a round disc inside a complex slice.
 
     Tries inscribed discs centered at _N_CENTERS points along the
@@ -538,12 +545,13 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
         raise UnsupportedDomainError("slice bound requires a convex domain")
     if dom.kind == "half_plane":
         raise UnsupportedDomainError("slice bound requires a bounded domain")
-    if _depth == 0:
-        # The split points of [z, w] lie inside by convexity.
-        z = require_interior(dom, z, "z")
-        w = require_interior(dom, w, "w")
-    z = as_point(dom, z)
-    w = as_point(dom, w)
+    return _slice_bound(dom, require_interior(dom, z, "z"), require_interior(dom, w, "w"), 0)
+
+
+def _slice_bound(dom: Domain, z, w, depth) -> float:
+    """slice_upper_bound of two points (n,) inside a bounded convex
+    domain, unchecked; depth counts the splits of [z, w] so far, whose
+    split points lie inside by convexity."""
     sep = float(np.linalg.norm(z - w))
     if sep < 1e-15:
         return 0.0
@@ -563,11 +571,10 @@ def slice_upper_bound(dom: Domain, z, w, _depth=0) -> float:
     if pairs:
         best = min([best] + hyperbolic_models.disc_distance(*np.array(pairs).T).tolist())
     if math.isinf(best):
-        if _depth >= 6:
+        if depth >= 6:
             raise ConvergenceError("slice bound subdivision failed to capture the pair")
         mid = 0.5 * (z + w)
-        return (slice_upper_bound(dom, z, mid, _depth + 1)
-                + slice_upper_bound(dom, mid, w, _depth + 1))
+        return _slice_bound(dom, z, mid, depth + 1) + _slice_bound(dom, mid, w, depth + 1)
     return best
 
 

@@ -17,17 +17,18 @@ import numpy as np
 from . import _jets, geodesics_metrics
 from ._extrap import extrapolate, normal_ladder
 from .domain_core import (Domain, BoundaryPoint, _even_power, _inside_rows, _row_norm, _sq_norm, as_point,
-                          boundary_distance, boundary_point, require_interior)
+                          boundary_distance, boundary_point, gradient, require_interior)
 from .errors import ConvergenceError, DomainError, UnsupportedDomainError
 
 GREEN_POLE = float("-inf")
 
-_METHODS = ("closed_form", "limit_ladder")
+_METHODS = ("closed_form", "green_derivative", "limit_ladder")
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """A kernel evaluation with its provenance and uncertainty."""
+    """A kernel evaluation with its provenance and uncertainty, which is 0
+    on the exact routes, closed_form and green_derivative."""
 
     value: float
     method: str
@@ -36,8 +37,8 @@ class KernelValue:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConvergenceError(f"unknown kernel method {self.method!r}")
-        if self.method == "closed_form" and self.uncertainty != 0.0:
-            raise ConvergenceError("closed-form values carry zero uncertainty")
+        if self.method != "limit_ladder" and self.uncertainty != 0.0:
+            raise ConvergenceError("exact kernel values carry zero uncertainty")
 
 
 def _log_tanh_half(k: float) -> float:
@@ -79,16 +80,18 @@ def _abs_power(x, y, e):
 def _closed_form(dom: Domain, xi: BoundaryPoint):
     """Omega_xi as a function of a stack of points (..., n), or None.
 
-    The xi work (the axis phase of an egg) is done here, once.  Every
-    array operation rounds as the Python scalar formula for one point
-    does, so a stack and its points one at a time agree bit for bit:
-    |w| is hypot (np.abs rounds differently), a float power is
-    float_power (not the array **), the norm is a row-wise matmul
-    (domain_core._row_norm), and the product with the conjugate egg
-    phase is written out in reals (numpy's complex multiply may fuse
-    its products).  The ball and egg forms also take a _jets.JetPoint,
-    which gives their jets: one expression serves values and exact
-    Hessians.
+    The closed forms: the disc, the half-plane, the ball, an ellipsoid at
+    a xi on its z0 axis, and an ellipsoid whose m_j all equal 2 (the
+    unit ball) at any xi, by the ball's form.  The xi work (the axis
+    phase of an egg) is done here, once.  Every array operation rounds
+    as the Python scalar formula for one point does, so a stack and its
+    points one at a time agree bit for bit: |w| is hypot (np.abs rounds
+    differently), a float power is float_power (not the array **), the
+    norm is a row-wise matmul (domain_core._row_norm), and the product
+    with the conjugate egg phase is written out in reals (numpy's
+    complex multiply may fuse its products).  The ball and egg forms
+    also take a _jets.JetPoint, which gives their jets: one expression
+    serves values and exact Hessians.
     """
     k = dom.kind
     if k == "disc":
@@ -106,7 +109,24 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
         # Python's complex division, which numpy's does not round alike.
         reciprocal = np.vectorize(lambda w: 2.0 * (1.0 / complex(w)).real, otypes=[float])
         return lambda z: reciprocal(z[..., 0] - x)
-    if k == "ball":
+    if k == "ellipsoid":
+        phase = _egg_axis_phase(dom, xi)
+        if phase is not None:
+            cr, ci = phase.real, -phase.imag
+
+            def form(z):
+                w = _jets.coords(z)
+                zr, zi = w[0].real, w[0].imag
+                # z0 = z[0] conj(phase), in reals.
+                z0r, z0i = zr * cr - zi * ci, zr * ci + zi * cr
+                acc = 1.0 - _abs_power(z0r, z0i, 2)
+                for j, mj in enumerate(dom.m):
+                    acc = acc - _abs_power(w[j + 1].real, w[j + 1].imag, mj)
+                return -acc / _abs_power(1.0 - z0r, z0i, 2)
+            return form
+        if set(dom.m) != {2}:
+            return None
+    if k in ("ball", "ellipsoid"):
         conj_xi = np.conj(xi.position)
 
         def form(z):
@@ -121,23 +141,69 @@ def _closed_form(dom: Domain, xi: BoundaryPoint):
                 num = 1.0 - np.float_power(_row_norm(z), 2)
             return -num / _abs_power(1.0 - s_re, s_im, 2)
         return form
-    if k == "ellipsoid":
-        phase = _egg_axis_phase(dom, xi)
-        if phase is None:
-            return None
-        cr, ci = phase.real, -phase.imag
-
-        def form(z):
-            w = _jets.coords(z)
-            zr, zi = w[0].real, w[0].imag
-            # z0 = z[0] conj(phase), in reals.
-            z0r, z0i = zr * cr - zi * ci, zr * ci + zi * cr
-            acc = 1.0 - _abs_power(z0r, z0i, 2)
-            for j, mj in enumerate(dom.m):
-                acc = acc - _abs_power(w[j + 1].real, w[j + 1].imag, mj)
-            return -acc / _abs_power(1.0 - z0r, z0i, 2)
-        return form
     return None
+
+
+def _axis_kernel(dom: Domain, xi: BoundaryPoint):
+    """Omega_xi(z) of an ellipsoid at z = (a, 0, ..., 0) on its z0 axis,
+    for any xi, as a function of a stack of such a (k,).
+
+    Omega_xi(z) = -dG_z/dn at xi, the paper's identity.  On the axis
+    G_z = log g(F_a(.)), with g the Minkowski gauge and F_a the
+    automorphism moving z to 0 (geodesics_metrics._egg_automorphism),
+    because k(z, w) = log((1 + g)/(1 - g)) at F_a(w) is the exact axis
+    distance (geodesics_metrics._egg_distance_exact).  By Euler,
+    grad g = grad rho / d rho_q[q] at q = F_a(xi), so
+    Omega_xi(z) = -d rho_q[dF_a(xi) n_xi] / d rho_q[q], which reduces to
+
+        -(1 - |a|^2) |grad rho(xi)| / (2 |xi_0 - a|^2 + (1 - |a|^2) sum_j m_j |xi_j|^m_j).
+
+    Only real elementwise products, sums and quotients act on a, so a
+    row rounds as its point alone does.
+    """
+    pos = xi.position
+    grad = float(np.linalg.norm(gradient(dom, pos)))
+    weight = sum(mj * float(_even_power(pos[j + 1], mj)) for j, mj in enumerate(dom.m))
+    x0, y0 = float(pos[0].real), float(pos[0].imag)
+
+    def form(a):
+        x, y = a.real, a.imag
+        fac = 1.0 - (x * x + y * y)
+        dx, dy = x0 - x, y0 - y
+        return -(fac * grad) / (2.0 * (dx * dx + dy * dy) + fac * weight)
+    return form
+
+
+def _exact_kernels(dom: Domain, xi: BoundaryPoint, z):
+    """Omega_xi at each row of a stack z (k, n) of interior points by its
+    exact route: (method, values), with a float or None per row, each bit
+    for bit the row's alone, and method the route of the floats.
+
+    The routes, in order: the closed forms (_closed_form, method
+    closed_form), then on an ellipsoid the Green derivative at each row
+    on the z0 axis (_axis_kernel, method green_derivative, at any xi).
+    A row that no route takes is None, and so is every row of a domain
+    with no exact kernel at xi; a certified kernel there needs a bracket.
+    """
+    form = _closed_form(dom, xi)
+    if form is not None:
+        return "closed_form", form(z).tolist()
+    values = [None] * len(z)
+    if dom.kind != "ellipsoid":
+        return None, values
+    rows = np.flatnonzero(geodesics_metrics._is_axis(z))
+    for i, value in zip(rows.tolist(), _axis_kernel(dom, xi)(z[rows, 0]).tolist()):
+        values[i] = value
+    return "green_derivative", values
+
+
+def _no_certified_kernel(dom: Domain):
+    """The refusal of a kernel that no exact route takes: on the annulus,
+    which is not convex, the one of green_function; elsewhere a certified
+    value needs a bracket."""
+    if dom.kind == "annulus":
+        return UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
+    return ConvergenceError("no certified kernel at this pair")
 
 
 def _no_closed_form(dom: Domain) -> UnsupportedDomainError:
@@ -180,15 +246,18 @@ class ClosedFormKernel:
 
 
 def poisson_kernel(dom: Domain, xi, z) -> KernelValue:
-    """Boundary kernel Omega_xi(z): the closed form where xi has one,
-    else the normal-derivative ladder of the Green function."""
+    """Boundary kernel Omega_xi(z) by its exact route (_exact_kernels).
+
+    Where no exact route takes the pair, ConvergenceError (on the annulus
+    UnsupportedDomainError), before any Green value, distance or
+    sandwich is computed.
+    """
     xi = boundary_point(dom, xi)
     z = require_interior(dom, z, "z")
-    form = _closed_form(dom, xi)
-    if form is not None:
-        return KernelValue(float(form(z)), "closed_form", 0.0)
-    gnd = green_normal_derivative(dom, xi, z)
-    return KernelValue(-gnd.value, "limit_ladder", gnd.uncertainty)
+    method, [value] = _exact_kernels(dom, xi, z[None])
+    if value is None:
+        raise _no_certified_kernel(dom)
+    return KernelValue(value, method, 0.0)
 
 
 def green_function(dom: Domain, w, z) -> KernelValue:
@@ -233,28 +302,29 @@ def _green_rows(dom: Domain, w, z) -> list:
             for pole, k in zip(poles, geodesics_metrics._exact_distances(dom, z, w))]
 
 
-def _horofunction_many(form, p, z):
-    """log|Omega(p)| - log|Omega(z)| per row of stacks p and z (k, n),
-    with form, a _closed_form of Omega_xi, evaluated once on all 2k points.
+def _exact_horofunctions(dom: Domain, xi: BoundaryPoint, p, z):
+    """log|Omega_xi(p)| - log|Omega_xi(z)| per row of stacks p and z (k, n)
+    where _exact_kernels gives both kernels, else None, with the kernels
+    of all 2k points from one _exact_kernels call: (method, values).
     """
-    om = form(np.concatenate([p, z])).tolist()
+    method, om = _exact_kernels(dom, xi, np.concatenate([p, z]))
     k = len(z)
-    return np.array([math.log(-a) - math.log(-b) for a, b in zip(om[:k], om[k:])])
+    return method, [None if a is None or b is None else math.log(-a) - math.log(-b)
+                    for a, b in zip(om[:k], om[k:])]
 
 
 def _kernel_rows(dom: Domain, xi, z) -> np.ndarray:
     """Omega_xi at each point of a stack z (k, n), each bit for bit the
-    point's poisson_kernel value.
+    point's poisson_kernel value, from one _exact_kernels call.
 
-    Where xi has a closed form the stack is one ClosedFormKernel.many
-    call, which checks every point inside; elsewhere each row is a
-    one-point call.
+    DomainError unless every point lies inside (_interior_stack), and
+    poisson_kernel's refusal if a row has no exact kernel.
     """
-    try:
-        omega = ClosedFormKernel(dom, xi, 1.0).many
-    except UnsupportedDomainError:
-        return np.array([poisson_kernel(dom, xi, row).value for row in z])
-    return omega(z)
+    xi = boundary_point(dom, xi)
+    _, values = _exact_kernels(dom, xi, _interior_stack(dom, z, "z"))
+    if None in values:
+        raise _no_certified_kernel(dom)
+    return np.array(values)
 
 
 def _interior_stack(dom: Domain, pts, name) -> np.ndarray:
@@ -276,24 +346,33 @@ def _horofunction_rows(dom: Domain, xi, p, z, method="auto") -> list:
     """horofunction at each row of stacks p and z (k, n), p possibly one
     row for all: a KernelValue per row, bit for bit the row's own.
 
-    The kernel form is one _horofunction_many call.  The ladder takes
-    the rungs once and the distances of all rows in one _distance_rows
-    call, row by row the pairs (z, w_j), then (w_j, p), so a stack of
-    one makes the pairs of one point.  An error is one row's: every p,
-    then every z, is checked inside first, and a failing distance of
-    any row raises before the extrapolation of the first.
+    Method "auto" gives each row whose p and z both have an exact kernel
+    the kernel form (one _exact_horofunctions call), and the other rows
+    the ladder; "kernel" is the closed form's kernel form on every row,
+    and "ladder" the ladder on every row.  The ladder takes its rows as
+    one sub-stack: the rungs once and the distances of all its rows in
+    one _distance_rows call, row by row the pairs (z, w_j), then
+    (w_j, p), so a stack of one makes the pairs of one point.  An error
+    is one row's: every p, then every z, is checked inside first, and a
+    failing distance of any row raises before the extrapolation of the
+    first.
     """
     xi = boundary_point(dom, xi)
     p, z = np.broadcast_arrays(_interior_stack(dom, p, "p"), _interior_stack(dom, z, "z"))
     if method not in ("auto", "kernel", "ladder"):
         raise DomainError(f"unknown horofunction method {method!r}")
 
-    form = None if method == "ladder" else _closed_form(dom, xi)
-    if form is not None:
-        return [KernelValue(v, "closed_form", 0.0) for v in _horofunction_many(form, p, z).tolist()]
-    if method == "kernel":
-        raise _no_closed_form(dom)
+    out = [None] * len(z)
+    if method != "ladder":
+        route, values = _exact_horofunctions(dom, xi, p, z)
+        if method == "kernel" and route != "closed_form":
+            raise _no_closed_form(dom)
+        out = [None if v is None else KernelValue(v, route, 0.0) for v in values]
+    rows = [i for i, kv in enumerate(out) if kv is None]
+    if not rows:
+        return out
 
+    p, z = p[rows], z[rows]
     js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
     ws = np.array(normal_ladder(dom, xi, js))
     r = len(ws)
@@ -301,23 +380,22 @@ def _horofunction_rows(dom: Domain, xi, p, z, method="auto") -> list:
     zs = np.concatenate([np.broadcast_to(z[:, None], rungs.shape), rungs], axis=1)
     ps = np.concatenate([rungs, np.broadcast_to(p[:, None], rungs.shape)], axis=1)
     dist, width = geodesics_metrics._distance_rows(dom, zs.reshape(-1, dom.n), ps.reshape(-1, dom.n))
-    out = []
-    for i in range(0, len(dist), 2 * r):
+    for row, i in zip(rows, range(0, len(dist), 2 * r)):
         d, w = dist[i:i + 2 * r], width[i:i + 2 * r]
         vals = [a - b for a, b in zip(d[:r], d[r:])]
         widths = max([0.0] + [a + b for a, b in zip(w[:r], w[r:])])
         est, unc = extrapolate(vals, "horofunction")
-        out.append(KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths)))
+        out[row] = KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
     return out
 
 
 def horofunction(dom: Domain, xi, p, z) -> KernelValue:
     """Horofunction h_{xi, p}(z).
 
-    Where xi has a closed-form kernel it is log|Omega_xi(p)| -
-    log|Omega_xi(z)|; elsewhere the extrapolated limit of
-    k(z, w_j) - k(w_j, p) along w_j = xi - 10^-j n_xi, whose exact rung
-    distances are one stacked call and whose other pairs are each
+    Where p and z both have an exact kernel (_exact_kernels) it is
+    log|Omega_xi(p)| - log|Omega_xi(z)|; elsewhere the extrapolated limit
+    of k(z, w_j) - k(w_j, p) along w_j = xi - 10^-j n_xi, whose exact
+    rung distances are one stacked call and whose other pairs are each
     sandwiched alone.  One point is a stack of one (_horofunction_rows).
     """
     return _horofunction_rows(dom, xi, [p], [z])[0]
@@ -327,7 +405,8 @@ def green_normal_derivative(dom: Domain, xi, z) -> KernelValue:
     """Inward normal derivative of the Green function G_z at xi.
 
     Extrapolates G_z(w_j) / (-delta(w_j)) along the normal ladder; the
-    limit is positive and equals |Omega_xi(z)|.
+    limit is positive and equals |Omega_xi(z)|.  A numerical reference
+    for the identity Omega = -dG/dn: no kernel route reads it.
     """
     xi = boundary_point(dom, xi)
     z = require_interior(dom, z, "z")

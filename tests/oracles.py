@@ -17,9 +17,10 @@ match bit for bit, the gauge of one point by one brentq, which the
 lockstep gauge must match bit for bit, the horofunction of one point
 pair with its own ladder, which the stacked horofunction rows must
 match bit for bit, log tanh(k/2) in multiple
-precision, at 50 digits the complex Hessian of the kernel at e1 of
-a ball or egg by the quotient rule and the boundary density of a ball
-or egg in C^2 by its closed form, and the step-halved Richardson
+precision, at 50 digits the kernel of an ellipsoid at a z0-axis point
+and any boundary point by Omega = -dG/dn, the complex Hessian of the
+kernel at e1 of a ball or egg by the quotient rule and the boundary
+density of a ball or egg in C^2 by its closed form, and the step-halved Richardson
 5-point Laplacian.  Besides these, a few readings
 of package objects that only the tests need: whether a domain kind has
 a closed-form kernel, and a quadrature's total weight and CSV dump.
@@ -44,7 +45,7 @@ from pluripot.errors import ConvergenceError, DomainError, UnsupportedDomainErro
 from pluripot.geodesics_metrics import (_N_CENTERS, _N_RAYS, _lattice_directions, egg_geodesic,
                                         egg_invert)
 from pluripot.hyperbolic_models import _k_from_rho, _require_disc, _strip_exp, _upper_distance
-from pluripot.kernels import KernelValue, _closed_form, _egg_axis_phase, _horofunction_many, _no_closed_form
+from pluripot.kernels import KernelValue, _egg_axis_phase, _no_closed_form, poisson_kernel
 
 
 def cayley(zeta) -> complex:
@@ -655,20 +656,26 @@ def gauge_one_point(dom: Domain, z) -> float:
 
 def horofunction_one_point(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     """kernels.horofunction of one pair (p, z) by its own ladder: the
-    kernel form, or the limit of k(z, w_j) - k(w_j, p) from one
-    _distance_rows call on the pairs (z, w_j), then (w_j, p).  The
-    stacked horofunction rows must give each row these bits."""
+    kernel form from two one-point poisson_kernel calls, where both
+    return (for method "kernel" only closed forms), or the limit of
+    k(z, w_j) - k(w_j, p) from one _distance_rows call on the pairs
+    (z, w_j), then (w_j, p).  The stacked horofunction rows must give
+    each row these bits."""
     xi = boundary_point(dom, xi)
     p = require_interior(dom, p, "p")
     z = require_interior(dom, z, "z")
     if method not in ("auto", "kernel", "ladder"):
         raise DomainError(f"unknown horofunction method {method!r}")
 
-    form = None if method == "ladder" else _closed_form(dom, xi)
-    if form is not None:
-        return KernelValue(float(_horofunction_many(form, p[None], z[None])[0]), "closed_form", 0.0)
-    if method == "kernel":
-        raise _no_closed_form(dom)
+    if method != "ladder":
+        try:
+            kp, kz = poisson_kernel(dom, xi, p), poisson_kernel(dom, xi, z)
+        except (ConvergenceError, UnsupportedDomainError):  # no exact kernel
+            kp = kz = None
+        if method == "kernel" and (kz is None or kz.method != "closed_form"):
+            raise _no_closed_form(dom)
+        if kz is not None:
+            return KernelValue(math.log(-kp.value) - math.log(-kz.value), kz.method, 0.0)
 
     js = range(4, 12) if dom.kind == "annulus" else range(1, 9)
     ws = np.array(normal_ladder(dom, xi, js))
@@ -680,6 +687,37 @@ def horofunction_one_point(dom: Domain, xi, p, z, method="auto") -> KernelValue:
     widths = max([0.0] + [a + b for a, b in zip(width[:k], width[k:])])
     est, unc = extrapolate(vals, "horofunction")
     return KernelValue(float(est), "limit_ladder", float(unc + 0.5 * widths))
+
+
+def axis_kernel_mp(m, xi, a) -> float:
+    """Omega_xi(z) of the ellipsoid |z_0|^2 + sum_j |z_j|^{m_j} < 1 at
+    z = (a, 0, ..., 0) and a boundary point xi, by Omega = -dG_z/dn at
+    50 digits, as the identity reads before any reduction:
+    -d rho_q[u] / d rho_q[q], with q = F_a(xi), u = F_a'(xi) n_xi and
+    d rho_q[v] = 2 Re(conj(q_0) v_0) + sum_j m_j |q_j|^{m_j - 2} Re(conj(q_j) v_j).
+    F_a, the automorphism moving z to 0 with G_z = log gauge(F_a), is
+    ((w_0 - a)/D, w_j (1 - |a|^2)^{1/m_j} D^{-2/m_j}), D = 1 - conj(a) w_0,
+    and its derivative is written out by hand; n_xi is the unit normal of
+    the gradient (2 xi_0, m_j |xi_j|^{m_j - 2} xi_j)."""
+    with mpmath.workdps(50):
+        xi = [mpmath.mpc(complex(c)) for c in xi]
+        a = mpmath.mpc(complex(a))
+        g = [2 * xi[0]] + [mj * abs(x) ** (mj - 2) * x for mj, x in zip(m, xi[1:])]
+        gn = mpmath.sqrt(sum(abs(c) ** 2 for c in g))
+        nv = [c / gn for c in g]
+        fac = 1 - abs(a) ** 2
+        D = 1 - mpmath.conj(a) * xi[0]
+        scale = [mpmath.power(fac, mpmath.mpf(1) / mj) * mpmath.power(D, -mpmath.mpf(2) / mj) for mj in m]
+        q = [(xi[0] - a) / D] + [s * x for s, x in zip(scale, xi[1:])]
+        u = [fac * nv[0] / D ** 2] + [s * (nj + (mpmath.mpf(2) / mj) * mpmath.conj(a) * x * nv[0] / D)
+                                      for s, mj, x, nj in zip(scale, m, xi[1:], nv[1:])]
+
+        def drho(v):
+            return (2 * mpmath.re(mpmath.conj(q[0]) * v[0])
+                    + sum(mj * abs(qj) ** (mj - 2) * mpmath.re(mpmath.conj(qj) * vj)
+                          for mj, qj, vj in zip(m, q[1:], v[1:])))
+
+        return float(-drho(u) / drho(q))
 
 
 def kernel_hessian_mp(m, z):

@@ -138,6 +138,22 @@ def test_eval_density_reports_its_rounding_bound(capsys):
     assert 0.0 < row["uncertainty"] < 1e-14 * row["value"]
 
 
+def test_eval_poisson_at_an_off_axis_egg_point(capsys):
+    # A z on the z0 axis takes the Green derivative, exactly; an off-axis
+    # z has no certified kernel.
+    from pluripot import make_domain, poisson_kernel
+
+    xi = [0.6, 0.8944271909999159]
+    argv = ["eval", "poisson", "--domain", "egg4", "--xi", "0.6,0.8944271909999159", "--z"]
+    assert main(argv + ["0.3,0"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["method"], row["uncertainty"]) == ("green_derivative", 0.0)
+    assert row["value"] == poisson_kernel(make_domain("egg4"), xi, [0.3, 0.0]).value
+    assert main(argv + ["0.1,0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "numerical failure: no certified kernel at this pair\n"
+
+
 def test_verify_monge_ampere_disc_is_config_error(capsys):
     rc = main(["verify", "monge_ampere", "--domain", "disc"])
     captured = capsys.readouterr()
@@ -935,7 +951,7 @@ _REFERENCE_SWEEPS = [
     # A -0.0 axis value (linspace ends on the stop as given), on the
     # sandwich route, one row at a time with a nonzero uncertainty.
     ["distance", "--domain", "egg4", "--z", "0.3*t+0.1j,0.2", "--w", "0.1,0.2j", "--grid-t=-1:-0:3"],
-    # Rows whose kernel ladder ends in ConvergenceError.
+    # Rows with no certified kernel (ConvergenceError).
     ["poisson", "--domain", "egg4", "--xi", "0.6,0.8944271909999159", "--z", "0.1*t,0.1",
      "--grid-t=0:1:2"],
 ]

@@ -280,12 +280,12 @@ def test_pruned_march_near_the_egg6_boundary_is_the_per_centre_march(monkeypatch
     pairs = [(_random_interior(egg, rng, 0.97, 0.97), _random_interior(egg, rng, 0.97, 0.97))
              for _ in range(12)]
     depths = []
-    bound = geodesics_metrics.slice_upper_bound
+    bound = geodesics_metrics._slice_bound
 
-    def spy(dom, z, w, _depth=0):
-        depths.append(_depth)
-        return bound(dom, z, w, _depth)
-    monkeypatch.setattr(geodesics_metrics, "slice_upper_bound", spy)
+    def spy(dom, z, w, depth):
+        depths.append(depth)
+        return bound(dom, z, w, depth)
+    monkeypatch.setattr(geodesics_metrics, "_slice_bound", spy)
     got, split = [], 0
     for z, w in pairs:
         depths.clear()

@@ -106,6 +106,9 @@ _LIBRARY_ONLY = {
     ("kernels", "horosphere_contains"),
     ("kernels", "k_region_contains"),
     ("kernels", "boundary_distance_asymptotic"),
+    ("kernels", "green_normal_derivative"),
+    ("geodesics_metrics", "caratheodory_lower_bound"),
+    ("geodesics_metrics", "slice_upper_bound"),
     ("domain_core", "line_type"),
     ("domain_core", "_MAX_LINE_TYPE"),
     ("boundary_measure", "boundary_form_density"),

@@ -32,8 +32,8 @@ from pluripot import (
 from pluripot import _jets, kernels
 from pluripot.kernels import _closed_form, _log_tanh_half
 
-from oracles import (egg_distance_one_pair, horofunction_one_point, log_tanh_half, poisson_disc,
-                     poisson_geodesic, poisson_halfplane)
+from oracles import (axis_kernel_mp, egg_distance_one_pair, horofunction_one_point, log_tanh_half,
+                     poisson_disc, poisson_geodesic, poisson_halfplane)
 
 
 def _random_interior(dom, rng, lo=0.1, hi=0.8):
@@ -390,10 +390,11 @@ def test_pole_continuity_modulus():
 
 
 def test_kernel_value_contract():
-    with pytest.raises(ConvergenceError):
-        from pluripot import KernelValue
+    from pluripot import KernelValue
 
-        KernelValue(1.0, "closed_form", 0.5)
+    for method in ("closed_form", "green_derivative"):
+        with pytest.raises(ConvergenceError):
+            KernelValue(1.0, method, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +630,43 @@ def test_stacked_horofunction_is_the_one_point_ladder_on_the_annulus():
 
 
 def test_stacked_horofunction_off_axis_xi():
-    # At an off-axis egg4 boundary point the axis pairs are exact, and
-    # the pairs of an off-axis z are sandwiched, where the slice bound
-    # fails to capture the rungs near xi.
+    # At an off-axis egg4 boundary point the axis pairs are exact: "auto"
+    # gives them the kernel form of the Green-derivative kernels.  The
+    # pairs of an off-axis z are sandwiched, where the slice bound fails
+    # to capture the rungs near xi.
     dom = make_domain("egg4")
     xi = boundary_point(dom, [0.6, 0.8944271909999159])
     axis = np.array([[0.1, 0.0], [-0.3, 0.0], [0.2j, 0.0], [0.5, 0.0]])
     _check_stacked_horofunction(dom, xi, axis[:2], axis[2:])
+    assert {kv.method for kv in kernels._horofunction_rows(dom, xi, axis[:2], axis[2:])} == {"green_derivative"}
     off = np.array([[0.2, 0.1j], [0.1, 0.2]])
     _check_stacked_horofunction(dom, xi, np.concatenate([axis[:2], axis[:1]]),
-                                np.concatenate([axis[2:], off[:1]]), ("ladder",))
+                                np.concatenate([axis[2:], off[:1]]))
     _check_stacked_horofunction(dom, xi, axis[:1], off[1:], ("ladder",))
+
+
+def test_auto_horofunction_takes_the_ladder_only_on_rows_without_exact_kernels(monkeypatch):
+    # The middle row's z is off the axis, so it alone goes to the ladder,
+    # as a sub-stack of one: one distance call on its 2 x 8 rung pairs.
+    from pluripot import geodesics_metrics
+
+    dom = make_domain("egg4")
+    xi = boundary_point(dom, [0.6, 0.8944271909999159])
+    p = np.array([[0.1, 0.0], [-0.3, 0.0], [0.1, 0.0]])
+    z = np.array([[0.2j, 0.0], [0.2, 0.1j], [0.5, 0.0]])
+    pairs = []
+
+    def rows(dom, zs, ws):
+        pairs.append(len(zs))
+        return [1.0] * len(zs), [0.0] * len(zs)
+
+    monkeypatch.setattr(geodesics_metrics, "_distance_rows", rows)
+    got = kernels._horofunction_rows(dom, xi, p, z)
+    assert pairs == [16]
+    assert [kv.method for kv in got] == ["green_derivative", "limit_ladder", "green_derivative"]
+    for kv, a, b in zip(got[::2], p[::2], z[::2]):
+        want = math.log(-poisson_kernel(dom, xi, a).value) - math.log(-poisson_kernel(dom, xi, b).value)
+        assert kv.value == want and kv.uncertainty == 0.0
 
 
 _GC_EGG4 = make_domain({"kind": "general_convex", "n": 2},
@@ -709,3 +736,110 @@ def test_log_tanh_half_to_a_few_ulp_on_every_scale():
     # pair, and both sides of the switch between the two forms.
     ks = np.geomspace(1e-300, 50.0, 400).tolist() + [8.6e-15, 1.0, math.nextafter(1.0, 2.0)]
     assert max(_log_tanh_half_error(k) for k in ks) <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# The Green-derivative kernel of an ellipsoid at z0-axis points.
+# ---------------------------------------------------------------------------
+
+_ELLIPSOIDS = ["egg4", "egg6", {"kind": "ellipsoid", "m": [4, 4]}]
+
+
+def _random_boundary(dom, rng):
+    v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+    return boundary_point(dom, v / minkowski_gauge(dom, v))
+
+
+def _on_axis(dom, a):
+    """The stack of points (a_i, 0, ..., 0) of the domain."""
+    z = np.zeros((len(a), dom.n), dtype=complex)
+    z[:, 0] = a
+    return z
+
+
+@pytest.mark.parametrize("spec", _ELLIPSOIDS, ids=str)
+def test_green_derivative_is_the_closed_form_at_e1(spec):
+    dom = make_domain(spec)
+    xi = boundary_point(dom, np.eye(dom.n)[0])
+    rng = np.random.default_rng(31)
+    a = rng.uniform(-0.9, 0.9, 50) + 1j * rng.uniform(-0.4, 0.4, 50)
+    closed = _closed_form(dom, xi)(_on_axis(dom, a))
+    assert np.max(np.abs(kernels._axis_kernel(dom, xi)(a) - closed) / np.abs(closed)) <= 8 * _EPS
+
+
+def test_green_derivative_on_egg2_is_the_ball_kernel():
+    # egg2 is the unit ball: the formula matches the ball's closed form,
+    # and egg2's own kernel at an off-axis xi is the ball's at every z.
+    egg2, ball2 = make_domain("egg2"), make_domain("ball2")
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(200):
+        xi = _random_boundary(egg2, rng)
+        a = complex(*rng.uniform(-0.6, 0.6, 2))
+        want = poisson_kernel(ball2, xi.position, [a, 0.0]).value
+        worst = max(worst, abs(kernels._axis_kernel(egg2, xi)(np.array([a]))[0] - want) / abs(want))
+        z = _random_interior(egg2, rng)
+        assert poisson_kernel(egg2, xi, z) == poisson_kernel(ball2, xi.position, z)
+    assert worst <= 8 * _EPS
+
+
+@pytest.mark.parametrize("spec", _ELLIPSOIDS, ids=str)
+def test_exact_kernels_stack_is_each_point_alone(spec):
+    # At an off-axis xi every other row lies on the z0 axis and takes the
+    # Green derivative; the rows off the axis have no exact kernel.  Each
+    # row of stacks of 1, 3 and 37 rows is poisson_kernel's at its point
+    # alone, bit for bit, or its refusal.
+    dom = make_domain(spec)
+    rng = np.random.default_rng(33)
+    for count in (1, 3, 37):
+        xi = _random_boundary(dom, rng)
+        z = np.array([_random_interior(dom, rng) for _ in range(count)])
+        z[::2, 1:] = 0.0
+        method, values = kernels._exact_kernels(dom, xi, z)
+        assert method == "green_derivative"
+        assert [v is None for v in values] == [i % 2 == 1 for i in range(count)]
+        for row, value in zip(z, values):
+            if value is None:
+                with pytest.raises(ConvergenceError, match="^no certified kernel at this pair$"):
+                    poisson_kernel(dom, xi, row)
+            else:
+                kv = poisson_kernel(dom, xi, row)
+                assert (kv.method, kv.uncertainty, _bits(kv.value)) == ("green_derivative", 0.0, _bits(value))
+        assert kernels._kernel_rows(dom, xi, z[::2]).tobytes() == np.array(values[::2]).tobytes()
+        if count > 1:
+            with pytest.raises(ConvergenceError, match="^no certified kernel at this pair$"):
+                kernels._kernel_rows(dom, xi, z)
+
+
+@pytest.mark.parametrize("spec", _ELLIPSOIDS, ids=str)
+def test_green_derivative_at_50_digits_near_the_boundary(spec):
+    # Off-axis xi and z on the axis at gauge 1 - 10^-j, j = 1 ... 10.  The
+    # error is the rounding of 1 - |a|^2, a few eps / (1 - |a|) relative.
+    dom = make_domain(spec)
+    rng = np.random.default_rng(34)
+    for j in range(1, 11):
+        xi = _random_boundary(dom, rng)
+        a = (1.0 - 10.0 ** -j) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        kv = poisson_kernel(dom, xi, _on_axis(dom, [a])[0])
+        want = axis_kernel_mp(dom.m, xi.position, a)
+        assert kv.method == "green_derivative"
+        assert abs(kv.value - want) <= 4 * _EPS / (1.0 - abs(a)) * abs(want)
+
+
+def test_kernel_without_an_exact_route_refuses_before_any_green_value(monkeypatch):
+    # The two refused kernel cases of the offcatalogue benchmark: egg4 at
+    # an off-axis xi with an off-axis z, and egg4 as a general_convex
+    # domain at e1.
+    from pluripot import geodesics_metrics
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Green value, distance or sandwich")
+
+    for module, name in ((kernels, "green_function"), (kernels, "green_normal_derivative"),
+                         (geodesics_metrics, "_sandwich")):
+        monkeypatch.setattr(module, name, refused)
+    cases = ((make_domain("egg4"), [0.6, (1.0 - 0.6 ** 2) ** 0.25], [0.1, 0.1]),
+             (_GC_EGG4, _E1, [0.3, 0.1j]))
+    for dom, xi, z in cases:
+        with pytest.raises(ConvergenceError, match="^no certified kernel at this pair$"):
+            poisson_kernel(dom, xi, z)

@@ -373,21 +373,21 @@ def test_poisson_horofunction_suite_stacks_each_domains_ladder(monkeypatch):
     from pluripot import geodesics_metrics, kernels, run_suite
 
     ladders, forms = [], []
-    rows, many = geodesics_metrics._distance_rows, kernels._horofunction_many
+    rows, many = geodesics_metrics._distance_rows, kernels._exact_horofunctions
 
     def counting_rows(dom, z, w):
         ladders.append((dom.label, len(z)))
         return rows(dom, z, w)
 
-    def counting_many(form, p, z):
+    def counting_many(dom, xi, p, z):
         forms.append(len(z))
-        return many(form, p, z)
+        return many(dom, xi, p, z)
 
     def refused(*args, **kwargs):
         raise AssertionError("a one-point call")
 
     monkeypatch.setattr(geodesics_metrics, "_distance_rows", counting_rows)
-    monkeypatch.setattr(kernels, "_horofunction_many", counting_many)
+    monkeypatch.setattr(kernels, "_exact_horofunctions", counting_many)
     monkeypatch.setattr(kernels, "horofunction", refused)
     monkeypatch.setattr(geodesics_metrics, "kobayashi_distance", refused)
     for config, labels in (({}, ["ball2", "egg4"]), ({"domain": "egg6"}, ["egg6"])):
@@ -472,16 +472,21 @@ def test_phragmen_lindelof_suite_work_count(monkeypatch):
     from pluripot import _suites, kernels
 
     sizes = []
-    many = kernels.ClosedFormKernel.many
+    many, exact = kernels.ClosedFormKernel.many, kernels._exact_kernels
 
     def counting_many(self, pts):
         sizes.append(len(pts))
         return many(self, pts)
 
+    def counting_exact(dom, xi, z):
+        sizes.append(len(z))
+        return exact(dom, xi, z)
+
     def refused(*args, **kwargs):
         raise AssertionError("a one-point kernel call")
 
     monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
+    monkeypatch.setattr(kernels, "_exact_kernels", counting_exact)
     monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", refused)
     monkeypatch.setattr(kernels, "poisson_kernel", refused)
     reports = _suites.suite_phragmen_lindelof({})
@@ -498,7 +503,7 @@ def test_dilation_suite_work_count(monkeypatch):
     from pluripot import _suites, geodesics_metrics, kernels
 
     sizes, base_points, ladders = [], [], []
-    many, horofunctions = kernels.ClosedFormKernel.many, kernels._horofunction_many
+    many, exact = kernels.ClosedFormKernel.many, kernels._exact_kernels
     poisson = kernels.poisson_kernel
     rows = geodesics_metrics._distance_rows
 
@@ -506,13 +511,16 @@ def test_dilation_suite_work_count(monkeypatch):
         sizes.append(len(pts))
         return many(self, pts)
 
-    def counting_horofunctions(form, p, z):
-        sizes.append(len(p) + len(z))
-        return horofunctions(form, p, z)
+    def counting_exact(dom, xi, z):
+        sizes.append(len(z))
+        return exact(dom, xi, z)
 
     def counting_poisson(dom, xi, z):
         base_points.append(not np.any(z))
-        return poisson(dom, xi, z)
+        # A one-point kernel is no stack.
+        with monkeypatch.context() as alone:
+            alone.setattr(kernels, "_exact_kernels", exact)
+            return poisson(dom, xi, z)
 
     def counting_rows(dom, z, w):
         ladders.append((dom.label, len(z)))
@@ -522,7 +530,7 @@ def test_dilation_suite_work_count(monkeypatch):
         raise AssertionError("a one-point call")
 
     monkeypatch.setattr(kernels.ClosedFormKernel, "many", counting_many)
-    monkeypatch.setattr(kernels, "_horofunction_many", counting_horofunctions)
+    monkeypatch.setattr(kernels, "_exact_kernels", counting_exact)
     monkeypatch.setattr(kernels.ClosedFormKernel, "__call__", refused)
     monkeypatch.setattr(kernels, "poisson_kernel", counting_poisson)
     monkeypatch.setattr(kernels, "horofunction", refused)

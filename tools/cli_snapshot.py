@@ -128,6 +128,13 @@ sweep green --domain half_plane --w -0.5 --z -1.2+t+j*s --grid-t=-1:1:5 --grid-s
 sweep distance --domain annulus --r 0.5 --w 0.7 --z 0.75*cos(t)+0.75*j*sin(t) --grid-t=0:6:9
 sweep green --domain annulus --r 0.5 --w 0.7 --z 0.75*cos(t)+0.75*j*sin(t) --grid-t=0:6:3
 sweep distance --domain ellipsoid --m 4,4 --w 0.1,0,0 --z 0.5*t,0.3*s,0.2j --grid-t=-1:1:7 --grid-s=-1:1:3""".splitlines()]
+    # Kernels at an off-axis xi: on egg4 a z0-axis z takes the Green
+    # derivative and an off-axis z has no certified kernel (exit 3); egg2,
+    # the unit ball, takes the ball's closed form at every z.
+    + [line.split() for line in """\
+eval poisson --domain egg4 --xi 0.6,0.8944271909999159 --z 0.3,0
+eval poisson --domain egg4 --xi 0.6,0.8944271909999159 --z 0.1,0.1
+eval poisson --domain egg2 --xi 0.6,0.8 --z 0.1,0.1""".splitlines()]
 )
 
 
