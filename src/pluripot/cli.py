@@ -162,10 +162,6 @@ _TEMPLATE_ENV = dict(_TEMPLATE_FUNCS, **_TEMPLATE_CONSTS)
 _TEMPLATE_OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-class _TemplateError(DomainError):
-    """A sweep template that is not plain arithmetic in the allowed names."""
-
-
 def _disallowed(node, params):
     """First node of a template's tree outside the grammar, or None."""
     if isinstance(node, ast.Expression):
@@ -188,20 +184,20 @@ def _disallowed(node, params):
 
 @functools.lru_cache(maxsize=64)
 def _template(text, params):
-    """(function, component count) of a comma-separated sweep template.
+    """Each component of a comma-separated sweep template as (function,
+    the params it reads, in params order); the function takes their values
+    and computes the component by Python's own scalar arithmetic.
 
-    The function takes the grid parameters (params) and returns the tuple
-    of the components, each computed by Python's own scalar arithmetic.
     A component such as '0.9*t' or 'cos(t)+j*s' may hold only numeric
     constants, the grid parameters, j and pi, the operators + - * / **
     and unary minus and plus, and one-argument calls of _TEMPLATE_FUNCS;
-    anything else raises _TemplateError.  The code has no builtins, so it
+    anything else raises DomainError.  The code has no builtins, so it
     reaches no object but numbers and these functions.  Integer
     constants become floats, so a power such as 9**9**9 raises
     OverflowError at once instead of building a huge integer; an integer
-    constant too large for a float raises _TemplateError.
+    constant too large for a float raises DomainError.
     """
-    tree = ast.parse(f"lambda {','.join(params)}: ()", mode="eval")
+    tree, reads = ast.parse("()", mode="eval"), []
     # The parser raises MemoryError, and the checks and compile() raise
     # RecursionError, on too deeply nested arithmetic.
     try:
@@ -209,15 +205,18 @@ def _template(text, params):
             comp = ast.parse(tok, mode="eval")
             bad = _disallowed(comp, params)
             if bad is not None:
-                raise _TemplateError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
+                raise DomainError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
             for node in ast.walk(comp):
                 if isinstance(node, ast.Constant) and type(node.value) is int:
                     node.value = float(node.value)
-            tree.body.body.elts.append(comp.body)
+            names = {node.id for node in ast.walk(comp) if isinstance(node, ast.Name)}
+            reads.append(tuple(param for param in params if param in names))
+            signature = ast.parse(f"lambda {','.join(reads[-1])}: 0", mode="eval").body.args
+            tree.body.elts.append(ast.Lambda(signature, comp.body))
         code = compile(ast.fix_missing_locations(tree), "<template>", "eval")
     except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
-        raise _TemplateError(f"cannot parse component {tok!r}: {exc}")
-    return eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), len(tree.body.body.elts)
+        raise DomainError(f"cannot parse component {tok!r}: {exc}")
+    return list(zip(eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), reads))
 
 
 def _parse_point(text, n):
@@ -251,47 +250,54 @@ class _Rows:
         self.stack, self.errors = stack, errors
 
 
-def _template_rows(text, n, params, grid):
-    """The sweep template text at each grid point (a tuple of params values).
+def _template_rows(text, n, axes):
+    """The sweep template text at each row of the grid itertools.product(*axes.values()).
 
-    A template with other than n components raises the DomainError that
-    eval gives a point of another dimension.  A row whose arithmetic
-    fails gets a DomainError of its own, and NaN in the stack.
+    Each component is evaluated over the values of the parameters it reads
+    alone, then broadcast along the grid.  A template with other than n
+    components raises the DomainError that eval gives a point of another
+    dimension.  A row where a component fails gets NaN in every component,
+    and the DomainError of the first component that fails on it.
     """
-    point, count = _template(text, params)
-    if count != n:
-        raise DomainError(f"expected a point of C^{n}, got shape {(count,)}")
-    values, errors = [], {}
-    for row, args in enumerate(grid):
-        try:
-            values.append(point(*args))
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            values.append((math.nan,) * n)
-            errors[row] = DomainError(f"cannot evaluate {text!r}: {exc}")
-    return _Rows(np.fromiter(itertools.chain.from_iterable(values), complex).reshape(-1, n), errors)
+    components = _template(text, tuple(axes))
+    if len(components) != n:
+        raise DomainError(f"expected a point of C^{n}, got shape {(len(components),)}")
+    shape = [len(axis) for axis in axes.values()]
+    columns, errors = [], {}
+    for function, reads in components:
+        values, failed = [], {}
+        for args in itertools.product(*(axes[param] for param in reads)):
+            try:
+                values.append(function(*args))
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                failed[len(values)] = DomainError(f"cannot evaluate {text!r}: {exc}")
+                values.append(math.nan)
+        # The index into values of each row.
+        where = np.broadcast_to(np.arange(len(values)).reshape(
+            [size if param in reads else 1 for param, size in zip(axes, shape)]), shape).ravel()
+        columns.append(np.array(values, dtype=complex)[where])
+        if failed:  # the error of an earlier component stays
+            errors = {**{row: failed[i] for row, i in enumerate(where.tolist()) if i in failed}, **errors}
+    stack = np.stack(columns, axis=1)
+    stack[list(errors)] = math.nan
+    return _Rows(stack, errors)
 
 
-def _sweep_point(dom, key, text, params, grid):
+def _sweep_point(dom, key, text, axes):
     """A sweep's point: computed once if it uses no grid parameter, else a _Rows.
 
     A fixed xi becomes its BoundaryPoint when it is one; otherwise each
     row hands it to the quantity's function, which reports what it
-    finds.  A template whose arithmetic fails once is evaluated per row,
-    so that every row reports it.
+    finds.  A template whose arithmetic fails is a _Rows: each row reports it.
     """
     text = text.strip()
     if text.startswith("e") and text[1:].isdecimal():
         pt = _parse_point(text, dom.n)
     else:
-        try:
-            once = _template_rows(text, dom.n, (), [()])
-        except _TemplateError:
-            # It uses a grid parameter (or breaks the grammar, which the
-            # per-row compile reports).
-            once = None
-        if once is None or once.errors:
-            return _template_rows(text, dom.n, params, grid)
-        pt = once.stack[0]
+        rows = _template_rows(text, dom.n, axes)
+        if rows.errors or any(reads for _, reads in _template(text, tuple(axes))):
+            return rows
+        pt = rows.stack[0]
     if key == "xi":
         try:
             return boundary_point(dom, pt)
@@ -493,15 +499,9 @@ def _inside(dom, pt, key):
         return _detached(exc)
 
 
-def _interior_errors(dom, key, stack):
-    """_inside(dom, point, key) for each point of stack (m, n), by one
-    stacked check (domain_core._inside_rows)."""
-    outside = DomainError(f"{key} must lie inside the domain")
-    return [None if ok else outside for ok in _inside_rows(dom, stack).tolist()]
-
-
 def _evaluate(quantity, dom, points, k):
-    """Per row of k, (value, method, uncertainty) or the error that rules the row out.
+    """The columns (values, methods, uncertainties) of k rows, and the error
+    of each row ruled out, by row; such a row has NaN, "" and NaN.
 
     points maps each key the quantity reads to one point for all rows
     (xi possibly as its BoundaryPoint) or to a _Rows; eval passes k = 1.
@@ -519,56 +519,55 @@ def _evaluate(quantity, dom, points, k):
     None, or the route call fails.
     """
     keys, route_at, rest, one = _ROUTES[quantity]
-    outcomes = [None] * k
-    for key in reversed(keys):  # so that the first failing point's error stays
-        if isinstance(points[key], _Rows):
-            for row, exc in points[key].errors.items():
-                outcomes[row] = exc
+    errors = {row: exc for key in reversed(keys) if isinstance(points[key], _Rows)  # the first point's stays
+              for row, exc in points[key].errors.items()}
+    values, methods, uncertainties = [math.nan] * k, [""] * k, [math.nan] * k
+    rows = list(itertools.filterfalse(errors.__contains__, range(k)))
     route = route_at(dom, points.get("xi"))
     if route is not None:
         interior = [key for key in keys if key != "xi"]
-        rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
         for key in interior:
-            pt = points[key]
-            if isinstance(pt, _Rows):
-                errors = _interior_errors(dom, key, pt.stack[rows])
-            else:
-                errors = [_inside(dom, pt, key)] * len(rows)
-            for row, exc in zip(rows, errors):
-                outcomes[row] = exc
-            rows = [row for row, exc in zip(rows, errors) if exc is None]
+            # Rows by one stacked check, a fixed point once.
+            pt, stacked = points[key], isinstance(points[key], _Rows)
+            exc = DomainError(f"{key} must lie inside the domain") if stacked else _inside(dom, pt, key)
+            inside = _inside_rows(dom, pt.stack[rows]) if stacked else np.full(len(rows), exc is None)
+            errors.update(dict.fromkeys(itertools.compress(rows, (~inside).tolist()), exc))
+            rows = list(itertools.compress(rows, inside.tolist()))
         stacks = {key: points[key].stack[rows] if isinstance(points[key], _Rows)
                   else np.tile(points[key], (len(rows), 1)) for key in interior}
         try:
-            method, values = route(stacks) if rows else (None, [])
+            method, found = route(stacks) if rows else (None, [])
         except (PluripotError, ArithmeticError, ValueError):
-            values = []
+            found = [None] * len(rows)
         else:  # every row left is one the route left None
             one = rest or one
-        for row, value in zip(rows, values):
-            if value is not None:
-                outcomes[row] = (value, method, 0.0)
-    for row, outcome in enumerate(outcomes):
-        if outcome is None:
-            pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
-                   for key in keys}
-            try:
-                outcomes[row] = one(dom, pts)
-            except _ROW_ERRORS as exc:
-                outcomes[row] = _detached(exc)
-    return outcomes
+        if len(rows) == k and None not in found:
+            values, methods, uncertainties, rows = found, [method] * k, [0.0] * k, []
+        else:
+            for row, value in zip(rows, found):
+                if value is not None:
+                    values[row], methods[row], uncertainties[row] = value, method, 0.0
+            rows = [row for row, value in zip(rows, found) if value is None]
+    for row in rows:
+        pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
+               for key in keys}
+        try:
+            values[row], methods[row], uncertainties[row] = one(dom, pts)
+        except _ROW_ERRORS as exc:
+            errors[row] = _detached(exc)
+    return values, methods, uncertainties, errors
 
 
 def cmd_eval(config) -> int:
     dom = _build_domain(config)
     quantity = config.get("quantity")
     points = _points(quantity, config, lambda key, text: _parse_point(text, dom.n))
-    [outcome] = _evaluate(quantity, dom, points, 1)
-    if isinstance(outcome, Exception):
-        raise outcome
+    values, methods, uncertainties, errors = _evaluate(quantity, dom, points, 1)
+    if errors:
+        raise errors[0]
     row = {"quantity": quantity, "domain": dom.label}
     row.update((key, _point_str(points[key])) for key in _POINT if key in points)
-    row.update(zip(("value", "method", "uncertainty"), outcome))
+    row.update(value=values[0], method=methods[0], uncertainty=uncertainties[0])
 
     fmt = config.get("format") or "json"
     if fmt == "json":
@@ -599,19 +598,20 @@ def cmd_sweep(config) -> int:
     axes = {"t": _parse_grid(config["grid_t"]).tolist()}
     if config.get("grid_s") not in (None, ""):
         axes["s"] = _parse_grid(config["grid_s"], len(axes["t"])).tolist()
-    grid = list(itertools.product(*axes.values()))
-    points = _points(quantity, config, lambda key, text: _sweep_point(dom, key, text, tuple(axes), grid))
-    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
-             else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
-             for outcome in _evaluate(quantity, dom, points, len(grid))]
-    values, methods, uncertainties, statuses = zip(*cells)
+    points = _points(quantity, config, lambda key, text: _sweep_point(dom, key, text, axes))
+    k = math.prod(map(len, axes.values()))
+    values, methods, uncertainties, errors = _evaluate(quantity, dom, points, k)
+    statuses = ["ok"] * k
+    for row, exc in errors.items():
+        statuses[row] = "error" if isinstance(exc, ConvergenceError) else "outside"
     fmt = config.get("format") or "csv"
     if fmt == "json":
         quote = functools.cache(json.dumps)
         methods, statuses = map(quote, methods), map(quote, statuses)
-    texts = zip(_float_texts(values), methods, _distinct_texts(uncertainties), statuses)
-    # Each axis value is formatted once, and its text repeated along the grid.
-    rows = map(tuple.__add__, itertools.product(*map(_float_texts, axes.values())), texts)
+    # Each axis value is formatted once: a t text repeats along s, and the s texts for each t.
+    ts, *ss = map(_float_texts, axes.values())
+    grid = [[text for text in ts for _ in range(k // len(ts))], *(texts * len(ts) for texts in ss)]
+    rows = zip(*grid, _float_texts(values), methods, _distinct_texts(uncertainties), statuses)
     _emit(_table(fmt, [*axes, "value", "method", "uncertainty", "status"], rows), config.get("out"))
     return 0
 

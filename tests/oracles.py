@@ -219,6 +219,8 @@ def inscribed_disc_radius(dom: Domain, center, direction) -> float:
             raise UnsupportedDomainError("slice bound needs a bounded domain")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break  # each bracket is two adjacent floats: no later step moves lo
         mask = inside(mid)
         lo[mask] = mid[mask]
         hi[~mask] = mid[~mask]
@@ -256,18 +258,25 @@ def slice_upper_bound_per_centre(dom: Domain, z, w, _depth=0) -> float:
     return best
 
 
+# The lattice boundary points of caratheodory_lower_bound_per_pair, by (kind, n, m).
+_LATTICE_POINTS = {}
+
+
 def caratheodory_lower_bound_per_pair(dom: Domain, z, w) -> float:
     """The supporting half-space lower bound of a balanced kind, with the
-    lattice boundary points, their normals and the half-plane images
-    found anew point by point."""
+    lattice boundary points found point by point (once per kind, n and m),
+    and their normals and the half-plane images found anew point by
+    point."""
     if dom.kind not in ("disc", "ball", "ellipsoid"):
         raise UnsupportedDomainError("reference implemented for the balanced kinds")
     z = as_point(dom, z)
     w = as_point(dom, w)
     if np.linalg.norm(z - w) < 1e-15:
         return 0.0
-    pts = [v / gauge_one_point(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
-    pts += [boundary_project_one_point(dom, base)[0].position for base in (z, w)]
+    key = (dom.kind, dom.n, dom.m)
+    if key not in _LATTICE_POINTS:
+        _LATTICE_POINTS[key] = [v / gauge_one_point(dom, v) for v in _lattice_directions(dom.n, 64 * dom.n)]
+    pts = _LATTICE_POINTS[key] + [boundary_project_one_point(dom, base)[0].position for base in (z, w)]
     best = 0.0
     for eta in pts:
         nrm = domain_core.unit_normal(dom, eta)

@@ -777,8 +777,8 @@ def test_template_compiles_or_refuses(text, params):
 
     compiled = _returns_or_domain_error(_template.__wrapped__, text, params)
     if compiled is not None:
-        function, count = compiled
-        assert callable(function) and count == len(text.split(","))
+        assert len(compiled) == len(text.split(","))
+        assert all(callable(function) and set(reads) <= set(params) for function, reads in compiled)
 
 
 def test_template_compiles_or_refuses_at_the_recursion_limit():
@@ -794,6 +794,126 @@ def test_template_compiles_or_refuses_at_the_recursion_limit():
             _returns_or_domain_error(_template.__wrapped__, text, ("t",))
 
 
+def _per_row_template(text, axes):
+    """The reference of cli._template_rows: the whole template as one Python
+    function of the grid parameters, called once per row of the grid; a
+    row that raises is NaN in every component, with the message of the
+    component that raised first."""
+    import itertools
+
+    from pluripot.cli import _TEMPLATE_ENV
+
+    point = eval(f"lambda {','.join(axes)}: ({text},)", {"__builtins__": {}, **_TEMPLATE_ENV})
+    rows, errors = [], {}
+    for row, args in enumerate(itertools.product(*axes.values())):
+        try:
+            rows.append(point(*args))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            rows.append((math.nan,) * len(text.split(",")))
+            errors[row] = f"cannot evaluate {text!r}: {exc}"
+    return np.array(rows, dtype=complex), errors
+
+
+def _assert_template_columns_are_per_row(text, axes):
+    from pluripot.cli import _template_rows
+
+    got = _template_rows(text, len(text.split(",")), axes)
+    stack, errors = _per_row_template(text, axes)
+    assert got.stack.shape == stack.shape
+    assert got.stack.tobytes() == stack.tobytes()
+    assert {row: str(exc) for row, exc in got.errors.items()} == errors
+    return errors
+
+
+_GRID_2D = {"t": np.linspace(-0.9, 0.9, 4).tolist(), "s": np.linspace(-1, 1, 3).tolist()}
+_GRID_1D = {"t": np.linspace(-0.9, 0.9, 5).tolist()}
+
+
+@pytest.mark.parametrize("text, axes", [
+    # Components that read t only, s only, both and none, on a 2-D grid.
+    ("0.9*t,0.4*s", _GRID_2D),
+    ("t,0.6*s*(cos(t)+j*sin(t))", _GRID_2D),
+    ("0.5,0.3*j*s+t", _GRID_2D),
+    ("0.25-0.5*j,pi", _GRID_2D),
+    # Failing components: s only, t and s on different rows in either
+    # order, and a constant that fails on every row.
+    ("0.5*t,log(s)", _GRID_2D),
+    ("log(t),1.0/s", _GRID_2D),
+    ("1.0/s,log(t)", _GRID_2D),
+    ("log(t),log(s)", _GRID_2D),
+    ("log(-1.0),0.0", _GRID_2D),
+    # A 1-D grid: t only, a constant, and failing rows.
+    ("0.5*t,0.3*j", _GRID_1D),
+    ("sqrt(t)", _GRID_1D),
+    ("0.2,log(t)", _GRID_1D),
+    ("log(-1.0),0.0", _GRID_1D),
+    # A 1 x 1 grid and a grid of no parameters (a point fixed once).
+    ("t,log(t)", {"t": [0.5]}),
+    ("0.5,exp(0.25)", {}),
+])
+def test_template_columns_are_the_per_row_point(text, axes):
+    # Each component evaluated as a column over the parameters it reads,
+    # then broadcast, equals the whole template evaluated row by row, bit
+    # for bit, with the same error rows and messages.
+    _assert_template_columns_are_per_row(text, axes)
+
+
+def test_template_row_keeps_the_first_failing_component():
+    from pluripot.cli import _template_rows
+
+    rows = _template_rows("log(t),1.0/s", 2, {"t": [-1.0, 1.0], "s": [0.0, 1.0]})
+    log, div = "math domain error", "float division by zero"
+    assert {row: str(exc) for row, exc in rows.errors.items()} == {
+        0: f"cannot evaluate 'log(t),1.0/s': {log}", 1: f"cannot evaluate 'log(t),1.0/s': {log}",
+        2: f"cannot evaluate 'log(t),1.0/s': {div}"}
+    assert np.isnan(rows.stack[:3]).all() and rows.stack[3].tolist() == [0j, 1 + 0j]
+
+
+def test_template_component_is_evaluated_once_per_value_of_what_it_reads(monkeypatch):
+    # 'cos(t),sin(s)' on a 7 x 5 grid makes 7 + 5 calls, not 2 x 35, and
+    # a constant component one call.
+    from pluripot import cli
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda x: calls.append(name) or fn(x)
+
+    env = dict(cli._TEMPLATE_ENV, cos=counted("cos", math.cos), sin=counted("sin", math.sin),
+               exp=counted("exp", math.exp))
+    monkeypatch.setattr(cli, "_TEMPLATE_ENV", env)
+    cli._template.cache_clear()
+    try:
+        axes = {"t": np.linspace(0, 1, 7).tolist(), "s": np.linspace(0, 1, 5).tolist()}
+        rows = cli._template_rows("cos(t),sin(s),exp(0.5)", 3, axes)
+    finally:
+        cli._template.cache_clear()
+    assert sorted(calls) == ["cos"] * 7 + ["exp"] + ["sin"] * 5
+    assert rows.stack.tolist() == [[math.cos(t), math.sin(s), math.exp(0.5)]
+                                   for t in axes["t"] for s in axes["s"]]
+
+
+def _template_components(params):
+    """Components in the template grammar, with float constants only, so
+    that Python reads them as the template compiler does."""
+    leaves = st.one_of(st.sampled_from([*params, "pi", "j"]),
+                       st.floats(-3, 3).map(lambda x: f"({x!r})"))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["cos", "sin", "tan", "exp", "sqrt", "log", "abs"]), inner),
+        st.builds("-({})".format, inner),
+        st.builds("({}){}({})".format, inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner)),
+        max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), params=st.sampled_from([("t",), ("t", "s")]))
+def test_template_columns_are_the_per_row_point_on_any_template(data, params):
+    values = st.lists(st.floats(-2, 2), min_size=1, max_size=4)
+    axes = {param: data.draw(values) for param in params}
+    text = ",".join(data.draw(st.lists(_template_components(params), min_size=1, max_size=3)))
+    _assert_template_columns_are_per_row(text, axes)
+
+
 def _one_point_errors(dom, key, stack):
     from pluripot.domain_core import require_interior
     from pluripot.errors import DomainError
@@ -806,6 +926,14 @@ def _one_point_errors(dom, key, stack):
         except DomainError as exc:
             out.append(str(exc))
     return out
+
+
+def _one_point_verdicts(dom, stack):
+    """Whether require_interior takes each point of stack alone; it refuses
+    a point with the one message that a sweep's stacked check gives."""
+    errors = _one_point_errors(dom, "z", stack)
+    assert set(errors) <= {None, "z must lie inside the domain"}
+    return [error is None for error in errors]
 
 
 _ULP = 2.0 ** -52
@@ -826,11 +954,9 @@ def _near_boundary(dom, v, k):
 @given(name=st.sampled_from(("disc", "ball2", "ball3", "egg4", "egg6", "half_plane", "annulus")),
        data=st.data())
 def test_stacked_interior_check_is_the_one_point_check(name, data):
-    # The sweep checks a stack of points with one defining_function call
-    # and rechecks near rho = 0 one point at a time: every verdict, and
-    # every error message, must be require_interior's on the point alone.
-    from pluripot import cli
-    from pluripot.domain_core import make_domain
+    # The sweep checks a stack of points with one defining_function call:
+    # every verdict must be require_interior's on the point alone.
+    from pluripot.domain_core import _inside_rows, make_domain
 
     dom = make_domain("annulus", r=0.5) if name == "annulus" else make_domain(name)
     n = dom.n
@@ -857,8 +983,7 @@ def test_stacked_interior_check_is_the_one_point_check(name, data):
             v[data.draw(st.integers(0, n - 1))] = data.draw(special)
             points.append(v)
     stack = np.array(points)
-    got = [None if exc is None else str(exc) for exc in cli._interior_errors(dom, "z", stack)]
-    assert got == _one_point_errors(dom, "z", stack)
+    assert _inside_rows(dom, stack).tolist() == _one_point_verdicts(dom, stack)
 
 
 # Points a few ulps from the egg boundaries whose rho, when numpy's **
@@ -874,16 +999,14 @@ _SIGN_FLIPS = {
 
 @pytest.mark.parametrize("name", sorted(_SIGN_FLIPS))
 def test_stacked_interior_check_keeps_the_one_point_verdict_where_signs_differ(name, capsys):
-    from pluripot import cli
-    from pluripot.domain_core import defining_function, make_domain
+    from pluripot.domain_core import _inside_rows, defining_function, make_domain
 
     dom = make_domain(name)
     stack = np.array(_SIGN_FLIPS[name])
     # rho of the stack is the rho of each point alone, bit for bit.
     alone = np.array([defining_function(dom, pt) for pt in stack])
     assert defining_function(dom, stack).tobytes() == alone.tobytes()
-    got = [None if exc is None else str(exc) for exc in cli._interior_errors(dom, "z", stack)]
-    assert got == _one_point_errors(dom, "z", stack)
+    assert _inside_rows(dom, stack).tolist() == _one_point_verdicts(dom, stack)
     # A sweep row at such a point gets the verdict that eval gives the
     # point alone.
     z0, z1 = _SIGN_FLIPS[name][0]
@@ -961,23 +1084,25 @@ _REFERENCE_SWEEPS = [
 @pytest.mark.parametrize("argv", _REFERENCE_SWEEPS)
 def test_sweep_output_matches_the_per_row_reference_writers(argv, fmt, monkeypatch, capsys):
     # The whole output of a sweep against the writers of oracles.py, fed
-    # the cells the sweep is made of: its grid axes and the outcome of
-    # each row by cli._evaluate.
+    # the cells the sweep is made of: its grid axes and, per row, the
+    # value, method and uncertainty that cli._evaluate gives it, or the
+    # error that rules it out.
     from pluripot import cli
     from pluripot.errors import ConvergenceError
 
     evaluated = []
     evaluate = cli._evaluate
-    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.extend(evaluate(*args)) or evaluated)
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1])
     assert main(["sweep", *argv, "--format", fmt]) == 0
     out = capsys.readouterr().out
     axes = [_axis(arg.split("=", 1)[1]) for arg in argv if arg.startswith("--grid-")]
     columns = {"t": [t for t in axes[0] for _ in axes[-1]] if len(axes) == 2 else axes[0]}
     if len(axes) == 2:
         columns["s"] = axes[1] * len(axes[0])
-    cells = [outcome + ("ok",) if isinstance(outcome, tuple)
-             else (math.nan, "", math.nan, "error" if isinstance(outcome, ConvergenceError) else "outside")
-             for outcome in evaluated]
+    [(values, methods, uncertainties, errors)] = evaluated
+    cells = [(values[row], methods[row], uncertainties[row], "ok") if row not in errors
+             else (math.nan, "", math.nan, "error" if isinstance(errors[row], ConvergenceError) else "outside")
+             for row in range(len(values))]
     columns.update(zip(["value", "method", "uncertainty", "status"], map(list, zip(*cells))))
     assert out == (per_row_json(columns) if fmt == "json" else per_cell_csv(columns))
 

@@ -135,6 +135,16 @@ sweep distance --domain ellipsoid --m 4,4 --w 0.1,0,0 --z 0.5*t,0.3*s,0.2j --gri
 eval poisson --domain egg4 --xi 0.6,0.8944271909999159 --z 0.3,0
 eval poisson --domain egg4 --xi 0.6,0.8944271909999159 --z 0.1,0.1
 eval poisson --domain egg2 --xi 0.6,0.8 --z 0.1,0.1""".splitlines()]
+    # Template components evaluated column by column: an s-only component
+    # that fails on some rows, two components that fail on different rows,
+    # a constant component on a 1-D grid, a constant template that fails
+    # on every row, and a 2-D sweep with failing rows written as JSON.
+    + [line.split() for line in """\
+sweep poisson --domain egg4 --xi e1 --z 0.5*t,log(s) --grid-t=-0.9:0.9:5 --grid-s=-1:1:5
+sweep poisson --domain egg4 --xi e1 --z log(t),log(s) --grid-t=-0.9:0.9:5 --grid-s=-1:1:5
+sweep green --domain ball2 --w 0.1,0 --z 0.5*t,0.3j --grid-t=-0.9:0.9:7
+sweep poisson --domain ball2 --xi e1 --z log(-1),0 --grid-t=0:1:3
+sweep distance --domain ball2 --w 0.1,0 --z log(t),0.4*s --grid-t=-0.9:0.9:5 --grid-s=-1:1:3 --format json""".splitlines()]
 )
 
 
