@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -159,7 +160,13 @@ _TEMPLATE_FUNCS = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
                    "exp": math.exp, "sqrt": math.sqrt, "log": math.log, "abs": abs}
 _TEMPLATE_CONSTS = {"pi": math.pi, "j": 1j}
 _TEMPLATE_ENV = dict(_TEMPLATE_FUNCS, **_TEMPLATE_CONSTS)
-_TEMPLATE_OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# Python's own operation of each operator a template may use.
+_TEMPLATE_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+                       ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+                       ast.Pow: operator.pow}
+_TEMPLATE_OPS = tuple(_TEMPLATE_OPERATORS)
+# The errors of template arithmetic: each rules out the rows it falls on.
+_TEMPLATE_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
 def _disallowed(node, params):
@@ -182,41 +189,112 @@ def _disallowed(node, params):
     return node
 
 
+def _template_steps(node, params, steps, constants):
+    """Append to steps the evaluation of a checked tree node in Python's
+    order: its operands' steps, then (arity, (ufunc, operation)) for an
+    operation, or (0, index) for a leaf, indexing params followed by
+    constants, to which a constant goes as a 0-d object array.  Integer
+    constants become floats."""
+    if isinstance(node, ast.Name) and node.id in params:
+        steps.append((0, params.index(node.id)))
+        return
+    if isinstance(node, (ast.Constant, ast.Name)):
+        value = node.value if isinstance(node, ast.Constant) else _TEMPLATE_ENV[node.id]
+        steps.append((0, len(params) + len(constants)))
+        constants.append(np.array(float(value) if type(value) is int else value, dtype=object))
+        return
+    if isinstance(node, ast.Call):
+        operands, operation = node.args, _TEMPLATE_ENV[node.func.id]
+    elif isinstance(node, ast.UnaryOp):
+        operands, operation = [node.operand], _TEMPLATE_OPERATORS[type(node.op)]
+    else:
+        operands, operation = [node.left, node.right], _TEMPLATE_OPERATORS[type(node.op)]
+    for operand in operands:
+        _template_steps(operand, params, steps, constants)
+    steps.append((len(operands), (np.frompyfunc(operation, len(operands), 1), operation)))
+
+
+def _template_cell(operation, operands):
+    """operation of one element's operands by Python's arithmetic: the first
+    operand that is an exception, else the value or the exception raised."""
+    for operand in operands:
+        if isinstance(operand, Exception):
+            return operand
+    try:
+        return operation(*operands)
+    except _TEMPLATE_ERRORS as exc:
+        return _detached(exc)
+
+
+def _template_column(steps, constants, grids):
+    """A template component over the grid, from its steps (_template_steps)
+    and the object array of each grid parameter along its own axis.
+
+    Each operation runs over the product of the parameters its operands
+    read alone, by Python's own scalar arithmetic on each element (a
+    ufunc of object arrays).  Returns an object array with one axis per
+    parameter, of length 1 where the component does not read it, whose
+    elements are values or the exception that Python's evaluation raises
+    first; and whether any element is an exception.  An operation that
+    raises on some element, or has such an operand, runs element by
+    element.
+    """
+    leaves, stack = (*grids, *constants), []
+    for arity, item in steps:
+        if not arity:
+            stack.append((leaves[item], False))
+            continue
+        operands, failed = zip(*stack[-arity:])
+        del stack[-arity:]
+        ufunc, operation = item
+        if not any(failed):
+            try:
+                # Python's float arithmetic sets the floating-point flags
+                # (inf * 0), which numpy would report as warnings.
+                with np.errstate(all="ignore"):
+                    stack.append((np.asarray(ufunc(*operands), dtype=object), False))
+                continue
+            except _TEMPLATE_ERRORS:
+                pass
+        cells = map(functools.partial(_template_cell, operation), np.broadcast(*operands))
+        shape = np.broadcast_shapes(*(operand.shape for operand in operands))
+        stack.append((np.fromiter(cells, dtype=object, count=math.prod(shape)).reshape(shape), True))
+    return stack[0]
+
+
 @functools.lru_cache(maxsize=64)
 def _template(text, params):
     """Each component of a comma-separated sweep template as (function,
-    the params it reads, in params order); the function takes their values
-    and computes the component by Python's own scalar arithmetic.
+    the params it reads, in params order); function(grids) is
+    _template_column of the component.
 
     A component such as '0.9*t' or 'cos(t)+j*s' may hold only numeric
     constants, the grid parameters, j and pi, the operators + - * / **
     and unary minus and plus, and one-argument calls of _TEMPLATE_FUNCS;
-    anything else raises DomainError.  The code has no builtins, so it
-    reaches no object but numbers and these functions.  Integer
-    constants become floats, so a power such as 9**9**9 raises
-    OverflowError at once instead of building a huge integer; an integer
-    constant too large for a float raises DomainError.
+    anything else raises DomainError.  No code is generated from the
+    text: its checked tree is evaluated node by node, on numbers and
+    these functions alone.  Integer constants become floats, so a power
+    such as 9**9**9 raises OverflowError at once instead of building a
+    huge integer; an integer constant too large for a float raises
+    DomainError.
     """
-    tree, reads = ast.parse("()", mode="eval"), []
-    # The parser raises MemoryError, and the checks and compile() raise
-    # RecursionError, on too deeply nested arithmetic.
+    components = []
+    # The parser raises MemoryError, and the checks RecursionError, on
+    # too deeply nested arithmetic.
     try:
         for tok in (part.strip() for part in text.split(",")):
             comp = ast.parse(tok, mode="eval")
             bad = _disallowed(comp, params)
             if bad is not None:
                 raise DomainError(f"component {tok!r} may not contain {ast.unparse(bad) or type(bad).__name__!r}")
-            for node in ast.walk(comp):
-                if isinstance(node, ast.Constant) and type(node.value) is int:
-                    node.value = float(node.value)
+            steps, constants = [], []
+            _template_steps(comp.body, params, steps, constants)
             names = {node.id for node in ast.walk(comp) if isinstance(node, ast.Name)}
-            reads.append(tuple(param for param in params if param in names))
-            signature = ast.parse(f"lambda {','.join(reads[-1])}: 0", mode="eval").body.args
-            tree.body.elts.append(ast.Lambda(signature, comp.body))
-        code = compile(ast.fix_missing_locations(tree), "<template>", "eval")
+            components.append((functools.partial(_template_column, steps, tuple(constants)),
+                               tuple(param for param in params if param in names)))
     except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
         raise DomainError(f"cannot parse component {tok!r}: {exc}")
-    return list(zip(eval(code, {"__builtins__": {}, **_TEMPLATE_ENV}), reads))
+    return components
 
 
 def _parse_point(text, n):
@@ -253,32 +331,32 @@ class _Rows:
 def _template_rows(text, n, axes):
     """The sweep template text at each row of the grid itertools.product(*axes.values()).
 
-    Each component is evaluated over the values of the parameters it reads
-    alone, then broadcast along the grid.  A template with other than n
-    components raises the DomainError that eval gives a point of another
-    dimension.  A row where a component fails gets NaN in every component,
-    and the DomainError of the first component that fails on it.
+    Each component is evaluated over the values of the parameters that
+    each of its subexpressions reads (_template_column), then broadcast
+    along the grid.  A template with other than n components raises the
+    DomainError that eval gives a point of another dimension.  A row
+    where a component fails gets NaN in every component, and the
+    DomainError of the first component that fails on it.
     """
     components = _template(text, tuple(axes))
     if len(components) != n:
         raise DomainError(f"expected a point of C^{n}, got shape {(len(components),)}")
     shape = [len(axis) for axis in axes.values()]
-    columns, errors = [], {}
-    for function, reads in components:
-        values, failed = [], {}
-        for args in itertools.product(*(axes[param] for param in reads)):
-            try:
-                values.append(function(*args))
-            except (ArithmeticError, ValueError, TypeError) as exc:
-                failed[len(values)] = DomainError(f"cannot evaluate {text!r}: {exc}")
-                values.append(math.nan)
-        # The index into values of each row.
-        where = np.broadcast_to(np.arange(len(values)).reshape(
-            [size if param in reads else 1 for param, size in zip(axes, shape)]), shape).ravel()
-        columns.append(np.array(values, dtype=complex)[where])
-        if failed:  # the error of an earlier component stays
-            errors = {**{row: failed[i] for row, i in enumerate(where.tolist()) if i in failed}, **errors}
-    stack = np.stack(columns, axis=1)
+    grids = [np.array(axis, dtype=object).reshape([-1 if other == param else 1 for other in axes])
+             for param, axis in axes.items()]
+    stack, errors = np.empty((math.prod(shape), n), dtype=complex), {}
+    for i, (function, _) in enumerate(components):
+        column, failed = function(grids)
+        if failed:
+            cells = np.broadcast_to(column, shape).flatten()
+            rows = np.flatnonzero([isinstance(cell, Exception) for cell in cells.tolist()])
+            raised = cells[rows].tolist()
+            found = {exc: DomainError(f"cannot evaluate {text!r}: {exc}") for exc in set(raised)}
+            for row, exc in zip(rows.tolist(), raised):
+                errors.setdefault(row, found[exc])  # the error of an earlier component stays
+            cells[rows] = math.nan
+            column = cells.reshape(shape)
+        stack.reshape(*shape, n)[..., i] = column.astype(complex)
     stack[list(errors)] = math.nan
     return _Rows(stack, errors)
 
@@ -521,41 +599,49 @@ def _evaluate(quantity, dom, points, k):
     keys, route_at, rest, one = _ROUTES[quantity]
     errors = {row: exc for key in reversed(keys) if isinstance(points[key], _Rows)  # the first point's stays
               for row, exc in points[key].errors.items()}
-    values, methods, uncertainties = [math.nan] * k, [""] * k, [math.nan] * k
-    rows = list(itertools.filterfalse(errors.__contains__, range(k)))
+    values, methods, uncertainties = np.full(k, math.nan), np.full(k, "", dtype=object), np.full(k, math.nan)
+    live = np.ones(k, dtype=bool)  # the rows not yet ruled out or evaluated
+    live[list(errors)] = False
     route = route_at(dom, points.get("xi"))
     if route is not None:
         interior = [key for key in keys if key != "xi"]
         for key in interior:
             # Rows by one stacked check, a fixed point once.
-            pt, stacked = points[key], isinstance(points[key], _Rows)
-            exc = DomainError(f"{key} must lie inside the domain") if stacked else _inside(dom, pt, key)
-            inside = _inside_rows(dom, pt.stack[rows]) if stacked else np.full(len(rows), exc is None)
-            errors.update(dict.fromkeys(itertools.compress(rows, (~inside).tolist()), exc))
-            rows = list(itertools.compress(rows, inside.tolist()))
-        stacks = {key: points[key].stack[rows] if isinstance(points[key], _Rows)
-                  else np.tile(points[key], (len(rows), 1)) for key in interior}
+            pt = points[key]
+            if isinstance(pt, _Rows):
+                exc = DomainError(f"{key} must lie inside the domain")
+                inside = _inside_rows(dom, pt.stack if live.all() else pt.stack[live])
+            else:
+                exc = _inside(dom, pt, key)
+                inside = exc is None
+            outside = live.copy()
+            outside[live] = np.logical_not(inside)
+            errors.update(dict.fromkeys(np.flatnonzero(outside).tolist(), exc))
+            live[live] = inside
+        count = int(np.count_nonzero(live))
+        stacks = {key: (points[key].stack if count == k else points[key].stack[live])
+                  if isinstance(points[key], _Rows) else np.tile(points[key], (count, 1)) for key in interior}
         try:
-            method, found = route(stacks) if rows else (None, [])
+            method, found = route(stacks) if count else (None, [])
         except (PluripotError, ArithmeticError, ValueError):
-            found = [None] * len(rows)
+            found = [None] * count
         else:  # every row left is one the route left None
             one = rest or one
-        if len(rows) == k and None not in found:
-            values, methods, uncertainties, rows = found, [method] * k, [0.0] * k, []
-        else:
-            for row, value in zip(rows, found):
-                if value is not None:
-                    values[row], methods[row], uncertainties[row] = value, method, 0.0
-            rows = [row for row, value in zip(rows, found) if value is None]
-    for row in rows:
+        if count == k and None not in found:
+            return found, [method] * k, [0.0] * k, errors
+        found = np.array(found, dtype=object)
+        exact = np.not_equal(found, None)
+        rows = np.flatnonzero(live)[exact]
+        values[rows], methods[rows], uncertainties[rows] = found[exact], method, 0.0
+        live[live] = ~exact
+    for row in np.flatnonzero(live).tolist():
         pts = {key: points[key].stack[row] if isinstance(points[key], _Rows) else points[key]
                for key in keys}
         try:
             values[row], methods[row], uncertainties[row] = one(dom, pts)
         except _ROW_ERRORS as exc:
             errors[row] = _detached(exc)
-    return values, methods, uncertainties, errors
+    return values.tolist(), methods.tolist(), uncertainties.tolist(), errors
 
 
 def cmd_eval(config) -> int:

@@ -171,16 +171,16 @@ def ball_geodesic(z, xi) -> GeodesicDisc:
 # ---------------------------------------------------------------------------
 
 
-def _ball_distance(z, w):
-    """Hyperbolic distance of the unit ball in any dimension.
+def _ball_distance(z, w, then=None) -> list:
+    """Hyperbolic distances of the unit ball in any dimension, of the
+    pairs of stacks z and w (k, n), broadcast together, as a list; each
+    is then(distance) where then is given.
 
-    z and w are points or stacks (..., n) of them, broadcast together.
-    A stack gives each pair's distance bit for bit as the pair alone
-    does: Python's complex scalars of the one-pair formula are written
-    out in reals, numpy's complex products are never taken in place
-    (numpy may reuse a large temporary as the output, and its in-place
-    loop rounds differently) and _k_from_rho runs per element.  Returns
-    a float for one pair, else an array.
+    Each pair's distance is bit for bit the pair's alone: Python's
+    complex scalars of the one-pair formula are written out in reals,
+    numpy's complex products are never taken in place (numpy may reuse a
+    large temporary as the output, and its in-place loop rounds
+    differently) and _k_from_rho, then then, runs on each pair's floats.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     nz, nw = _row_norm(z), _row_norm(w)
@@ -202,7 +202,8 @@ def _ball_distance(z, w):
     near_origin = (nw < 1e-14) | (nz < 1e-14)
     rho = np.where(near_origin, _row_norm(z - w) / np.hypot(1.0 - zw.real, zw.imag), _row_norm(vec))
     s = (1.0 - nz * nz) * (1.0 - nw2) / hyperbolic_models._hypot_sq(1.0 - zw.real, zw.imag)
-    return hyperbolic_models._k_from_rho_many(np.minimum(rho, 1.0), s)
+    ks = map(hyperbolic_models._k_from_rho, np.minimum(rho, 1.0).tolist(), s.tolist())
+    return list(ks if then is None else map(then, ks))
 
 
 def egg_invert(m: int, z):
@@ -257,7 +258,7 @@ def _egg_distance_exact(dom: Domain, z, w) -> list:
     rounds differently).
     """
     if all(mj == 2 for mj in dom.m):
-        return _ball_distance(z, w).tolist()
+        return _ball_distance(z, w)
     z_axis, w_axis = _is_axis(z), _is_axis(w)
     out = [None] * len(z)
     both = np.flatnonzero(z_axis & w_axis)
@@ -287,31 +288,36 @@ def _egg_distance_exact(dom: Domain, z, w) -> list:
     return out
 
 
-def _exact_distances(dom: Domain, z, w) -> list:
+def _exact_distances(dom: Domain, z, w, then=None, pole=0.0) -> list:
     """The exact distances of the pairs of stacks z and w (k, n) of
     interior points, each bit for bit as kobayashi_distance finds it for
     the pair alone: a float, or None where no exact route applies.
     Pairs closer than 1e-15 are at distance 0 without evaluating any
-    route.
+    route.  Given then, each distance k of a pair apart is then(k)
+    instead, and each pair closer than 1e-15 is pole.
     """
     apart = ~(_row_norm(z - w) < 1e-15)
-    zs, ws = z[apart], w[apart]
+    every = bool(apart.all())
+    zs, ws = (z, w) if every else (z[apart], w[apart])
     k = dom.kind
-    if k == "disc":
-        vals = hyperbolic_models.disc_distance(zs[:, 0], ws[:, 0]).tolist()
-    elif k == "ball":
-        vals = _ball_distance(zs, ws).tolist()
-    elif k == "ellipsoid":
-        vals = _egg_distance_exact(dom, zs, ws)
-    elif k == "half_plane":
-        vals = hyperbolic_models.halfplane_distance(zs[:, 0], ws[:, 0]).tolist()
-    elif k == "annulus":
-        vals = [hyperbolic_models.annulus_distance(dom.r, a[0], b[0]) for a, b in zip(zs, ws)]
+    if k == "ball":
+        vals = _ball_distance(zs, ws, then)
     else:
-        vals = [None] * len(zs)
-    if apart.all():
+        if k == "disc":
+            vals = hyperbolic_models.disc_distance(zs[:, 0], ws[:, 0]).tolist()
+        elif k == "ellipsoid":
+            vals = _egg_distance_exact(dom, zs, ws)
+        elif k == "half_plane":
+            vals = hyperbolic_models.halfplane_distance(zs[:, 0], ws[:, 0]).tolist()
+        elif k == "annulus":
+            vals = [hyperbolic_models.annulus_distance(dom.r, a[0], b[0]) for a, b in zip(zs, ws)]
+        else:
+            vals = [None] * len(zs)
+        if then is not None:
+            vals = [None if val is None else then(val) for val in vals]
+    if every:
         return vals
-    out = [0.0] * len(z)
+    out = [pole] * len(z)
     for i, val in zip(np.flatnonzero(apart).tolist(), vals):
         out[i] = val
     return out

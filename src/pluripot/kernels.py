@@ -297,9 +297,7 @@ def _green_rows(dom: Domain, w, z) -> list:
     """
     if dom.kind == "annulus":
         raise UnsupportedDomainError("the Green-from-distance formula needs a convex domain")
-    poles = (_row_norm(z - w) < 1e-15).tolist()
-    return [GREEN_POLE if pole else None if k is None else _log_tanh_half(k)
-            for pole, k in zip(poles, geodesics_metrics._exact_distances(dom, z, w))]
+    return geodesics_metrics._exact_distances(dom, z, w, _log_tanh_half, GREEN_POLE)
 
 
 def _exact_horofunctions(dom: Domain, xi: BoundaryPoint, p, z):

@@ -784,14 +784,21 @@ def test_template_compiles_or_refuses(text, params):
 def test_template_compiles_or_refuses_at_the_recursion_limit():
     # Near the recursion limit the grammar check can pass and compiling
     # still fail; either way the answer is a template or its refusal.
+    # Evaluating a template walks its tree too: its rows come back or the
+    # template is refused, never a RecursionError.
     import sys
 
-    from pluripot.cli import _template
+    from pluripot.cli import _template, _template_rows
 
     limit = sys.getrecursionlimit()
-    for depth in range(limit - 150, limit + 10):
-        for text in ("t+" * depth + "t", "-" * depth + "t"):
-            _returns_or_domain_error(_template.__wrapped__, text, ("t",))
+    try:
+        for depth in range(limit - 150, limit + 10):
+            for text in ("t+" * depth + "t", "-" * depth + "t"):
+                _returns_or_domain_error(_template.__wrapped__, text, ("t",))
+                rows = _returns_or_domain_error(_template_rows, text, 1, {"t": [0.5, -1.0]})
+                assert rows is None or rows.stack.shape == (2, 1)
+    finally:
+        _template.cache_clear()
 
 
 def _per_row_template(text, axes):
@@ -847,6 +854,16 @@ _GRID_1D = {"t": np.linspace(-0.9, 0.9, 5).tolist()}
     ("sqrt(t)", _GRID_1D),
     ("0.2,log(t)", _GRID_1D),
     ("log(-1.0),0.0", _GRID_1D),
+    # Subexpressions that fail on different rows: the left operand's
+    # error comes first, as in Python's evaluation; a constant
+    # subexpression that fails on every row.
+    ("log(t)*(1.0/s),0.5", _GRID_2D),
+    ("(1.0/s)*log(t),0.5", _GRID_2D),
+    ("t+log(-1.0)", _GRID_1D),
+    # Powers of a negative base where Python gives a complex (numpy's
+    # float power would give NaN), and inf * 0, which is NaN at t = 0.
+    ("(-1)**t+0.1*s,t**0.5*j+s", _GRID_2D),
+    ("1e400*t,t", _GRID_1D),
     # A 1 x 1 grid and a grid of no parameters (a point fixed once).
     ("t,log(t)", {"t": [0.5]}),
     ("0.5,exp(0.25)", {}),
@@ -871,7 +888,9 @@ def test_template_row_keeps_the_first_failing_component():
 
 def test_template_component_is_evaluated_once_per_value_of_what_it_reads(monkeypatch):
     # 'cos(t),sin(s)' on a 7 x 5 grid makes 7 + 5 calls, not 2 x 35, and
-    # a constant component one call.
+    # a constant component one call.  So does each subexpression: in
+    # '0.6*s*(cos(t)+j*sin(t)),exp(0.5)*t' cos(t) and sin(t) read t
+    # alone and exp(0.5) nothing, so 7 + 7 + 1 calls, not 35 + 35 + 7.
     from pluripot import cli
 
     calls = []
@@ -883,14 +902,19 @@ def test_template_component_is_evaluated_once_per_value_of_what_it_reads(monkeyp
                exp=counted("exp", math.exp))
     monkeypatch.setattr(cli, "_TEMPLATE_ENV", env)
     cli._template.cache_clear()
+    axes = {"t": np.linspace(0, 1, 7).tolist(), "s": np.linspace(0, 1, 5).tolist()}
     try:
-        axes = {"t": np.linspace(0, 1, 7).tolist(), "s": np.linspace(0, 1, 5).tolist()}
         rows = cli._template_rows("cos(t),sin(s),exp(0.5)", 3, axes)
+        assert sorted(calls) == ["cos"] * 7 + ["exp"] + ["sin"] * 5
+        calls.clear()
+        mixed = cli._template_rows("0.6*s*(cos(t)+j*sin(t)),exp(0.5)*t", 2, axes)
+        assert sorted(calls) == ["cos"] * 7 + ["exp"] + ["sin"] * 7
     finally:
         cli._template.cache_clear()
-    assert sorted(calls) == ["cos"] * 7 + ["exp"] + ["sin"] * 5
     assert rows.stack.tolist() == [[math.cos(t), math.sin(s), math.exp(0.5)]
                                    for t in axes["t"] for s in axes["s"]]
+    assert mixed.stack.tolist() == [[0.6 * s * (math.cos(t) + 1j * math.sin(t)), math.exp(0.5) * t]
+                                    for t in axes["t"] for s in axes["s"]]
 
 
 def _template_components(params):

@@ -60,6 +60,49 @@ def test_green_function_pole_sentinel():
     assert green_function(dom, z, z).value == GREEN_POLE
 
 
+def _green_pair_points(dom, rng, i):
+    """The i-th pair (z, w) of test_green_rows_are_their_pairs_bit_for_bit:
+    on egg4 z on the z0 axis, w on it, or neither, in turn; every fifth
+    pair one point twice."""
+    if dom.kind == "half_plane":
+        z, w = (np.array([complex(-rng.uniform(0.05, 2.0), rng.uniform(-1.0, 1.0))]) for _ in range(2))
+    else:
+        z, w = _random_interior(dom, rng), _random_interior(dom, rng)
+    if dom.kind == "ellipsoid" and i % 3 == 0:
+        z[1:] = 0.0
+    if dom.kind == "ellipsoid" and i % 3 == 1:
+        w[1:] = 0.0
+    return z, (z.copy() if i % 5 == 4 else w)
+
+
+@pytest.mark.parametrize("name", ["ball2", "disc", "half_plane", "egg4"])
+@pytest.mark.parametrize("count", [1, 3, 37])
+def test_green_rows_are_their_pairs_bit_for_bit(name, count):
+    # The stacked Green route gives each row log tanh(k/2) of its pair's
+    # own exact kobayashi_distance k, bit for bit; GREEN_POLE where the
+    # pair is one point twice, and None where the pair is sandwiched.
+    from pluripot.geodesics_metrics import kobayashi_distance
+
+    dom = make_domain(name)
+    rng = np.random.default_rng(count)
+    z, w = map(np.array, zip(*(_green_pair_points(dom, rng, i) for i in range(count))))
+    rows = kernels._green_rows(dom, w, z)
+    assert len(rows) == count
+    sandwiched = 0
+    for zi, wi, got in zip(z, w, rows):
+        if np.array_equal(zi, wi):
+            assert got == GREEN_POLE
+            continue
+        bound = kobayashi_distance(dom, zi, wi)
+        if bound.exact:
+            assert got.hex() == _log_tanh_half(bound.value).hex()
+        else:
+            assert got is None
+            sandwiched += 1
+    # On egg4 the pairs of two points off the axis.
+    assert sandwiched == (sum(i % 3 == 2 and i % 5 != 4 for i in range(count)) if name == "egg4" else 0)
+
+
 def test_green_function_symmetry():
     dom = make_domain("ball2")
     rng = np.random.default_rng(43)

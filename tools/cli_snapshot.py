@@ -145,6 +145,15 @@ sweep poisson --domain egg4 --xi e1 --z log(t),log(s) --grid-t=-0.9:0.9:5 --grid
 sweep green --domain ball2 --w 0.1,0 --z 0.5*t,0.3j --grid-t=-0.9:0.9:7
 sweep poisson --domain ball2 --xi e1 --z log(-1),0 --grid-t=0:1:3
 sweep distance --domain ball2 --w 0.1,0 --z log(t),0.4*s --grid-t=-0.9:0.9:5 --grid-s=-1:1:3 --format json""".splitlines()]
+    # Template subexpressions evaluated once per value of what they read:
+    # t-only, s-only and constant subexpressions in one component with
+    # failing rows; a negative base to a fractional power, which Python
+    # makes complex; and two failing subexpressions in either order,
+    # written as JSON.
+    + [line.split() for line in """\
+sweep poisson --domain egg4 --xi e1 --z 0.5*t+0.1*log(s),0.3*s*(cos(t)+j*sin(t))*exp(0.1) --grid-t=-0.9:0.9:7 --grid-s=-1:1:5
+sweep green --domain ball2 --w 0.1,0 --z 0.5*(-1)**t,0.2*s --grid-t=0:1:5 --grid-s=-1:1:3
+sweep poisson --domain egg4 --xi e1 --z (1.0/s)*log(t+1)*0.1,0.1*t+0.2*log(s+1) --grid-t=-1:1:5 --grid-s=-1:1:3 --format json""".splitlines()]
 )
 
 
