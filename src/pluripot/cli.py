@@ -190,31 +190,42 @@ def _disallowed(node, params):
 
 
 def _template_steps(node, params, steps, constants):
-    """Append to steps the evaluation of a checked tree node in Python's
-    order: its operands' steps, then (arity, (ufunc, operation)) for an
-    operation, or (0, index) for a leaf, indexing params followed by
-    constants, to which a constant goes as a 0-d object array.  Integer
-    constants become floats."""
+    """Append to steps the evaluation of a checked tree node: its operands'
+    steps, then (arity, (fast, safe, swap)) for an operation, or (0,
+    index) for a leaf, indexing params followed by constants, to which a
+    constant goes as a 0-d object array.  fast is the operation as a
+    ufunc of object arrays, safe that of _template_cell.  Integer
+    constants become floats.
+
+    Returns how many computed columns the steps hold at once.  Of two
+    operands, the one that needs more goes first (then swap is true; the
+    Sethi-Ullman order), so a nested template holds a few columns at a
+    time, not one per level.
+    """
     if isinstance(node, ast.Name) and node.id in params:
         steps.append((0, params.index(node.id)))
-        return
+        return 0
     if isinstance(node, (ast.Constant, ast.Name)):
         value = node.value if isinstance(node, ast.Constant) else _TEMPLATE_ENV[node.id]
         steps.append((0, len(params) + len(constants)))
         constants.append(np.array(float(value) if type(value) is int else value, dtype=object))
-        return
-    if isinstance(node, ast.Call):
-        operands, operation = node.args, _TEMPLATE_ENV[node.func.id]
-    elif isinstance(node, ast.UnaryOp):
-        operands, operation = [node.operand], _TEMPLATE_OPERATORS[type(node.op)]
-    else:
-        operands, operation = [node.left, node.right], _TEMPLATE_OPERATORS[type(node.op)]
-    for operand in operands:
-        _template_steps(operand, params, steps, constants)
-    steps.append((len(operands), (np.frompyfunc(operation, len(operands), 1), operation)))
+        return 0
+    operation = _TEMPLATE_ENV[node.func.id] if isinstance(node, ast.Call) else _TEMPLATE_OPERATORS[type(node.op)]
+    operands = (node.args if isinstance(node, ast.Call) else [node.operand] if isinstance(node, ast.UnaryOp)
+                else [node.left, node.right])
+    parts = [[] for _ in operands]
+    needs = [_template_steps(operand, params, part, constants) for operand, part in zip(operands, parts)]
+    swap = needs[-1] > needs[0]
+    for part in reversed(parts) if swap else parts:
+        steps.extend(part)
+    steps.append((len(operands), (np.frompyfunc(operation, len(operands), 1),
+                                  np.frompyfunc(functools.partial(_template_cell, operation), len(operands), 1),
+                                  swap)))
+    # The first operand's column waits while the second's steps run.
+    return max(1, max(needs) if len(needs) == 1 else max(max(needs), min(needs) + 1))
 
 
-def _template_cell(operation, operands):
+def _template_cell(operation, *operands):
     """operation of one element's operands by Python's arithmetic: the first
     operand that is an exception, else the value or the exception raised."""
     for operand in operands:
@@ -231,34 +242,33 @@ def _template_column(steps, constants, grids):
     and the object array of each grid parameter along its own axis.
 
     Each operation runs over the product of the parameters its operands
-    read alone, by Python's own scalar arithmetic on each element (a
-    ufunc of object arrays).  Returns an object array with one axis per
-    parameter, of length 1 where the component does not read it, whose
-    elements are values or the exception that Python's evaluation raises
-    first; and whether any element is an exception.  An operation that
-    raises on some element, or has such an operand, runs element by
-    element.
+    read alone, by Python's own scalar arithmetic on each element.
+    Returns an object array with one axis per parameter, of length 1
+    where the component does not read it, whose elements are values or
+    the exception that Python's evaluation raises first; and whether any
+    element is an exception.  An operation that raises on some element,
+    or has such an operand, runs element by element (safe).
     """
     leaves, stack = (*grids, *constants), []
-    for arity, item in steps:
-        if not arity:
-            stack.append((leaves[item], False))
-            continue
-        operands, failed = zip(*stack[-arity:])
-        del stack[-arity:]
-        ufunc, operation = item
-        if not any(failed):
-            try:
-                # Python's float arithmetic sets the floating-point flags
-                # (inf * 0), which numpy would report as warnings.
-                with np.errstate(all="ignore"):
-                    stack.append((np.asarray(ufunc(*operands), dtype=object), False))
+    # Python's float arithmetic sets the floating-point flags (inf * 0),
+    # which numpy would report as warnings.
+    with np.errstate(all="ignore"):
+        for arity, item in steps:
+            if not arity:
+                stack.append((leaves[item], False))
                 continue
-            except _TEMPLATE_ERRORS:
-                pass
-        cells = map(functools.partial(_template_cell, operation), np.broadcast(*operands))
-        shape = np.broadcast_shapes(*(operand.shape for operand in operands))
-        stack.append((np.fromiter(cells, dtype=object, count=math.prod(shape)).reshape(shape), True))
+            fast, safe, swap = item
+            operands, failed = zip(*(stack[:-arity - 1:-1] if swap else stack[-arity:]))
+            del stack[-arity:]
+            failed = any(failed)
+            if not failed:
+                try:
+                    column = fast(*operands)
+                except _TEMPLATE_ERRORS:
+                    failed = True
+            if failed:
+                column = safe(*operands)
+            stack.append((np.asarray(column, dtype=object), failed))
     return stack[0]
 
 
@@ -279,8 +289,8 @@ def _template(text, params):
     DomainError.
     """
     components = []
-    # The parser raises MemoryError, and the checks RecursionError, on
-    # too deeply nested arithmetic.
+    # The parser raises MemoryError, and the checks and _template_steps
+    # RecursionError, on too deeply nested arithmetic.
     try:
         for tok in (part.strip() for part in text.split(",")):
             comp = ast.parse(tok, mode="eval")

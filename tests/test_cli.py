@@ -801,6 +801,31 @@ def test_template_compiles_or_refuses_at_the_recursion_limit():
         _template.cache_clear()
 
 
+def test_nested_template_memory_does_not_grow_with_its_depth():
+    # Of two operands the one that holds more computed columns is
+    # evaluated first, so a template nested 30 deep holds a few columns
+    # at a time, not one per level.
+    import tracemalloc
+
+    from pluripot.cli import _template, _template_rows
+
+    axes = {"t": np.linspace(0, 1, 100).tolist(), "s": np.linspace(0, 1, 100).tolist()}
+    nested = "t*s"
+    for _ in range(30):
+        nested = f"t*s+({nested})"
+    peaks = []
+    for text in ("t*s+(t*s)", nested):
+        _template(text, tuple(axes))
+        tracemalloc.start()
+        try:
+            _template_rows(text, 1, axes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _template.cache_clear()
+    assert peaks[1] < 2 * peaks[0]
+
+
 def _per_row_template(text, axes):
     """The reference of cli._template_rows: the whole template as one Python
     function of the grid parameters, called once per row of the grid; a
@@ -864,6 +889,9 @@ _GRID_1D = {"t": np.linspace(-0.9, 0.9, 5).tolist()}
     # float power would give NaN), and inf * 0, which is NaN at t = 0.
     ("(-1)**t+0.1*s,t**0.5*j+s", _GRID_2D),
     ("1e400*t,t", _GRID_1D),
+    # A right-nested sum, whose right operand is evaluated first, with
+    # failing rows on both sides.
+    ("log(t)+(1.0/s+(t*s+s*t)),0.5", _GRID_2D),
     # A 1 x 1 grid and a grid of no parameters (a point fixed once).
     ("t,log(t)", {"t": [0.5]}),
     ("0.5,exp(0.25)", {}),
