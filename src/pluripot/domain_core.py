@@ -295,9 +295,12 @@ def _fd_gradient(domain: Domain, pts):
 
 
 def require_interior(domain: Domain, z, name) -> np.ndarray:
-    """z as a point of the domain; DomainError naming it unless rho(z) < 0 (NaN fails)."""
+    """z as a point of the domain; DomainError naming it unless rho(z) < 0
+    (NaN fails, and so does an overflow to inf, without numpy's warning)."""
     pt = as_point(domain, z)
-    if not float(defining_function(domain, pt)) < 0.0:
+    with np.errstate(over="ignore"):
+        inside = float(defining_function(domain, pt)) < 0.0
+    if not inside:
         raise DomainError(f"{name} must lie inside the domain")
     return pt
 
@@ -310,9 +313,10 @@ def _inside_rows(domain: Domain, pts) -> np.ndarray:
     each point alone.  A general_convex domain checks each point alone:
     its rho_fn may round in any way on a stack.
     """
-    if domain.kind == "general_convex":
-        return np.array([float(defining_function(domain, pt)) < 0.0 for pt in pts], dtype=bool)
-    return defining_function(domain, pts) < 0.0
+    with np.errstate(over="ignore"):
+        if domain.kind == "general_convex":
+            return np.array([float(defining_function(domain, pt)) < 0.0 for pt in pts], dtype=bool)
+        return defining_function(domain, pts) < 0.0
 
 
 _BRENT_RTOL = 4 * _EPS

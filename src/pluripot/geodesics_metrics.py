@@ -478,20 +478,26 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
     shrunk by cos(pi / _N_RAYS), the inradius factor of the inscribed
     polygon of a convex slice.
 
-    Only that minimum counts, so each bisection step first drops every
-    ray whose inside end lo has reached its centre's smallest outside
-    end (lo >= min(hi) over the centre's rays), and stacks only the
-    remaining rays.  The bisection ends after 64 steps, or earlier once
-    every remaining midpoint rounds to an end of its bracket: from then
-    on no inside end moves.
+    Only that minimum counts, so every third bisection step first drops
+    every ray whose inside end lo has reached its centre's smallest
+    outside end (lo >= min(hi) over the centre's rays), and stacks only
+    the remaining rays; once each centre holds one ray, the steps bisect
+    with no drop test.  Between drop tests the kept rays bisect with no
+    reduceat, repeat or compaction.  The bisection ends after 64 steps,
+    or earlier once every remaining midpoint rounds to an end of its
+    bracket: from then on no inside end moves.
 
     The radii are bit for bit those of the march without drops, in
-    which every ray bisects on its own, as in each centre's own march.
-    A ray's lo only grows, its hi only shrinks, and lo < hi throughout.
-    So when a ray r drops, with s the ray of smallest hi at that step,
-    r ends on either march with lo(r) >= hi(s) > the final lo(s): the
-    final minimum is never a dropped ray's, and the rays that never
-    drop take exactly the steps they would take alone.
+    which every ray bisects on its own, as in each centre's own march,
+    whatever steps the drop test runs on.  A ray's lo only grows, its hi
+    only shrinks, and lo < hi throughout.  So when a ray r drops, with s
+    the ray of smallest hi at that step, r ends on either march with
+    lo(r) >= hi(s) > the final lo(s): the final minimum is never a
+    dropped ray's, and the rays that never drop take exactly the steps
+    they would take alone, under the same 64-step cap.  A sparser test
+    keeps a superset of the rays, so the early end can only come later,
+    and a step after a ray's midpoint rounds to an end of its bracket
+    leaves that ray where it is (its lo is inside, its hi outside).
     """
     k, n = centers.shape
     thetas = np.exp(2j * np.pi * np.arange(_N_RAYS) / _N_RAYS)
@@ -522,12 +528,13 @@ def _inscribed_disc_radius(dom: Domain, centers, direction) -> np.ndarray:
         hi = np.where(mask, 2.0 * hi, hi)
         if np.max(hi) > 64.0:
             raise UnsupportedDomainError("slice bound needs a bounded domain")
-    for _ in range(64):
-        keep = lo < np.repeat(np.minimum.reduceat(hi, first), counts)
-        if not keep.all():
-            lo, hi, offsets, base = lo[keep], hi[keep], offsets[keep], base[keep]
-            counts = np.add.reduceat(keep, first, dtype=np.intp)
-            first = np.cumsum(counts) - counts
+    for step in range(64):
+        if step % 3 == 0 and lo.size > k:
+            keep = lo < np.repeat(np.minimum.reduceat(hi, first), counts)
+            if not keep.all():
+                lo, hi, offsets, base = lo[keep], hi[keep], offsets[keep], base[keep]
+                counts = np.add.reduceat(keep, first, dtype=np.intp)
+                first = np.cumsum(counts) - counts
         mid = 0.5 * (lo + hi)
         if ((mid == lo) | (mid == hi)).all():
             break

@@ -455,6 +455,32 @@ def test_sweep_huge_integer_power_finishes():
     assert [r["status"] for r in rows] == ["outside", "outside"]
 
 
+@pytest.mark.parametrize("argv, rc_expected, stderr", [
+    ("eval distance --domain ball2 --w 0.1,0 --z 1e200,0", 2,
+     "configuration error: z must lie inside the domain\n"),
+    ("eval distance --domain egg4 --w 0.1,0 --z 0.1,1e200", 2,
+     "configuration error: z must lie inside the domain\n"),
+    ("sweep distance --domain ball2 --w 0.1,0 --z 1e200*t,0 --grid-t=0:1:3", 0, ""),
+])
+def test_huge_coordinates_are_refused_without_a_warning(argv, rc_expected, stderr):
+    # rho overflows to inf at these points, which is outside; numpy's
+    # overflow warning must not reach stderr, even with warnings shown.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "pluripot", *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == rc_expected
+    assert proc.stderr == stderr
+    if rc_expected == 0:
+        rows, _ = _csv_rows(proc.stdout)
+        assert [r["status"] for r in rows] == ["ok", "outside", "outside"]
+
+
 @pytest.mark.parametrize("suite, flags, rc_expected, message", [
     ("monge_ampere", ["--domain", "ellipsoid", "--m", "4"], 0, None),
     ("monge_ampere", ["--domain", "ellipsoid", "--m", "4,4"], 2,

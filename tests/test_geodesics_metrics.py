@@ -295,6 +295,65 @@ def test_pruned_march_near_the_egg6_boundary_is_the_per_centre_march(monkeypatch
     assert _same_bits(got, [slice_upper_bound_per_centre(egg, z, w) for z, w in pairs])
 
 
+_SCHEDULE_DOMAINS = {spec: make_domain(spec) for spec in ("egg2", "egg4", "egg6", "ball3")}
+
+
+def _gauge_point(dom, data, gauge):
+    """A point of the domain at the given gauge, along a drawn direction."""
+    raw = np.array([complex(data.draw(_UNIT), data.draw(_UNIT)) for _ in range(dom.n)])
+    assume(float(np.linalg.norm(raw)) > 1e-3)
+    return raw / minkowski_gauge(dom, raw) * gauge
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(label=st.sampled_from(sorted(_SCHEDULE_DOMAINS)), count=st.integers(1, 5), data=st.data())
+def test_march_drop_schedule_keeps_the_per_centre_radii(label, count, data):
+    # Any stack of centres in one direction, some of them within 1e-6 of
+    # the boundary, where the bracket [0, 0.5] needs about 71 halvings and
+    # the 64-step cap ends the march: each radius is the per-centre
+    # march's, bit for bit, whichever steps drop rays.
+    dom = _SCHEDULE_DOMAINS[label]
+    gauges = st.one_of(st.floats(0.0, 0.99), st.floats(1e-9, 1e-6).map(lambda d: 1.0 - d))
+    centers = np.array([_gauge_point(dom, data, data.draw(gauges)) for _ in range(count)])
+    assert domain_core._inside_rows(dom, centers).all()
+    direction = _gauge_point(dom, data, 1.0)
+    direction = direction / np.linalg.norm(direction)
+    want = [inscribed_disc_radius(dom, center, direction) for center in centers]
+    assert _same_bits(_inscribed_disc_radius(dom, centers, direction), want)
+
+
+def test_march_cap_binds_within_1e6_of_the_boundary(monkeypatch):
+    # Three rho calls double the rays out of the domain (at 0.5, 1 and 2),
+    # then all 64 bisection steps run: the cap, not the early end, stops
+    # this march.
+    egg = make_domain("egg4")
+    center = np.array([1.0 - 1e-6, 0.0], dtype=complex)
+    direction = np.array([0.6, 0.8j])
+    calls = {}
+    _counted(monkeypatch, calls, geodesics_metrics, "defining_function")
+    got = _inscribed_disc_radius(egg, center[None, :], direction)
+    assert calls == {"defining_function": 3 + 64}
+    assert _same_bits(got, [inscribed_disc_radius(egg, center, direction)])
+
+
+def test_slice_bound_rho_call_count(monkeypatch):
+    # The march's drop test only books rays: these off-axis egg4 pairs
+    # take as many stacked rho calls as they did with a drop test on
+    # every step.  The last pair splits its segment.
+    egg = make_domain("egg4")
+    pairs = [((0.3, 0.2j), (-0.1, 0.4)), ((0.5 + 0.1j, -0.3j), (0.1, 0.6)),
+             ((0.05, 0.7), (-0.4j, -0.2 + 0.1j)), ((0.62, 0.1 + 0.3j), (0.6, -0.35j)),
+             ((0.9, 0.2), (-0.85j, 0.3j))]
+    calls = {}
+    _counted(monkeypatch, calls, geodesics_metrics, "defining_function")
+    counts = []
+    for z, w in pairs:
+        calls.clear()
+        slice_upper_bound(egg, np.array(z, dtype=complex), np.array(w, dtype=complex))
+        counts.append(calls["defining_function"])
+    assert counts == [55, 56, 56, 55, 287]
+
+
 def test_lattice_support_cached_and_read_only():
     pts, normals = _lattice_support("ellipsoid", 2, (4,))
     assert _lattice_support("ellipsoid", 2, (4,))[0] is pts

@@ -154,6 +154,19 @@ sweep distance --domain ball2 --w 0.1,0 --z log(t),0.4*s --grid-t=-0.9:0.9:5 --g
 sweep poisson --domain egg4 --xi e1 --z 0.5*t+0.1*log(s),0.3*s*(cos(t)+j*sin(t))*exp(0.1) --grid-t=-0.9:0.9:7 --grid-s=-1:1:5
 sweep green --domain ball2 --w 0.1,0 --z 0.5*(-1)**t,0.2*s --grid-t=0:1:5 --grid-s=-1:1:3
 sweep poisson --domain egg4 --xi e1 --z (1.0/s)*log(t+1)*0.1,0.1*t+0.2*log(s+1) --grid-t=-1:1:5 --grid-s=-1:1:3 --format json""".splitlines()]
+    # Coordinates so large that rho overflows to inf: refused as outside,
+    # with only the configuration error on stderr.
+    + [line.split() for line in """\
+eval distance --domain ball2 --w 0.1,0 --z 1e200,0
+eval distance --domain egg4 --w 0.1,0 --z 0.1,1e200
+sweep distance --domain ball2 --w 0.1,0 --z 1e200*t,0 --grid-t=0:1:3""".splitlines()]
+    # Sandwiched off-axis egg6 pairs through the slice march: rows at
+    # t = +-1 lie within 1e-6 of the boundary, where the march's 64-step
+    # cap ends the bisection, and a second grid holds pairs less than
+    # 1e-6 apart near that boundary point.
+    + [line.split() for line in """\
+sweep distance --domain egg6 --w 0.1,0.5 --z 0.999999*t,0.01+0.2*j*s --grid-t=-1:1:5 --grid-s=-1:1:3
+sweep distance --domain egg6 --w 0.9999993,0.01 --z 0.9999995-4e-7*t,0.01+2e-7*j*s --grid-t=0:1:3 --grid-s=-1:1:3""".splitlines()]
 )
 
 
