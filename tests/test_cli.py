@@ -466,12 +466,10 @@ def test_huge_coordinates_are_refused_without_a_warning(argv, rc_expected, stder
     # rho overflows to inf at these points, which is outside; numpy's
     # overflow warning must not reach stderr, even with warnings shown.
     import os
-    import pathlib
     import subprocess
     import sys
 
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "pluripot", *argv.split()],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == rc_expected
